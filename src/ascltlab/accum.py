@@ -9,27 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def kahan_sum(a) -> float:
-    """Kahan-compensated sum of a 1-D array."""
-    acc = 0.0
-    c = 0.0
-    for v in np.asarray(a, dtype=float):
-        y = v - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
-    return acc
-
-
-def kahan_dot(a, b) -> float:
-    """Kahan-compensated dot product of two 1-D arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return kahan_sum(a * b)
-
-
 def kahan_matvec(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Compensated u @ x, accumulating column by column.
 

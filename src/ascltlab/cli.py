@@ -17,12 +17,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import experiments, spectra
-from .empirical import exponential_cdf, normal_cdf
+from .empirical import normal_cdf
 from .sources import SourceSpec
-from .transform import partial_sums
 from .weights import (
     TRIG,
     HAAR,
@@ -190,6 +189,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 cfg.threads = int(env)
             except ValueError as exc:
                 raise ConfigError(f"ASCLT_THREADS is not an integer: {env!r}") from exc
+    if cfg.threads < 0:
+        raise ConfigError(
+            f"threads (--threads, config key or ASCLT_THREADS) must be >= 0"
+            f" (0 or 1 runs serially), got {cfg.threads}"
+        )
     return cfg
 
 

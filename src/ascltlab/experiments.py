@@ -1,9 +1,15 @@
 """Experiment harnesses: almost-sure trajectories, characteristic-function
 variance decay, CLT fluctuations, and LDP rate estimates.
 
-Replica parallelism contract: replica i draws from the stream
-spec.stream_id + i, results are reduced in ascending replica order, so
-the output is bit-identical for any thread count.
+Replica contract: replica i draws X_1..X_n from the stream
+spec.stream_id + i.  Replicas run in chunks of 512, one chunk per task
+when threads > 1, and each chunk is sampled in sub-blocks of about
+512 KiB of inputs (max(1, 512 KiB // (8 n)) replicas), so that a block
+stays in cache.  Sub-block bounds depend only on n, never on the thread
+count.  Each harness maps a sub-block to the one statistic it reads (the
+mean of S, S alone, or S and T) and never keeps the inputs; per-replica
+statistics are concatenated in ascending replica order, so the output is
+bit-identical for any thread count.
 
 Growth conditions (the r^3 (log n)^2 / n family) are reported as
 diagnostics, never enforced: no desk-scale (n, r) makes them small, yet
@@ -17,18 +23,19 @@ import hashlib
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import empirical
 from .empirical import EmpiricalMeasure, ks_to, normal_cdf
-from .sources import SourceSpec, sample_prefix
-from .transform import partial_sums_batch, partial_sums_fast
+from .sources import SourceSpec, sample_prefix, sample_rows
+from .transform import batch_kernel, mean_partial_sum, mean_weights, partial_sums_fast
 from .weights import TRIG, HAAR, sample_haar_orthogonal
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
 _REPLICA_CHUNK = 512
+_SUB_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -209,21 +216,28 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     )
 
 
-def _replica_map(fn, n_replicas: int, threads: int) -> list:
-    """Apply fn to replica-chunk ranges, reducing in fixed index order."""
-    chunks = [
-        (lo, min(lo + _REPLICA_CHUNK, n_replicas))
-        for lo in range(0, n_replicas, _REPLICA_CHUNK)
-    ]
-    if threads and threads > 1:
+def _replica_map(
+    stat, spec: SourceSpec, n: int, n_replicas: int, threads: int
+) -> np.ndarray:
+    """stat of each replica's inputs, in ascending replica order.
+
+    stat maps a (replicas x n) block of inputs to one value per replica.
+    """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    rows = max(1, _SUB_BLOCK_BYTES // (8 * n))
+
+    def chunk(lo: int) -> list:
+        hi = min(lo + _REPLICA_CHUNK, n_replicas)
+        return [stat(sample_rows(spec, b, min(b + rows, hi), 1, n)) for b in range(lo, hi, rows)]
+
+    starts = range(0, n_replicas, _REPLICA_CHUNK)
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, chunks))
-    return [fn(c) for c in chunks]
-
-
-def _replica_inputs(spec: SourceSpec, lo: int, hi: int, n: int) -> np.ndarray:
-    rows = [sample_prefix(spec.with_stream(spec.stream_id + i), n) for i in range(lo, hi)]
-    return np.stack(rows)
+            parts = list(pool.map(chunk, starts))
+    else:
+        parts = [chunk(lo) for lo in starts]
+    return np.concatenate([block for part in parts for block in part])
 
 
 def char_variance_decay(
@@ -242,14 +256,14 @@ def char_variance_decay(
     target = math.exp(-(s * s + t * t) / 2.0)
     points = []
     for n, r in schedule.points:
-        def chunk_stat(rng, n=n, r=r):
-            lo, hi = rng
-            x = _replica_inputs(spec, lo, hi, n)
-            ss, tt = partial_sums_batch(n, r, x)
+        kernel = batch_kernel(n, r)
+
+        def block_stat(x, kernel=kernel):
+            ss, tt = kernel(x)
             phi = np.mean(np.exp(1j * (s * ss + t * tt)), axis=1)
             return np.abs(phi - target) ** 2
 
-        sq = np.concatenate(_replica_map(chunk_stat, replicas, threads))
+        sq = _replica_map(block_stat, spec, n, replicas, threads)
         est = float(np.mean(sq))
         points.append(
             {
@@ -292,14 +306,13 @@ def clt_fluctuation(
         raise ValueError("trig weights require r <= floor((n-1)/2)")
     t0 = time.perf_counter()
     px = normal_cdf(x)
+    kernel = batch_kernel(n, r, with_t=False)
 
-    def chunk_stat(rng):
-        lo, hi = rng
-        xs = _replica_inputs(spec, lo, hi, n)
-        ss, _ = partial_sums_batch(n, r, xs)
+    def block_stat(xs):
+        ss, _ = kernel(xs)
         return np.sum(ss <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * px
 
-    w = np.concatenate(_replica_map(chunk_stat, replicas, threads))
+    w = _replica_map(block_stat, spec, n, replicas, threads)
     mean = float(np.mean(w))
     var = float(np.var(w, ddof=1))
     sd = math.sqrt(var) if var > 0 else 1.0
@@ -326,14 +339,14 @@ def clt_fluctuation(
     )
 
 
-def _half_line_rate(spec: SourceSpec, n: int, r: int, a: float, replicas: int, threads: int) -> dict:
-    def chunk_stat(rng):
-        lo, hi = rng
-        xs = _replica_inputs(spec, lo, hi, n)
-        ss, _ = partial_sums_batch(n, r, xs)
-        return np.mean(ss, axis=1) >= a
+def _half_line_rate(
+    spec: SourceSpec, c: np.ndarray, r: int, a: float, replicas: int, threads: int
+) -> dict:
+    """Replicas whose mean of S_{n,1..r} (one product with c) is >= a."""
+    def block_stat(xs):
+        return mean_partial_sum(xs, c) >= a
 
-    hits = int(np.sum(np.concatenate(_replica_map(chunk_stat, replicas, threads))))
+    hits = int(np.sum(_replica_map(block_stat, spec, c.size, replicas, threads)))
     if hits == 0:
         # no observed exceedances: report the 1/replicas bound, flag rate
         p_hat = 1.0 / replicas
@@ -364,13 +377,14 @@ def ldp_rate(
     if not (1 <= r <= (n - 1) // 2):
         raise ValueError("trig weights require r <= floor((n-1)/2)")
     t0 = time.perf_counter()
-    main = _half_line_rate(spec, n, r, a, replicas, threads)
+    c = mean_weights(n, r)
+    main = _half_line_rate(spec, c, r, a, replicas, threads)
     oracle_spec = SourceSpec(
         family="normal",
         master_seed=spec.master_seed,
         stream_id=spec.stream_id + replicas,
     )
-    oracle = _half_line_rate(oracle_spec, n, r, a, replicas, threads)
+    oracle = _half_line_rate(oracle_spec, c, r, a, replicas, threads)
     target = empirical.rate_function_gaussian(a, 1.0).value
     point = {
         "n": n,

@@ -10,7 +10,7 @@ values are ever requested (prefix stability).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -31,15 +31,29 @@ _SQRT3 = math.sqrt(3.0)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_SIGN = np.uint64(1 << 63)
+_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)  # IEEE-754 bits of -1.0
 
 
-def _mix64(z):
-    """splitmix64 finalizer; accepts uint64 scalars or arrays."""
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, applied to a uint64 array in place."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        np.bitwise_xor(z, t, out=z)
+        if mult is not None:
+            np.multiply(z, mult, out=z)
+    return z
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Uniforms in (0,1) from splitmix64 outputs, reusing z's memory."""
+    # 53 significant bits, offset by half an ulp to stay inside (0,1)
+    np.right_shift(z, np.uint64(11), out=z)
+    u = z.view(np.float64)
+    np.add(z, 0.5, out=u, casting="unsafe")
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -86,51 +100,95 @@ class SourceSpec:
         return replace(self, stream_id=int(stream_id))
 
 
+def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
+    """Per-stream keys of streams spec.stream_id + lo .. spec.stream_id + hi - 1."""
+    if spec.stream_id + hi > 2**64:
+        raise ValueError("stream ids must stay below 2**64")
+    streams = np.arange(lo, hi, dtype=np.uint64) + np.uint64(spec.stream_id)
+    seed_key = _mix64(np.array([spec.master_seed], dtype=np.uint64))
+    return seed_key ^ _mix64(streams + _GAMMA)
+
+
+def _counters(keys: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """splitmix64 outputs for every (stream key, index) pair, shape keys x j."""
+    return _mix64(np.add.outer(keys, j.astype(np.uint64) * _GAMMA))
+
+
 def _uniform01(spec: SourceSpec, j: np.ndarray) -> np.ndarray:
     """Uniforms in (0,1), one per index; pure in (seed, stream, index)."""
-    with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(spec.master_seed)) ^ _mix64(
-            np.uint64(spec.stream_id) + _GAMMA
-        )
-        z = _mix64(key + j.astype(np.uint64) * _GAMMA)
-    # 53 significant bits, offset by half an ulp to stay inside (0,1)
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _unit(_counters(_stream_keys(spec, 0, 1), j)[0])
+
+
+def _rademacher(z: np.ndarray) -> np.ndarray:
+    """Rademacher signs from splitmix64 outputs, reusing z's memory.
+
+    The uniform ((z >> 11) + 0.5) 2^-53 is below 1/2 exactly when bit 63
+    of z is clear, so that bit alone picks -1 (clear) or +1 (set): it
+    clears the sign bit of -1.0.
+    """
+    np.bitwise_and(z, _SIGN, out=z)
+    np.bitwise_xor(z, _MINUS_ONE_BITS, out=z)
+    return z.view(np.float64)
 
 
 def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
+    """Standardized draws from uniforms; may overwrite u."""
     if family == "rademacher":
         return np.where(u < 0.5, -1.0, 1.0)
     if family == "uniform":
         # uniform on [-sqrt(3), sqrt(3)]: mean 0, variance 1
-        return (2.0 * u - 1.0) * _SQRT3
+        u *= 2.0
+        u -= 1.0
+        u *= _SQRT3
+        return u
     if family == "two_point":
         a = math.sqrt((1.0 - p) / p)
         b = -math.sqrt(p / (1.0 - p))
         return np.where(u < p, a, b)
     if family == "normal":
-        return ndtri(u)
+        return ndtri(u, out=u)
     if family == "exponential":
         # Exp(1) shifted to mean 0; variance is already 1
-        return -np.log1p(-u) - 1.0
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u -= 1.0
+        return u
     raise AssertionError(family)
 
 
-def sample_block(spec: SourceSpec, start: int, count: int) -> np.ndarray:
-    """X_start, ..., X_{start+count-1} as an array (indices are 1-based)."""
+def sample_rows(spec: SourceSpec, lo: int, hi: int, start: int, count: int) -> np.ndarray:
+    """Draws of streams lo..hi-1 (offsets from spec.stream_id) at indices
+    start..start+count-1, as a (hi - lo) x count array.
+
+    Row i equals sample_block(spec.with_stream(spec.stream_id + lo + i),
+    start, count): a counter-based draw is a pure function of (seed,
+    stream, index), so a whole block comes from one set of array passes.
+    """
     if start < 1:
         raise ValueError("indices are 1-based")
+    if not (0 <= lo <= hi):
+        raise ValueError("need 0 <= lo <= hi")
     j = np.arange(start, start + count, dtype=np.uint64)
-    u = _uniform01(spec, j)
+    z = _counters(_stream_keys(spec, lo, hi), j)
+    if spec.family == "rademacher":
+        return _rademacher(z)
+    u = _unit(z)
     if spec.family != "heterogeneous":
         return _transform(spec.family, spec.p, u)
-    out = np.empty(count)
+    out = np.empty_like(u)
     L = len(spec.components)
     phase = (j.astype(np.int64) - 1) % L
     for i, comp in enumerate(spec.components):
         m = phase == i
         if m.any():
-            out[m] = _transform(comp.family, comp.p, u[m])
+            out[:, m] = _transform(comp.family, comp.p, u[:, m])
     return out
+
+
+def sample_block(spec: SourceSpec, start: int, count: int) -> np.ndarray:
+    """X_start, ..., X_{start+count-1} as an array (indices are 1-based)."""
+    return sample_rows(spec, 0, 1, start, count)[0]
 
 
 def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:

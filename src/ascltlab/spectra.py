@@ -14,9 +14,8 @@ CDFs are exported by the empirical module.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .transform import partial_sums_fast
 
 SYMMETRIC_CIRCULANT = "SymmetricCirculant"
 REVERSE_CIRCULANT = "ReverseCirculant"
-RAW_CIRCULANT_DFT = "RawCirculantDFT"
 
 
 @dataclass(frozen=True)

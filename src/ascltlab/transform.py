@@ -5,6 +5,12 @@ The fast path is specific to trig weights: the whole (s, t) vector is the
 scaled real/imaginary part of one length-n real DFT, valid for arbitrary
 n (the FFT backend falls back to a convolution-based kernel for lengths
 that are not powers of two).
+
+Batches of inputs (replicas x n) have two kernels: the batched rfft,
+which yields all n/2 + 1 coefficients at O(n log n) per row, and a GEMM
+against the r materialized trig rows at O(r n) per row.  use_gemm picks
+one by comparing r with log2 n; partial_sums_batch stays the reference
+both are tested against.
 """
 
 from __future__ import annotations
@@ -16,11 +22,22 @@ import numpy as np
 
 from .accum import kahan_matvec
 from .sources import SourceSpec, sample_prefix
-from .weights import TRIG, WeightMatrixPair
+from .weights import TRIG, WeightMatrixPair, make_trig_pair
 
 # naive/fast crossover for automatic dispatch on trig weights
 FAST_THRESHOLD = 1024
 _ROW_BLOCK = 1024
+# A batch takes the GEMM while it multiplies by at most this many trig
+# rows per unit of log2 n, and while those rows fit in _GEMM_WEIGHT_BYTES;
+# else the rfft.  Measured on a 2-core Xeon VM: at n = 4096 a 32-row GEMM
+# took half the rfft's time and a 48-row one 0.8 of it; at n = 16384 the
+# two broke even near 32 rows (4 MiB of rows), and at n = 65536 a 32-row
+# GEMM took 0.9 of the rfft's time and a 64-row one twice it.
+_GEMM_ROWS_PER_LOG2N = 3
+_GEMM_WEIGHT_BYTES = 4 << 20
+# inputs per GEMM call: larger calls may go multithreaded inside the BLAS,
+# and on the same VM those stalled for milliseconds per call at small n
+_GEMM_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -95,6 +112,59 @@ def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
     f = np.fft.rfft(y, axis=1)
     scale = math.sqrt(2.0 / n)
     return scale * f.real[:, 1 : r + 1], -scale * f.imag[:, 1 : r + 1]
+
+
+def use_gemm(n: int, rows: int) -> bool:
+    """The rfft-vs-GEMM rule for batched trig partial sums.
+
+    rows is the number of trig rows the GEMM would multiply by: r for S
+    alone, 2r for S and T.  The GEMM costs O(rows n) per input and the
+    rfft O(n log n), so the rule compares rows with log2 n; the GEMM also
+    needs its rows in cache, which caps rows n.
+    """
+    return rows <= _GEMM_ROWS_PER_LOG2N * math.log2(n) and 8 * rows * n <= _GEMM_WEIGHT_BYTES
+
+
+def batch_kernel(n: int, r: int, with_t: bool = True):
+    """A function mapping a (replicas x n) batch to (s, t), t None unless
+    with_t; r-row GEMM or batched rfft as use_gemm decides."""
+    if not use_gemm(n, 2 * r if with_t else r):
+        if with_t:
+            return lambda x: partial_sums_batch(n, r, x)
+        return lambda x: (partial_sums_batch(n, r, x)[0], None)
+    w = make_trig_pair(n, r, materialize=True)
+    rows = np.vstack((w.u, w.v)) if with_t else w.u
+    cols = np.ascontiguousarray(rows.T)
+
+    def kernel(x):
+        st = np.empty((len(x), cols.shape[1]))
+        for lo in range(0, len(x), _GEMM_SLICE):
+            np.matmul(x[lo : lo + _GEMM_SLICE], cols, out=st[lo : lo + _GEMM_SLICE])
+        return (st[:, :r], st[:, r:]) if with_t else (st, None)
+
+    return kernel
+
+
+def mean_weights(n: int, r: int) -> np.ndarray:
+    """c = (u_1 + ... + u_r) / r over the trig rows, so that x @ c is the
+    mean of S_{n,1..r} at O(n) per input (see mean_partial_sum)."""
+    w = make_trig_pair(n, r, materialize=False)
+    step = max(1, (1 << 20) // n)  # rows summed at a time: at most 8 MiB
+    c = np.zeros(n)
+    for lo in range(1, r + 1, step):
+        c += w.rows_u(np.arange(lo, min(lo + step, r + 1))).sum(axis=0)
+    return c / r
+
+
+def mean_partial_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-input mean of S_{n,1..r} for a (replicas x n) batch, given
+    c = mean_weights(n, r).
+
+    A matrix-vector product outside the BLAS: einsum's loop never starts
+    threads, where a BLAS GEMV at one input of n = 65536 stalled for
+    milliseconds per call on a 2-core VM.
+    """
+    return np.einsum("ij,j->i", x, c)
 
 
 def partial_sums(

@@ -194,3 +194,20 @@ def test_json_floats_round_trip(tmp_path):
     res = asclt_trajectory(SourceSpec(family="normal"), Schedule(points=((256, 127),)))
     # serialized value reparses to the exact binary double
     assert doc["points"][0]["ks_to_normal"] == res.points[0]["ks_to_normal"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_thread_count_exits_2(tmp_path, monkeypatch, capsys, source):
+    argv = ["ldp", "--n", "64", "--r", "4", "--replicas", "100", "--out-dir", str(tmp_path)]
+    if source == "flag":
+        argv += ["--threads", "-1"]
+    elif source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = -1\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("ASCLT_THREADS", "-1")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err and "-1" in err
+    assert not list(tmp_path.glob("*.json"))

@@ -6,6 +6,7 @@ import pytest
 from ascltlab.empirical import EmpiricalMeasure, ks_to, normal_cdf
 from ascltlab.experiments import (
     Schedule,
+    _replica_map,
     asclt_bivariate,
     asclt_trajectory,
     char_variance_decay,
@@ -13,7 +14,7 @@ from ascltlab.experiments import (
     ldp_rate,
     validate_growth,
 )
-from ascltlab.sources import SourceSpec
+from ascltlab.sources import SourceSpec, sample_prefix
 
 
 def spec_of(family, seed, stream=0):
@@ -179,6 +180,33 @@ def test_clt_fluctuation_thread_count_invariant():
     a = clt_fluctuation(spec_of("normal", 3), 1024, 16, 0.0, 200, threads=1)
     b = clt_fluctuation(spec_of("normal", 3), 1024, 16, 0.0, 200, threads=8)
     assert a.points == b.points
+
+
+def test_ldp_thread_count_invariant():
+    a = ldp_rate(spec_of("rademacher", 6), 1024, 16, 0.3, 1000, threads=1)
+    b = ldp_rate(spec_of("rademacher", 6), 1024, 16, 0.3, 1000, threads=2)
+    assert a.points[0]["hits"] > 0
+    assert a.points == b.points
+
+
+def test_char_decay_thread_count_invariant():
+    sched = Schedule(points=((128, 63), (512, 255)))
+    a = char_variance_decay(spec_of("rademacher", 6), sched, 1.0, 0.5, 1000, threads=1)
+    b = char_variance_decay(spec_of("rademacher", 6), sched, 1.0, 0.5, 1000, threads=2)
+    assert a.points == b.points
+
+
+def test_replica_map_follows_replica_streams():
+    # 1100 replicas at n = 300: 218-row sub-blocks straddle the 512-replica chunks
+    spec = spec_of("normal", 8, stream=40)
+    got = _replica_map(lambda x: x[:, -1] + 2.0 * x[:, 0], spec, 300, 1100, threads=4)
+    rows = [sample_prefix(spec.with_stream(40 + i), 300) for i in range(1100)]
+    assert np.array_equal(got, np.array([x[-1] + 2.0 * x[0] for x in rows]))
+
+
+def test_replica_map_rejects_negative_threads():
+    with pytest.raises(ValueError):
+        _replica_map(lambda x: x[:, 0], spec_of("normal", 8), 16, 10, threads=-1)
 
 
 def test_clt_fluctuation_replica_floor():

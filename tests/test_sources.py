@@ -7,10 +7,12 @@ from scipy import integrate
 
 from ascltlab.sources import (
     SourceSpec,
+    _rademacher,
     moment_report,
     sample,
     sample_block,
     sample_prefix,
+    sample_rows,
 )
 
 FAMILIES = ["rademacher", "uniform", "two_point", "normal", "exponential"]
@@ -85,6 +87,75 @@ def test_block_matches_prefix(seed, start, count):
     block = sample_block(spec, start, count)
     prefix = sample_prefix(spec, start + count - 1)
     assert np.array_equal(block, prefix[start - 1 :])
+
+
+def all_family_specs(seed, stream):
+    mixed = (make_spec("rademacher"), make_spec("two_point"), make_spec("exponential"))
+    return [make_spec(f, seed, stream) for f in FAMILIES] + [
+        SourceSpec(family="heterogeneous", master_seed=seed, stream_id=stream, components=mixed)
+    ]
+
+
+# row ranges crossing the 512-replica chunk and the 218-row sub-block of n = 300
+@pytest.mark.parametrize("spec", all_family_specs(29, 11), ids=lambda s: s.family)
+@pytest.mark.parametrize("lo, hi", [(0, 1), (3, 20), (211, 230), (509, 515), (1021, 1034)])
+def test_sample_rows_match_streams(spec, lo, hi):
+    n = 300
+    block = sample_rows(spec, lo, hi, 1, n)
+    assert block.shape == (hi - lo, n)
+    for i in range(lo, hi):
+        assert np.array_equal(block[i - lo], sample_prefix(spec.with_stream(spec.stream_id + i), n))
+
+
+@pytest.mark.parametrize("spec", all_family_specs(2**64 - 1, 0), ids=lambda s: s.family)
+def test_sample_rows_window_matches_block(spec):
+    block = sample_rows(spec, 2, 5, 7, 50)
+    for i in range(2, 5):
+        assert np.array_equal(block[i - 2], sample_block(spec.with_stream(i), 7, 50))
+
+
+def test_sample_rows_rejects_stream_overflow():
+    spec = make_spec("rademacher", stream=2**64 - 3)
+    assert sample_rows(spec, 0, 3, 1, 4).shape == (3, 4)
+    with pytest.raises(ValueError):
+        sample_rows(spec, 0, 4, 1, 4)
+
+
+def _splitmix64_uniform(seed, stream, j):
+    """Scalar reference of the counter stream, in Python integers."""
+    mask = 2**64 - 1
+    gamma = 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    key = mix(seed) ^ mix((stream + gamma) & mask)
+    return ((mix((key + j * gamma) & mask) >> 11) + 0.5) * 2.0**-53
+
+
+@pytest.mark.parametrize("family", ["rademacher", "uniform"])
+def test_sample_rows_match_scalar_reference(family):
+    spec = make_spec(family, seed=2**64 - 5, stream=2**63 + 1)
+    block = sample_rows(spec, 3, 7, 1, 40)
+    for i in range(3, 7):
+        u = [_splitmix64_uniform(spec.master_seed, spec.stream_id + i, j) for j in range(1, 41)]
+        if family == "rademacher":
+            expected = [-1.0 if v < 0.5 else 1.0 for v in u]
+        else:
+            expected = [(2.0 * v - 1.0) * math.sqrt(3.0) for v in u]
+        assert block[i - 3].tolist() == expected
+
+
+def test_rademacher_sign_bit_matches_uniform_rule():
+    edges = [0, 1, 2**11 - 1, 2**11, 2**63 - 2**11 - 1, 2**63 - 2**11, 2**63 - 1,
+             2**63, 2**63 + 1, 2**63 + 2**11, 2**64 - 2**11, 2**64 - 1]
+    z = np.array(edges, dtype=np.uint64)
+    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    expected = np.where(u < 0.5, -1.0, 1.0)
+    assert np.array_equal(_rademacher(z.copy()), expected)
+    assert list(expected[:7]) == [-1.0] * 7 and list(expected[7:]) == [1.0] * 5
 
 
 def test_streams_differ():

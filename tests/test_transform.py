@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascltlab.sources import SourceSpec, sample_prefix
+from ascltlab.sources import SourceSpec, sample_prefix, sample_rows
 from ascltlab.transform import (
+    batch_kernel,
     gaussian_oracle_sums,
+    mean_partial_sum,
+    mean_weights,
     partial_sums,
     partial_sums_batch,
     partial_sums_fast,
     partial_sums_naive,
+    use_gemm,
 )
 from ascltlab.weights import custom_pair, make_trig_pair
 
@@ -125,6 +129,38 @@ def test_batch_matches_single():
         ps = partial_sums_fast(n, r, xs[i])
         assert np.array_equal(bs[i], ps.s)
         assert np.array_equal(bt[i], ps.t)
+
+
+def test_rfft_gemm_rule_covers_both_harness_shapes():
+    # clt-fluct reads S alone at r = 32; char-decay reads S and T at r ~ n/2
+    assert use_gemm(4096, 32)
+    assert not use_gemm(2048, 2 * 1023)
+    assert not use_gemm(128, 2 * 63)
+    # rows that would not fit in cache (and must not be materialized) at large n
+    assert not use_gemm(2**20, 32)
+
+
+@pytest.mark.parametrize("family", ["rademacher", "normal"])
+@pytest.mark.parametrize("r, with_t", [(32, False), (8, True), (1023, True), (1023, False)])
+def test_batch_kernel_matches_reference(family, r, with_t):
+    n = 4096 if r < 1000 else 2048
+    x = sample_rows(SourceSpec(family=family, master_seed=21), 0, 40, 1, n)
+    ref_s, ref_t = partial_sums_batch(n, r, x)
+    s, t = batch_kernel(n, r, with_t=with_t)(x)
+    tol = 1e-12 * math.sqrt(n)
+    assert s.shape == ref_s.shape and np.max(np.abs(s - ref_s)) <= tol
+    if with_t:
+        assert t.shape == ref_t.shape and np.max(np.abs(t - ref_t)) <= tol
+    else:
+        assert t is None
+
+
+@pytest.mark.parametrize("n, r", [(4096, 32), (1024, 511), (1000, 7)])
+def test_mean_partial_sum_matches_reference(n, r):
+    x = sample_rows(SourceSpec(family="normal", master_seed=22), 0, 16, 1, n)
+    ref_s, _ = partial_sums_batch(n, r, x)
+    got = mean_partial_sum(x, mean_weights(n, r))
+    assert np.max(np.abs(got - ref_s.mean(axis=1))) <= 1e-12 * math.sqrt(n)
 
 
 def test_gaussian_oracle_deterministic():
