@@ -2,15 +2,7 @@
 sums under almost-orthogonal weight matrices, with circulant-spectrum and
 periodogram applications."""
 
-from .sources import (
-    SourceSpec,
-    MomentReport,
-    sample,
-    sample_block,
-    sample_prefix,
-    sample_rows,
-    moment_report,
-)
+from .sources import SourceSpec, MomentReport, sample, sample_block, sample_prefix, moment_report
 from .weights import (
     TRIG,
     HAAR,
@@ -32,10 +24,6 @@ from .transform import (
     partial_sums_naive,
     partial_sums_fast,
     partial_sums_batch,
-    batch_kernel,
-    mean_partial_sum,
-    mean_weights,
-    use_gemm,
     gaussian_oracle_sums,
 )
 from .empirical import (

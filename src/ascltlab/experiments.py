@@ -30,7 +30,13 @@ import numpy as np
 from . import empirical
 from .empirical import EmpiricalMeasure, ks_to, normal_cdf
 from .sources import SourceSpec, sample_prefix, sample_rows
-from .transform import batch_kernel, mean_partial_sum, mean_weights, partial_sums_fast
+from .transform import (
+    batch_kernel,
+    mean_partial_sum,
+    mean_weights,
+    partial_sums_batch,
+    partial_sums_fast,
+)
 from .weights import TRIG, HAAR, sample_haar_orthogonal
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
@@ -256,10 +262,8 @@ def char_variance_decay(
     target = math.exp(-(s * s + t * t) / 2.0)
     points = []
     for n, r in schedule.points:
-        kernel = batch_kernel(n, r)
-
-        def block_stat(x, kernel=kernel):
-            ss, tt = kernel(x)
+        def block_stat(x, n=n, r=r):
+            ss, tt = partial_sums_batch(n, r, x)
             phi = np.mean(np.exp(1j * (s * ss + t * tt)), axis=1)
             return np.abs(phi - target) ** 2
 
@@ -306,10 +310,10 @@ def clt_fluctuation(
         raise ValueError("trig weights require r <= floor((n-1)/2)")
     t0 = time.perf_counter()
     px = normal_cdf(x)
-    kernel = batch_kernel(n, r, with_t=False)
+    kernel = batch_kernel(n, r)
 
     def block_stat(xs):
-        ss, _ = kernel(xs)
+        ss = kernel(xs)
         return np.sum(ss <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * px
 
     w = _replica_map(block_stat, spec, n, replicas, threads)

@@ -6,11 +6,11 @@ scaled real/imaginary part of one length-n real DFT, valid for arbitrary
 n (the FFT backend falls back to a convolution-based kernel for lengths
 that are not powers of two).
 
-Batches of inputs (replicas x n) have two kernels: the batched rfft,
-which yields all n/2 + 1 coefficients at O(n log n) per row, and a GEMM
-against the r materialized trig rows at O(r n) per row.  use_gemm picks
-one by comparing r with log2 n; partial_sums_batch stays the reference
-both are tested against.
+S over a batch of inputs (replicas x n) has two kernels: the batched
+rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
+a GEMM against the r materialized cosine rows at O(r n) per row.
+use_gemm picks one by comparing r with log2 n; partial_sums_batch stays
+the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .accum import kahan_matvec
 from .sources import SourceSpec, sample_prefix
-from .weights import TRIG, WeightMatrixPair, make_trig_pair
+from .weights import TRIG, WeightMatrixPair, trig_rows_u
 
 # naive/fast crossover for automatic dispatch on trig weights
 FAST_THRESHOLD = 1024
@@ -114,46 +114,44 @@ def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return scale * f.real[:, 1 : r + 1], -scale * f.imag[:, 1 : r + 1]
 
 
-def use_gemm(n: int, rows: int) -> bool:
-    """The rfft-vs-GEMM rule for batched trig partial sums.
+def use_gemm(n: int, r: int) -> bool:
+    """The rfft-vs-GEMM rule for the batched S_{n,1..r} of trig weights.
 
-    rows is the number of trig rows the GEMM would multiply by: r for S
-    alone, 2r for S and T.  The GEMM costs O(rows n) per input and the
-    rfft O(n log n), so the rule compares rows with log2 n; the GEMM also
-    needs its rows in cache, which caps rows n.
+    The GEMM costs O(r n) per input and the rfft O(n log n), so the rule
+    compares r with log2 n; the GEMM also needs its r rows in cache,
+    which caps r n.
     """
-    return rows <= _GEMM_ROWS_PER_LOG2N * math.log2(n) and 8 * rows * n <= _GEMM_WEIGHT_BYTES
+    return r <= _GEMM_ROWS_PER_LOG2N * math.log2(n) and 8 * r * n <= _GEMM_WEIGHT_BYTES
 
 
-def batch_kernel(n: int, r: int, with_t: bool = True):
-    """A function mapping a (replicas x n) batch to (s, t), t None unless
-    with_t; r-row GEMM or batched rfft as use_gemm decides."""
-    if not use_gemm(n, 2 * r if with_t else r):
-        if with_t:
-            return lambda x: partial_sums_batch(n, r, x)
-        return lambda x: (partial_sums_batch(n, r, x)[0], None)
-    w = make_trig_pair(n, r, materialize=True)
-    rows = np.vstack((w.u, w.v)) if with_t else w.u
-    cols = np.ascontiguousarray(rows.T)
+def batch_kernel(n: int, r: int):
+    """A function mapping a (replicas x n) batch to S (replicas x r):
+    r-row GEMM or batched rfft as use_gemm decides."""
+    if not use_gemm(n, r):
+        return lambda x: partial_sums_batch(n, r, x)[0]
+    cols = np.ascontiguousarray(trig_rows_u(n, np.arange(1, r + 1)).T)
 
     def kernel(x):
-        st = np.empty((len(x), cols.shape[1]))
+        s = np.empty((len(x), r))
         for lo in range(0, len(x), _GEMM_SLICE):
-            np.matmul(x[lo : lo + _GEMM_SLICE], cols, out=st[lo : lo + _GEMM_SLICE])
-        return (st[:, :r], st[:, r:]) if with_t else (st, None)
+            np.matmul(x[lo : lo + _GEMM_SLICE], cols, out=s[lo : lo + _GEMM_SLICE])
+        return s
 
     return kernel
 
 
 def mean_weights(n: int, r: int) -> np.ndarray:
     """c = (u_1 + ... + u_r) / r over the trig rows, so that x @ c is the
-    mean of S_{n,1..r} at O(n) per input (see mean_partial_sum)."""
-    w = make_trig_pair(n, r, materialize=False)
-    step = max(1, (1 << 20) // n)  # rows summed at a time: at most 8 MiB
-    c = np.zeros(n)
-    for lo in range(1, r + 1, step):
-        c += w.rows_u(np.arange(lo, min(lo + step, r + 1))).sum(axis=0)
-    return c / r
+    mean of S_{n,1..r} at O(n) per input (see mean_partial_sum).
+
+    c_j = sqrt(2/n) / r * sum_{k=1..r} cos(2 pi j k / n) is a Dirichlet
+    kernel: one inverse real DFT of the indicator of k = 1..r gives
+    (2/n) sum_k cos(2 pi m k / n) at m = 0..n-1, and j = 1..n is m = j mod n.
+    """
+    ind = np.zeros(n // 2 + 1)
+    ind[1 : r + 1] = 1.0
+    d = np.fft.irfft(ind, n)
+    return np.roll(d, -1) * (math.sqrt(2.0 / n) * (n / 2) / r)
 
 
 def mean_partial_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
