@@ -1,7 +1,18 @@
-"""Compensated (Kahan) accumulation helpers.
+"""Compensated and error-free reference kernels.
 
 Condition residuals near zero are the test signal in this project, so the
 reference summation paths must not be swamped by naive accumulation error.
+
+- ``kahan_matvec``: u @ x with Kahan compensation along the summation
+  index, vectorized over rows.
+- ``ozaki_gram``: a @ b.T by Ozaki-scheme splitting (Ozaki, Ogita, Oishi
+  & Rump, Numer. Algorithms 59, 2012). Each row is cut into slices so
+  narrow that every slice-by-slice BLAS product is exact in float64; the
+  exact products are then summed with TwoSum compensation, which gives
+  the accuracy of twice-working-precision summation (Ogita, Rump & Oishi,
+  "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
+  Because the products are exact, the result does not depend on the BLAS
+  summation order or thread count.
 """
 
 from __future__ import annotations
@@ -31,17 +42,64 @@ def kahan_matvec(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def kahan_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compensated a @ b.T via column-wise outer products."""
+def _split_rows(a: np.ndarray, beta: int) -> list[np.ndarray]:
+    """Slices whose sum is exactly a.
+
+    With |rest| < 2^e in a row, adding and removing the shift 2^(e+beta)
+    rounds the row to a multiple of 2^(e+beta-53). So every slice entry
+    is an integer multiple of its row's unit with magnitude at most
+    2^(53-beta), and what is cut off stays in the remainder.
+    """
+    slices = []
+    rest = a
+    while rest.any():
+        _, e = np.frexp(np.max(np.abs(rest), axis=1))
+        shift = np.ldexp(1.0, e + beta)[:, None]
+        head = (rest + shift) - shift
+        slices.append(head)
+        rest = rest - head
+    return slices
+
+
+def ozaki_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T, error-free up to the final compensated summation.
+
+    Slice entries are integers of magnitude at most 2^(53-beta) in their
+    row's unit. With k columns and 2^(2 beta - 53) >= k, every partial sum
+    of a slice product is then an integer of magnitude at most 2^53 in the
+    product of the two row units, so each BLAS product is exact whatever
+    its summation order. That holds unless a product of slice entries
+    underflows, which needs entries far below 2^-400. When b is a, each
+    product of two different slices is computed once and also added
+    transposed.
+    """
+    sym = b is a
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("column counts differ")
+    b = a if sym else np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"need two matrices with equal column counts, got {a.shape} and {b.shape}")
+    beta = (54 + (a.shape[1] - 1).bit_length()) // 2
+    # the shift 2^(e+beta) must stay finite; this also rejects inf and nan
+    limit = np.ldexp(1.0, 1023 - beta)
+    for m in (a,) if sym else (a, b):
+        if not np.all(np.abs(m) < limit):
+            raise ValueError(f"entries must be finite with magnitude below 2**{1023 - beta}")
+    sa = _split_rows(a, beta)
+    sb = sa if sym else _split_rows(b, beta)
+
     acc = np.zeros((a.shape[0], b.shape[0]))
-    c = np.zeros_like(acc)
-    for j in range(a.shape[1]):
-        y = np.outer(a[:, j], b[:, j]) - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
-    return acc
+    comp, spare, t, x = (np.zeros_like(acc) for _ in range(4))
+    for i, ai in enumerate(sa):
+        for j in range(i if sym else 0, len(sb)):
+            p = ai @ sb[j].T
+            for q in (p, p.T) if sym and j > i else (p,):
+                # TwoSum: spare = fl(acc + q), x = its exact rounding error
+                np.add(acc, q, out=spare)
+                np.subtract(spare, acc, out=t)
+                np.subtract(spare, t, out=x)
+                np.subtract(acc, x, out=x)
+                np.subtract(q, t, out=t)
+                x += t
+                comp += x
+                acc, spare = spare, acc
+    return acc + comp

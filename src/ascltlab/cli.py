@@ -26,8 +26,10 @@ from .weights import (
     TRIG,
     HAAR,
     check_conditions,
+    custom_pair,
     make_trig_pair,
     sample_haar_orthogonal,
+    trig_column_sums,
     verify_trig_identities,
 )
 
@@ -246,17 +248,28 @@ def _result_payload(cfg: RunConfig, result: experiments.ExperimentResult) -> dic
     return doc
 
 
+def _haar_rows(cfg: RunConfig):
+    """The first r rows of the n x n Haar matrix, the rows gen-weights emits."""
+    if not 1 <= cfg.r <= cfg.n:
+        raise ConfigError(f"haar weights need 1 <= r <= n, got n={cfg.n} r={cfg.r}")
+    w = sample_haar_orthogonal(cfg.n, cfg.source_spec())
+    return w if cfg.r == w.r else custom_pair(w.u[: cfg.r])
+
+
 def _run_check_weights(cfg: RunConfig):
     if cfg.n is None or cfg.r is None:
         raise ConfigError("check-weights requires n and r")
     if cfg.kind == TRIG:
-        w = make_trig_pair(cfg.n, cfg.r)
+        # the structured check reads only the column sums, never the rows
+        w = make_trig_pair(cfg.n, cfg.r, materialize=False)
+        sums = trig_column_sums(cfg.n)
+        report = check_conditions(w, cfg.delta, sums=sums)
+        ident = verify_trig_identities(cfg.n, sums=sums)
     elif cfg.kind == HAAR:
-        w = sample_haar_orthogonal(cfg.n, cfg.source_spec())
+        report = check_conditions(_haar_rows(cfg), cfg.delta)
+        ident = None
     else:
         raise ConfigError(f"check-weights does not support kind {cfg.kind!r}")
-    report = check_conditions(w, cfg.delta)
-    ident = verify_trig_identities(cfg.n) if cfg.kind == TRIG else None
     point = report.to_dict()
     if ident is not None:
         point["trig_identity_residual"] = ident.worst_residual
@@ -382,11 +395,7 @@ def _run_gen_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
         w = make_trig_pair(cfg.n, cfg.r, materialize=True)
     elif cfg.kind == HAAR:
-        w = sample_haar_orthogonal(cfg.n, cfg.source_spec())
-        if cfg.r < w.r:
-            from .weights import custom_pair
-
-            w = custom_pair(w.u[: cfg.r])
+        w = _haar_rows(cfg)
     else:
         raise ConfigError(f"gen-weights does not support kind {cfg.kind!r}")
     rows = []

@@ -8,7 +8,9 @@ identities hold to near machine precision even at large j*k.
 
 Condition residuals (max entry, row-orthogonality defect, cross defect)
 are reported raw; whether they are "small enough" is a statement across a
-schedule of n and is left to the caller.
+schedule of n and is left to the caller.  Trig pairs are checked through
+the column sums S_m, T_m (one blocked table-lookup pass, or an FFT for
+large n); dense matrices through the error-free ``accum.ozaki_gram``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .accum import kahan_gram
+from .accum import ozaki_gram
 from .sources import SourceSpec, _uniform01
 
 TRIG, HAAR, CUSTOM = "trig", "haar", "custom"
@@ -30,6 +32,10 @@ _MATERIALIZE_LIMIT = 1 << 23
 # verify_trig_identities up to _EXACT_PAIR_LIMIT
 _DIRECT_SUM_LIMIT = 4096
 _EXACT_PAIR_LIMIT = 8192
+# bytes of one row block of direct column sums (int64 residues, and the
+# looked-up values); these two blocks and the n-long tables are all that
+# the direct sums allocate
+_SUM_BLOCK_BYTES = 1 << 18
 
 
 def trig_rows_u(n: int, ks: np.ndarray) -> np.ndarray:
@@ -189,16 +195,35 @@ def trig_column_sums(n: int, direct: bool | None = None):
     n uses direct summation on exactly reduced angles; large n evaluates
     the same sums as the DFT of the all-ones vector (the term j = n equals
     the term j = 0, so the two index ranges agree).
+
+    The direct sums run in blocks of rows m, _SUM_BLOCK_BYTES per scratch
+    block, so memory is bounded before anything is allocated.  Each term
+    is looked up by its exact residue (m*j) mod n in one table of
+    cos/sin(2 pi i / n), i = 0..n-1, instead of evaluating n^2 angles;
+    the terms, and numpy's pairwise sum along each row, are the same as
+    for the full n x n angle matrix, so the sums are too, bit for bit.
     """
     if direct is None:
         direct = n <= _DIRECT_SUM_LIMIT
-    if direct:
-        j = np.arange(1, n + 1, dtype=np.int64)
-        m = np.arange(n, dtype=np.int64)[:, None]
-        ang = 2.0 * np.pi * ((m * j) % n) / n
-        return np.cos(ang).sum(axis=1), np.sin(ang).sum(axis=1)
-    f = np.fft.fft(np.ones(n))
-    return f.real.copy(), (-f.imag).copy()
+    if not direct:
+        f = np.fft.fft(np.ones(n))
+        return f.real.copy(), (-f.imag).copy()
+    ang = 2.0 * np.pi * np.arange(n) / n
+    cos_tab, sin_tab = np.cos(ang), np.sin(ang)
+    j = np.arange(1, n + 1, dtype=np.int64)
+    s, t = np.empty(n), np.empty(n)
+    rows = min(n, max(1, _SUM_BLOCK_BYTES // (8 * n)))
+    idx = np.empty((rows, n), dtype=np.int64)
+    terms = np.empty((rows, n))
+    for m0 in range(0, n, rows):
+        b = min(rows, n - m0)
+        ib, tb = idx[:b], terms[:b]
+        np.multiply(np.arange(m0, m0 + b, dtype=np.int64)[:, None], j, out=ib)
+        np.remainder(ib, n, out=ib)
+        # mode="clip" lets take write into tb unbuffered; every residue is in range
+        s[m0 : m0 + b] = np.take(cos_tab, ib, out=tb, mode="clip").sum(axis=1)
+        t[m0 : m0 + b] = np.take(sin_tab, ib, out=tb, mode="clip").sum(axis=1)
+    return s, t
 
 
 @dataclass(frozen=True)
@@ -229,35 +254,44 @@ class ConditionReport:
         }
 
 
-def _offdiag_pair_max(arr: np.ndarray, r: int, sign: float) -> float:
-    """Exact max over 1 <= k1 < k2 <= r of |arr[k2-k1] + sign*arr[k1+k2]|.
+def _pair_extrema(arr: np.ndarray, r: int, d_min: int):
+    """Extrema of arr[d] over the pairs of each sum s = k1 + k2.
 
-    A pair (d, s) = (k2-k1, k1+k2) is realized iff d and s share parity
-    and 1 <= d <= min(s-2, 2r-s); scanning s with per-parity prefix
-    extrema of arr[d] makes this O(r) instead of O(r^2).
+    Over 1 <= k1 <= k2 <= r with d = k2 - k1 >= d_min, a pair (d, s) is
+    realized iff d and s share parity and d_min <= d <= min(s-2, 2r-s).
+    Per-parity prefix extrema of arr[d] give, in O(r), the arrays
+    (s, lo, hi): every s with a realized d, and the min and max of arr[d]
+    over its realized d.
     """
-    if r < 2:
-        return 0.0
     s_vals = np.arange(2, 2 * r + 1, dtype=np.int64)
     limits = np.minimum(s_vals - 2, 2 * r - s_vals)
-    best = 0.0
+    out_s, out_lo, out_hi = [], [], []
     for p in (0, 1):
-        d0 = 1 if p == 1 else 2
+        d0 = p if p >= d_min else p + 2
         d = np.arange(d0, r, 2, dtype=np.int64)
         if d.size == 0:
             continue
         cmax = np.maximum.accumulate(arr[d])
         cmin = np.minimum.accumulate(arr[d])
-        sel = (s_vals % 2) == p
-        ls = limits[sel]
-        ok = ls >= d0
-        if not ok.any():
-            continue
-        i = (ls[ok] - d0) // 2
-        a = sign * arr[s_vals[sel][ok]]
-        vals = np.maximum(np.abs(a + cmax[i]), np.abs(a + cmin[i]))
-        best = max(best, float(vals.max()))
-    return best
+        sel = ((s_vals % 2) == p) & (limits >= d0)
+        i = (limits[sel] - d0) // 2
+        out_s.append(s_vals[sel])
+        out_lo.append(cmin[i])
+        out_hi.append(cmax[i])
+    return np.concatenate(out_s), np.concatenate(out_lo), np.concatenate(out_hi)
+
+
+def _offdiag_pair_max(arr: np.ndarray, r: int, sign: float) -> float:
+    """Exact max over 1 <= k1 < k2 <= r of |arr[k2-k1] + sign*arr[k1+k2]|.
+
+    Rounding is monotone, so for fixed s the max of |a + arr[d]| over the
+    realized d is attained at the min or the max of arr[d].
+    """
+    if r < 2:
+        return 0.0
+    s, lo, hi = _pair_extrema(arr, r, 1)
+    a = sign * arr[s]
+    return float(np.maximum(np.abs(a + hi), np.abs(a + lo)).max())
 
 
 def _cross_pair_max(t: np.ndarray, r: int) -> float:
@@ -271,30 +305,24 @@ def _cross_pair_max(t: np.ndarray, r: int) -> float:
     if r < 2:
         return best
     a = np.abs(t)
-    s_vals = np.arange(2, 2 * r + 1, dtype=np.int64)
-    limits = np.minimum(s_vals - 2, 2 * r - s_vals)
-    for p in (0, 1):
-        d0 = 1 if p == 1 else 2
-        d = np.arange(d0, r, 2, dtype=np.int64)
-        if d.size == 0:
-            continue
-        cmax = np.maximum.accumulate(a[d])
-        sel = (s_vals % 2) == p
-        ls = limits[sel]
-        ok = ls >= d0
-        if not ok.any():
-            continue
-        i = (ls[ok] - d0) // 2
-        vals = a[s_vals[sel][ok]] + cmax[i]
-        best = max(best, float(vals.max()))
-    return best
+    s, _, hi = _pair_extrema(a, r, 1)
+    return max(best, float((a[s] + hi).max()))
 
 
-def _check_conditions_trig(n: int, r: int, delta: float) -> ConditionReport:
+def _sums_for(n: int, sums):
+    """The caller's trig_column_sums(n) after a shape check, or fresh ones."""
+    if sums is None:
+        return trig_column_sums(n)
+    if any(np.shape(a) != (n,) for a in sums):
+        raise ValueError(f"sums must be the two length-{n} arrays of trig_column_sums({n})")
+    return sums
+
+
+def _check_conditions_trig(n: int, r: int, delta: float, sums) -> ConditionReport:
     # Product-to-sum reduction: every Gram entry of the trig pair is an
-    # exact half-sum of two column sums S_m / T_m, so the full r x r
-    # residual scan costs O(r^2) index arithmetic instead of O(r^2 n).
-    s, t = trig_column_sums(n)
+    # exact half-sum of two column sums S_m / T_m, so the r x r residual
+    # scan needs only the 2n sums and O(r) prefix extrema.
+    s, t = _sums_for(n, sums)
     scale = math.sqrt(2.0 / n)
     # residue 0 is hit at j = n for every k, where |cos| = 1
     eps_entry_u = scale
@@ -320,15 +348,15 @@ def _check_conditions_trig(n: int, r: int, delta: float) -> ConditionReport:
 
 def _check_conditions_dense(w: WeightMatrixPair, delta: float) -> ConditionReport:
     u = w.u
-    gram_u = kahan_gram(u, u)
+    gram_u = ozaki_gram(u, u)
     eye = np.eye(w.r)
     eps_orth_u = float(np.max(np.abs(gram_u - eye)))
     eps_entry_u = float(np.max(np.abs(u)))
     eps_entry_v = eps_orth_v = eps_cross = None
     if w.v is not None:
         eps_entry_v = float(np.max(np.abs(w.v)))
-        eps_orth_v = float(np.max(np.abs(kahan_gram(w.v, w.v) - eye)))
-        eps_cross = float(np.max(np.abs(kahan_gram(u, w.v))))
+        eps_orth_v = float(np.max(np.abs(ozaki_gram(w.v, w.v) - eye)))
+        eps_cross = float(np.max(np.abs(ozaki_gram(u, w.v))))
     return ConditionReport(
         eps_entry_u=eps_entry_u,
         eps_entry_v=eps_entry_v,
@@ -342,17 +370,20 @@ def _check_conditions_dense(w: WeightMatrixPair, delta: float) -> ConditionRepor
     )
 
 
-def check_conditions(w: WeightMatrixPair, delta: float) -> ConditionReport:
+def check_conditions(w: WeightMatrixPair, delta: float, sums=None) -> ConditionReport:
     """Raw maxima for conditions (max entry / orthogonality / cross).
 
-    Trig pairs go through the structured O(r^2) scan; anything dense goes
-    through the compensated Gram computation.  The two paths agree to
-    ~1e-12 on small trig pairs (asserted in the test suite).
+    Trig pairs go through the structured scan of the column sums, which
+    never reads the rows; ``sums`` may pass in trig_column_sums(w.n) so
+    that callers that also run verify_trig_identities compute them once.
+    Anything dense goes through the error-free Gram ``ozaki_gram``.  The
+    two paths agree to ~1e-12 on small trig pairs (asserted in the test
+    suite).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if w.kind == TRIG:
-        return _check_conditions_trig(w.n, w.r, delta)
+        return _check_conditions_trig(w.n, w.r, delta, sums)
     return _check_conditions_dense(w, delta)
 
 
@@ -365,34 +396,36 @@ class TrigIdentityReport:
     tol: float
 
 
-def verify_trig_identities(n: int, tol: float = 1e-9) -> TrigIdentityReport:
+def verify_trig_identities(n: int, tol: float = 1e-9, sums=None) -> TrigIdentityReport:
     """Check the four cos/sin orthogonality identities over 1 <= k1 <= k2 <= n.
 
     Includes the exceptional cases k1 + k2 = n (values +-n/2) and 2k = n.
     Every pairwise sum reduces exactly to a half-sum of the column sums
     S_m, T_m, so the residual of a pair is |E_a +- E_b| / 2 (E = S minus
-    its exact value) or |T_a + T_b| / 2.  Up to n = 8192 all pairs are
-    enumerated; beyond that the reported value max(|E|, |T|) is a
-    certified upper bound on the worst pair residual.
+    its exact value) or |T_a + T_b| / 2.  Up to n = 8192 the worst pair is
+    found exactly, by one O(n) scan of the realized pairs (d, s) =
+    (k2 - k1, k1 + k2); beyond that the reported value max(|E|, |T|) is a
+    certified upper bound on the worst pair residual.  ``sums`` may pass
+    in trig_column_sums(n), as for check_conditions.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    s, t = trig_column_sums(n)
+    s, t = _sums_for(n, sums)
     e = s.copy()
     e[0] -= n  # exact value of S_0 is n; elsewhere 0
 
     if n <= _EXACT_PAIR_LIMIT:
-        worst = 0.0
-        k = np.arange(1, n + 1, dtype=np.int64)
-        for k1 in range(1, n + 1):
-            k2 = k[k1 - 1 :]  # k2 >= k1
-            d = (k2 - k1) % n
-            sm = (k1 + k2) % n
-            cc = np.abs(e[d] + e[sm]) / 2.0  # cos*cos, all cases folded
-            ss = np.abs(e[d] - e[sm]) / 2.0  # sin*sin
-            cs = np.abs(t[sm] + t[d]) / 2.0  # cos(k1 j) * sin(k2 j), k1 <= k2
-            worst = max(worst, float(cc.max()), float(ss.max()), float(cs.max()))
-        # trug 4 diagonal is the d = 0 slice above (k1 = k2)
+        # d = 0 is the diagonal k1 = k2.
+        # Rounding is monotone, so for each s the worst d is the one
+        # holding the min or the max of e[d] (or t[d]).
+        sv, e_lo, e_hi = _pair_extrema(e, n, 0)
+        _, t_lo, t_hi = _pair_extrema(t, n, 0)
+        es, ts = e[sv % n], t[sv % n]
+        worst = max(
+            float(np.maximum(np.abs(e_hi + es), np.abs(e_lo + es)).max()),  # cos*cos
+            float(np.maximum(np.abs(e_hi - es), np.abs(e_lo - es)).max()),  # sin*sin
+            float(np.maximum(np.abs(ts + t_hi), np.abs(ts + t_lo)).max()),  # cos*sin
+        ) / 2.0
         return TrigIdentityReport(worst <= tol, worst, True, n, tol)
 
     bound = max(float(np.max(np.abs(e))), float(np.max(np.abs(t))))

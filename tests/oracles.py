@@ -1,9 +1,14 @@
-"""Hand-written eigensolver oracles for the test suite.
+"""Hand-written oracles for the test suite.
 
-Kept out of the package on purpose: production code never needs a dense
-eigensolver (circulants are diagonalized exactly by the DFT), so these
-exist only to anchor the DFT formulas at tiny n.
+Kept out of the package on purpose. Production code never needs a dense
+eigensolver (circulants are diagonalized exactly by the DFT), so those
+exist only to anchor the DFT formulas at tiny n. The trig column-sum and
+identity-scan oracles are the earlier one-shot formulas, kept verbatim so
+that the blocked and O(n) versions can be held to them bit for bit. The
+Gram oracle is exact rational arithmetic.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,3 +68,37 @@ def match_complex_multisets(a: np.ndarray, b: np.ndarray) -> float:
         i = int(np.argmin([abs(v - w) for w in b]))
         worst = max(worst, abs(v - b.pop(i)))
     return worst
+
+
+def trig_column_sums_one_shot(n: int):
+    """(S_m, T_m) from the full n x n matrix of exactly reduced angles."""
+    j = np.arange(1, n + 1, dtype=np.int64)
+    m = np.arange(n, dtype=np.int64)[:, None]
+    ang = 2.0 * np.pi * ((m * j) % n) / n
+    return np.cos(ang).sum(axis=1), np.sin(ang).sum(axis=1)
+
+
+def trig_identity_worst_loop(n: int, s: np.ndarray, t: np.ndarray) -> float:
+    """Worst identity residual over 1 <= k1 <= k2 <= n, one k1 at a time."""
+    e = s.copy()
+    e[0] -= n
+    worst = 0.0
+    k = np.arange(1, n + 1, dtype=np.int64)
+    for k1 in range(1, n + 1):
+        k2 = k[k1 - 1 :]  # k2 >= k1
+        d = (k2 - k1) % n
+        sm = (k1 + k2) % n
+        cc = np.abs(e[d] + e[sm]) / 2.0  # cos*cos, all cases folded
+        ss = np.abs(e[d] - e[sm]) / 2.0  # sin*sin
+        cs = np.abs(t[sm] + t[d]) / 2.0  # cos(k1 j) * sin(k2 j), k1 <= k2
+        worst = max(worst, float(cc.max()), float(ss.max()), float(cs.max()))
+    return worst
+
+
+def exact_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T computed exactly in rationals, then rounded once to float."""
+    fa = [[Fraction(float(x)) for x in row] for row in a]
+    fb = [[Fraction(float(x)) for x in row] for row in b]
+    return np.array(
+        [[float(sum((x * y for x, y in zip(ra, rb)), Fraction(0))) for rb in fb] for ra in fa]
+    ).reshape(len(fa), len(fb))

@@ -211,3 +211,28 @@ def test_negative_thread_count_exits_2(tmp_path, monkeypatch, capsys, source):
     err = capsys.readouterr().err
     assert "must be >= 0" in err and "-1" in err
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_haar_check_weights_checks_the_first_r_rows(tmp_path, capsys):
+    common = ["--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"]
+    assert run(["check-weights", *common, "--out-dir", str(tmp_path / "c")]) == 0
+    assert "check-weights n=8 r=3 " in capsys.readouterr().out
+    jc, _ = read_artifacts(tmp_path / "c")
+    point = load_json(tmp_path / "c", jc[0])["points"][0]
+    assert point["r"] == 3
+    assert point["eps_orth_u"] <= 1e-10
+    # the checked rows are the rows gen-weights emits for the same seed
+    assert run(["gen-weights", *common, "--out-dir", str(tmp_path / "g")]) == 0
+    _, cg = read_artifacts(tmp_path / "g")
+    with open(tmp_path / "g" / cg[0], encoding="utf-8") as fh:
+        rows = [line.split(",")[1:] for line in fh.read().splitlines()[1:]]
+    assert len(rows) == 3
+    assert point["eps_entry_u"] == max(abs(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("subcommand, r", [("check-weights", 30), ("gen-weights", 20), ("check-weights", 0)])
+def test_haar_r_outside_1_to_n_exits_2(tmp_path, capsys, subcommand, r):
+    argv = [subcommand, "--weights", "haar", "--n", "8", "--r", str(r), "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    assert "r <= n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ascltlab import weights
 from ascltlab.sources import SourceSpec
 from ascltlab.weights import (
     check_conditions,
@@ -12,6 +14,14 @@ from ascltlab.weights import (
     sample_haar_orthogonal,
     trig_column_sums,
     verify_trig_identities,
+)
+
+from .oracles import trig_column_sums_one_shot, trig_identity_worst_loop
+
+# n = _BLOCK_EDGE is the largest n whose direct column sums fit one row block
+_BLOCK_EDGE = math.isqrt(weights._SUM_BLOCK_BYTES // 8)
+_BIT_IDENTITY_NS = sorted(
+    set(range(3, 301)) | {_BLOCK_EDGE - 1, _BLOCK_EDGE, _BLOCK_EDGE + 1, 1024, 4095, 4096}
 )
 
 
@@ -123,6 +133,51 @@ def test_trig_column_sums_direct_vs_fft():
         assert sd[0] == pytest.approx(n, abs=1e-9)
         assert np.max(np.abs(sd[1:])) < 1e-9
         assert np.max(np.abs(td)) < 1e-9
+
+
+def test_trig_column_sums_bit_identical_to_one_shot():
+    # the blocked table lookup must reproduce the full n x n angle matrix
+    # exactly, on both sides of the single-block edge and at many blocks
+    assert 3 < _BLOCK_EDGE < 300
+    for n in _BIT_IDENTITY_NS:
+        s, t = trig_column_sums(n, direct=True)
+        s_ref, t_ref = trig_column_sums_one_shot(n)
+        assert np.array_equal(s, s_ref), n
+        assert np.array_equal(t, t_ref), n
+
+
+def test_trig_identity_scan_bit_identical_to_loop():
+    # 4097 takes the FFT column sums, still with the exact pair scan
+    for n in _BIT_IDENTITY_NS + [4097]:
+        s, t = trig_column_sums(n)
+        rep = verify_trig_identities(n)
+        assert rep.exact
+        assert rep.worst_residual == trig_identity_worst_loop(n, s, t), n
+        assert verify_trig_identities(n, sums=(s, t)) == rep
+
+
+def test_shared_sums_give_the_same_reports():
+    n, r = 300, 149
+    sums = trig_column_sums(n)
+    w = make_trig_pair(n, r, materialize=False)
+    assert check_conditions(w, 1.0, sums=sums) == check_conditions(w, 1.0)
+    with pytest.raises(ValueError):
+        check_conditions(w, 1.0, sums=trig_column_sums(n + 1))
+    with pytest.raises(ValueError):
+        verify_trig_identities(n, sums=trig_column_sums(n - 1))
+
+
+def test_trig_checks_memory_bounded():
+    # the n x n angle matrix of the one-shot sums took about 520 MB at this size
+    w = make_trig_pair(4096, 2047, materialize=False)
+    tracemalloc.start()
+    try:
+        check_conditions(w, delta=1.0)
+        verify_trig_identities(4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_haar_n1_support():
