@@ -12,7 +12,6 @@ from .weights import (
     TrigIdentityReport,
     make_trig_pair,
     custom_pair,
-    load_custom_csv,
     sample_haar_orthogonal,
     trig_column_sums,
     check_conditions,

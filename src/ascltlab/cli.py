@@ -1,6 +1,12 @@
 """Command-line front end: config parsing, experiment dispatch, and
 persistence of JSON + CSV artifacts.
 
+Every subcommand is one entry of _COMMANDS: a runner that returns an
+ExperimentResult (and, when the CSV rows are not its points, the CSV
+columns), the RunConfig fields it needs, and its summary line per point.
+run() checks those fields, times the runner, writes the artifacts and
+prints the summary lines in the same way for all of them.
+
 Config files are plain key=value lines with # comments; the keys mirror
 the long CLI flags, and explicit flags always win over file values.
 Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
@@ -31,18 +37,6 @@ from .weights import (
     sample_haar_orthogonal,
     trig_column_sums,
     verify_trig_identities,
-)
-
-_SUBCOMMANDS = (
-    "check-weights",
-    "asclt",
-    "bivariate",
-    "char-decay",
-    "clt-fluct",
-    "ldp",
-    "periodogram",
-    "spectrum",
-    "gen-weights",
 )
 
 # config keys, their parsers, and the RunConfig field they feed
@@ -149,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments on weighted-sum central limit behavior.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--family", default=None)
@@ -207,45 +201,61 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_artifacts(cfg: RunConfig, payload: dict, csv_rows: list[dict]) -> tuple[str, str]:
+def _cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """The header line, then one line per row of the columns, streamed."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        rows = zip(*(map(_cell, col) for col in columns))
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_artifacts(cfg: RunConfig, doc: dict, wall_clock_s: float, table) -> tuple[str, str]:
     """Write {experiment}-{seed}-{timestamp}.json and .csv, return paths."""
     global _RUN_COUNTER
     _RUN_COUNTER += 1
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"-{os.getpid()}-{_RUN_COUNTER}"
     base = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}-{stamp}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    doc = dict(payload)
     # everything volatile across reruns lives under this one key, so that
     # identical (config, seed) runs are byte-identical once it is dropped
-    doc["timestamp"] = {
-        "stamp": stamp,
-        "wall_clock_s": doc.pop("wall_clock_s", 0.0),
-        "threads": cfg.threads,
-    }
+    doc["timestamp"] = {"stamp": stamp, "wall_clock_s": wall_clock_s, "threads": cfg.threads}
     json_path = base + ".json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     csv_path = base + ".csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        if csv_rows:
-            cols = list(csv_rows[0].keys())
-            fh.write(",".join(cols) + "\n")
-            for row in csv_rows:
-                fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
+    _write_csv(csv_path, *table)
     return json_path, csv_path
 
 
-def _result_payload(cfg: RunConfig, result: experiments.ExperimentResult) -> dict:
-    doc = result.to_dict()
-    doc["config"] = {
-        "experiment": cfg.experiment,
-        "family": cfg.family,
-        "seed": cfg.seed,
-        "stream": cfg.stream,
-        "kind": cfg.kind,
-    }
-    return doc
+def _points_table(points: list[dict]):
+    """CSV header and columns with one row per point."""
+    header = list(points[0])
+    return header, [[p[c] for p in points] for c in header]
+
+
+def _result(cfg: RunConfig, params: dict, point: dict) -> experiments.ExperimentResult:
+    """The one-point result of a subcommand that runs no harness."""
+    return experiments.ExperimentResult(
+        cfg.experiment, cfg.seed, cfg.stream, cfg.family, params, [point]
+    )
+
+
+def _harness(call):
+    """Runner for call(cfg, spec), a harness of the experiments module;
+    its artifact carries the block of resolved settings."""
+
+    def runner(cfg: RunConfig):
+        result = call(cfg, cfg.source_spec())
+        keys = ("experiment", "family", "seed", "stream", "kind")
+        result.config = {k: getattr(cfg, k) for k in keys}
+        return result, None
+
+    return runner
 
 
 def _haar_rows(cfg: RunConfig):
@@ -256,112 +266,26 @@ def _haar_rows(cfg: RunConfig):
     return w if cfg.r == w.r else custom_pair(w.u[: cfg.r])
 
 
-def _run_check_weights(cfg: RunConfig):
-    if cfg.n is None or cfg.r is None:
-        raise ConfigError("check-weights requires n and r")
+def _check_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
         # the structured check reads only the column sums, never the rows
         w = make_trig_pair(cfg.n, cfg.r, materialize=False)
         sums = trig_column_sums(cfg.n)
-        report = check_conditions(w, cfg.delta, sums=sums)
-        ident = verify_trig_identities(cfg.n, sums=sums)
+        point = check_conditions(w, cfg.delta, sums=sums).to_dict()
+        point["trig_identity_residual"] = verify_trig_identities(cfg.n, sums=sums).worst_residual
     elif cfg.kind == HAAR:
-        report = check_conditions(_haar_rows(cfg), cfg.delta)
-        ident = None
+        point = check_conditions(_haar_rows(cfg), cfg.delta).to_dict()
     else:
         raise ConfigError(f"check-weights does not support kind {cfg.kind!r}")
-    point = report.to_dict()
-    if ident is not None:
-        point["trig_identity_residual"] = ident.worst_residual
-    payload = {
-        "schema_version": 1,
-        "experiment": "check-weights",
-        "master_seed": cfg.seed,
-        "stream_id": cfg.stream,
-        "family": cfg.family,
-        "params": {"kind": cfg.kind, "delta": cfg.delta},
-        "points": [point],
-        "replicas": 1,
-        "wall_clock_s": 0.0,
-    }
-    lines = [
-        "check-weights n=%d r=%d eps_entry_u=%.6g eps_orth_u=%.6g eps_cross=%.6g"
-        % (cfg.n, cfg.r, report.eps_entry_u, report.eps_orth_u, report.eps_cross or 0.0)
-    ]
-    return payload, [point], lines
+    return _result(cfg, {"kind": cfg.kind, "delta": cfg.delta}, point), None
 
 
-def _run_experiment(cfg: RunConfig):
-    spec = cfg.source_spec()
-    if cfg.experiment == "asclt":
-        result = experiments.asclt_trajectory(spec, cfg.schedule_obj(), cfg.kind)
-        lines = [
-            "asclt n=%d r=%d ks=%.6g" % (p["n"], p["r"], p["ks_to_normal"])
-            for p in result.points
-        ]
-    elif cfg.experiment == "bivariate":
-        result = experiments.asclt_bivariate(spec, cfg.schedule_obj())
-        lines = [
-            "bivariate n=%d r=%d max_dev=%.6g" % (p["n"], p["r"], p["max_grid_deviation"])
-            for p in result.points
-        ]
-    elif cfg.experiment == "char-decay":
-        result = experiments.char_variance_decay(
-            spec, cfg.schedule_obj(), cfg.s, cfg.t, cfg.replicas, cfg.threads
-        )
-        lines = [
-            "char-decay n=%d r=%d estimate=%.6g ratio_r=%.4g"
-            % (p["n"], p["r"], p["estimate"], p["ratio_to_inverse_r"])
-            for p in result.points
-        ]
-    elif cfg.experiment == "clt-fluct":
-        if cfg.n is None or cfg.r is None:
-            raise ConfigError("clt-fluct requires n and r")
-        result = experiments.clt_fluctuation(
-            spec, cfg.n, cfg.r, cfg.x, cfg.replicas, cfg.threads
-        )
-        p = result.points[0]
-        lines = [
-            "clt-fluct n=%d r=%d x=%g mean=%.6g variance=%.6g ks_std=%.6g"
-            % (p["n"], p["r"], p["x"], p["w_mean"], p["w_variance"], p["ks_standardized_to_normal"])
-        ]
-    elif cfg.experiment == "ldp":
-        if cfg.n is None or cfg.r is None:
-            raise ConfigError("ldp requires n and r")
-        result = experiments.ldp_rate(spec, cfg.n, cfg.r, cfg.a, cfg.replicas, cfg.threads)
-        p = result.points[0]
-        lines = [
-            "ldp n=%d r=%d a=%g rate=%.6g oracle=%.6g target_rate=%.6g"
-            % (p["n"], p["r"], p["a"], p["rate"], p["oracle_rate"], p["target_rate"])
-        ]
-    else:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    return _result_payload(cfg, result), result.points, lines
+def _periodogram(cfg: RunConfig):
+    dist = spectra.periodogram_ecdf_distance(cfg.n, cfg.source_spec())
+    return _result(cfg, {}, {"n": cfg.n, "ks_to_exponential": dist}), None
 
 
-def _run_periodogram(cfg: RunConfig):
-    if cfg.n is None:
-        raise ConfigError("periodogram requires n")
-    spec = cfg.source_spec()
-    dist = spectra.periodogram_ecdf_distance(cfg.n, spec)
-    point = {"n": cfg.n, "ks_to_exponential": dist}
-    payload = {
-        "schema_version": 1,
-        "experiment": "periodogram",
-        "master_seed": cfg.seed,
-        "stream_id": cfg.stream,
-        "family": cfg.family,
-        "params": {},
-        "points": [point],
-        "replicas": 1,
-        "wall_clock_s": 0.0,
-    }
-    return payload, [point], ["periodogram n=%d ks_to_exp=%.6g" % (cfg.n, dist)]
-
-
-def _run_spectrum(cfg: RunConfig):
-    if cfg.n is None:
-        raise ConfigError("spectrum requires n")
+def _spectrum(cfg: RunConfig):
     spec = cfg.source_spec()
     if cfg.ensemble == "symmetric":
         sp = spectra.symmetric_circulant_spectrum(cfg.n, spec)
@@ -371,51 +295,86 @@ def _run_spectrum(cfg: RunConfig):
         summary = sp.summary()
     else:
         raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
-    payload = {
-        "schema_version": 1,
-        "experiment": "spectrum",
-        "master_seed": cfg.seed,
-        "stream_id": cfg.stream,
-        "family": cfg.family,
-        "params": {"ensemble": cfg.ensemble},
-        "points": [summary],
-        "replicas": 1,
-        "wall_clock_s": 0.0,
-    }
-    rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(sp.eigenvalues)]
-    line = "spectrum ensemble=%s n=%d count=%d" % (cfg.ensemble, cfg.n, summary["count"])
-    if "ks_to_limit" in summary:
-        line += " ks_to_normal=%.6g" % summary["ks_to_limit"]
-    return payload, rows, [line]
+    eig = sp.eigenvalues
+    table = (["index", "eigenvalue"], [range(eig.size), eig.tolist()])
+    return _result(cfg, {"ensemble": cfg.ensemble}, summary), table
 
 
-def _run_gen_weights(cfg: RunConfig):
-    if cfg.n is None or cfg.r is None:
-        raise ConfigError("gen-weights requires n and r")
+def _gen_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
         w = make_trig_pair(cfg.n, cfg.r, materialize=True)
     elif cfg.kind == HAAR:
         w = _haar_rows(cfg)
     else:
         raise ConfigError(f"gen-weights does not support kind {cfg.kind!r}")
-    rows = []
-    for k in range(w.r):
-        row = {"k": k + 1}
-        row.update({f"u{j}": float(w.u[k, j]) for j in range(w.n)})
-        rows.append(row)
+    table = (["k"] + [f"u{j}" for j in range(w.n)], [range(1, w.r + 1), *w.u.T.tolist()])
     point = {"n": w.n, "r": w.r, "kind": cfg.kind}
-    payload = {
-        "schema_version": 1,
-        "experiment": "gen-weights",
-        "master_seed": cfg.seed,
-        "stream_id": cfg.stream,
-        "family": cfg.family,
-        "params": {"kind": cfg.kind},
-        "points": [point],
-        "replicas": 1,
-        "wall_clock_s": 0.0,
-    }
-    return payload, rows, ["gen-weights kind=%s n=%d r=%d" % (cfg.kind, w.n, w.r)]
+    return _result(cfg, {"kind": cfg.kind}, point), table
+
+
+def _line(fmt: str, *keys: str):
+    """Summary of a point: fmt % (its values at keys)."""
+    return lambda cfg, p: fmt % tuple(p[k] for k in keys)
+
+
+def _check_weights_line(cfg: RunConfig, p: dict) -> str:
+    return "check-weights n=%d r=%d eps_entry_u=%.6g eps_orth_u=%.6g eps_cross=%.6g" % (
+        p["n"], p["r"], p["eps_entry_u"], p["eps_orth_u"], p["eps_cross"] or 0.0
+    )
+
+
+def _spectrum_line(cfg: RunConfig, p: dict) -> str:
+    line = "spectrum ensemble=%s n=%d count=%d" % (cfg.ensemble, p["n"], p["count"])
+    if "ks_to_limit" in p:
+        line += " ks_to_normal=%.6g" % p["ks_to_limit"]
+    return line
+
+
+# subcommand -> (runner, required RunConfig fields, summary); runner(cfg)
+# returns (ExperimentResult, CSV (header, columns), or None for the points),
+# and summary(cfg, point) one stdout line per point
+_COMMANDS = {
+    "check-weights": (_check_weights, ("n", "r"), _check_weights_line),
+    "asclt": (
+        _harness(lambda cfg, spec: experiments.asclt_trajectory(
+            spec, cfg.schedule_obj(), cfg.kind)),
+        (),
+        _line("asclt n=%d r=%d ks=%.6g", "n", "r", "ks_to_normal"),
+    ),
+    "bivariate": (
+        _harness(lambda cfg, spec: experiments.asclt_bivariate(spec, cfg.schedule_obj())),
+        (),
+        _line("bivariate n=%d r=%d max_dev=%.6g", "n", "r", "max_grid_deviation"),
+    ),
+    "char-decay": (
+        _harness(lambda cfg, spec: experiments.char_variance_decay(
+            spec, cfg.schedule_obj(), cfg.s, cfg.t, cfg.replicas, cfg.threads)),
+        (),
+        _line("char-decay n=%d r=%d estimate=%.6g ratio_r=%.4g",
+              "n", "r", "estimate", "ratio_to_inverse_r"),
+    ),
+    "clt-fluct": (
+        _harness(lambda cfg, spec: experiments.clt_fluctuation(
+            spec, cfg.n, cfg.r, cfg.x, cfg.replicas, cfg.threads)),
+        ("n", "r"),
+        _line("clt-fluct n=%d r=%d x=%g mean=%.6g variance=%.6g ks_std=%.6g",
+              "n", "r", "x", "w_mean", "w_variance", "ks_standardized_to_normal"),
+    ),
+    "ldp": (
+        _harness(lambda cfg, spec: experiments.ldp_rate(
+            spec, cfg.n, cfg.r, cfg.a, cfg.replicas, cfg.threads)),
+        ("n", "r"),
+        _line("ldp n=%d r=%d a=%g rate=%.6g oracle=%.6g target_rate=%.6g",
+              "n", "r", "a", "rate", "oracle_rate", "target_rate"),
+    ),
+    "periodogram": (
+        _periodogram, ("n",), _line("periodogram n=%d ks_to_exp=%.6g", "n", "ks_to_exponential")
+    ),
+    "spectrum": (_spectrum, ("n",), _spectrum_line),
+    "gen-weights": (
+        _gen_weights, ("n", "r"), _line("gen-weights kind=%s n=%d r=%d", "kind", "n", "r")
+    ),
+}
 
 
 def run(argv) -> int:
@@ -428,18 +387,13 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         cfg = _resolve_config(args)
-        if cfg.experiment == "check-weights":
-            payload, rows, lines = _run_check_weights(cfg)
-        elif cfg.experiment in ("asclt", "bivariate", "char-decay", "clt-fluct", "ldp"):
-            payload, rows, lines = _run_experiment(cfg)
-        elif cfg.experiment == "periodogram":
-            payload, rows, lines = _run_periodogram(cfg)
-        elif cfg.experiment == "spectrum":
-            payload, rows, lines = _run_spectrum(cfg)
-        elif cfg.experiment == "gen-weights":
-            payload, rows, lines = _run_gen_weights(cfg)
-        else:
-            raise ConfigError(f"unknown subcommand {cfg.experiment!r}")
+        runner, required, summary = _COMMANDS[cfg.experiment]
+        if any(getattr(cfg, name) is None for name in required):
+            raise ConfigError(f"{cfg.experiment} requires {' and '.join(required)}")
+        t0 = time.perf_counter()
+        result, table = runner(cfg)
+        wall_clock_s = time.perf_counter() - t0
+        lines = [summary(cfg, point) for point in result.points]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -447,7 +401,9 @@ def run(argv) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
     try:
-        json_path, csv_path = _write_artifacts(cfg, payload, rows)
+        json_path, csv_path = _write_artifacts(
+            cfg, result.to_dict(), wall_clock_s, table or _points_table(result.points)
+        )
     except OSError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -97,7 +96,11 @@ class Schedule:
 
 @dataclass
 class ExperimentResult:
-    """Structured record of one harness run, ready for persistence."""
+    """Structured record of one run, ready for persistence.
+
+    config, when set, is the block of resolved command-line settings that
+    the CLI attaches to the artifacts of these harnesses.
+    """
 
     experiment: str
     master_seed: int
@@ -106,14 +109,14 @@ class ExperimentResult:
     params: dict
     points: list[dict]
     replicas: int = 1
-    wall_clock_s: float = 0.0
+    config: dict | None = None
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replica count must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "schema_version": 1,
             "experiment": self.experiment,
             "master_seed": self.master_seed,
@@ -122,8 +125,17 @@ class ExperimentResult:
             "params": self.params,
             "points": self.points,
             "replicas": self.replicas,
-            "wall_clock_s": self.wall_clock_s,
         }
+        if self.config is not None:
+            doc["config"] = self.config
+        return doc
+
+
+def _result(experiment: str, spec: SourceSpec, params: dict, points: list, replicas: int = 1):
+    """The result of a harness run on the inputs of spec."""
+    return ExperimentResult(
+        experiment, spec.master_seed, spec.stream_id, spec.family, params, points, replicas
+    )
 
 
 def validate_growth(schedule: Schedule) -> list[dict]:
@@ -137,17 +149,16 @@ def validate_growth(schedule: Schedule) -> list[dict]:
     return diags
 
 
-def _trajectory_sums(spec: SourceSpec, n: int, r: int, kind: str) -> tuple[np.ndarray, str]:
-    """(S_{n,1..r}, input prefix digest); trig via DFT, Haar via matvec."""
-    x = sample_prefix(spec, n)
-    digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()
+def _trajectory_sums(spec: SourceSpec, x: np.ndarray, r: int, kind: str) -> np.ndarray:
+    """S_{n,1..r} of the inputs x (n = x.size); trig via DFT, Haar via matvec."""
+    n = x.size
     if kind == TRIG:
-        return partial_sums_fast(n, r, x).s, digest
+        return partial_sums_fast(n, r, x).s
     if kind == HAAR:
         # the Haar matrix is part of omega too: derive it from a companion
         # stream so it stays fixed for fixed (seed, stream)
         w = sample_haar_orthogonal(n, spec.with_stream(spec.stream_id ^ (1 << 32)))
-        return w.u[:r] @ x, digest
+        return w.u[:r] @ x
     raise ValueError(f"unsupported weight kind {kind!r}")
 
 
@@ -156,49 +167,33 @@ def asclt_trajectory(
 ) -> ExperimentResult:
     """KS(mu_n, Phi) along one fixed sample path.
 
-    Prefix stability of the stream guarantees that every schedule point
-    reuses the same omega: the X_1..X_n consumed at a point are literally
-    the first n values of the one fixed stream.
+    The path is sampled once, to the largest n; every schedule point reads
+    a prefix of it, so all points share one omega by construction.  By
+    prefix stability, the X_1..X_n of a point are also exactly what
+    sample_prefix(spec, n) returns.
     """
     if kind == TRIG:
         schedule.require_trig()
-    t0 = time.perf_counter()
+    path = sample_prefix(spec, schedule.points[-1][0])
     points = []
-    prev_n = 0
-    prev_digest = None
     for n, r in schedule.points:
-        s, digest = _trajectory_sums(spec, n, r, kind)
-        if prev_digest is not None:
-            # one omega across the schedule: the first prev_n inputs of
-            # this point must hash identically to the previous point's
-            check = hashlib.sha256(
-                np.ascontiguousarray(sample_prefix(spec, n)[:prev_n])
-            ).hexdigest()
-            if check != prev_digest:
-                raise AssertionError("stream prefix changed between schedule points")
-        prev_n, prev_digest = n, digest
+        x = path[:n]
+        s = _trajectory_sums(spec, x, r, kind)
         ks = ks_to(EmpiricalMeasure.from_samples(s), normal_cdf)
+        digest = hashlib.sha256(x).hexdigest()
         points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": digest})
-    return ExperimentResult(
-        experiment="asclt",
-        master_seed=spec.master_seed,
-        stream_id=spec.stream_id,
-        family=spec.family,
-        params={"kind": kind},
-        points=points,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("asclt", spec, {"kind": kind}, points)
 
 
 def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     """Max deviation of the joint ECDF from Phi(x)Phi(y) on the fixed grid."""
     schedule.require_trig()
-    t0 = time.perf_counter()
+    path = sample_prefix(spec, schedule.points[-1][0])
     points = []
     gx = _BIVARIATE_GRID
     target = np.outer(normal_cdf(gx), normal_cdf(gx))
     for n, r in schedule.points:
-        ps = partial_sums_fast(n, r, sample_prefix(spec, n))
+        ps = partial_sums_fast(n, r, path[:n])
         ss = np.sort(ps.s)
         order = np.argsort(ps.s)
         # joint ECDF on the grid via cumulative counts over s-sorted t's
@@ -211,15 +206,7 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
             joint[i] = np.searchsorted(tt, gx, side="right") / r
         dev = float(np.max(np.abs(joint - target)))
         points.append({"n": n, "r": r, "max_grid_deviation": dev})
-    return ExperimentResult(
-        experiment="bivariate",
-        master_seed=spec.master_seed,
-        stream_id=spec.stream_id,
-        family=spec.family,
-        params={"grid": [float(v) for v in gx]},
-        points=points,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("bivariate", spec, {"grid": [float(v) for v in gx]}, points)
 
 
 def _replica_map(
@@ -258,7 +245,6 @@ def char_variance_decay(
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
     schedule.require_trig()
-    t0 = time.perf_counter()
     target = math.exp(-(s * s + t * t) / 2.0)
     points = []
     for n, r in schedule.points:
@@ -278,16 +264,7 @@ def char_variance_decay(
                 "std_error": float(np.std(sq, ddof=1) / math.sqrt(replicas)),
             }
         )
-    return ExperimentResult(
-        experiment="char-decay",
-        master_seed=spec.master_seed,
-        stream_id=spec.stream_id,
-        family=spec.family,
-        params={"s": s, "t": t},
-        points=points,
-        replicas=replicas,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("char-decay", spec, {"s": s, "t": t}, points, replicas)
 
 
 def clt_fluctuation(
@@ -308,7 +285,6 @@ def clt_fluctuation(
         raise ValueError("need at least 100 replicas")
     if not (1 <= r <= (n - 1) // 2):
         raise ValueError("trig weights require r <= floor((n-1)/2)")
-    t0 = time.perf_counter()
     px = normal_cdf(x)
     kernel = batch_kernel(n, r)
 
@@ -331,16 +307,7 @@ def clt_fluctuation(
         "ks_standardized_to_normal": ks,
         "r3_log2_over_n": r**3 * math.log(n) ** 2 / n,
     }
-    return ExperimentResult(
-        experiment="clt-fluct",
-        master_seed=spec.master_seed,
-        stream_id=spec.stream_id,
-        family=spec.family,
-        params={"x": x},
-        points=[point],
-        replicas=replicas,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("clt-fluct", spec, {"x": x}, [point], replicas)
 
 
 def _half_line_rate(
@@ -380,7 +347,6 @@ def ldp_rate(
         raise ValueError("a must be positive")
     if not (1 <= r <= (n - 1) // 2):
         raise ValueError("trig weights require r <= floor((n-1)/2)")
-    t0 = time.perf_counter()
     c = mean_weights(n, r)
     main = _half_line_rate(spec, c, r, a, replicas, threads)
     oracle_spec = SourceSpec(
@@ -405,13 +371,4 @@ def ldp_rate(
         "oracle_rate_is_lower_bound": oracle["rate_is_lower_bound"],
         "rate_ratio_to_oracle": main["rate"] / oracle["rate"],
     }
-    return ExperimentResult(
-        experiment="ldp",
-        master_seed=spec.master_seed,
-        stream_id=spec.stream_id,
-        family=spec.family,
-        params={"a": a},
-        points=[point],
-        replicas=replicas,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("ldp", spec, {"a": a}, [point], replicas)

@@ -85,16 +85,19 @@ def circulant_eigen_dft(first_row: np.ndarray) -> np.ndarray:
 
 
 def symmetric_circulant_first_row(x: np.ndarray, n: int) -> np.ndarray:
-    """First row of the symmetric circulant: entries X_1..X_{[(n+1)/2]},
-    then mirrored so row index i and n - i carry the same variable."""
-    half = (n + 1) // 2
+    """First row of the symmetric circulant: entries X_1..X_{[n/2]+1},
+    then mirrored so row index i and n - i carry the same variable.
+
+    Indices 0..[n/2] are free (for even n, index n/2 is its own mirror),
+    which is (n+1)/2 entries for odd n and n/2 + 1 for even n.
+    """
+    half = n // 2 + 1
     x = np.asarray(x, dtype=float)
     if x.size < half:
         raise ValueError(f"need at least {half} inputs")
     c = np.empty(n)
     c[:half] = x[:half]
-    for i in range(half, n):
-        c[i] = c[n - i]
+    c[half:] = c[n - half : 0 : -1]
     return c
 
 
@@ -113,8 +116,7 @@ def symmetric_circulant_spectrum(
         raise ValueError("sigma must be positive")
     if n < 3:
         raise ValueError("need n >= 3")
-    half = (n + 1) // 2
-    x = m + sigma * sample_prefix(spec, half)
+    x = m + sigma * sample_prefix(spec, n // 2 + 1)
     c = symmetric_circulant_first_row((x - m) / sigma, n)
     eig = circulant_eigen_dft(c)
     if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, np.max(np.abs(eig.real))):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .accum import kahan_matvec
 from .sources import SourceSpec, sample_prefix
-from .weights import TRIG, WeightMatrixPair, trig_rows_u
+from .weights import TRIG, WeightMatrixPair, trig_rows, trig_tables
 
 # naive/fast crossover for automatic dispatch on trig weights
 FAST_THRESHOLD = 1024
@@ -129,7 +129,7 @@ def batch_kernel(n: int, r: int):
     r-row GEMM or batched rfft as use_gemm decides."""
     if not use_gemm(n, r):
         return lambda x: partial_sums_batch(n, r, x)[0]
-    cols = np.ascontiguousarray(trig_rows_u(n, np.arange(1, r + 1)).T)
+    cols = np.ascontiguousarray(trig_rows(trig_tables(n)[0], np.arange(1, r + 1)).T)
 
     def kernel(x):
         s = np.empty((len(x), r))

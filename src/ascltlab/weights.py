@@ -32,23 +32,50 @@ _MATERIALIZE_LIMIT = 1 << 23
 # verify_trig_identities up to _EXACT_PAIR_LIMIT
 _DIRECT_SUM_LIMIT = 4096
 _EXACT_PAIR_LIMIT = 8192
-# bytes of one row block of direct column sums (int64 residues, and the
-# looked-up values); these two blocks and the n-long tables are all that
-# the direct sums allocate
+# bytes of one row block of int64 residues (k*j) mod n, and of the values
+# looked up by them; with the n-long tables, that is all the scratch that
+# the trig rows and the direct column sums allocate
 _SUM_BLOCK_BYTES = 1 << 18
 
 
-def trig_rows_u(n: int, ks: np.ndarray) -> np.ndarray:
-    """Rows sqrt(2/n) cos(2 pi j k / n), j = 1..n, for the given k values."""
-    j = np.arange(1, n + 1, dtype=np.int64)
-    idx = (np.asarray(ks, dtype=np.int64)[:, None] * j) % n
-    return math.sqrt(2.0 / n) * np.cos(2.0 * np.pi * idx / n)
+def trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi i / n, i = 0..n-1: the value of every trig term
+    with exact residue i."""
+    ang = 2.0 * np.pi * np.arange(n) / n
+    return np.cos(ang), np.sin(ang)
 
 
-def trig_rows_v(n: int, ks: np.ndarray) -> np.ndarray:
+def _residue_blocks(n: int, ks: np.ndarray):
+    """(lo, idx, terms) over row blocks ks[lo:lo+b]: idx holds the residues
+    (k*j) mod n, j = 1..n, and terms is float scratch of the same shape.
+
+    The two blocks, of _SUM_BLOCK_BYTES each (or one row, if larger), are
+    reused, so memory is bounded before anything is allocated.
+    """
     j = np.arange(1, n + 1, dtype=np.int64)
-    idx = (np.asarray(ks, dtype=np.int64)[:, None] * j) % n
-    return math.sqrt(2.0 / n) * np.sin(2.0 * np.pi * idx / n)
+    rows = max(1, min(len(ks), _SUM_BLOCK_BYTES // (8 * n)))
+    idx, terms = np.empty((rows, n), dtype=np.int64), np.empty((rows, n))
+    for lo in range(0, len(ks), rows):
+        b = min(rows, len(ks) - lo)
+        np.multiply(ks[lo : lo + b, None], j, out=idx[:b])
+        np.remainder(idx[:b], n, out=idx[:b])
+        yield lo, idx[:b], terms[:b]
+
+
+def trig_rows(table: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Rows sqrt(2/n) table[(k j) mod n], j = 1..n, for the given k values.
+
+    With a table of trig_tables(n) these are the u (cos) or v (sin) rows,
+    bit for bit what evaluating cos/sin(2 pi ((k j) mod n) / n) gives.
+    """
+    n = table.size
+    ks = np.asarray(ks, dtype=np.int64)
+    scale = math.sqrt(2.0 / n)
+    out = np.empty((ks.size, n))
+    for lo, ib, tb in _residue_blocks(n, ks):
+        # mode="clip" lets take write into tb unbuffered; every residue is in range
+        np.multiply(np.take(table, ib, out=tb, mode="clip"), scale, out=out[lo : lo + len(ib)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,7 +122,7 @@ class WeightMatrixPair:
             raise IndexError("row index out of range")
         if self.u is not None:
             return self.u[ks - 1]
-        return trig_rows_u(self.n, ks)
+        return trig_rows(trig_tables(self.n)[0], ks)
 
     def rows_v(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -105,7 +132,7 @@ class WeightMatrixPair:
             return self.v[ks - 1]
         if self.kind != TRIG:
             raise ValueError("no companion matrix V")
-        return trig_rows_v(self.n, ks)
+        return trig_rows(trig_tables(self.n)[1], ks)
 
     def entry_u(self, k: int, j: int) -> float:
         """u_{k,j} with 1-based (k, j)."""
@@ -126,12 +153,13 @@ class WeightMatrixPair:
                 f"refusing to materialize {self.r}x{self.n} trig pair; use the implicit API"
             )
         ks = np.arange(1, self.r + 1)
+        cos_tab, sin_tab = trig_tables(self.n)
         return WeightMatrixPair(
             kind=self.kind,
             n=self.n,
             r=self.r,
-            u=trig_rows_u(self.n, ks),
-            v=trig_rows_v(self.n, ks),
+            u=trig_rows(cos_tab, ks),
+            v=trig_rows(sin_tab, ks),
         )
 
 
@@ -156,13 +184,6 @@ def custom_pair(u: np.ndarray, v: np.ndarray | None = None) -> WeightMatrixPair:
     if v is not None:
         v = np.atleast_2d(np.asarray(v, dtype=float))
     return WeightMatrixPair(kind=CUSTOM, n=u.shape[1], r=u.shape[0], u=u, v=v)
-
-
-def load_custom_csv(path, v_path=None) -> WeightMatrixPair:
-    """Custom matrix from CSV, one matrix row per line, decimal floats."""
-    u = np.loadtxt(path, delimiter=",", ndmin=2)
-    v = np.loadtxt(v_path, delimiter=",", ndmin=2) if v_path else None
-    return custom_pair(u, v)
 
 
 def sample_haar_orthogonal(n: int, spec: SourceSpec) -> WeightMatrixPair:
@@ -196,33 +217,22 @@ def trig_column_sums(n: int, direct: bool | None = None):
     the same sums as the DFT of the all-ones vector (the term j = n equals
     the term j = 0, so the two index ranges agree).
 
-    The direct sums run in blocks of rows m, _SUM_BLOCK_BYTES per scratch
-    block, so memory is bounded before anything is allocated.  Each term
-    is looked up by its exact residue (m*j) mod n in one table of
-    cos/sin(2 pi i / n), i = 0..n-1, instead of evaluating n^2 angles;
-    the terms, and numpy's pairwise sum along each row, are the same as
-    for the full n x n angle matrix, so the sums are too, bit for bit.
+    The direct sums run in row blocks of m (see _residue_blocks).  Each
+    term is looked up by its exact residue (m*j) mod n in trig_tables(n)
+    instead of evaluating n^2 angles; the terms, and numpy's pairwise sum
+    along each row, are the same as for the full n x n angle matrix, so
+    the sums are too, bit for bit.
     """
     if direct is None:
         direct = n <= _DIRECT_SUM_LIMIT
     if not direct:
         f = np.fft.fft(np.ones(n))
         return f.real.copy(), (-f.imag).copy()
-    ang = 2.0 * np.pi * np.arange(n) / n
-    cos_tab, sin_tab = np.cos(ang), np.sin(ang)
-    j = np.arange(1, n + 1, dtype=np.int64)
+    cos_tab, sin_tab = trig_tables(n)
     s, t = np.empty(n), np.empty(n)
-    rows = min(n, max(1, _SUM_BLOCK_BYTES // (8 * n)))
-    idx = np.empty((rows, n), dtype=np.int64)
-    terms = np.empty((rows, n))
-    for m0 in range(0, n, rows):
-        b = min(rows, n - m0)
-        ib, tb = idx[:b], terms[:b]
-        np.multiply(np.arange(m0, m0 + b, dtype=np.int64)[:, None], j, out=ib)
-        np.remainder(ib, n, out=ib)
-        # mode="clip" lets take write into tb unbuffered; every residue is in range
-        s[m0 : m0 + b] = np.take(cos_tab, ib, out=tb, mode="clip").sum(axis=1)
-        t[m0 : m0 + b] = np.take(sin_tab, ib, out=tb, mode="clip").sum(axis=1)
+    for m0, ib, tb in _residue_blocks(n, np.arange(n, dtype=np.int64)):
+        s[m0 : m0 + len(ib)] = np.take(cos_tab, ib, out=tb, mode="clip").sum(axis=1)
+        t[m0 : m0 + len(ib)] = np.take(sin_tab, ib, out=tb, mode="clip").sum(axis=1)
     return s, t
 
 

@@ -2,12 +2,13 @@
 
 Kept out of the package on purpose. Production code never needs a dense
 eigensolver (circulants are diagonalized exactly by the DFT), so those
-exist only to anchor the DFT formulas at tiny n. The trig column-sum and
-identity-scan oracles are the earlier one-shot formulas, kept verbatim so
-that the blocked and O(n) versions can be held to them bit for bit. The
-Gram oracle is exact rational arithmetic.
+exist only to anchor the DFT formulas at tiny n. The trig row, column-sum
+and identity-scan oracles are the earlier one-shot formulas, kept verbatim
+so that the table-lookup, blocked and O(n) versions can be held to them
+bit for bit. The Gram oracle is exact rational arithmetic.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,19 @@ def match_complex_multisets(a: np.ndarray, b: np.ndarray) -> float:
         i = int(np.argmin([abs(v - w) for w in b]))
         worst = max(worst, abs(v - b.pop(i)))
     return worst
+
+
+def trig_rows_u_angles(n: int, ks: np.ndarray) -> np.ndarray:
+    """Rows sqrt(2/n) cos(2 pi j k / n), j = 1..n, for the given k values."""
+    j = np.arange(1, n + 1, dtype=np.int64)
+    idx = (np.asarray(ks, dtype=np.int64)[:, None] * j) % n
+    return math.sqrt(2.0 / n) * np.cos(2.0 * np.pi * idx / n)
+
+
+def trig_rows_v_angles(n: int, ks: np.ndarray) -> np.ndarray:
+    j = np.arange(1, n + 1, dtype=np.int64)
+    idx = (np.asarray(ks, dtype=np.int64)[:, None] * j) % n
+    return math.sqrt(2.0 / n) * np.sin(2.0 * np.pi * idx / n)
 
 
 def trig_column_sums_one_shot(n: int):

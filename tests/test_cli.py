@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -236,3 +237,31 @@ def test_haar_r_outside_1_to_n_exits_2(tmp_path, capsys, subcommand, r):
     assert run(argv) == 2
     assert "r <= n" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, line, csv_sha256",
+    [
+        (["gen-weights", "--weights", "trig", "--n", "16", "--r", "7"],
+         "gen-weights kind=trig n=16 r=7",
+         "cec78f588bba63c7b755e200c9108a7e2fdfea5b1b7cbd1d5fba22554ca504d4"),
+        (["gen-weights", "--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"],
+         "gen-weights kind=haar n=8 r=3",
+         "3a1787fac8021f8480943c0786a28b4ab8a506e0d04ce930962a4b2aa63c1827"),
+        # a Haar pair has no V, so eps_cross is null in the JSON and 0 here
+        (["check-weights", "--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"],
+         "check-weights n=8 r=3 eps_entry_u=0.697889 eps_orth_u=4.44089e-16 eps_cross=0",
+         "ffc58ef4f11126ecdbc12ab0f5ad6c3b3df48f92e3ea91c833d92498df9ad6da"),
+    ],
+)
+def test_subcommands_outside_the_battery_keep_their_bytes(tmp_path, capsys, argv, line, csv_sha256):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == [line]
+    _, csvs = read_artifacts(tmp_path)
+    assert hashlib.sha256((tmp_path / csvs[0]).read_bytes()).hexdigest() == csv_sha256
+
+
+def test_wall_clock_times_every_subcommand(tmp_path):
+    assert run(["periodogram", "--n", "4096", "--out-dir", str(tmp_path)]) == 0
+    jsons, _ = read_artifacts(tmp_path)
+    assert load_json(tmp_path, jsons[0])["timestamp"]["wall_clock_s"] > 0

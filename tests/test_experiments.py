@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -79,6 +80,25 @@ def test_trajectory_prefix_hashes_chain():
     res = asclt_trajectory(spec_of("uniform", 9), sch)
     digests = [p["prefix_sha256"] for p in res.points]
     assert len(set(digests)) == 3  # longer prefixes hash differently
+
+
+@pytest.mark.parametrize("harness", [asclt_trajectory, asclt_bivariate])
+def test_fixed_path_is_sampled_once(monkeypatch, harness):
+    import ascltlab.experiments as experiments
+
+    lengths = []
+
+    def counting_sample_prefix(spec, n):
+        lengths.append(n)
+        return sample_prefix(spec, n)
+
+    monkeypatch.setattr(experiments, "sample_prefix", counting_sample_prefix)
+    spec = spec_of("uniform", 9)
+    res = harness(spec, Schedule.parse("128:63,512:255,2048:1023"))
+    assert lengths == [2048]
+    for p in res.points:
+        if "prefix_sha256" in p:
+            assert p["prefix_sha256"] == hashlib.sha256(sample_prefix(spec, p["n"])).hexdigest()
 
 
 def test_trajectory_haar_kind():

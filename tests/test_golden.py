@@ -2,10 +2,13 @@
 
 tests/golden/quick/ holds the JSON of `scripts/run_all_experiments.py
 --quick` without its volatile `timestamp` key, one file per run, named by
-label(). A mismatch is a numerical change: declare it, do not regenerate
-the files to make this test pass.
+label(). tests/golden/quick_manifest.json holds the sha256 of each run's
+CSV, by the same label, and the summary lines each command prints, without
+the `wrote ...` line. A mismatch is a numerical change: declare it, do not
+regenerate the files to make this test pass.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "quick"
+MANIFEST = ROOT / "tests" / "golden" / "quick_manifest.json"
 
 
 def label(doc: dict) -> str:
@@ -49,3 +53,42 @@ def test_quick_battery_matches_golden(tmp_path):
     assert sorted(produced) == sorted(golden)
     for name, text in golden.items():
         assert produced[name] == text, f"{name} differs from tests/golden/quick/{name}.json"
+
+
+def run_battery(out_dir) -> str:
+    """Run the quick battery into out_dir and return its stdout."""
+    env = dict(os.environ)
+    env.pop("ASCLT_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), str(out_dir), "--quick"],
+        check=True,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.stdout
+
+
+def battery_manifest(out_dir, stdout: str) -> dict:
+    """CSV sha256 by label, and summary lines by the command that printed them."""
+    csv_sha256 = {}
+    for path in Path(out_dir).glob("*.json"):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        csv_sha256[label(doc)] = hashlib.sha256(path.with_suffix(".csv").read_bytes()).hexdigest()
+    summaries: dict[str, list[str]] = {}
+    lines: list[str] = []
+    for line in stdout.splitlines():
+        if line.startswith("== "):
+            lines = summaries.setdefault(line[3:], [])
+        elif not line.startswith(("wrote ", "all experiments done")):
+            lines.append(line)
+    return {"csv_sha256": csv_sha256, "stdout": summaries}
+
+
+def test_quick_battery_csv_and_stdout_match_manifest(tmp_path):
+    produced = battery_manifest(tmp_path, run_battery(tmp_path))
+    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert len(expected["csv_sha256"]) == 10 and len(expected["stdout"]) == 10
+    assert produced["stdout"] == expected["stdout"]
+    assert produced["csv_sha256"] == expected["csv_sha256"]

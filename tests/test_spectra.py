@@ -66,6 +66,33 @@ def test_symmetric_first_row_mirrors():
     assert np.array_equal(c, [1.0, 2.0, 3.0, 3.0, 2.0])
 
 
+def _dirty_heap(n):
+    """Fill and free n floats, so that memory read before it is written
+    holds 7.5s rather than zeros."""
+    np.full(n, 7.5)
+
+
+@pytest.mark.parametrize("n", [8, 10, 4096])
+def test_symmetric_first_row_even_n_uses_only_its_inputs(n):
+    x = np.arange(1.0, n // 2 + 2)  # the n/2 + 1 free entries
+    _dirty_heap(n)
+    c = symmetric_circulant_first_row(x, n)
+    i = np.arange(1, n)
+    assert np.array_equal(c[i], c[n - i])
+    assert np.array_equal(c[: n // 2 + 1], x)
+
+
+def test_symmetric_spectrum_even_n_matches_dense():
+    n = 8
+    spec = SourceSpec(family="normal", master_seed=13)
+    _dirty_heap(n)
+    sp = symmetric_circulant_spectrum(n, spec)
+    x = sample_prefix(spec, n // 2 + 1)
+    c = np.concatenate([x, x[-2:0:-1]])  # x_0..x_4, then x_3, x_2, x_1
+    dense = np.linalg.eigvalsh(circulant_dense(c) / math.sqrt(n))
+    assert np.max(np.abs(sp.eigenvalues - dense)) < 1e-12
+
+
 def test_symmetric_degenerate_zero_input():
     eig = circulant_eigen_dft(symmetric_circulant_first_row(np.zeros(3), 5))
     assert np.allclose(eig, 0.0)

@@ -13,10 +13,17 @@ from ascltlab.weights import (
     make_trig_pair,
     sample_haar_orthogonal,
     trig_column_sums,
+    trig_rows,
+    trig_tables,
     verify_trig_identities,
 )
 
-from .oracles import trig_column_sums_one_shot, trig_identity_worst_loop
+from .oracles import (
+    trig_column_sums_one_shot,
+    trig_identity_worst_loop,
+    trig_rows_u_angles,
+    trig_rows_v_angles,
+)
 
 # n = _BLOCK_EDGE is the largest n whose direct column sums fit one row block
 _BLOCK_EDGE = math.isqrt(weights._SUM_BLOCK_BYTES // 8)
@@ -178,6 +185,28 @@ def test_trig_checks_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n, r", [(4096, 2047), (4097, 2048), (1000, 499), (7, 3), (65536, 64)])
+def test_trig_rows_match_the_angle_formula(n, r):
+    ks = np.arange(1, r + 1)
+    cos_tab, sin_tab = trig_tables(n)
+    assert np.array_equal(trig_rows(cos_tab, ks), trig_rows_u_angles(n, ks))
+    assert np.array_equal(trig_rows(sin_tab, ks), trig_rows_v_angles(n, ks))
+
+
+def test_trig_materialize_memory_bounded():
+    # the r x n residue and angle temporaries of the angle formula peaked
+    # near twice the pair's size; the row blocks add only the finiteness check
+    n, r = 4096, 2047
+    tracemalloc.start()
+    try:
+        w = make_trig_pair(n, r, materialize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.u.nbytes + w.v.nbytes == 16 * r * n
+    assert peak < 16 * r * n + 16 * 2**20
 
 
 def test_haar_n1_support():
