@@ -3,7 +3,7 @@ persistence of JSON + CSV artifacts.
 
 Every subcommand is one entry of _COMMANDS: a runner that returns an
 ExperimentResult (and, when the CSV rows are not its points, the CSV
-columns), the RunConfig fields it needs, and its summary line per point.
+rows), the RunConfig fields it needs, and its summary line per point.
 run() checks those fields, times the runner, writes the artifacts and
 prints the summary lines in the same way for all of them.
 
@@ -29,6 +29,7 @@ from . import experiments, spectra
 from .empirical import normal_cdf
 from .sources import SourceSpec
 from .weights import (
+    _MATERIALIZE_LIMIT,
     TRIG,
     HAAR,
     check_conditions,
@@ -205,11 +206,15 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """The header line, then one line per row of the columns, streamed."""
+def _cells(*columns):
+    """Rows of formatted cells, one per row of the columns."""
+    return zip(*(map(_cell, col) for col in columns))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """The header line, then one line per row of formatted cells, streamed."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        rows = zip(*(map(_cell, col) for col in columns))
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
@@ -233,9 +238,9 @@ def _write_artifacts(cfg: RunConfig, doc: dict, wall_clock_s: float, table) -> t
 
 
 def _points_table(points: list[dict]):
-    """CSV header and columns with one row per point."""
+    """CSV header and rows, one row per point."""
     header = list(points[0])
-    return header, [[p[c] for p in points] for c in header]
+    return header, _cells(*([p[c] for p in points] for c in header))
 
 
 def _result(cfg: RunConfig, params: dict, point: dict) -> experiments.ExperimentResult:
@@ -296,18 +301,23 @@ def _spectrum(cfg: RunConfig):
     else:
         raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
     eig = sp.eigenvalues
-    table = (["index", "eigenvalue"], [range(eig.size), eig.tolist()])
+    table = (["index", "eigenvalue"], _cells(range(eig.size), eig.tolist()))
     return _result(cfg, {"ensemble": cfg.ensemble}, summary), table
 
 
 def _gen_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
-        w = make_trig_pair(cfg.n, cfg.r, materialize=True)
+        w = make_trig_pair(cfg.n, cfg.r, materialize=False)
+        if w.r * w.n > _MATERIALIZE_LIMIT:
+            raise MemoryError(f"refusing to write {w.r}x{w.n} trig weights")
     elif cfg.kind == HAAR:
         w = _haar_rows(cfg)
     else:
         raise ConfigError(f"gen-weights does not support kind {cfg.kind!r}")
-    table = (["k"] + [f"u{j}" for j in range(w.n)], [range(1, w.r + 1), *w.u.T.tolist()])
+    # U streams to the writer one row at a time; a trig pair never holds
+    # more than that row, and V is never built
+    rows = ((str(k), *map(repr, w.rows_u([k])[0].tolist())) for k in range(1, w.r + 1))
+    table = (["k"] + [f"u{j}" for j in range(w.n)], rows)
     point = {"n": w.n, "r": w.r, "kind": cfg.kind}
     return _result(cfg, {"kind": cfg.kind}, point), table
 
@@ -331,7 +341,7 @@ def _spectrum_line(cfg: RunConfig, p: dict) -> str:
 
 
 # subcommand -> (runner, required RunConfig fields, summary); runner(cfg)
-# returns (ExperimentResult, CSV (header, columns), or None for the points),
+# returns (ExperimentResult, CSV (header, rows of cells), or None for the points),
 # and summary(cfg, point) one stdout line per point
 _COMMANDS = {
     "check-weights": (_check_weights, ("n", "r"), _check_weights_line),

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
-_NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def normal_cdf(x):
@@ -28,23 +26,10 @@ def normal_cdf(x):
     return float(res) if np.isscalar(x) or np.ndim(x) == 0 else res
 
 
-def normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    res = _NORM_CONST * np.exp(-0.5 * x * x)
-    return float(res) if res.ndim == 0 else res
-
-
 def exponential_cdf(x):
     """Standard exponential CDF (1 - e^{-x})_+; scalar or array."""
     x = np.asarray(x, dtype=float)
     res = np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0)), 0.0)
-    return float(res) if res.ndim == 0 else res
-
-
-def chi2_2_cdf(x):
-    """Chi-square with 2 degrees of freedom: (1 - e^{-x/2})_+."""
-    x = np.asarray(x, dtype=float)
-    res = np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0) / 2.0), 0.0)
     return float(res) if res.ndim == 0 else res
 
 
@@ -72,21 +57,6 @@ class EmpiricalMeasure:
     def size(self) -> int:
         return self.values.size
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("value\n")
-            for v in self.values:
-                fh.write(f"{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "EmpiricalMeasure":
-        return cls.from_samples(np.loadtxt(path, skiprows=1, ndmin=1))
-
-
-def ecdf(mu: EmpiricalMeasure, x: float) -> float:
-    """(# values <= x) / m by binary search."""
-    return float(np.searchsorted(mu.values, x, side="right")) / mu.size
-
 
 def ks_to(mu: EmpiricalMeasure, cdf) -> float:
     """Exact sup-distance between the ECDF and a continuous CDF.
@@ -100,74 +70,8 @@ def ks_to(mu: EmpiricalMeasure, cdf) -> float:
     return float(np.max(np.maximum(np.abs(i / m - f), np.abs((i - 1) / m - f))))
 
 
-def joint_cdf(pairs: np.ndarray, x: float, y: float) -> float:
-    """Fraction of (s, t) pairs with s <= x and t <= y."""
-    p = np.asarray(pairs, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
-        raise ValueError("pairs must be an (m, 2) array")
-    return float(np.mean((p[:, 0] <= x) & (p[:, 1] <= y)))
-
-
-def empirical_char(values_or_pairs, s: float, t: float = 0.0) -> complex:
-    """(1/m) sum_k exp(i (s s_k + t t_k)); the t part is dropped when the
-    sample is univariate."""
-    a = np.asarray(values_or_pairs, dtype=float)
-    if a.ndim == 1:
-        phase = s * a
-    elif a.ndim == 2 and a.shape[1] == 2:
-        phase = s * a[:, 0] + t * a[:, 1]
-    else:
-        raise ValueError("expected a 1-D sample or an (m, 2) pair array")
-    if phase.size < 1:
-        raise ValueError("empty sample")
-    return complex(np.mean(np.exp(1j * phase)))
-
-
-class RateMethod(str, Enum):
-    GAUSSIAN_CLOSED_FORM = "GaussianClosedForm"
-    HISTOGRAM_ESTIMATE = "HistogramEstimate"
-
-
-@dataclass(frozen=True)
-class RateValue:
-    """Relative entropy with respect to the standard normal law."""
-
-    value: float
-    method: RateMethod
-
-    def __post_init__(self):
-        if not (self.value >= 0.0 or math.isinf(self.value)):
-            raise ValueError("rate must be nonnegative")
-
-
-def rate_function_gaussian(m: float, sigma2: float) -> RateValue:
+def rate_function_gaussian(m: float, sigma2: float) -> float:
     """KL(N(m, sigma2) || N(0,1)) = (sigma2 + m^2 - 1 - ln sigma2) / 2."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    val = 0.5 * (sigma2 + m * m - 1.0 - math.log(sigma2))
-    return RateValue(value=max(val, 0.0), method=RateMethod.GAUSSIAN_CLOSED_FORM)
-
-
-def rate_function_estimate(mu: EmpiricalMeasure, bins: int) -> RateValue:
-    """Histogram estimate of the relative entropy w.r.t. N(0,1).
-
-    Biased; intended for diagnostics only.  A degenerate sample (single
-    atom) has no density and reports +inf.
-    """
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    if mu.size < bins:
-        raise ValueError("need at least as many samples as bins")
-    v = mu.values
-    lo, hi = float(v[0]), float(v[-1])
-    if hi == lo:
-        return RateValue(value=math.inf, method=RateMethod.HISTOGRAM_ESTIMATE)
-    pad = (hi - lo) / bins
-    edges = np.linspace(lo - pad, hi + pad, bins + 1)
-    width = edges[1] - edges[0]
-    counts, _ = np.histogram(v, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    mask = counts > 0
-    f_hat = counts[mask] / (mu.size * width)
-    val = float(np.sum(f_hat * np.log(f_hat / normal_pdf(centers[mask])) * width))
-    return RateValue(value=max(val, 0.0), method=RateMethod.HISTOGRAM_ESTIMATE)
+    return max(0.5 * (sigma2 + m * m - 1.0 - math.log(sigma2)), 0.0)

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
-from scipy.special import lambertw, ndtri
+from scipy.special import ndtri
 
 FAMILIES = (
     "rademacher",
@@ -194,125 +193,3 @@ def sample_block(spec: SourceSpec, start: int, count: int) -> np.ndarray:
 def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
     """The first n values X_1..X_n of the stream."""
     return sample_block(spec, 1, n)
-
-
-def sample(spec: SourceSpec, j: int) -> float:
-    """Single draw X_j; identical no matter what else was sampled."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return float(sample_block(spec, j, 1)[0])
-
-
-# --- closed-form moments ---------------------------------------------------
-
-def _third_abs_moment(spec: SourceSpec) -> float:
-    f = spec.family
-    if f == "rademacher":
-        return 1.0
-    if f == "uniform":
-        # int |x|^3 / (2 sqrt 3) over [-sqrt3, sqrt3] = 3 sqrt(3) / 4
-        return 3.0 * _SQRT3 / 4.0
-    if f == "two_point":
-        p = spec.p
-        return ((1.0 - p) ** 2 + p**2) / math.sqrt(p * (1.0 - p))
-    if f == "normal":
-        return 2.0 * math.sqrt(2.0 / math.pi)
-    if f == "exponential":
-        # E|E-1|^3 with E ~ Exp(1): 12/e - 2
-        return 12.0 / math.e - 2.0
-    if f == "heterogeneous":
-        return max(_third_abs_moment(c) for c in spec.components)
-    raise AssertionError(f)
-
-
-def _exp_weighted_third_moment(spec: SourceSpec, tau: float) -> float:
-    """E(|X|^3 exp(|X|/tau)); +inf when the integral diverges."""
-    f = spec.family
-    if f == "rademacher":
-        return math.exp(1.0 / tau)
-    if f == "two_point":
-        p = spec.p
-        a = math.sqrt((1.0 - p) / p)
-        b = math.sqrt(p / (1.0 - p))
-        return p * a**3 * math.exp(a / tau) + (1.0 - p) * b**3 * math.exp(b / tau)
-    if f == "uniform":
-        val, _ = integrate.quad(
-            lambda x: x**3 * math.exp(x / tau) / _SQRT3, 0.0, _SQRT3
-        )
-        return val
-    if f == "normal":
-        val, _ = integrate.quad(
-            lambda x: 2.0
-            * x**3
-            * math.exp(x / tau)
-            * math.exp(-0.5 * x * x)
-            / math.sqrt(2.0 * math.pi),
-            0.0,
-            np.inf,
-        )
-        return val
-    if f == "exponential":
-        if tau <= 1.0:
-            return math.inf  # tail e^{x/tau} e^{-x} not integrable
-
-        def integrand(x):
-            e = abs(x - 1.0) / tau - x  # combined exponent; -> -inf in the tail
-            return 0.0 if e < -700.0 else abs(x - 1.0) ** 3 * math.exp(e)
-
-        lo, _ = integrate.quad(integrand, 0.0, 1.0)
-        hi, _ = integrate.quad(integrand, 1.0, np.inf, limit=200)
-        return lo + hi
-    if f == "heterogeneous":
-        return max(_exp_weighted_third_moment(c, tau) for c in spec.components)
-    raise AssertionError(f)
-
-
-_TAU_LO, _TAU_HI = 1e-3, 1e3
-
-
-def _smallest_tau(spec: SourceSpec) -> float | None:
-    """Smallest tau in [1e-3, 1e3] with E(|X|^3 e^{|X|/tau}) <= tau.
-
-    The left side decreases and the right side increases in tau, so a
-    bisection on their difference finds the crossing.  Rademacher has the
-    closed form exp(1/tau) = tau, i.e. tau = exp(W(1)).
-    """
-    if spec.family == "rademacher":
-        return float(np.exp(lambertw(1.0).real))
-
-    def gap(tau: float) -> float:
-        try:
-            return _exp_weighted_third_moment(spec, tau) - tau
-        except OverflowError:
-            return math.inf  # exp blows up at tiny tau; treated as "too small"
-
-    if gap(_TAU_HI) > 0.0:
-        return None
-    lo, hi = _TAU_LO, _TAU_HI
-    if gap(lo) <= 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    mean: float
-    variance: float
-    third_abs_moment: float
-    exp_moment_tau: float | None
-
-
-def moment_report(spec: SourceSpec) -> MomentReport:
-    """Closed-form moments; exp_moment_tau is None when no finite tau works."""
-    return MomentReport(
-        mean=0.0,
-        variance=1.0,
-        third_abs_moment=_third_abs_moment(spec),
-        exp_moment_tau=_smallest_tau(spec),
-    )

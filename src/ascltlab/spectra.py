@@ -8,8 +8,8 @@ Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
 I_n = (s_k^2 + t_k^2) / 2 for the trig-weighted partial sums and the
 limit of the periodogram ECDF is the standard exponential law Exp(1).
-The raw statistic s^2 + t^2 itself converges to chi-square(2); both limit
-CDFs are exported by the empirical module.
+The raw statistic s^2 + t^2 itself converges to chi-square(2); the
+empirical module exports the Exp(1) CDF.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ class Spectrum:
 
     def esd(self) -> empirical.EmpiricalMeasure:
         return empirical.EmpiricalMeasure(self.eigenvalues)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("index,eigenvalue\n")
-            for i, v in enumerate(self.eigenvalues):
-                fh.write(f"{i},{float(v)!r}\n")
 
     def summary(self, limit_cdf=None) -> dict:
         out = {
@@ -156,19 +150,6 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
         normalization=scale,
         exceptional=tuple(exceptional),
     )
-
-
-def periodogram(x: np.ndarray, k: int) -> float:
-    """I_n(2 pi k / n) = |sum_{j=1..n} e^{-i j 2 pi k / n} x_j|^2 / n."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if not (1 <= k <= (n - 1) // 2):
-        raise ValueError(f"need 1 <= k <= floor((n-1)/2) = {(n - 1) // 2}")
-    j = np.arange(1, n + 1, dtype=np.int64)
-    ang = 2.0 * np.pi * ((j * k) % n) / n
-    c = float(np.cos(ang) @ x)
-    s = float(np.sin(ang) @ x)
-    return (c * c + s * s) / n
 
 
 def periodogram_all(x: np.ndarray) -> np.ndarray:

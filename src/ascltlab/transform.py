@@ -16,12 +16,11 @@ the reference both are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accum import kahan_matvec
-from .sources import SourceSpec, sample_prefix
 from .weights import TRIG, WeightMatrixPair, trig_rows, trig_tables
 
 # naive/fast crossover for automatic dispatch on trig weights
@@ -48,7 +47,6 @@ class PartialSums:
     t: np.ndarray | None
     n: int
     r: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.s.shape != (self.r,) or not np.all(np.isfinite(self.s)):
@@ -57,13 +55,6 @@ class PartialSums:
             self.t.shape != (self.r,) or not np.all(np.isfinite(self.t))
         ):
             raise ValueError("t must be a finite vector of length r")
-
-    def to_csv(self, path) -> None:
-        t = self.t if self.t is not None else np.full(self.r, np.nan)
-        with open(path, "w") as fh:
-            fh.write("k,s,t\n")
-            for k in range(self.r):
-                fh.write(f"{k + 1},{float(self.s[k])!r},{float(t[k])!r}\n")
 
 
 def partial_sums_naive(w: WeightMatrixPair, x: np.ndarray) -> PartialSums:
@@ -78,7 +69,7 @@ def partial_sums_naive(w: WeightMatrixPair, x: np.ndarray) -> PartialSums:
         s[ks - 1] = kahan_matvec(w.rows_u(ks), x)
         if t is not None:
             t[ks - 1] = kahan_matvec(w.rows_v(ks), x)
-    return PartialSums(s=s, t=t, n=w.n, r=w.r, provenance={"path": "naive", "kind": w.kind})
+    return PartialSums(s=s, t=t, n=w.n, r=w.r)
 
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
@@ -100,7 +91,7 @@ def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
     scale = math.sqrt(2.0 / n)
     s = scale * f.real[1 : r + 1]
     t = -scale * f.imag[1 : r + 1]
-    return PartialSums(s=s, t=t, n=n, r=r, provenance={"path": "fast", "kind": TRIG})
+    return PartialSums(s=s, t=t, n=n, r=r)
 
 
 def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,18 +171,3 @@ def partial_sums(
     if use_fast:
         return partial_sums_fast(w.n, w.r, x)
     return partial_sums_naive(w, x)
-
-
-def gaussian_oracle_sums(n: int, r: int, spec: SourceSpec) -> PartialSums:
-    """Partial sums whose joint law is exactly r i.i.d. N(0,1) pairs.
-
-    Feeding i.i.d. standard normals through the trig weights yields
-    exactly independent standard normal (s, t) coordinates, because the
-    trig rows are exactly orthonormal for r <= floor((n-1)/2).  Used as
-    the distributional oracle throughout the experiment harnesses.
-    """
-    if spec.family != "normal":
-        raise ValueError("gaussian oracle requires a normal-family SourceSpec")
-    ps = partial_sums_fast(n, r, sample_prefix(spec, n))
-    prov = dict(ps.provenance, oracle="gaussian", seed=spec.master_seed, stream=spec.stream_id)
-    return PartialSums(s=ps.s, t=ps.t, n=n, r=r, provenance=prov)

@@ -134,17 +134,6 @@ class WeightMatrixPair:
             raise ValueError("no companion matrix V")
         return trig_rows(trig_tables(self.n)[1], ks)
 
-    def entry_u(self, k: int, j: int) -> float:
-        """u_{k,j} with 1-based (k, j)."""
-        if not (1 <= j <= self.n):
-            raise IndexError("column index out of range")
-        return float(self.rows_u(np.array([k]))[0, j - 1])
-
-    def entry_v(self, k: int, j: int) -> float:
-        if not (1 <= j <= self.n):
-            raise IndexError("column index out of range")
-        return float(self.rows_v(np.array([k]))[0, j - 1])
-
     def materialize(self) -> "WeightMatrixPair":
         if self.u is not None:
             return self

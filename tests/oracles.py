@@ -6,6 +6,13 @@ exist only to anchor the DFT formulas at tiny n. The trig row, column-sum
 and identity-scan oracles are the earlier one-shot formulas, kept verbatim
 so that the table-lookup, blocked and O(n) versions can be held to them
 bit for bit. The Gram oracle is exact rational arithmetic.
+
+Four statistics are written out directly, one value at a time, to check
+the vectorized versions inside the pipeline: ``joint_cdf`` (the grid
+deviation of the bivariate harness), ``empirical_char`` (the
+characteristic function of the char-decay harness), ``periodogram`` (one
+ordinate by the defining sum, against ``spectra.periodogram_all``) and
+``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
 """
 
 import math
@@ -116,3 +123,46 @@ def exact_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(
         [[float(sum((x * y for x, y in zip(ra, rb)), Fraction(0))) for rb in fb] for ra in fa]
     ).reshape(len(fa), len(fb))
+
+
+def joint_cdf(pairs: np.ndarray, x: float, y: float) -> float:
+    """Fraction of (s, t) pairs with s <= x and t <= y."""
+    p = np.asarray(pairs, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
+        raise ValueError("pairs must be an (m, 2) array")
+    return float(np.mean((p[:, 0] <= x) & (p[:, 1] <= y)))
+
+
+def empirical_char(values_or_pairs, s: float, t: float = 0.0) -> complex:
+    """(1/m) sum_k exp(i (s s_k + t t_k)); the t part is dropped when the
+    sample is univariate."""
+    a = np.asarray(values_or_pairs, dtype=float)
+    if a.ndim == 1:
+        phase = s * a
+    elif a.ndim == 2 and a.shape[1] == 2:
+        phase = s * a[:, 0] + t * a[:, 1]
+    else:
+        raise ValueError("expected a 1-D sample or an (m, 2) pair array")
+    if phase.size < 1:
+        raise ValueError("empty sample")
+    return complex(np.mean(np.exp(1j * phase)))
+
+
+def periodogram(x: np.ndarray, k: int) -> float:
+    """I_n(2 pi k / n) = |sum_{j=1..n} e^{-i j 2 pi k / n} x_j|^2 / n."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if not (1 <= k <= (n - 1) // 2):
+        raise ValueError(f"need 1 <= k <= floor((n-1)/2) = {(n - 1) // 2}")
+    j = np.arange(1, n + 1, dtype=np.int64)
+    ang = 2.0 * np.pi * ((j * k) % n) / n
+    c = float(np.cos(ang) @ x)
+    s = float(np.sin(ang) @ x)
+    return (c * c + s * s) / n
+
+
+def chi2_2_cdf(x):
+    """Chi-square with 2 degrees of freedom: (1 - e^{-x/2})_+."""
+    x = np.asarray(x, dtype=float)
+    res = np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0) / 2.0), 0.0)
+    return float(res) if res.ndim == 0 else res

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from ascltlab.cli import ConfigError, load_config, run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "result.schema.json")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def read_artifacts(out_dir):
@@ -265,3 +269,44 @@ def test_wall_clock_times_every_subcommand(tmp_path):
     assert run(["periodogram", "--n", "4096", "--out-dir", str(tmp_path)]) == 0
     jsons, _ = read_artifacts(tmp_path)
     assert load_json(tmp_path, jsons[0])["timestamp"]["wall_clock_s"] > 0
+
+
+def test_gen_weights_trig_streams_its_rows(tmp_path):
+    # 1023 x 2048 weights are 16 MiB as float64; the rows go to the CSV
+    # one at a time, and the sin rows are never built
+    tracemalloc.start()
+    try:
+        code = run(["gen-weights", "--weights", "trig", "--n", "2048", "--r", "1023",
+                    "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 40 << 20, f"gen-weights peaked at {peak / 2**20:.1f} MiB"
+    _, csvs = read_artifacts(tmp_path)
+    with open(tmp_path / csvs[0], encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1024
+
+
+def test_gen_weights_above_the_size_limit_fails_before_writing(tmp_path, capsys):
+    # 600 x 16385 entries exceed the 2^23 limit
+    argv = ["gen-weights", "--weights", "trig", "--n", "16385", "--r", "600"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 3
+    assert "refusing" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_import_loads_every_layer_and_no_quadrature():
+    # bench/tracer.py reads the eight layers as attributes of the package;
+    # scipy.integrate has no use in the pipeline and is slow to import
+    script = (
+        "import sys, ascltlab, ascltlab.cli\n"
+        "layers = ('sources', 'transform', 'experiments', 'empirical', 'spectra', 'cli',"
+        " 'weights', 'accum')\n"
+        "print(all(hasattr(ascltlab, name) for name in layers), 'scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.split() == ["True", "False"]

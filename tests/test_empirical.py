@@ -8,18 +8,15 @@ from scipy.special import ndtri
 
 from ascltlab.empirical import (
     EmpiricalMeasure,
-    RateMethod,
-    ecdf,
-    empirical_char,
     exponential_cdf,
-    joint_cdf,
     ks_to,
     normal_cdf,
-    rate_function_estimate,
     rate_function_gaussian,
 )
 from ascltlab.sources import SourceSpec, sample_prefix
 from ascltlab.transform import partial_sums_fast
+
+from .oracles import empirical_char, joint_cdf
 
 
 def test_normal_cdf_values():
@@ -41,20 +38,6 @@ def test_normal_cdf_monotone_on_grid():
     vals = normal_cdf(grid)
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-
-def test_ecdf_examples():
-    one = EmpiricalMeasure(np.array([0.0]))
-    assert ecdf(one, -1.0) == 0.0
-    assert ecdf(one, 0.0) == 1.0
-    three = EmpiricalMeasure(np.array([1.0, 2.0, 3.0]))
-    assert ecdf(three, 2.0) == pytest.approx(2.0 / 3.0)
-
-
-def test_ecdf_gaussian_oracle():
-    spec = SourceSpec(family="normal", master_seed=31)
-    mu = EmpiricalMeasure.from_samples(sample_prefix(spec, 10**4))
-    assert abs(ecdf(mu, 0.0) - 0.5) < 0.02
 
 
 def test_ks_atom_at_zero_vs_normal():
@@ -137,10 +120,9 @@ def test_char_modulus_bounded(seed, s, t):
 
 
 def test_rate_gaussian_examples():
-    assert rate_function_gaussian(0.0, 1.0).value == 0.0
-    assert rate_function_gaussian(1.0, 1.0).value == pytest.approx(0.5)
-    assert rate_function_gaussian(0.5, 1.0).value == pytest.approx(0.125)
-    assert rate_function_gaussian(0.5, 1.0).method is RateMethod.GAUSSIAN_CLOSED_FORM
+    assert rate_function_gaussian(0.0, 1.0) == 0.0
+    assert rate_function_gaussian(1.0, 1.0) == pytest.approx(0.5)
+    assert rate_function_gaussian(0.5, 1.0) == pytest.approx(0.125)
 
 
 def test_rate_gaussian_quadrature_oracle():
@@ -149,13 +131,13 @@ def test_rate_gaussian_quadrature_oracle():
     # ln(f/phi) expanded analytically so the tails do not underflow
     log_ratio = lambda x: (x * x - (x - 1.0) ** 2) / 2.0
     val, _ = integrate.quad(lambda x: f(x) * log_ratio(x), -np.inf, np.inf)
-    assert rate_function_gaussian(1.0, 1.0).value == pytest.approx(val, abs=1e-9)
+    assert rate_function_gaussian(1.0, 1.0) == pytest.approx(val, abs=1e-9)
 
 
 def test_rate_gaussian_positive_off_origin():
     for m in np.linspace(-2, 2, 9):
         for s2 in [0.25, 0.5, 1.0, 2.0, 4.0]:
-            val = rate_function_gaussian(float(m), s2).value
+            val = rate_function_gaussian(float(m), s2)
             if m == 0.0 and s2 == 1.0:
                 assert val == 0.0
             else:
@@ -167,33 +149,6 @@ def test_rate_gaussian_rejects_bad_sigma():
         rate_function_gaussian(0.0, 0.0)
 
 
-def test_rate_estimate_gaussian_sample():
-    spec = SourceSpec(family="normal", master_seed=4)
-    mu = EmpiricalMeasure.from_samples(sample_prefix(spec, 10**6))
-    assert rate_function_estimate(mu, 64).value <= 0.01
-
-
-def test_rate_estimate_shifted_sample():
-    spec = SourceSpec(family="normal", master_seed=4)
-    mu = EmpiricalMeasure.from_samples(sample_prefix(spec, 10**6) + 1.0)
-    est = rate_function_estimate(mu, 64)
-    assert est.value == pytest.approx(0.5, abs=0.1)
-    assert est.method is RateMethod.HISTOGRAM_ESTIMATE
-
-
-def test_rate_estimate_degenerate():
-    mu = EmpiricalMeasure(np.zeros(10))
-    assert math.isinf(rate_function_estimate(mu, 2).value)
-
-
-def test_rate_estimate_preconditions():
-    mu = EmpiricalMeasure.from_samples(np.arange(4.0))
-    with pytest.raises(ValueError):
-        rate_function_estimate(mu, 1)
-    with pytest.raises(ValueError):
-        rate_function_estimate(mu, 5)
-
-
 def test_measure_validation():
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([2.0, 1.0]))
@@ -201,11 +156,3 @@ def test_measure_validation():
         EmpiricalMeasure(np.array([np.nan]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([]))
-
-
-def test_csv_round_trip(tmp_path):
-    mu = EmpiricalMeasure.from_samples(np.random.default_rng(1).standard_normal(20))
-    path = tmp_path / "mu.csv"
-    mu.to_csv(path)
-    back = EmpiricalMeasure.from_csv(path)
-    assert np.array_equal(back.values, mu.values)

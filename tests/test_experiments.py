@@ -13,9 +13,11 @@ from ascltlab.experiments import (
     char_variance_decay,
     clt_fluctuation,
     ldp_rate,
-    validate_growth,
 )
-from ascltlab.sources import SourceSpec, sample_prefix
+from ascltlab.sources import SourceSpec, sample_prefix, sample_rows
+from ascltlab.transform import partial_sums_fast
+
+from .oracles import empirical_char, joint_cdf
 
 
 def spec_of(family, seed, stream=0):
@@ -33,22 +35,6 @@ def test_schedule_validation():
     assert s.points == ((1024, 511), (4096, 2047))
     with pytest.raises(ValueError):
         Schedule.parse("1024")
-
-
-def test_growth_diagnostics_examples():
-    d = validate_growth(Schedule(points=((4096, 8),)))[0]
-    assert d["r3_log2_over_n"] == pytest.approx(512.0 * math.log(4096.0) ** 2 / 4096.0)
-    assert d["r3_log2_over_n"] == pytest.approx(8.648, abs=1e-3)
-    assert d["r4_over_n"] == 1.0
-
-
-def test_growth_haar_case_flagged_nonvanishing():
-    # r = n: every functional grows along the schedule
-    diags = validate_growth(Schedule(points=((64, 64), (256, 256), (1024, 1024))))
-    for key in ("r3_log2_over_n", "r4_over_n"):
-        assert not diags[0][f"{key}_decreasing"]
-        vals = [d[key] for d in diags]
-        assert vals[0] < vals[-1]
 
 
 def test_trajectory_gaussian_desk_scale():
@@ -131,23 +117,29 @@ def test_bivariate_gaussian_and_rademacher():
         assert res.points[0]["max_grid_deviation"] <= 0.03
 
 
-def test_bivariate_origin_value():
-    from ascltlab.empirical import joint_cdf
-    from ascltlab.sources import sample_prefix
-    from ascltlab.transform import partial_sums_fast
+@pytest.mark.parametrize("family", ["rademacher", "normal"])
+def test_bivariate_matches_joint_cdf_reference(family):
+    spec = spec_of(family, 7)
+    res = asclt_bivariate(spec, Schedule.parse("1024:511,16384:8191"))
+    grid = res.params["grid"]
+    assert len(grid) == 9
+    for p in res.points:
+        ps = partial_sums_fast(p["n"], p["r"], sample_prefix(spec, p["n"]))
+        pairs = np.column_stack([ps.s, ps.t])
+        ref = max(
+            abs(joint_cdf(pairs, x, y) - normal_cdf(x) * normal_cdf(y)) for x in grid for y in grid
+        )
+        assert abs(p["max_grid_deviation"] - ref) <= 1e-15
 
-    spec = spec_of("normal", 7)
-    ps = partial_sums_fast(2**15, 10**4, sample_prefix(spec, 2**15))
-    pairs = np.column_stack([ps.s, ps.t])
-    assert abs(joint_cdf(pairs, 0.0, 0.0) - 0.25) <= 0.02
 
+def test_bivariate_degenerate_origin_deviation(monkeypatch):
+    # a zero path puts every (s, t) at the origin: the joint ECDF is 1 on
+    # the closed positive quadrant, where Phi(x)Phi(y) is smallest at 0
+    import ascltlab.experiments as experiments
 
-def test_bivariate_degenerate_origin_deviation():
-    from ascltlab.empirical import joint_cdf
-
-    pairs = np.zeros((100, 2))
-    assert joint_cdf(pairs, 0.0, 0.0) == 1.0
-    assert abs(1.0 - 0.25) == 0.75
+    monkeypatch.setattr(experiments, "sample_prefix", lambda spec, n: np.zeros(n))
+    res = asclt_bivariate(spec_of("normal", 7), Schedule.parse("128:63,1024:511"))
+    assert [p["max_grid_deviation"] for p in res.points] == [0.75, 0.75]
 
 
 def test_char_decay_gaussian_matches_closed_form():
@@ -168,6 +160,17 @@ def test_char_decay_rademacher_bound():
 def test_char_decay_zero_frequency_exact():
     res = char_variance_decay(spec_of("normal", 1), Schedule(points=((64, 31),)), 0.0, 0.0, 100)
     assert res.points[0]["estimate"] == 0.0
+
+
+def test_char_decay_matches_empirical_char_reference():
+    spec, s, t, n, r, reps = spec_of("rademacher", 5), 1.0, 0.5, 128, 63, 100
+    res = char_variance_decay(spec, Schedule(points=((n, r),)), s, t, reps)
+    target = math.exp(-(s * s + t * t) / 2.0)
+    sq = []
+    for x in sample_rows(spec, 0, reps, 1, n):
+        ps = partial_sums_fast(n, r, x)
+        sq.append(abs(empirical_char(np.column_stack([ps.s, ps.t]), s, t) - target) ** 2)
+    assert abs(res.points[0]["estimate"] - float(np.mean(sq))) <= 1e-12
 
 
 def test_char_decay_replica_floor():

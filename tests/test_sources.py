@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from ascltlab.sources import (
     SourceSpec,
     _rademacher,
-    moment_report,
-    sample,
     sample_block,
     sample_prefix,
     sample_rows,
@@ -30,8 +27,9 @@ def test_rademacher_support():
 
 
 def test_sample_deterministic():
+    # a single draw X_5 is the same however it is reached
     spec = make_spec("normal", seed=42)
-    assert sample(spec, 5) == sample(spec, 5)
+    assert sample_block(spec, 5, 1)[0] == sample_block(spec, 5, 1)[0] == sample_prefix(spec, 9)[4]
 
 
 def test_uniform_monte_carlo_standardization():
@@ -185,65 +183,6 @@ def test_heterogeneous_cycles_families():
     assert not np.all(np.abs(x[1::2]) == 1.0)
 
 
-def test_moment_report_rademacher():
-    rep = moment_report(make_spec("rademacher"))
-    assert rep.mean == 0.0
-    assert rep.variance == 1.0
-    assert rep.third_abs_moment == 1.0
-    # closed form: tau = e^{W(1)}, the unique solution of e^{1/tau} = tau
-    assert rep.exp_moment_tau == pytest.approx(1.7632228343518967, abs=1e-9)
-    assert math.exp(1.0 / rep.exp_moment_tau) == pytest.approx(rep.exp_moment_tau, abs=1e-8)
-
-
-def test_moment_report_normal_third_moment():
-    rep = moment_report(make_spec("normal"))
-    assert rep.third_abs_moment == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=1e-12)
-    # quadrature oracle
-    oracle, _ = integrate.quad(
-        lambda x: abs(x) ** 3 * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
-        -np.inf,
-        np.inf,
-    )
-    assert rep.third_abs_moment == pytest.approx(oracle, rel=1e-9)
-
-
-def test_moment_report_uniform_third_moment():
-    rep = moment_report(make_spec("uniform"))
-    oracle, _ = integrate.quad(
-        lambda x: abs(x) ** 3 / (2.0 * math.sqrt(3.0)), -math.sqrt(3.0), math.sqrt(3.0)
-    )
-    assert rep.third_abs_moment == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, abs=1e-12)
-    assert rep.third_abs_moment == pytest.approx(oracle, rel=1e-12)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_sakhanenko_tau_is_feasible_and_tight(family):
-    spec = make_spec(family)
-    rep = moment_report(spec)
-    tau = rep.exp_moment_tau
-    assert tau is not None and tau > 0
-
-    if family == "normal":
-        density = lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-        lo, hi = -np.inf, np.inf
-
-        def weighted(t):
-            val, _ = integrate.quad(
-                lambda x: abs(x) ** 3 * math.exp(abs(x) / t) * density(x), lo, hi
-            )
-            return val
-
-        assert weighted(tau) <= tau * (1.0 + 1e-6)
-        assert weighted(0.98 * tau) > 0.98 * tau
-
-
-def test_moment_report_deterministic_of_family_only():
-    a = moment_report(make_spec("exponential", seed=0))
-    b = moment_report(make_spec("exponential", seed=99))
-    assert a == b
-    assert a.exp_moment_tau is not None
-
-
 def test_seed_bounds_rejected():
     with pytest.raises(ValueError):
         SourceSpec(family="normal", master_seed=-1)
@@ -253,4 +192,4 @@ def test_seed_bounds_rejected():
 
 def test_sample_index_must_be_positive():
     with pytest.raises(ValueError):
-        sample(make_spec("normal"), 0)
+        sample_block(make_spec("normal"), 0, 1)

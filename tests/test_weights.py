@@ -38,8 +38,9 @@ def normal_spec(seed, stream=0):
 
 def test_trig_entries_n8():
     w = make_trig_pair(8, 3)
-    assert w.entry_u(1, 1) == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
-    assert w.entry_u(2, 2) == pytest.approx(-0.5, abs=1e-15)
+    # u_{k,j} with 1-based (k, j)
+    assert w.rows_u([1])[0, 0] == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
+    assert w.rows_u([2])[0, 1] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_trig_rows_orthogonal_n8():
