@@ -7,8 +7,10 @@ rows), the RunConfig fields it needs, and its summary line per point.
 run() checks those fields, times the runner, writes the artifacts and
 prints the summary lines in the same way for all of them.
 
-Config files are plain key=value lines with # comments; the keys mirror
-the long CLI flags, and explicit flags always win over file values.
+Config files are plain key=value lines with # comments.  Their keys are
+the RunConfig fields, which mirror the long CLI flags except kind
+(--weights) and out_dir (--out-dir); explicit flags always win over
+file values.
 Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
 timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
@@ -23,7 +25,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 
 from . import experiments, spectra
 from .empirical import normal_cdf
@@ -40,28 +43,6 @@ from .weights import (
     verify_trig_identities,
 )
 
-# config keys, their parsers, and the RunConfig field they feed
-_KEY_TYPES = {
-    "family": str,
-    "p": float,
-    "seed": int,
-    "stream": int,
-    "kind": str,
-    "schedule": str,
-    "n": int,
-    "r": int,
-    "delta": float,
-    "x": float,
-    "s": float,
-    "t": float,
-    "a": float,
-    "replicas": int,
-    "bins": int,
-    "ensemble": str,
-    "out_dir": str,
-    "threads": int,
-}
-
 
 class ConfigError(Exception):
     pass
@@ -72,15 +53,21 @@ _RUN_COUNTER = 0
 
 @dataclass
 class RunConfig:
-    """Fully resolved parameters for one CLI invocation."""
+    """Fully resolved parameters for one CLI invocation.
+
+    Every field but experiment is one setting: the config key of its name
+    and the flag --name (with - for _), parsed by its annotated type.  A
+    field's metadata may rename the flag ("flag") and restrict the values
+    ("choices"), or give the flag's "help".
+    """
 
     experiment: str
     family: str = "rademacher"
-    p: float | None = None
+    p: float | None = field(default=None, metadata={"help": "two-point parameter"})
     seed: int = 0
     stream: int = 0
-    kind: str = TRIG
-    schedule: str | None = None
+    kind: str = field(default=TRIG, metadata={"flag": "--weights", "choices": (TRIG, HAAR)})
+    schedule: str | None = field(default=None, metadata={"help": "comma list of n:r pairs"})
     n: int | None = None
     r: int | None = None
     delta: float = 1.0
@@ -89,8 +76,7 @@ class RunConfig:
     t: float = 0.0
     a: float = 0.5
     replicas: int = 500
-    bins: int = 32
-    ensemble: str = "symmetric"
+    ensemble: str = field(default="symmetric", metadata={"choices": ("symmetric", "reverse")})
     out_dir: str = "."
     threads: int = 0
 
@@ -107,11 +93,21 @@ class RunConfig:
         return experiments.Schedule(points=((self.n, self.r),))
 
 
+# {name: (parser, field metadata)} of the settings; a "T | None" field parses as T
+_HINTS = typing.get_type_hints(RunConfig)
+_SETTINGS = {
+    f.name: ((typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0], f.metadata)
+    for f in fields(RunConfig)
+    if f.name != "experiment"
+}
+
+
 def load_config(path) -> dict:
     """Parse a key=value config file into a {key: typed value} dict.
 
     Rejects unknown keys and duplicate keys (naming both line numbers);
-    values are converted by the declared type of each key.
+    values are converted by the declared type of each key, and checked
+    against its choices.
     """
     seen: dict[str, int] = {}
     out: dict = {}
@@ -124,15 +120,19 @@ def load_config(path) -> dict:
             if not eq:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = key.strip(), value.strip()
-            if key not in _KEY_TYPES:
+            if key not in _SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in seen:
                 raise ConfigError(
                     f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
                 )
             seen[key] = lineno
+            parse, meta = _SETTINGS[key]
             try:
-                out[key] = _KEY_TYPES[key](value)
+                out[key] = parse(value)
+                choices = meta.get("choices")
+                if choices and out[key] not in choices:
+                    raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return out
@@ -147,39 +147,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--family", default=None)
-        p.add_argument("--p", type=float, default=None, help="two-point parameter")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--stream", type=int, default=None)
-        p.add_argument("--weights", dest="kind", default=None, choices=(TRIG, HAAR))
-        p.add_argument("--schedule", default=None, help="comma list of n:r pairs")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--replicas", type=int, default=None)
-        p.add_argument("--bins", type=int, default=None)
-        p.add_argument("--ensemble", default=None, choices=("symmetric", "reverse"))
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for key, (parse, meta) in _SETTINGS.items():
+            flag = meta.get("flag", "--" + key.replace("_", "-"))
+            p.add_argument(flag, dest=key, type=parse, default=None,
+                           choices=meta.get("choices"), help=meta.get("help"))
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(experiment=args.experiment)
     file_vals = load_config(args.config) if args.config is not None else {}
-    for key, value in file_vals.items():
-        setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        if f.name in ("experiment",):
-            continue
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            setattr(cfg, f.name, flag_val)
-    if getattr(args, "threads", None) is None and "threads" not in file_vals:
+    flag_vals = {key: v for key in _SETTINGS if (v := getattr(args, key)) is not None}
+    cfg = RunConfig(experiment=args.experiment, **{**file_vals, **flag_vals})
+    if "threads" not in flag_vals and "threads" not in file_vals:
         env = os.environ.get("ASCLT_THREADS")
         if env is not None:
             try:
@@ -278,10 +257,8 @@ def _check_weights(cfg: RunConfig):
         sums = trig_column_sums(cfg.n)
         point = check_conditions(w, cfg.delta, sums=sums).to_dict()
         point["trig_identity_residual"] = verify_trig_identities(cfg.n, sums=sums).worst_residual
-    elif cfg.kind == HAAR:
-        point = check_conditions(_haar_rows(cfg), cfg.delta).to_dict()
     else:
-        raise ConfigError(f"check-weights does not support kind {cfg.kind!r}")
+        point = check_conditions(_haar_rows(cfg), cfg.delta).to_dict()
     return _result(cfg, {"kind": cfg.kind, "delta": cfg.delta}, point), None
 
 
@@ -295,11 +272,9 @@ def _spectrum(cfg: RunConfig):
     if cfg.ensemble == "symmetric":
         sp = spectra.symmetric_circulant_spectrum(cfg.n, spec)
         summary = sp.summary(limit_cdf=normal_cdf)
-    elif cfg.ensemble == "reverse":
+    else:
         sp = spectra.reverse_circulant_spectrum(cfg.n, spec)
         summary = sp.summary()
-    else:
-        raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
     eig = sp.eigenvalues
     table = (["index", "eigenvalue"], _cells(range(eig.size), eig.tolist()))
     return _result(cfg, {"ensemble": cfg.ensemble}, summary), table
@@ -310,10 +285,8 @@ def _gen_weights(cfg: RunConfig):
         w = make_trig_pair(cfg.n, cfg.r, materialize=False)
         if w.r * w.n > _MATERIALIZE_LIMIT:
             raise MemoryError(f"refusing to write {w.r}x{w.n} trig weights")
-    elif cfg.kind == HAAR:
-        w = _haar_rows(cfg)
     else:
-        raise ConfigError(f"gen-weights does not support kind {cfg.kind!r}")
+        w = _haar_rows(cfg)
     # U streams to the writer one row at a time; a trig pair never holds
     # more than that row, and V is never built
     rows = ((str(k), *map(repr, w.rows_u([k])[0].tolist())) for k in range(1, w.r + 1))

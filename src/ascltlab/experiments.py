@@ -35,7 +35,7 @@ from .transform import (
     partial_sums_batch,
     partial_sums_fast,
 )
-from .weights import TRIG, HAAR, sample_haar_orthogonal
+from .weights import TRIG, HAAR, require_trig, sample_haar_orthogonal
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
 _REPLICA_CHUNK = 512
@@ -62,10 +62,7 @@ class Schedule:
 
     def require_trig(self) -> None:
         for n, r in self.points:
-            if r > (n - 1) // 2:
-                raise ValueError(
-                    f"trig weights need r <= floor((n-1)/2); violated at (n={n}, r={r})"
-                )
+            require_trig(n, r)
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":
@@ -256,8 +253,7 @@ def clt_fluctuation(
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
-    if not (1 <= r <= (n - 1) // 2):
-        raise ValueError("trig weights require r <= floor((n-1)/2)")
+    require_trig(n, r)
     px = normal_cdf(x)
     kernel = batch_kernel(n, r)
 
@@ -318,8 +314,7 @@ def ldp_rate(
     """
     if a <= 0.0:
         raise ValueError("a must be positive")
-    if not (1 <= r <= (n - 1) // 2):
-        raise ValueError("trig weights require r <= floor((n-1)/2)")
+    require_trig(n, r)
     c = mean_weights(n, r)
     main = _half_line_rate(spec, c, r, a, replicas, threads)
     oracle_spec = SourceSpec(

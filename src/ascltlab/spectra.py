@@ -95,23 +95,12 @@ def symmetric_circulant_first_row(x: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def symmetric_circulant_spectrum(
-    n: int, spec: SourceSpec, standardize: tuple[float, float] = (0.0, 1.0)
-) -> Spectrum:
-    """Spectrum of the symmetric random circulant, scaled by 1/(sigma sqrt n).
-
-    standardize = (m, sigma) declares the mean and standard deviation of
-    the entries; entries are taken as m + sigma * X_j with X_j drawn from
-    the (standardized) stream, then centered by m before scaling, which
-    is the rank-one-subtraction equivalent used for the ESD limit.
-    """
-    m, sigma = standardize
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
+    """Spectrum of the symmetric random circulant, scaled by 1/sqrt(n);
+    its entries are the standardized draws of the stream."""
     if n < 3:
         raise ValueError("need n >= 3")
-    x = m + sigma * sample_prefix(spec, n // 2 + 1)
-    c = symmetric_circulant_first_row((x - m) / sigma, n)
+    c = symmetric_circulant_first_row(sample_prefix(spec, n // 2 + 1), n)
     eig = circulant_eigen_dft(c)
     if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, np.max(np.abs(eig.real))):
         raise ArithmeticError("symmetric circulant produced complex spectrum")
@@ -120,7 +109,7 @@ def symmetric_circulant_spectrum(
         eigenvalues=vals,
         ensemble=SYMMETRIC_CIRCULANT,
         n=n,
-        normalization=1.0 / (sigma * math.sqrt(n)),
+        normalization=1.0 / math.sqrt(n),
     )
 
 

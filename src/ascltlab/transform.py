@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accum import kahan_matvec
-from .weights import TRIG, WeightMatrixPair, trig_rows, trig_tables
+from .weights import TRIG, WeightMatrixPair, require_trig, trig_rows, trig_tables
 
 # naive/fast crossover for automatic dispatch on trig weights
 FAST_THRESHOLD = 1024
@@ -82,8 +82,7 @@ def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected input of length {n}, got {x.shape}")
-    if not (1 <= r <= (n - 1) // 2):
-        raise ValueError(f"need 1 <= r <= floor((n-1)/2) = {(n - 1) // 2}")
+    require_trig(n, r)
     y = np.empty(n)
     y[0] = x[n - 1]
     y[1:] = x[: n - 1]

@@ -26,7 +26,7 @@ from .sources import SourceSpec, _uniform01
 
 TRIG, HAAR, CUSTOM = "trig", "haar", "custom"
 
-# full materialization guard: r*n entries
+# materialization guard: r*n entries of a pair, n*n of a Haar matrix
 _MATERIALIZE_LIMIT = 1 << 23
 # direct (non-FFT) column sums up to this n; exact pair enumeration in
 # verify_trig_identities up to _EXACT_PAIR_LIMIT
@@ -78,6 +78,15 @@ def trig_rows(table: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_trig(n: int, r: int) -> None:
+    """Reject (n, r) outside the trig construction, whose rows are
+    orthonormal only when 2r < n."""
+    if not 1 <= r <= (n - 1) // 2:
+        raise ValueError(
+            f"trig weights need 1 <= r <= floor((n-1)/2) = {(n - 1) // 2}, got n={n} r={r}"
+        )
+
+
 @dataclass(frozen=True)
 class WeightMatrixPair:
     """An r x n weight matrix U with optional companion V.
@@ -98,15 +107,15 @@ class WeightMatrixPair:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1 or self.r < 1:
             raise ValueError("need r >= 1 and n >= 1")
-        if self.kind == TRIG and self.r > (self.n - 1) // 2:
-            raise ValueError(
-                f"trig pair requires r <= floor((n-1)/2) = {(self.n - 1) // 2}, got r={self.r}"
-            )
+        if self.kind == TRIG:
+            require_trig(self.n, self.r)
         for name, a in (("u", self.u), ("v", self.v)):
             if a is not None:
                 if a.shape != (self.r, self.n):
                     raise ValueError(f"{name} must be {self.r}x{self.n}, got {a.shape}")
-                if not np.all(np.isfinite(a)):
+                # trig rows are lookups in a finite table, and
+                # sample_haar_orthogonal checks its Q
+                if self.kind == CUSTOM and not np.all(np.isfinite(a)):
                     raise ValueError(f"{name} has non-finite entries")
         if self.u is None and self.kind != TRIG:
             raise ValueError("only trig pairs may be implicit")
@@ -155,13 +164,9 @@ class WeightMatrixPair:
 def make_trig_pair(n: int, r: int, materialize: bool | None = None) -> WeightMatrixPair:
     """The trigonometric pair of u/v weight rows for k = 1..r.
 
-    The construction needs 2r < n, so r > floor((n-1)/2) is rejected.
-    By default small pairs are materialized and large ones stay implicit.
+    The construction needs 2r < n (see require_trig).  By default small
+    pairs are materialized and large ones stay implicit.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not (1 <= r <= (n - 1) // 2):
-        raise ValueError(f"need 1 <= r <= floor((n-1)/2) = {(n - 1) // 2}")
     pair = WeightMatrixPair(kind=TRIG, n=n, r=r)
     if materialize is None:
         materialize = r * n <= _MATERIALIZE_LIMIT
@@ -181,10 +186,13 @@ def sample_haar_orthogonal(n: int, spec: SourceSpec) -> WeightMatrixPair:
     A matrix of i.i.d. standard normals (drawn from the spec's
     counter-based stream) is orthonormalized by QR; rescaling each column
     so the triangular factor's diagonal is positive makes the law exactly
-    Haar rather than merely orthogonal.
+    Haar rather than merely orthogonal.  More than _MATERIALIZE_LIMIT
+    entries are refused before anything is allocated.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n * n > _MATERIALIZE_LIMIT:
+        raise MemoryError(f"refusing to sample a {n}x{n} Haar matrix")
     j = np.arange(1, n * n + 1, dtype=np.uint64)
     g = ndtri(_uniform01(spec, j)).reshape(n, n)
     q, rr = np.linalg.qr(g)

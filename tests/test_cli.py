@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import jsonschema
 import pytest
 
-from ascltlab.cli import ConfigError, load_config, run
+from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "result.schema.json")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -128,6 +129,44 @@ def test_config_precondition_propagates(tmp_path, capsys):
     cfg.write_text("n = 64\nr = 40\n")
     assert run(["asclt", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "r <= floor((n-1)/2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["check-weights", "--n", "8", "--r", "3"], "kind = custom\n"),
+     (["spectrum", "--n", "33"], "ensemble = bogus\n")],
+)
+def test_config_value_outside_the_choices_exits_2(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"{cfg}:1:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# flags follow the field name with - for _, except these
+_FLAG_OF = {"kind": "--weights"}
+_TEXT_OF = {"kind": "haar", "ensemble": "reverse", "p": "0.25", "n": "65", "r": "7",
+            "schedule": "64:31"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.name != "experiment"])
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path, monkeypatch, source, name):
+    monkeypatch.delenv("ASCLT_THREADS", raising=False)
+    default = getattr(RunConfig("asclt"), name)
+    text = _TEXT_OF.get(name, "zz" if isinstance(default, str) else "5")
+    if source == "flag":
+        argv = ["asclt", _FLAG_OF.get(name, "--" + name.replace("_", "-")), text]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {text}\n")
+        argv = ["asclt", "--config", str(cfg)]
+    value = getattr(_resolve_config(_build_parser().parse_args(argv)), name)
+    assert value != default
+    assert value == (text if isinstance(value, str) else float(text))
+    assert default is None or type(value) is type(default)
 
 
 def test_config_malformed_line(tmp_path):
@@ -291,6 +330,15 @@ def test_gen_weights_trig_streams_its_rows(tmp_path):
 def test_gen_weights_above_the_size_limit_fails_before_writing(tmp_path, capsys):
     # 600 x 16385 entries exceed the 2^23 limit
     argv = ["gen-weights", "--weights", "trig", "--n", "16385", "--r", "600"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 3
+    assert "refusing" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("subcommand", ["check-weights", "gen-weights"])
+def test_haar_above_the_size_limit_fails_before_sampling(tmp_path, capsys, subcommand):
+    # 2897^2 entries exceed the 2^23 limit; n = 100000 would ask for 80 GB
+    argv = [subcommand, "--weights", "haar", "--n", "2897", "--r", "1"]
     assert run(argv + ["--out-dir", str(tmp_path)]) == 3
     assert "refusing" in capsys.readouterr().err
     assert not os.listdir(tmp_path)

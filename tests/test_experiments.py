@@ -16,6 +16,7 @@ from ascltlab.experiments import (
 )
 from ascltlab.sources import SourceSpec, sample_prefix, sample_rows
 from ascltlab.transform import partial_sums_fast
+from ascltlab.weights import TRIG, WeightMatrixPair, make_trig_pair
 
 from .oracles import empirical_char, joint_cdf
 
@@ -35,6 +36,23 @@ def test_schedule_validation():
     assert s.points == ((1024, 511), (4096, 2047))
     with pytest.raises(ValueError):
         Schedule.parse("1024")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n, r: asclt_trajectory(spec_of("normal", 0), Schedule(points=((n, r),))),
+        lambda n, r: clt_fluctuation(spec_of("normal", 0), n, r, 0.0, 100),
+        lambda n, r: ldp_rate(spec_of("normal", 0), n, r, 0.5, 100),
+        lambda n, r: partial_sums_fast(n, r, np.zeros(n)),
+        lambda n, r: make_trig_pair(n, r),
+        lambda n, r: WeightMatrixPair(kind=TRIG, n=n, r=r),
+    ],
+)
+@pytest.mark.parametrize("n, r", [(64, 32), (9, 5), (2, 1)])
+def test_every_trig_path_rejects_r_above_the_bound(call, n, r):
+    with pytest.raises(ValueError, match=r"r <= floor\(\(n-1\)/2\)"):
+        call(n, r)
 
 
 def test_trajectory_gaussian_desk_scale():
