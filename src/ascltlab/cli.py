@@ -15,18 +15,21 @@ Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
 timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration error (a float setting that is
+nan or +-inf among them), 3 runtime failure (a non-finite result among
+them, with nothing written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import experiments, spectra
 from .empirical import normal_cdf
@@ -93,12 +96,22 @@ class RunConfig:
         return experiments.Schedule(points=((self.n, self.r),))
 
 
-# {name: (parser, field metadata)} of the settings; a "T | None" field parses as T
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+# {name: (parser, field metadata)} of the settings; a "T | None" field
+# parses as T, and a float one as a finite float
 _HINTS = typing.get_type_hints(RunConfig)
 _SETTINGS = {
-    f.name: ((typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0], f.metadata)
+    f.name: ({float: finite_float}.get(tp, tp), f.metadata)
     for f in fields(RunConfig)
     if f.name != "experiment"
+    for tp in [(typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]]
 }
 
 
@@ -181,13 +194,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _cells(*columns):
-    """Rows of formatted cells, one per row of the columns."""
-    return zip(*(map(_cell, col) for col in columns))
+    """Rows of formatted cells, one per row of the columns; str of a
+    Python float is its shortest round-trip repr."""
+    return zip(*(map(str, col) for col in columns))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -202,15 +212,16 @@ def _write_artifacts(cfg: RunConfig, doc: dict, wall_clock_s: float, table) -> t
     global _RUN_COUNTER
     _RUN_COUNTER += 1
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"-{os.getpid()}-{_RUN_COUNTER}"
-    base = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}-{stamp}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     # everything volatile across reruns lives under this one key, so that
     # identical (config, seed) runs are byte-identical once it is dropped
     doc["timestamp"] = {"stamp": stamp, "wall_clock_s": wall_clock_s, "threads": cfg.threads}
+    # a non-finite value raises ValueError here, before any file is opened
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    base = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}-{stamp}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     json_path = base + ".json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
     csv_path = base + ".csv"
     _write_csv(csv_path, *table)
     return json_path, csv_path
@@ -255,10 +266,10 @@ def _check_weights(cfg: RunConfig):
         # the structured check reads only the column sums, never the rows
         w = make_trig_pair(cfg.n, cfg.r, materialize=False)
         sums = trig_column_sums(cfg.n)
-        point = check_conditions(w, cfg.delta, sums=sums).to_dict()
+        point = asdict(check_conditions(w, cfg.delta, sums=sums))
         point["trig_identity_residual"] = verify_trig_identities(cfg.n, sums=sums).worst_residual
     else:
-        point = check_conditions(_haar_rows(cfg), cfg.delta).to_dict()
+        point = asdict(check_conditions(_haar_rows(cfg), cfg.delta))
     return _result(cfg, {"kind": cfg.kind, "delta": cfg.delta}, point), None
 
 
@@ -289,7 +300,7 @@ def _gen_weights(cfg: RunConfig):
         w = _haar_rows(cfg)
     # U streams to the writer one row at a time; a trig pair never holds
     # more than that row, and V is never built
-    rows = ((str(k), *map(repr, w.rows_u([k])[0].tolist())) for k in range(1, w.r + 1))
+    rows = ((str(k), *map(str, w.rows_u([k])[0].tolist())) for k in range(1, w.r + 1))
     table = (["k"] + [f"u{j}" for j in range(w.n)], rows)
     point = {"n": w.n, "r": w.r, "kind": cfg.kind}
     return _result(cfg, {"kind": cfg.kind}, point), table
@@ -387,7 +398,8 @@ def run(argv) -> int:
         json_path, csv_path = _write_artifacts(
             cfg, result.to_dict(), wall_clock_s, table or _points_table(result.points)
         )
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a non-finite result, which JSON cannot hold
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
     for line in lines:

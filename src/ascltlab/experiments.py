@@ -312,7 +312,7 @@ def ldp_rate(
     replicas).  Baseline streams are offset by `replicas` to stay
     independent of the main run.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("a must be positive")
     require_trig(n, r)
     c = mean_weights(n, r)

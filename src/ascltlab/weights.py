@@ -10,7 +10,11 @@ Condition residuals (max entry, row-orthogonality defect, cross defect)
 are reported raw; whether they are "small enough" is a statement across a
 schedule of n and is left to the caller.  Trig pairs are checked through
 the column sums S_m, T_m (one blocked table-lookup pass, or an FFT for
-large n); dense matrices through the error-free ``accum.ozaki_gram``.
+large n): the residual of each of the four trig identities is
+|E_a +- E_b| / 2 or |T_a +- T_b| / 2 (E = S minus its exact value), that
+of a Gram entry the same numerator over n, and one pair scan serves both
+check_conditions and verify_trig_identities.  Dense matrices go through
+the error-free ``accum.ozaki_gram``.
 """
 
 from __future__ import annotations
@@ -247,105 +251,60 @@ class ConditionReport:
     r: int
     delta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eps_entry_u": self.eps_entry_u,
-            "eps_entry_v": self.eps_entry_v,
-            "eps_orth_u": self.eps_orth_u,
-            "eps_orth_v": self.eps_orth_v,
-            "eps_cross": self.eps_cross,
-            "log_scale": self.log_scale,
-            "n": self.n,
-            "r": self.r,
-            "delta": self.delta,
-        }
 
-
-def _pair_extrema(arr: np.ndarray, r: int, d_min: int):
-    """Extrema of arr[d] over the pairs of each sum s = k1 + k2.
-
-    Over 1 <= k1 <= k2 <= r with d = k2 - k1 >= d_min, a pair (d, s) is
-    realized iff d and s share parity and d_min <= d <= min(s-2, 2r-s).
-    Per-parity prefix extrema of arr[d] give, in O(r), the arrays
-    (s, lo, hi): every s with a realized d, and the min and max of arr[d]
-    over its realized d.
-    """
-    s_vals = np.arange(2, 2 * r + 1, dtype=np.int64)
-    limits = np.minimum(s_vals - 2, 2 * r - s_vals)
-    out_s, out_lo, out_hi = [], [], []
-    for p in (0, 1):
-        d0 = p if p >= d_min else p + 2
-        d = np.arange(d0, r, 2, dtype=np.int64)
-        if d.size == 0:
-            continue
-        cmax = np.maximum.accumulate(arr[d])
-        cmin = np.minimum.accumulate(arr[d])
-        sel = ((s_vals % 2) == p) & (limits >= d0)
-        i = (limits[sel] - d0) // 2
-        out_s.append(s_vals[sel])
-        out_lo.append(cmin[i])
-        out_hi.append(cmax[i])
-    return np.concatenate(out_s), np.concatenate(out_lo), np.concatenate(out_hi)
-
-
-def _offdiag_pair_max(arr: np.ndarray, r: int, sign: float) -> float:
-    """Exact max over 1 <= k1 < k2 <= r of |arr[k2-k1] + sign*arr[k1+k2]|.
-
-    Rounding is monotone, so for fixed s the max of |a + arr[d]| over the
-    realized d is attained at the min or the max of arr[d].
-    """
-    if r < 2:
-        return 0.0
-    s, lo, hi = _pair_extrema(arr, r, 1)
-    a = sign * arr[s]
-    return float(np.maximum(np.abs(a + hi), np.abs(a + lo)).max())
-
-
-def _cross_pair_max(t: np.ndarray, r: int) -> float:
-    """Exact max over k1,k2 in 1..r of |t[k1+k2] - sgn(k1-k2)*t[|k1-k2|]|.
-
-    Both orders of an unordered pair occur, and max(|a-b|, |a+b|) is
-    |a| + |b|, so the off-diagonal part is the max of |t[s]| + |t[d]|
-    over realized (d, s); the diagonal contributes |t[2k]|.
-    """
-    best = float(np.max(np.abs(t[2 * np.arange(1, r + 1)])))
-    if r < 2:
-        return best
-    a = np.abs(t)
-    s, _, hi = _pair_extrema(a, r, 1)
-    return max(best, float((a[s] + hi).max()))
-
-
-def _sums_for(n: int, sums):
-    """The caller's trig_column_sums(n) after a shape check, or fresh ones."""
+def _sum_errors(n: int, sums):
+    """(E, T) of the caller's trig_column_sums(n), after a shape check, or of
+    fresh ones: E is S minus its exact value (n at m = 0, else 0); that of T
+    is 0 at every m, so T is its own error."""
     if sums is None:
-        return trig_column_sums(n)
-    if any(np.shape(a) != (n,) for a in sums):
+        sums = trig_column_sums(n)
+    elif any(np.shape(a) != (n,) for a in sums):
         raise ValueError(f"sums must be the two length-{n} arrays of trig_column_sums({n})")
-    return sums
+    e, t = sums
+    e = e.copy()
+    e[0] -= n
+    return e, t
+
+
+def _pair_residuals(e: np.ndarray, t: np.ndarray, m: int) -> tuple[float, float, float]:
+    """Exact maxima over 1 <= k1 <= k2 <= m of |E_d + E_s| (cos*cos),
+    |E_d - E_s| (sin*sin) and |T_s +- T_d| (cos*sin and sin*cos), with
+    d = k2 - k1 and s = (k1 + k2) mod n.
+
+    A pair (d, s) is realized iff d and s share parity and
+    0 <= d <= min(s - 2, 2m - s), so per-parity prefix extrema of E_d and
+    |T_d| give the extrema over the realized d of every s in O(m).
+    Rounding is monotone, so the max of |E_d +- a| is attained at the min
+    or the max of E_d, and max |a +- b| = |a| + |b| holds exactly.
+    """
+    n = e.size
+    sv = np.arange(2, 2 * m + 1, dtype=np.int64)
+    last = np.minimum(sv - 2, 2 * m - sv) // 2  # prefix index of the largest d
+    cc = ss = cross = 0.0
+    for p in (0, 1):
+        d, i, sp = np.arange(p, m, 2), last[p::2], sv[p::2] % n
+        hi, lo = np.maximum.accumulate(e[d])[i], np.minimum.accumulate(e[d])[i]
+        es, ts = e[sp], np.abs(t[sp])
+        cc = max(cc, np.abs(hi + es).max(initial=0.0), np.abs(lo + es).max(initial=0.0))
+        ss = max(ss, np.abs(hi - es).max(initial=0.0), np.abs(lo - es).max(initial=0.0))
+        top = np.maximum.accumulate(np.abs(t[d]))[i]
+        cross = max(cross, (ts + top).max(initial=0.0))
+    return float(cc), float(ss), float(cross)
 
 
 def _check_conditions_trig(n: int, r: int, delta: float, sums) -> ConditionReport:
     # Product-to-sum reduction: every Gram entry of the trig pair is an
     # exact half-sum of two column sums S_m / T_m, so the r x r residual
-    # scan needs only the 2n sums and O(r) prefix extrema.
-    s, t = _sums_for(n, sums)
+    # scan needs only the 2n sums (see _pair_residuals).
+    cc, ss, cross = _pair_residuals(*_sum_errors(n, sums), r)
     scale = math.sqrt(2.0 / n)
-    # residue 0 is hit at j = n for every k, where |cos| = 1
-    eps_entry_u = scale
-    eps_entry_v = scale * float(np.max(np.abs(np.sin(2.0 * np.pi * np.arange(n) / n))))
-
-    e0 = s[0] - n  # exact value of S_0 is n
-    diag_dev = float(np.max(np.abs(e0 + s[2 * np.arange(1, r + 1)]))) / n
-    off_u = _offdiag_pair_max(s, r, +1.0) / n
-    off_v = _offdiag_pair_max(s, r, -1.0) / n
-    eps_cross = _cross_pair_max(t, r) / n
     return ConditionReport(
-        eps_entry_u=eps_entry_u,
-        eps_entry_v=eps_entry_v,
-        eps_orth_u=max(diag_dev, off_u),
-        eps_orth_v=max(diag_dev, off_v),
-        eps_cross=eps_cross,
+        # residue 0 is hit at j = n for every k, where |cos| = 1
+        eps_entry_u=scale,
+        eps_entry_v=scale * float(np.max(np.abs(np.sin(2.0 * np.pi * np.arange(n) / n)))),
+        eps_orth_u=cc / n,
+        eps_orth_v=ss / n,
+        eps_cross=cross / n,
         log_scale=math.log1p(r) ** (1.0 + delta),
         n=n,
         r=r,
@@ -387,7 +346,7 @@ def check_conditions(w: WeightMatrixPair, delta: float, sums=None) -> ConditionR
     two paths agree to ~1e-12 on small trig pairs (asserted in the test
     suite).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if w.kind == TRIG:
         return _check_conditions_trig(w.n, w.r, delta, sums)
@@ -409,31 +368,17 @@ def verify_trig_identities(n: int, tol: float = 1e-9, sums=None) -> TrigIdentity
     Includes the exceptional cases k1 + k2 = n (values +-n/2) and 2k = n.
     Every pairwise sum reduces exactly to a half-sum of the column sums
     S_m, T_m, so the residual of a pair is |E_a +- E_b| / 2 (E = S minus
-    its exact value) or |T_a + T_b| / 2.  Up to n = 8192 the worst pair is
-    found exactly, by one O(n) scan of the realized pairs (d, s) =
-    (k2 - k1, k1 + k2); beyond that the reported value max(|E|, |T|) is a
+    its exact value) or |T_a +- T_b| / 2.  Up to n = 8192 the worst pair is
+    found exactly by the O(n) scan that also serves check_conditions
+    (_pair_residuals); beyond that the reported value max(|E|, |T|) is a
     certified upper bound on the worst pair residual.  ``sums`` may pass
     in trig_column_sums(n), as for check_conditions.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    s, t = _sums_for(n, sums)
-    e = s.copy()
-    e[0] -= n  # exact value of S_0 is n; elsewhere 0
-
+    e, t = _sum_errors(n, sums)
     if n <= _EXACT_PAIR_LIMIT:
-        # d = 0 is the diagonal k1 = k2.
-        # Rounding is monotone, so for each s the worst d is the one
-        # holding the min or the max of e[d] (or t[d]).
-        sv, e_lo, e_hi = _pair_extrema(e, n, 0)
-        _, t_lo, t_hi = _pair_extrema(t, n, 0)
-        es, ts = e[sv % n], t[sv % n]
-        worst = max(
-            float(np.maximum(np.abs(e_hi + es), np.abs(e_lo + es)).max()),  # cos*cos
-            float(np.maximum(np.abs(e_hi - es), np.abs(e_lo - es)).max()),  # sin*sin
-            float(np.maximum(np.abs(ts + t_hi), np.abs(ts + t_lo)).max()),  # cos*sin
-        ) / 2.0
+        worst = max(_pair_residuals(e, t, n)) / 2.0
         return TrigIdentityReport(worst <= tol, worst, True, n, tol)
-
     bound = max(float(np.max(np.abs(e))), float(np.max(np.abs(t))))
     return TrigIdentityReport(bound <= tol, bound, False, n, tol)

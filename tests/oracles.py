@@ -2,10 +2,10 @@
 
 Kept out of the package on purpose. Production code never needs a dense
 eigensolver (circulants are diagonalized exactly by the DFT), so those
-exist only to anchor the DFT formulas at tiny n. The trig row, column-sum
-and identity-scan oracles are the earlier one-shot formulas, kept verbatim
-so that the table-lookup, blocked and O(n) versions can be held to them
-bit for bit. The Gram oracle is exact rational arithmetic.
+exist only to anchor the DFT formulas at tiny n. The trig row, column-sum,
+identity-scan and condition-scan oracles are one-shot formulas or loops
+over k1, so that the table-lookup, blocked and O(n) versions can be held
+to them bit for bit. The Gram oracle is exact rational arithmetic.
 
 Four statistics are written out directly, one value at a time, to check
 the vectorized versions inside the pipeline: ``joint_cdf`` (the grid
@@ -112,8 +112,26 @@ def trig_identity_worst_loop(n: int, s: np.ndarray, t: np.ndarray) -> float:
         cc = np.abs(e[d] + e[sm]) / 2.0  # cos*cos, all cases folded
         ss = np.abs(e[d] - e[sm]) / 2.0  # sin*sin
         cs = np.abs(t[sm] + t[d]) / 2.0  # cos(k1 j) * sin(k2 j), k1 <= k2
-        worst = max(worst, float(cc.max()), float(ss.max()), float(cs.max()))
+        sc = np.abs(t[sm] - t[d]) / 2.0  # sin(k1 j) * cos(k2 j), k1 <= k2
+        worst = max(worst, float(cc.max()), float(ss.max()), float(cs.max()), float(sc.max()))
     return worst
+
+
+def trig_conditions_loop(n: int, r: int, s: np.ndarray, t: np.ndarray):
+    """(eps_orth_u, eps_orth_v, eps_cross) of the trig pair from its column
+    sums, over 1 <= k1 <= k2 <= r one k1 at a time: the Gram residuals are
+    (E_d + E_s) / n for U, (E_d - E_s) / n for V and (T_s +- T_d) / n for
+    U V^T (the +- being the two orders of k1, k2)."""
+    e = s.copy()
+    e[0] -= n
+    uu = vv = uv = 0.0
+    for k1 in range(1, r + 1):
+        d = np.arange(r - k1 + 1)  # k2 - k1
+        sm = 2 * k1 + d  # k1 + k2 < n
+        uu = max(uu, float(np.abs(e[d] + e[sm]).max()))
+        vv = max(vv, float(np.abs(e[d] - e[sm]).max()))
+        uv = max(uv, float(np.abs(t[sm] + t[d]).max()), float(np.abs(t[sm] - t[d]).max()))
+    return uu / n, vv / n, uv / n
 
 
 def exact_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -358,3 +358,31 @@ def test_cli_import_loads_every_layer_and_no_quadrature():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["p", "delta", "x", "s", "t", "a"])
+def test_non_finite_float_setting_exits_2(tmp_path, capsys, name, value, source):
+    # parsed before any sampling: clt-fluct with x = nan used to run every
+    # replica first
+    out = tmp_path / "out"
+    argv = ["clt-fluct", "--n", "64", "--r", "3", "--replicas", "10", "--out-dir", str(out)]
+    if source == "flag":
+        argv += [f"--{name}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"{cfg}:1:" if source == "config" else f"--{name}") in err
+    assert not out.exists()
+
+
+def test_non_finite_result_is_a_runtime_failure(tmp_path, capsys):
+    # the oracle's target rate overflows to inf at this a
+    argv = ["ldp", "--n", "64", "--r", "3", "--a", "1e200", "--replicas", "100"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 3
+    assert "runtime failure" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)

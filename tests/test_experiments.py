@@ -283,5 +283,6 @@ def test_ldp_zero_hits_flagged():
 
 
 def test_ldp_rejects_nonpositive_a():
-    with pytest.raises(ValueError):
-        ldp_rate(spec_of("rademacher", 5), 1024, 16, 0.0, 500)
+    for a in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            ldp_rate(spec_of("rademacher", 5), 1024, 16, a, 500)

@@ -20,6 +20,7 @@ from ascltlab.weights import (
 
 from .oracles import (
     trig_column_sums_one_shot,
+    trig_conditions_loop,
     trig_identity_worst_loop,
     trig_rows_u_angles,
     trig_rows_v_angles,
@@ -90,8 +91,9 @@ def test_check_conditions_custom_unit_row():
 
 
 def test_check_conditions_requires_positive_delta():
-    with pytest.raises(ValueError):
-        check_conditions(make_trig_pair(8, 3), delta=0.0)
+    for delta in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            check_conditions(make_trig_pair(8, 3), delta=delta)
 
 
 @given(
@@ -107,7 +109,9 @@ def test_structured_matches_dense_conditions(n, seed):
     u = w.materialize().u
     v = w.materialize().v
     gram_u = u @ u.T - np.eye(r)
+    gram_v = v @ v.T - np.eye(r)
     assert fast.eps_orth_u == pytest.approx(np.max(np.abs(gram_u)), abs=1e-13)
+    assert fast.eps_orth_v == pytest.approx(np.max(np.abs(gram_v)), abs=1e-13)
     assert fast.eps_cross == pytest.approx(np.max(np.abs(u @ v.T)), abs=1e-13)
     assert fast.eps_entry_u == pytest.approx(np.max(np.abs(u)), abs=1e-15)
     assert fast.eps_entry_v == pytest.approx(np.max(np.abs(v)), abs=1e-15)
@@ -162,6 +166,16 @@ def test_trig_identity_scan_bit_identical_to_loop():
         assert rep.exact
         assert rep.worst_residual == trig_identity_worst_loop(n, s, t), n
         assert verify_trig_identities(n, sums=(s, t)) == rep
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+def test_condition_scan_bit_identical_to_loop(n):
+    # FFT column sums, where the computed S_0 - n and T_0 are not 0: the
+    # diagonal of V V^T is (E_0 - S_2k) / n and that of U V^T (T_2k + T_0) / n
+    s, t = trig_column_sums(n)
+    for r in (1, 2, (n - 1) // 2):
+        rep = check_conditions(make_trig_pair(n, r, materialize=False), 1.0, sums=(s, t))
+        assert (rep.eps_orth_u, rep.eps_orth_v, rep.eps_cross) == trig_conditions_loop(n, r, s, t), r
 
 
 def test_shared_sums_give_the_same_reports():
