@@ -39,7 +39,6 @@ from .weights import (
     TRIG,
     HAAR,
     check_conditions,
-    custom_pair,
     make_trig_pair,
     sample_haar_orthogonal,
     trig_column_sums,
@@ -253,14 +252,6 @@ def _harness(call):
     return runner
 
 
-def _haar_rows(cfg: RunConfig):
-    """The first r rows of the n x n Haar matrix, the rows gen-weights emits."""
-    if not 1 <= cfg.r <= cfg.n:
-        raise ConfigError(f"haar weights need 1 <= r <= n, got n={cfg.n} r={cfg.r}")
-    w = sample_haar_orthogonal(cfg.n, cfg.source_spec())
-    return w if cfg.r == w.r else custom_pair(w.u[: cfg.r])
-
-
 def _check_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
         # the structured check reads only the column sums, never the rows
@@ -269,7 +260,8 @@ def _check_weights(cfg: RunConfig):
         point = asdict(check_conditions(w, cfg.delta, sums=sums))
         point["trig_identity_residual"] = verify_trig_identities(cfg.n, sums=sums).worst_residual
     else:
-        point = asdict(check_conditions(_haar_rows(cfg), cfg.delta))
+        w = sample_haar_orthogonal(cfg.n, cfg.source_spec(), cfg.r)
+        point = asdict(check_conditions(w, cfg.delta))
     return _result(cfg, {"kind": cfg.kind, "delta": cfg.delta}, point), None
 
 
@@ -297,7 +289,7 @@ def _gen_weights(cfg: RunConfig):
         if w.r * w.n > _MATERIALIZE_LIMIT:
             raise MemoryError(f"refusing to write {w.r}x{w.n} trig weights")
     else:
-        w = _haar_rows(cfg)
+        w = sample_haar_orthogonal(cfg.n, cfg.source_spec(), cfg.r)
     # U streams to the writer one row at a time; a trig pair never holds
     # more than that row, and V is never built
     rows = ((str(k), *map(str, w.rows_u([k])[0].tolist())) for k in range(1, w.r + 1))

@@ -126,10 +126,10 @@ def _trajectory_sums(spec: SourceSpec, x: np.ndarray, r: int, kind: str) -> np.n
     if kind == TRIG:
         return partial_sums_fast(n, r, x).s
     if kind == HAAR:
-        # the Haar matrix is part of omega too: derive it from a companion
+        # the Haar rows are part of omega too: derive them from a companion
         # stream so it stays fixed for fixed (seed, stream)
-        w = sample_haar_orthogonal(n, spec.with_stream(spec.stream_id ^ (1 << 32)))
-        return w.u[:r] @ x
+        w = sample_haar_orthogonal(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r)
+        return w.u @ x
     raise ValueError(f"unsupported weight kind {kind!r}")
 
 

@@ -73,28 +73,23 @@ def partial_sums_naive(w: WeightMatrixPair, x: np.ndarray) -> PartialSums:
 
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
-    """Trig-weight partial sums via one real DFT.
-
-    The weight index j runs 1..n while the DFT index runs 0..n-1; the two
-    agree because the j = n term of the trig sums equals the j = 0 term,
-    so the input is rotated by one before the transform.
-    """
+    """Trig-weight partial sums via one real DFT: the one-row case of
+    partial_sums_batch."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected input of length {n}, got {x.shape}")
     require_trig(n, r)
-    y = np.empty(n)
-    y[0] = x[n - 1]
-    y[1:] = x[: n - 1]
-    f = np.fft.rfft(y)
-    scale = math.sqrt(2.0 / n)
-    s = scale * f.real[1 : r + 1]
-    t = -scale * f.imag[1 : r + 1]
-    return PartialSums(s=s, t=t, n=n, r=r)
+    s, t = partial_sums_batch(n, r, x[None])
+    return PartialSums(s=s[0], t=t[0], n=n, r=r)
 
 
 def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fast path over a batch of inputs (replicas x n) -> (s, t) arrays."""
+    """Fast path over a batch of inputs (replicas x n) -> (s, t) arrays.
+
+    The weight index j runs 1..n while the DFT index runs 0..n-1; the two
+    agree because the j = n term of the trig sums equals the j = 0 term,
+    so each input is rotated by one before the transform.
+    """
     x = np.asarray(x, dtype=float)
     y = np.empty_like(x)
     y[:, 0] = x[:, n - 1]

