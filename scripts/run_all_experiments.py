@@ -5,9 +5,12 @@ Usage: python3 scripts/run_all_experiments.py [out_dir] [--quick]
 
 --quick shrinks replica counts so the whole battery finishes in well
 under a minute; the default settings mirror the acceptance-scale runs.
+Each subcommand's wall time goes to stderr as "<seconds> s  ascltlab
+<argv>"; stdout holds only the commands and their summary lines.
 """
 
 import sys
+import time
 
 from ascltlab.cli import run as cli_run
 
@@ -41,7 +44,9 @@ def main() -> int:
     ]
     for argv in battery:
         print("== ascltlab " + " ".join(argv))
+        t0 = time.perf_counter()
         code = cli_run(argv + ["--out-dir", out])
+        print(f"{time.perf_counter() - t0:.2f} s  ascltlab " + " ".join(argv), file=sys.stderr)
         if code != 0:
             print(f"FAILED with exit code {code}", file=sys.stderr)
             return code

@@ -83,7 +83,9 @@ def ozaki_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     limit = np.ldexp(1.0, 1023 - beta)
     for m in (a,) if sym else (a, b):
         if not np.all(np.abs(m) < limit):
-            raise ValueError(f"entries must be finite with magnitude below 2**{1023 - beta}")
+            raise FloatingPointError(
+                f"entries must be finite with magnitude below 2**{1023 - beta}"
+            )
     sa = _split_rows(a, beta)
     sb = sa if sym else _split_rows(b, beta)
 

@@ -16,8 +16,8 @@ timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
 
 Exit codes: 0 success, 2 configuration error (a float setting that is
-nan or +-inf among them), 3 runtime failure (a non-finite result among
-them, with nothing written).
+nan or +-inf among them), 3 runtime failure (a non-finite result or
+statistic among them, with nothing written).
 """
 
 from __future__ import annotations

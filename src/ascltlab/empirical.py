@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
+_Z95 = 1.959963984540054  # Phi^{-1}(0.975)
 
 
 def normal_cdf(x):
@@ -44,7 +45,7 @@ class EmpiricalMeasure:
         if v.ndim != 1 or v.size < 1:
             raise ValueError("need a nonempty 1-D sample")
         if not np.all(np.isfinite(v)):
-            raise ValueError("sample has non-finite values")
+            raise FloatingPointError("sample has non-finite values")
         if np.any(np.diff(v) < 0):
             raise ValueError("values must be sorted ascending")
         object.__setattr__(self, "values", v)
@@ -75,3 +76,18 @@ def rate_function_gaussian(m: float, sigma2: float) -> float:
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     return max(0.5 * (sigma2 + m * m - 1.0 - math.log(sigma2)), 0.0)
+
+
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for the proportion hits / trials
+    (E. B. Wilson, JASA 22, 1927); exactly 0.0 below at no hits and 1.0
+    above at all hits."""
+    if trials < 1 or not 0 <= hits <= trials:
+        raise ValueError(f"need 0 <= hits <= trials and trials >= 1, got {hits} of {trials}")
+    p = hits / trials
+    z2 = _Z95 * _Z95 / trials
+    centre = (p + z2 / 2.0) / (1.0 + z2)
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials)) / (1.0 + z2)
+    lo = max(centre - half, 0.0) if hits > 0 else 0.0
+    hi = min(centre + half, 1.0) if hits < trials else 1.0
+    return lo, hi

@@ -309,21 +309,28 @@ def ldp_rate(
     entropy over {nu : mean >= a}, attained at N(a, 1); at finite r the
     absolute rate carries large corrections, so the meaningful comparison
     is against the exact-normal-input baseline at identical (n, r,
-    replicas).  Baseline streams are offset by `replicas` to stay
-    independent of the main run.
+    replicas).  The mean of S_{n,1..r} is x @ c with c the mean of r
+    orthonormal trig rows, so |c|^2 = 1/r and under normal inputs it is
+    exactly N(0, 1/r): the baseline draws each replica's mean as X_1 /
+    sqrt(r), from the first draw of the normal stream spec.stream_id +
+    replicas + i, which no replica of the main run reads.
+
+    p_hat_lo and p_hat_hi bound p_hat by the 95% Wilson interval of its
+    hits, and rate_lo, rate_hi are the rates they imply (rate_hi is None
+    when there are no hits).
     """
     if not a > 0.0:
         raise ValueError("a must be positive")
     require_trig(n, r)
-    c = mean_weights(n, r)
-    main = _half_line_rate(spec, c, r, a, replicas, threads)
+    main = _half_line_rate(spec, mean_weights(n, r), r, a, replicas, threads)
     oracle_spec = SourceSpec(
         family="normal",
         master_seed=spec.master_seed,
         stream_id=spec.stream_id + replicas,
     )
-    oracle = _half_line_rate(oracle_spec, c, r, a, replicas, threads)
+    oracle = _half_line_rate(oracle_spec, np.array([1.0 / math.sqrt(r)]), r, a, replicas, threads)
     target = empirical.rate_function_gaussian(a, 1.0)
+    p_lo, p_hi = empirical.wilson_interval(main["hits"], replicas)
     point = {
         "n": n,
         "r": r,
@@ -333,6 +340,10 @@ def ldp_rate(
         "p_hat": main["p_hat"],
         "hits": main["hits"],
         "rate_is_lower_bound": main["rate_is_lower_bound"],
+        "p_hat_lo": p_lo,
+        "p_hat_hi": p_hi,
+        "rate_lo": -math.log(p_hi) / r if p_hi < 1.0 else 0.0,
+        "rate_hi": -math.log(p_lo) / r if p_lo > 0.0 else None,
         "oracle_rate": oracle["rate"],
         "oracle_p_hat": oracle["p_hat"],
         "oracle_hits": oracle["hits"],

@@ -46,7 +46,7 @@ class Spectrum:
     def __post_init__(self):
         e = np.asarray(self.eigenvalues, dtype=float)
         if not np.all(np.isfinite(e)):
-            raise ValueError("non-finite eigenvalues")
+            raise FloatingPointError("non-finite eigenvalues")
         if np.any(np.diff(e) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", e)

@@ -49,12 +49,13 @@ class PartialSums:
     r: int
 
     def __post_init__(self):
-        if self.s.shape != (self.r,) or not np.all(np.isfinite(self.s)):
-            raise ValueError("s must be a finite vector of length r")
-        if self.t is not None and (
-            self.t.shape != (self.r,) or not np.all(np.isfinite(self.t))
-        ):
-            raise ValueError("t must be a finite vector of length r")
+        for name, v in (("s", self.s), ("t", self.t)):
+            if v is None:
+                continue
+            if v.shape != (self.r,):
+                raise ValueError(f"{name} must be a vector of length r")
+            if not np.all(np.isfinite(v)):
+                raise FloatingPointError(f"{name} has non-finite values")
 
 
 def partial_sums_naive(w: WeightMatrixPair, x: np.ndarray) -> PartialSums:

@@ -118,7 +118,7 @@ class WeightMatrixPair:
                 # trig rows are lookups in a finite table, and
                 # sample_haar_orthogonal checks its Q
                 if self.kind == CUSTOM and not np.all(np.isfinite(a)):
-                    raise ValueError(f"{name} has non-finite entries")
+                    raise FloatingPointError(f"{name} has non-finite entries")
         if self.u is None and self.kind != TRIG:
             raise ValueError("only trig pairs may be implicit")
 

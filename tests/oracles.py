@@ -13,12 +13,20 @@ deviation of the bivariate harness), ``empirical_char`` (the
 characteristic function of the char-decay harness), ``periodogram`` (one
 ordinate by the defining sum, against ``spectra.periodogram_all``) and
 ``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
+
+``ldp_normal_baseline`` is the Gaussian baseline of ``ldp_rate`` by plain
+Monte Carlo: every replica draws all n normal inputs and projects them on
+the mean weights, where ``ldp_rate`` draws the mean from its exact law.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from ascltlab.experiments import _half_line_rate
+from ascltlab.sources import SourceSpec
+from ascltlab.transform import mean_weights
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 50, tol: float = 1e-13) -> np.ndarray:
@@ -184,3 +192,15 @@ def chi2_2_cdf(x):
     x = np.asarray(x, dtype=float)
     res = np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0) / 2.0), 0.0)
     return float(res) if res.ndim == 0 else res
+
+
+def ldp_normal_baseline(spec, n: int, r: int, a: float, replicas: int, threads: int = 0) -> dict:
+    """The hit count and rate of ldp_rate's Gaussian baseline from all n
+    normal draws of each of its streams, spec.stream_id + replicas + i."""
+    c = mean_weights(n, r)
+    oracle_spec = SourceSpec(
+        family="normal",
+        master_seed=spec.master_seed,
+        stream_id=spec.stream_id + replicas,
+    )
+    return _half_line_rate(oracle_spec, c, r, a, replicas, threads)

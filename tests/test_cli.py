@@ -7,8 +7,10 @@ import tracemalloc
 from dataclasses import fields
 
 import jsonschema
+import numpy as np
 import pytest
 
+from ascltlab import experiments, spectra
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "result.schema.json")
@@ -74,6 +76,14 @@ def test_ldp_json_contains_target(tmp_path):
     jsons, _ = read_artifacts(tmp_path)
     doc = load_json(tmp_path, jsons[0])
     assert doc["points"][0]["target_rate"] == 0.125
+
+
+def test_ldp_without_hits_writes_a_null_rate_bound(tmp_path):
+    argv = ["ldp", "--a", "4", "--n", "1024", "--r", "16", "--replicas", "500"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    jsons, _ = read_artifacts(tmp_path)
+    point = load_json(tmp_path, jsons[0])["points"][0]
+    assert point["hits"] == 0 and point["p_hat_lo"] == 0.0 and point["rate_hi"] is None
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -397,3 +407,29 @@ def test_non_finite_result_is_a_runtime_failure(tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 3
     assert "runtime failure" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def _nan_prefix(spec, n):
+    return np.full(n, np.nan)
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv",
+    [
+        (experiments, "sample_prefix", _nan_prefix, ["asclt", "--n", "256", "--r", "127"]),
+        (spectra, "sample_prefix", _nan_prefix, ["spectrum", "--n", "65"]),
+        (spectra, "periodogram_all", lambda x: np.full(x.size // 2, np.nan),
+         ["periodogram", "--n", "256"]),
+    ],
+    ids=["partial-sums", "eigenvalues", "empirical-sample"],
+)
+def test_non_finite_statistic_is_a_runtime_failure(
+    tmp_path, capsys, monkeypatch, module, name, fake, argv
+):
+    # partial sums, eigenvalues and an empirical sample that are nan must
+    # exit 3 (runtime), not 2 (configuration)
+    monkeypatch.setattr(module, name, fake)
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 3
+    assert "runtime failure" in capsys.readouterr().err
+    assert not out.exists()

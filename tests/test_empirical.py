@@ -12,6 +12,7 @@ from ascltlab.empirical import (
     ks_to,
     normal_cdf,
     rate_function_gaussian,
+    wilson_interval,
 )
 from ascltlab.sources import SourceSpec, sample_prefix
 from ascltlab.transform import partial_sums_fast
@@ -152,7 +153,28 @@ def test_rate_gaussian_rejects_bad_sigma():
 def test_measure_validation():
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError):
         EmpiricalMeasure(np.array([np.nan]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([]))
+
+
+@pytest.mark.parametrize("hits, trials", [(1, 10), (5, 10), (9, 10), (223, 100000), (1, 2)])
+def test_wilson_bounds_solve_the_score_equation(hits, trials):
+    # each bound p solves (hits/trials - p)^2 = z^2 p (1 - p) / trials
+    z = 1.959963984540054
+    lo, hi = wilson_interval(hits, trials)
+    assert 0.0 < lo < hits / trials < hi < 1.0
+    for p in (lo, hi):
+        assert (hits / trials - p) ** 2 == pytest.approx(z * z * p * (1.0 - p) / trials, rel=1e-9)
+
+
+def test_wilson_interval_edges():
+    z2 = 1.959963984540054**2
+    assert wilson_interval(0, 10) == (0.0, pytest.approx(z2 / (10 + z2)))
+    assert wilson_interval(10, 10) == (pytest.approx(10 / (10 + z2)), 1.0)
+    lo, hi = wilson_interval(5, 10)
+    assert (lo, hi) == (pytest.approx(0.236593090), pytest.approx(0.763406910))
+    for hits, trials in ((-1, 10), (11, 10), (0, 0)):
+        with pytest.raises(ValueError):
+            wilson_interval(hits, trials)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ascltlab.empirical import EmpiricalMeasure, ks_to, normal_cdf
 from ascltlab.experiments import (
@@ -18,7 +19,7 @@ from ascltlab.sources import SourceSpec, sample_prefix, sample_rows
 from ascltlab.transform import partial_sums_fast
 from ascltlab.weights import TRIG, WeightMatrixPair, make_trig_pair
 
-from .oracles import empirical_char, joint_cdf
+from .oracles import empirical_char, joint_cdf, ldp_normal_baseline
 
 
 def spec_of(family, seed, stream=0):
@@ -227,6 +228,7 @@ def test_ldp_thread_count_invariant():
     a = ldp_rate(spec_of("rademacher", 6), 1024, 16, 0.3, 1000, threads=1)
     b = ldp_rate(spec_of("rademacher", 6), 1024, 16, 0.3, 1000, threads=2)
     assert a.points[0]["hits"] > 0
+    assert a.points[0]["oracle_hits"] > 0
     assert a.points == b.points
 
 
@@ -280,6 +282,39 @@ def test_ldp_zero_hits_flagged():
     assert p["hits"] == 0
     assert p["rate_is_lower_bound"]
     assert p["p_hat"] == pytest.approx(1.0 / 500)
+    # the Wilson interval starts at exactly 0, which bounds no rate
+    assert p["p_hat_lo"] == 0.0 and p["rate_hi"] is None
+    assert p["p_hat_hi"] == pytest.approx(1.959963984540054**2 / (500 + 1.959963984540054**2))
+    assert p["rate_lo"] == -math.log(p["p_hat_hi"]) / 16
+
+
+@pytest.mark.parametrize("n, r", [(256, 8), (999, 13)])
+def test_ldp_oracle_and_reference_land_on_the_normal_tail(n, r):
+    # both baselines count Binomial(replicas, Phi(-a sqrt r)) hits
+    a, replicas = 0.5, 20000
+    spec = spec_of("rademacher", 9)
+    mean = replicas * ndtr(-a * math.sqrt(r))
+    band = 5.0 * math.sqrt(mean * (1.0 - mean / replicas))
+    got = ldp_rate(spec, n, r, a, replicas).points[0]["oracle_hits"]
+    ref = ldp_normal_baseline(spec, n, r, a, replicas)["hits"]
+    assert abs(got - mean) <= band
+    assert abs(ref - mean) <= band
+
+
+def test_ldp_oracle_reads_the_first_draw_of_each_offset_stream():
+    n, r, a, replicas = 512, 8, 0.5, 3000
+    p = ldp_rate(spec_of("rademacher", 4, stream=17), n, r, a, replicas, threads=2).points[0]
+    oracle_spec = spec_of("normal", 4, stream=17 + replicas)
+    x1 = sample_rows(oracle_spec, 0, replicas, 1, 1)[:, 0]
+    assert p["oracle_hits"] == int(np.sum(x1 / math.sqrt(r) >= a))
+
+
+def test_ldp_wilson_interval():
+    p = ldp_rate(spec_of("rademacher", 5), 1024, 16, 0.5, 2000).points[0]
+    assert 0.0 < p["p_hat_lo"] < p["p_hat"] < p["p_hat_hi"] < 1.0
+    assert p["rate_lo"] < p["rate"] < p["rate_hi"]
+    assert p["rate_lo"] == -math.log(p["p_hat_hi"]) / 16
+    assert p["rate_hi"] == -math.log(p["p_hat_lo"]) / 16
 
 
 def test_ldp_rejects_nonpositive_a():

@@ -11,6 +11,7 @@ regenerate the files to make this test pass.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,8 +56,8 @@ def test_quick_battery_matches_golden(tmp_path):
         assert produced[name] == text, f"{name} differs from tests/golden/quick/{name}.json"
 
 
-def run_battery(out_dir) -> str:
-    """Run the quick battery into out_dir and return its stdout."""
+def run_battery(out_dir) -> subprocess.CompletedProcess:
+    """Run the quick battery into out_dir; its stdout and stderr are text."""
     env = dict(os.environ)
     env.pop("ASCLT_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -67,7 +68,7 @@ def run_battery(out_dir) -> str:
         capture_output=True,
         text=True,
     )
-    return proc.stdout
+    return proc
 
 
 def battery_manifest(out_dir, stdout: str) -> dict:
@@ -87,8 +88,13 @@ def battery_manifest(out_dir, stdout: str) -> dict:
 
 
 def test_quick_battery_csv_and_stdout_match_manifest(tmp_path):
-    produced = battery_manifest(tmp_path, run_battery(tmp_path))
+    proc = run_battery(tmp_path)
+    produced = battery_manifest(tmp_path, proc.stdout)
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert len(expected["csv_sha256"]) == 10 and len(expected["stdout"]) == 10
     assert produced["stdout"] == expected["stdout"]
     assert produced["csv_sha256"] == expected["csv_sha256"]
+    # one wall time per subcommand on stderr, in battery order
+    timed = re.findall(r"^\d+\.\d\d s  (ascltlab .+)$", proc.stderr, flags=re.M)
+    assert timed == [line[3:] for line in proc.stdout.splitlines() if line.startswith("== ")]
+    assert len(timed) == 10

@@ -159,6 +159,13 @@ def test_mean_partial_sum_matches_reference(n, r):
     assert np.max(np.abs(got - ref_s.mean(axis=1))) <= 1e-12 * math.sqrt(n)
 
 
+@pytest.mark.parametrize("n, r", [(4096, 32), (999, 499), (7, 3), (65536, 64)])
+def test_mean_weights_have_squared_norm_one_over_r(n, r):
+    # the mean of r orthonormal rows; ldp_rate's Gaussian baseline rests on it
+    c = mean_weights(n, r)
+    assert abs(r * (c @ c) - 1.0) <= 1e-13
+
+
 def test_gaussian_oracle_moments():
     # (s[1], s[2]) over 1e5 replicas: identity covariance within 0.02
     spec = SourceSpec(family="normal", master_seed=17)
