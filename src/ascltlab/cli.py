@@ -30,6 +30,9 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain, islice
+
+import numpy as np
 
 from . import experiments, spectra
 from .empirical import normal_cdf
@@ -51,6 +54,9 @@ class ConfigError(Exception):
 
 
 _RUN_COUNTER = 0
+# cells per CSV write: each block of rows is formatted in C and written at once
+_BLOCK_CELLS = 1 << 12
+_SIGN = np.uint64(1 << 63)  # the sign bit of a float64
 
 
 @dataclass
@@ -186,24 +192,56 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _json_default(obj):
-    import numpy as np
-
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _cells(*columns):
-    """Rows of formatted cells, one per row of the columns; str of a
-    Python float is its shortest round-trip repr."""
-    return zip(*(map(str, col) for col in columns))
-
-
 def _write_csv(path: str, header, rows) -> None:
-    """The header line, then one line per row of formatted cells, streamed."""
+    """The header line, then one line per row: str of each cell (a Python
+    float's str is its shortest round-trip repr), ","-separated.
+
+    Rows are read lazily, about _BLOCK_CELLS cells at a time; each block
+    is formatted by one % of the repeated line format, in C, and written
+    at once.
+    """
+    width = len(header)
+    per_block = max(1, _BLOCK_CELLS // width)
+    line = ",".join(["%s"] * width) + "\n"
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        while cells := tuple(chain.from_iterable(islice(rows, per_block))):
+            fh.write(line * (len(cells) // width) % cells)
+
+
+def _floats(a: np.ndarray):
+    """The values of a 1-D float array as Python floats, lazily, one
+    slice at a time."""
+    step = _BLOCK_CELLS
+    return chain.from_iterable(a[i:i + step].tolist() for i in range(0, a.size, step))
+
+
+def _sorted_cells(e: np.ndarray):
+    """CSV cells of the sorted float64 array e: its values, or their repr.
+
+    When the lower half is, bit for bit, the negated mirror of the upper
+    half and the upper half has no sign bit set (the +- pairs of a reverse
+    circulant spectrum), only the upper half is formatted: repr(-x) is
+    "-" + repr(x) for such x, 0.0 included.  Its reprs are kept ","-joined
+    per slice, a quarter of the memory of separate strings, and split
+    again for each half.  A middle element of an odd size stays a value.
+    """
+    h = e.size // 2
+    hi = e[e.size - h:]
+    if np.signbit(hi).any() or not np.array_equal(e[:h].view(np.uint64) ^ _SIGN,
+                                                  hi[::-1].view(np.uint64)):
+        return _floats(e)
+    step = _BLOCK_CELLS
+    joined = [",".join(map(repr, hi[i:i + step].tolist())) for i in range(0, h, step)]
+    lower = (reversed(("-" + s.replace(",", ",-")).split(",")) for s in reversed(joined))
+    upper = (s.split(",") for s in joined)
+    return chain(chain.from_iterable(lower), _floats(e[h:e.size - h]), chain.from_iterable(upper))
 
 
 def _write_artifacts(cfg: RunConfig, doc: dict, wall_clock_s: float, table) -> tuple[str, str]:
@@ -227,9 +265,9 @@ def _write_artifacts(cfg: RunConfig, doc: dict, wall_clock_s: float, table) -> t
 
 
 def _points_table(points: list[dict]):
-    """CSV header and rows, one row per point."""
+    """CSV header and rows, one row per point; a None value is an empty cell."""
     header = list(points[0])
-    return header, _cells(*([p[c] for p in points] for c in header))
+    return header, (["" if p[c] is None else p[c] for c in header] for p in points)
 
 
 def _result(cfg: RunConfig, params: dict, point: dict) -> experiments.ExperimentResult:
@@ -278,9 +316,12 @@ def _spectrum(cfg: RunConfig):
     else:
         sp = spectra.reverse_circulant_spectrum(cfg.n, spec)
         summary = sp.summary()
-    eig = sp.eigenvalues
-    table = (["index", "eigenvalue"], _cells(range(eig.size), eig.tolist()))
-    return _result(cfg, {"ensemble": cfg.ensemble}, summary), table
+    return _result(cfg, {"ensemble": cfg.ensemble}, summary), _spectrum_table(sp.eigenvalues)
+
+
+def _spectrum_table(e: np.ndarray):
+    """CSV header and (index, eigenvalue) rows of the sorted spectrum e."""
+    return ["index", "eigenvalue"], zip(range(e.size), _sorted_cells(e))
 
 
 def _gen_weights(cfg: RunConfig):
@@ -292,7 +333,7 @@ def _gen_weights(cfg: RunConfig):
         w = sample_haar_orthogonal(cfg.n, cfg.source_spec(), cfg.r)
     # U streams to the writer one row at a time; a trig pair never holds
     # more than that row, and V is never built
-    rows = ((str(k), *map(str, w.rows_u([k])[0].tolist())) for k in range(1, w.r + 1))
+    rows = ((k, *w.rows_u([k])[0].tolist()) for k in range(1, w.r + 1))
     table = (["k"] + [f"u{j}" for j in range(w.n)], rows)
     point = {"n": w.n, "r": w.r, "kind": cfg.kind}
     return _result(cfg, {"kind": cfg.kind}, point), table

@@ -179,6 +179,14 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     return _result("bivariate", spec, {"grid": [float(v) for v in gx]}, points)
 
 
+def _finite(v: np.ndarray, what: str) -> np.ndarray:
+    """v, once every value is checked finite: a nan compares false with
+    every threshold, so it would count as a replica without a hit."""
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError(f"non-finite {what}")
+    return v
+
+
 def _replica_map(
     stat, spec: SourceSpec, n: int, n_replicas: int, threads: int
 ) -> np.ndarray:
@@ -258,7 +266,7 @@ def clt_fluctuation(
     kernel = batch_kernel(n, r)
 
     def block_stat(xs):
-        ss = kernel(xs)
+        ss = _finite(kernel(xs), "partial sums")
         return np.sum(ss <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * px
 
     w = _replica_map(block_stat, spec, n, replicas, threads)
@@ -283,10 +291,8 @@ def _half_line_rate(
     spec: SourceSpec, c: np.ndarray, r: int, a: float, replicas: int, threads: int
 ) -> dict:
     """Replicas whose mean of S_{n,1..r} (one product with c) is >= a."""
-    def block_stat(xs):
-        return mean_partial_sum(xs, c) >= a
-
-    hits = int(np.sum(_replica_map(block_stat, spec, c.size, replicas, threads)))
+    means = _replica_map(lambda xs: mean_partial_sum(xs, c), spec, c.size, replicas, threads)
+    hits = int(np.sum(_finite(means, "replica means") >= a))
     if hits == 0:
         # no observed exceedances: report the 1/replicas bound, flag rate
         p_hat = 1.0 / replicas

@@ -14,6 +14,10 @@ characteristic function of the char-decay harness), ``periodogram`` (one
 ordinate by the defining sum, against ``spectra.periodogram_all``) and
 ``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
 
+``csv_cells`` and ``write_csv_rows`` are the per-row CSV writer that
+``cli._write_csv`` and the cells of ``cli._sorted_cells`` are held to
+byte for byte: str of every cell, one line per row.
+
 ``ldp_normal_baseline`` is the Gaussian baseline of ``ldp_rate`` by plain
 Monte Carlo: every replica draws all n normal inputs and projects them on
 the mean weights, where ``ldp_rate`` draws the mean from its exact law.
@@ -204,3 +208,16 @@ def ldp_normal_baseline(spec, n: int, r: int, a: float, replicas: int, threads: 
         stream_id=spec.stream_id + replicas,
     )
     return _half_line_rate(oracle_spec, c, r, a, replicas, threads)
+
+
+def csv_cells(*columns):
+    """Rows of cells, one per row of the columns: str of each value (a
+    Python float's str is its shortest round-trip repr)."""
+    return zip(*(map(str, col) for col in columns))
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """The header line, then one ","-joined line per row of cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)

@@ -9,9 +9,14 @@ from dataclasses import fields
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ascltlab import experiments, spectra
+from ascltlab import cli, experiments, spectra
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
+from ascltlab.sources import SourceSpec
+from ascltlab.weights import make_trig_pair, sample_haar_orthogonal
+
+from . import oracles
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "result.schema.json")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -84,6 +89,10 @@ def test_ldp_without_hits_writes_a_null_rate_bound(tmp_path):
     jsons, _ = read_artifacts(tmp_path)
     point = load_json(tmp_path, jsons[0])["points"][0]
     assert point["hits"] == 0 and point["p_hat_lo"] == 0.0 and point["rate_hi"] is None
+    # and an empty cell in the CSV, not the text None
+    _, csvs = read_artifacts(tmp_path)
+    header, row = (tmp_path / csvs[0]).read_text(encoding="utf-8").splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["rate_hi"] == ""
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -301,10 +310,11 @@ def test_haar_r_outside_1_to_n_exits_2(tmp_path, capsys, subcommand, r):
         (["gen-weights", "--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"],
          "gen-weights kind=haar n=8 r=3",
          "975b57e24ee7f108df8f07c86cd00561248df1a490e903a7bb24d98f44245df5"),
-        # a Haar pair has no V, so eps_cross is null in the JSON and 0 here
+        # a Haar pair has no V, so eps_cross is null in the JSON, 0 here and an
+        # empty cell in the CSV
         (["check-weights", "--weights", "haar", "--n", "8", "--r", "3", "--seed", "4"],
          "check-weights n=8 r=3 eps_entry_u=0.697889 eps_orth_u=4.44089e-16 eps_cross=0",
-         "ffc58ef4f11126ecdbc12ab0f5ad6c3b3df48f92e3ea91c833d92498df9ad6da"),
+         "aba79aa1ea78ed20b8afba44ea6bc6f4626aa32706c23760d90bec7e22cc9d00"),
     ],
 )
 def test_subcommands_outside_the_battery_keep_their_bytes(tmp_path, capsys, argv, line, csv_sha256):
@@ -433,3 +443,149 @@ def test_non_finite_statistic_is_a_runtime_failure(
     assert run(argv + ["--out-dir", str(out)]) == 3
     assert "runtime failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _nan_rows(spec, lo, hi, start, count):
+    return np.full((hi - lo, count), np.nan)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ldp", "--n", "256", "--r", "8", "--replicas", "200"],
+        ["clt-fluct", "--n", "256", "--r", "8", "--replicas", "200"],
+        ["char-decay", "--n", "256", "--r", "8", "--replicas", "200"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_replica_statistic_is_a_runtime_failure(tmp_path, capsys, monkeypatch, argv):
+    # a nan replica mean or partial sum compares false with a or x; it must
+    # not count as a replica without a hit
+    monkeypatch.setattr(experiments, "sample_rows", _nan_rows)
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 3
+    assert "runtime failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv_bytes(path, write, header, rows) -> bytes:
+    write(str(path), header, rows)
+    return path.read_bytes()
+
+
+def _spectrum_csvs(tmp_path, e):
+    """The spectrum CSV of the sorted array e from the block writer, and
+    from the per-row reference writer."""
+    new = _csv_bytes(tmp_path / "new.csv", cli._write_csv, *cli._spectrum_table(e))
+    ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, ["index", "eigenvalue"],
+                     oracles.csv_cells(range(e.size), e.tolist()))
+    return new, ref
+
+
+@pytest.mark.parametrize("ensemble", ["symmetric", "reverse"])
+@pytest.mark.parametrize("n", [3, 4, 5, 64, 65, 4096, 4097, 20001])
+def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
+    # 20001 has 10000 pairs, more than one slice of formatted values
+    out = tmp_path / "out"
+    argv = ["spectrum", "--ensemble", ensemble, "--n", str(n), "--seed", "11"]
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    _, csvs = read_artifacts(out)
+    spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
+                "reverse": spectra.reverse_circulant_spectrum}[ensemble]
+    e = spectrum(n, SourceSpec("rademacher", 11, 0)).eigenvalues
+    new, ref = _spectrum_csvs(tmp_path, e)
+    assert (out / csvs[0]).read_bytes() == new == ref
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # +-0.0 pairs: the mirror holds bit for bit
+        [-1.5, -0.0, 0.0, 1.5],
+        [-2.0, -0.0, -0.0, 0.0, 0.0, 2.0],
+        # -0.0 in the upper half: "-" + "-0.0" would be wrong
+        [-1.5, 0.0, -0.0, 1.5],
+        [0.0, -0.0],
+        # mirrored at odd size, around any middle element
+        [-3.0, -5e-324, 0.5, 5e-324, 3.0],
+        [-2.5, -0.0, 2.5],
+        [-1e308, 7.0, 1e308],
+        [4.0],
+        # not mirrored: equal halves, a one-ulp miss, a shifted mirror
+        [0.5, 0.5],
+        [0.0, 0.0, 0.0, 0.0],
+        [-1.0, 1.0000000000000002],
+        [-3.0, -2.0, -1.0, 1.0, 2.0, 4.0],
+        [-1.0, 0.5, 1.0, 2.0],
+        [-2.0, -1.0, 1.0],
+    ],
+)
+def test_hand_built_spectra_match_the_per_row_writer(tmp_path, values):
+    new, ref = _spectrum_csvs(tmp_path, np.array(values, dtype=float))
+    assert new == ref
+
+
+def test_reverse_spectrum_formats_one_value_per_pair(monkeypatch):
+    # a reverse spectrum's +- pairs share one repr, also around a middle
+    # value; a symmetric one has no such mirror and its values go to the
+    # writer as they are
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    spec = SourceSpec("rademacher", 5, 0)
+    rev = spectra.reverse_circulant_spectrum(4097, spec).eigenvalues
+    for e, count in [(rev, 2048),
+                     (np.insert(rev, 2048, 0.0), 2048),
+                     (spectra.reverse_circulant_spectrum(4096, spec).eigenvalues, 2047),
+                     (spectra.symmetric_circulant_spectrum(4096, spec).eigenvalues, 0)]:
+        calls.clear()
+        assert list(map(str, cli._sorted_cells(e))) == [repr(v) for v in e.tolist()]
+        assert len(calls) == count
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(half=st.lists(_finite_floats, max_size=40), middle=st.none() | _finite_floats,
+       mirrored=st.booleans())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sorted_floats_match_the_per_row_writer(tmp_path, half, middle, mirrored):
+    if mirrored:
+        up = np.sort(np.abs(np.array(half, dtype=float)))
+        mid = [] if middle is None else [middle if not up.size else np.clip(middle, -up[0], up[0])]
+        e = np.concatenate([-up[::-1], mid, up])
+    else:
+        e = np.sort(np.array(half + ([] if middle is None else [middle]), dtype=float))
+    new, ref = _spectrum_csvs(tmp_path, e)
+    assert new == ref
+
+
+def test_points_table_matches_the_per_row_writer(tmp_path):
+    points = [
+        {"n": 64, "x": 0.1, "big": 1e16, "tiny": -5e-324, "ok": True, "kind": "trig", "hi": None},
+        {"n": 7, "x": -0.0, "big": 123456789.0, "tiny": 1e-05, "ok": False, "kind": "haar", "hi": 2.5},
+    ]
+    header = list(points[0])
+    new = _csv_bytes(tmp_path / "new.csv", cli._write_csv, *cli._points_table(points))
+    columns = [["" if p[c] is None else p[c] for p in points] for c in header]
+    ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, header,
+                     oracles.csv_cells(*columns))
+    assert new == ref
+    assert new.decode().splitlines()[1].endswith(",True,trig,")
+
+
+@pytest.mark.parametrize("kind", ["trig", "haar"])
+def test_gen_weights_rows_wider_than_a_block_match_the_per_row_writer(tmp_path, kind):
+    n, r = 4500, 3  # 4501 cells a row, one block holds 4096
+    out = tmp_path / "out"
+    argv = ["gen-weights", "--weights", kind, "--n", str(n), "--r", str(r), "--seed", "2"]
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    _, csvs = read_artifacts(out)
+    if kind == "trig":
+        u = make_trig_pair(n, r).u
+    else:
+        u = sample_haar_orthogonal(n, SourceSpec("rademacher", 2, 0), r).u
+    header = ["k"] + [f"u{j}" for j in range(n)]
+    ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, header,
+                     oracles.csv_cells(range(1, r + 1), *u.T.tolist()))
+    assert (out / csvs[0]).read_bytes() == ref
