@@ -23,6 +23,7 @@ statistic among them, with nothing written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -156,7 +157,10 @@ def load_config(path) -> dict:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ascltlab",
         description="Numerical experiments on weighted-sum central limit behavior.",

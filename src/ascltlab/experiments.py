@@ -6,10 +6,14 @@ spec.stream_id + i.  Replicas run in chunks of 512, one chunk per task
 when threads > 1, and each chunk is sampled in sub-blocks of about
 512 KiB of inputs (max(1, 512 KiB // (8 n)) replicas), so that a block
 stays in cache.  Sub-block bounds depend only on n, never on the thread
-count.  Each harness maps a sub-block to the one statistic it reads (the
-mean of S, S alone, or S and T) and never keeps the inputs; per-replica
-statistics are concatenated in ascending replica order, so the output is
-bit-identical for any thread count.
+count.  A chunk task computes its 512 stream keys once and allocates one
+buffer pair (the draws and the finalizer's scratch) that all of its
+sub-blocks reuse, so a statistic may not keep its input block: the next
+sub-block overwrites it.  Each harness maps a sub-block to the one
+statistic it reads (the mean of S, S alone, or S and T); that small
+per-replica result is copied, so it may be a view of the block.
+Per-replica statistics are concatenated in ascending replica order, so
+the output is bit-identical for any thread count.
 
 The growth condition r^3 (log n)^2 / n is never enforced: no desk-scale
 (n, r) makes it small, yet the empirical limit laws already hold.  The
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import empirical
 from .empirical import EmpiricalMeasure, ks_to, normal_cdf
-from .sources import SourceSpec, sample_prefix, sample_rows
+from .sources import SourceSpec, _draw, _index_keys, _stream_keys, sample_prefix
 from .transform import (
     batch_kernel,
     mean_partial_sum,
@@ -193,14 +197,19 @@ def _replica_map(
     """stat of each replica's inputs, in ascending replica order.
 
     stat maps a (replicas x n) block of inputs to one value per replica.
+    The next sub-block overwrites the block, so each result is copied.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     rows = max(1, _SUB_BLOCK_BYTES // (8 * n))
+    jg = _index_keys(1, n)
 
     def chunk(lo: int) -> list:
-        hi = min(lo + _REPLICA_CHUNK, n_replicas)
-        return [stat(sample_rows(spec, b, min(b + rows, hi), 1, n)) for b in range(lo, hi, rows)]
+        keys = _stream_keys(spec, lo, min(lo + _REPLICA_CHUNK, n_replicas))
+        z = np.empty((min(rows, keys.size), n), dtype=np.uint64)
+        t = np.empty_like(z)
+        blocks = (keys[b:b + rows] for b in range(0, keys.size, rows))
+        return [np.array(stat(_draw(spec, k, jg, z[:k.size], t[:k.size]))) for k in blocks]
 
     starts = range(0, n_replicas, _REPLICA_CHUNK)
     if threads > 1:
@@ -229,6 +238,7 @@ def char_variance_decay(
         def block_stat(x, n=n, r=r):
             ss, tt = partial_sums_batch(n, r, x)
             phi = np.mean(np.exp(1j * (s * ss + t * tt)), axis=1)
+            _finite(phi, "characteristic function values")
             return np.abs(phi - target) ** 2
 
         sq = _replica_map(block_stat, spec, n, replicas, threads)

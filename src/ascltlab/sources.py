@@ -32,13 +32,18 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SIGN = np.uint64(1 << 63)
 _MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)  # IEEE-754 bits of -1.0
+_FINALIZER = ((np.uint64(30), _M1), (np.uint64(27), _M2), (np.uint64(31), None))
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, applied to a uint64 array in place."""
-    t = np.empty_like(z)
-    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=t)
+def _mix64(z: np.ndarray, t: np.ndarray, sign_only: bool = False) -> np.ndarray:
+    """The splitmix64 finalizer, applied to the uint64 array z in place;
+    t is scratch of z's shape.
+
+    sign_only leaves out the last step, z ^= z >> 31: it never changes
+    bit 63, the only bit a Rademacher draw reads.
+    """
+    for shift, mult in _FINALIZER[:2] if sign_only else _FINALIZER:
+        np.right_shift(z, shift, out=t)
         np.bitwise_xor(z, t, out=z)
         if mult is not None:
             np.multiply(z, mult, out=z)
@@ -103,19 +108,16 @@ def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
     """Per-stream keys of streams spec.stream_id + lo .. spec.stream_id + hi - 1."""
     if spec.stream_id + hi > 2**64:
         raise ValueError("stream ids must stay below 2**64")
-    streams = np.arange(lo, hi, dtype=np.uint64) + np.uint64(spec.stream_id)
-    seed_key = _mix64(np.array([spec.master_seed], dtype=np.uint64))
-    return seed_key ^ _mix64(streams + _GAMMA)
+    z = np.empty(hi - lo + 1, dtype=np.uint64)
+    z[0] = spec.master_seed
+    z[1:] = np.arange(lo, hi, dtype=np.uint64) + np.uint64(spec.stream_id) + _GAMMA
+    _mix64(z, np.empty_like(z))
+    return z[1:] ^ z[0]
 
 
-def _counters(keys: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """splitmix64 outputs for every (stream key, index) pair, shape keys x j."""
-    return _mix64(np.add.outer(keys, j.astype(np.uint64) * _GAMMA))
-
-
-def _uniform01(spec: SourceSpec, j: np.ndarray) -> np.ndarray:
-    """Uniforms in (0,1), one per index; pure in (seed, stream, index)."""
-    return _unit(_counters(_stream_keys(spec, 0, 1), j)[0])
+def _index_keys(start: int, count: int) -> np.ndarray:
+    """j * gamma for the 1-based indices j = start..start+count-1."""
+    return np.arange(start, start + count, dtype=np.uint64) * _GAMMA
 
 
 def _rademacher(z: np.ndarray) -> np.ndarray:
@@ -156,6 +158,41 @@ def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
     raise AssertionError(family)
 
 
+def _draw(spec: SourceSpec | None, keys: np.ndarray, jg: np.ndarray, z: np.ndarray,
+          t: np.ndarray, start: int = 1) -> np.ndarray:
+    """Draws of the streams with the given keys, one row per key, at the
+    indices j = start, start + 1, ... whose j * gamma is jg; with spec
+    None, the uniforms in (0,1) themselves.
+
+    z receives the draws and t is scratch, both uint64 arrays of shape
+    (keys.size, jg.size).  The result is a float64 view of z or t, or a
+    fresh array (two_point), so it lasts only until the buffers are reused.
+    """
+    np.add(keys[:, None], jg, out=z)
+    if spec is not None and spec.family == "rademacher":
+        return _rademacher(_mix64(z, t, sign_only=True))
+    u = _unit(_mix64(z, t))
+    if spec is None:
+        return u
+    if spec.family != "heterogeneous":
+        return _transform(spec.family, spec.p, u)
+    out = t.view(np.float64)
+    L = len(spec.components)
+    phase = np.arange(start - 1, start - 1 + jg.size) % L
+    for i, comp in enumerate(spec.components):
+        m = phase == i
+        if m.any():
+            out[:, m] = _transform(comp.family, comp.p, u[:, m])
+    return out
+
+
+def _uniform01(spec: SourceSpec, j: np.ndarray) -> np.ndarray:
+    """Uniforms in (0,1), one per index; pure in (seed, stream, index)."""
+    jg = j.astype(np.uint64, copy=False).ravel() * _GAMMA
+    z = np.empty((1, jg.size), dtype=np.uint64)
+    return _draw(None, _stream_keys(spec, 0, 1), jg, z, np.empty_like(z)).reshape(j.shape)
+
+
 def sample_rows(spec: SourceSpec, lo: int, hi: int, start: int, count: int) -> np.ndarray:
     """Draws of streams lo..hi-1 (offsets from spec.stream_id) at indices
     start..start+count-1, as a (hi - lo) x count array.
@@ -168,21 +205,9 @@ def sample_rows(spec: SourceSpec, lo: int, hi: int, start: int, count: int) -> n
         raise ValueError("indices are 1-based")
     if not (0 <= lo <= hi):
         raise ValueError("need 0 <= lo <= hi")
-    j = np.arange(start, start + count, dtype=np.uint64)
-    z = _counters(_stream_keys(spec, lo, hi), j)
-    if spec.family == "rademacher":
-        return _rademacher(z)
-    u = _unit(z)
-    if spec.family != "heterogeneous":
-        return _transform(spec.family, spec.p, u)
-    out = np.empty_like(u)
-    L = len(spec.components)
-    phase = (j.astype(np.int64) - 1) % L
-    for i, comp in enumerate(spec.components):
-        m = phase == i
-        if m.any():
-            out[:, m] = _transform(comp.family, comp.p, u[:, m])
-    return out
+    keys = _stream_keys(spec, lo, hi)
+    z = np.empty((hi - lo, count), dtype=np.uint64)
+    return _draw(spec, keys, _index_keys(start, count), z, np.empty_like(z), start)
 
 
 def sample_block(spec: SourceSpec, start: int, count: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ascltlab import cli, experiments, spectra
+from ascltlab import cli, experiments, sources, spectra
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 from ascltlab.sources import SourceSpec
 from ascltlab.weights import make_trig_pair, sample_haar_orthogonal
@@ -391,6 +391,39 @@ def test_cli_import_loads_every_layer_and_no_quadrature():
     assert out.stdout.split() == ["True", "False"]
 
 
+def _artifact_bytes(out_dir):
+    """The JSON without its timestamp and the CSV of each run in out_dir."""
+    if not os.path.isdir(out_dir):
+        return []
+    jsons, csvs = read_artifacts(out_dir)
+    docs = [load_json(out_dir, name) for name in jsons]
+    for doc in docs:
+        doc.pop("timestamp")
+    return docs + [(out_dir / name).read_bytes() for name in csvs]
+
+
+def test_runs_in_one_process_match_fresh_processes(tmp_path):
+    # the parser is built once per process: different subcommands, and a
+    # refused setting, run one after another as each runs alone
+    runs = [
+        ["ldp", "--n", "256", "--r", "8", "--a", "0.5", "--replicas", "300"],
+        ["periodogram", "--n", "256"],
+        ["clt-fluct", "--n", "256", "--r", "8", "--x", "nan", "--replicas", "200"],
+        ["spectrum", "--ensemble", "reverse", "--n", "64"],
+    ]
+    assert _build_parser() is _build_parser()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for i, argv in enumerate(runs):
+        argv = argv + ["--seed", "4"]
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        code = run(argv + ["--out-dir", str(here)])
+        proc = subprocess.run([sys.executable, "-m", "ascltlab.cli", *argv, "--out-dir", str(fresh)],
+                              env=env, capture_output=True, timeout=120)
+        assert code == proc.returncode == (2 if "nan" in argv else 0)
+        assert _artifact_bytes(here) == _artifact_bytes(fresh)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("name", ["p", "delta", "x", "s", "t", "a"])
@@ -445,8 +478,20 @@ def test_non_finite_statistic_is_a_runtime_failure(
     assert not out.exists()
 
 
-def _nan_rows(spec, lo, hi, start, count):
-    return np.full((hi - lo, count), np.nan)
+def _nan_draw(*args, **kwargs):
+    # the replica sampler's own draws, then overwritten with nan: the fake
+    # takes whatever arguments the real core takes
+    x = sources._draw(*args, **kwargs)
+    x[...] = np.nan
+    return x
+
+
+# the statistic each replica harness checks finite, as its error names it
+_REPLICA_STATS = {
+    "ldp": "replica means",
+    "clt-fluct": "partial sums",
+    "char-decay": "characteristic function values",
+}
 
 
 @pytest.mark.parametrize(
@@ -461,10 +506,10 @@ def _nan_rows(spec, lo, hi, start, count):
 def test_non_finite_replica_statistic_is_a_runtime_failure(tmp_path, capsys, monkeypatch, argv):
     # a nan replica mean or partial sum compares false with a or x; it must
     # not count as a replica without a hit
-    monkeypatch.setattr(experiments, "sample_rows", _nan_rows)
+    monkeypatch.setattr(experiments, "_draw", _nan_draw)
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", str(out)]) == 3
-    assert "runtime failure" in capsys.readouterr().err
+    assert f"runtime failure: non-finite {_REPLICA_STATS[argv[0]]}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from ascltlab.transform import partial_sums_fast
 from ascltlab.weights import TRIG, WeightMatrixPair, make_trig_pair
 
 from .oracles import empirical_char, joint_cdf, ldp_normal_baseline
+from .test_sources import all_family_specs
 
 
 def spec_of(family, seed, stream=0):
@@ -245,6 +246,30 @@ def test_replica_map_follows_replica_streams():
     got = _replica_map(lambda x: x[:, -1] + 2.0 * x[:, 0], spec, 300, 1100, threads=4)
     rows = [sample_prefix(spec.with_stream(40 + i), 300) for i in range(1100)]
     assert np.array_equal(got, np.array([x[-1] + 2.0 * x[0] for x in rows]))
+
+
+# rows [lo, hi) across the 512-replica chunks and the sub-blocks: 218 rows
+# at n = 300, 16 rows at n = 4096
+@pytest.mark.parametrize("spec", all_family_specs(31, 7), ids=lambda s: s.family)
+@pytest.mark.parametrize("n, lo, hi", [(300, 509, 516), (300, 1021, 1035), (4096, 0, 17),
+                                       (4096, 100, 613)])
+def test_replica_sampler_matches_sample_rows_and_streams(spec, n, lo, hi):
+    block = sample_rows(spec, 0, hi + 3, 1, n)
+    for i in range(lo, hi):
+        assert np.array_equal(block[i], sample_prefix(spec.with_stream(spec.stream_id + i), n))
+    for threads in (1, 2):
+        # the identity statistic hands back the sampler's own buffers
+        assert np.array_equal(_replica_map(lambda x: x, spec, n, hi + 3, threads), block)
+
+
+@pytest.mark.parametrize("family", ["rademacher", "normal"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_replica_map_keeps_a_stat_that_views_its_block(family, threads):
+    # x[:, 0] views the buffers that the next sub-block overwrites; 600
+    # replicas at n = 300 cross the 512-replica chunk in 218-row sub-blocks
+    spec = spec_of(family, 9, stream=3)
+    got = _replica_map(lambda x: x[:, 0], spec, 300, 600, threads)
+    assert np.array_equal(got, [sample_prefix(spec.with_stream(3 + i), 300)[0] for i in range(600)])
 
 
 def test_replica_map_rejects_negative_threads():
