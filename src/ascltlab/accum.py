@@ -5,7 +5,7 @@ reference summation paths must not be swamped by naive accumulation error.
 
 - ``kahan_matvec``: u @ x with Kahan compensation along the summation
   index, vectorized over rows.
-- ``ozaki_gram``: a @ b.T by Ozaki-scheme splitting (Ozaki, Ogita, Oishi
+- ``ozaki_gram``: a @ a.T by Ozaki-scheme splitting (Ozaki, Ogita, Oishi
   & Rump, Numer. Algorithms 59, 2012). Each row is cut into slices so
   narrow that every slice-by-slice BLAS product is exact in float64; the
   exact products are then summed with TwoSum compensation, which gives
@@ -61,40 +61,32 @@ def _split_rows(a: np.ndarray, beta: int) -> list[np.ndarray]:
     return slices
 
 
-def ozaki_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T, error-free up to the final compensated summation.
+def ozaki_gram(a: np.ndarray) -> np.ndarray:
+    """a @ a.T, error-free up to the final compensated summation.
 
     Slice entries are integers of magnitude at most 2^(53-beta) in their
     row's unit. With k columns and 2^(2 beta - 53) >= k, every partial sum
     of a slice product is then an integer of magnitude at most 2^53 in the
     product of the two row units, so each BLAS product is exact whatever
     its summation order. That holds unless a product of slice entries
-    underflows, which needs entries far below 2^-400. When b is a, each
-    product of two different slices is computed once and also added
-    transposed.
+    underflows, which needs entries far below 2^-400. Each product of two
+    different slices is computed once and also added transposed.
     """
-    sym = b is a
     a = np.asarray(a, dtype=float)
-    b = a if sym else np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"need two matrices with equal column counts, got {a.shape} and {b.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"need a matrix, got shape {a.shape}")
     beta = (54 + (a.shape[1] - 1).bit_length()) // 2
     # the shift 2^(e+beta) must stay finite; this also rejects inf and nan
-    limit = np.ldexp(1.0, 1023 - beta)
-    for m in (a,) if sym else (a, b):
-        if not np.all(np.abs(m) < limit):
-            raise FloatingPointError(
-                f"entries must be finite with magnitude below 2**{1023 - beta}"
-            )
+    if not np.all(np.abs(a) < np.ldexp(1.0, 1023 - beta)):
+        raise FloatingPointError(f"entries must be finite with magnitude below 2**{1023 - beta}")
     sa = _split_rows(a, beta)
-    sb = sa if sym else _split_rows(b, beta)
 
-    acc = np.zeros((a.shape[0], b.shape[0]))
+    acc = np.zeros((a.shape[0], a.shape[0]))
     comp, spare, t, x = (np.zeros_like(acc) for _ in range(4))
     for i, ai in enumerate(sa):
-        for j in range(i if sym else 0, len(sb)):
-            p = ai @ sb[j].T
-            for q in (p, p.T) if sym and j > i else (p,):
+        for j in range(i, len(sa)):
+            p = ai @ sa[j].T
+            for q in (p, p.T) if j > i else (p,):
                 # TwoSum: spare = fl(acc + q), x = its exact rounding error
                 np.add(acc, q, out=spare)
                 np.subtract(spare, acc, out=t)

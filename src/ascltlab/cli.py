@@ -37,7 +37,7 @@ import numpy as np
 
 from . import experiments, spectra
 from .empirical import normal_cdf
-from .sources import SourceSpec
+from .sources import FAMILIES, SourceSpec
 from .weights import (
     _MATERIALIZE_LIMIT,
     TRIG,
@@ -71,7 +71,7 @@ class RunConfig:
     """
 
     experiment: str
-    family: str = "rademacher"
+    family: str = field(default="rademacher", metadata={"choices": FAMILIES})
     p: float | None = field(default=None, metadata={"help": "two-point parameter"})
     seed: int = 0
     stream: int = 0

@@ -337,6 +337,8 @@ def ldp_rate(
     """
     if not a > 0.0:
         raise ValueError("a must be positive")
+    if replicas < 1:
+        raise ValueError(f"need at least 1 replica, got replicas={replicas}")
     require_trig(n, r)
     main = _half_line_rate(spec, mean_weights(n, r), r, a, replicas, threads)
     oracle_spec = SourceSpec(

@@ -21,7 +21,6 @@ FAMILIES = (
     "two_point",
     "normal",
     "exponential",
-    "heterogeneous",
 )
 
 _SQRT3 = math.sqrt(3.0)
@@ -66,8 +65,6 @@ class SourceSpec:
 
     family      one of FAMILIES
     p           success probability for the two_point family
-    components  sub-family specs for the heterogeneous family; index j uses
-                components[(j - 1) % len(components)] (cyclic convention)
     master_seed root of all randomness (64-bit unsigned)
     stream_id   replica / sub-experiment identifier (64-bit unsigned)
     """
@@ -76,7 +73,6 @@ class SourceSpec:
     master_seed: int = 0
     stream_id: int = 0
     p: float | None = None
-    components: tuple["SourceSpec", ...] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -90,15 +86,6 @@ class SourceSpec:
                 raise ValueError("two_point requires p in (0, 1)")
         elif self.p is not None:
             raise ValueError(f"family {self.family!r} takes no p parameter")
-        if self.family == "heterogeneous":
-            if not self.components:
-                raise ValueError("heterogeneous requires a nonempty component list")
-            object.__setattr__(self, "components", tuple(self.components))
-            for c in self.components:
-                if c.family == "heterogeneous":
-                    raise ValueError("heterogeneous components must be simple families")
-        elif self.components is not None:
-            raise ValueError("components only valid for the heterogeneous family")
 
     def with_stream(self, stream_id: int) -> "SourceSpec":
         return replace(self, stream_id=int(stream_id))
@@ -133,9 +120,8 @@ def _rademacher(z: np.ndarray) -> np.ndarray:
 
 
 def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
-    """Standardized draws from uniforms; may overwrite u."""
-    if family == "rademacher":
-        return np.where(u < 0.5, -1.0, 1.0)
+    """Standardized draws from uniforms, for every family but rademacher
+    (see _rademacher); may overwrite u."""
     if family == "uniform":
         # uniform on [-sqrt(3), sqrt(3)]: mean 0, variance 1
         u *= 2.0
@@ -159,31 +145,20 @@ def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
 
 
 def _draw(spec: SourceSpec | None, keys: np.ndarray, jg: np.ndarray, z: np.ndarray,
-          t: np.ndarray, start: int = 1) -> np.ndarray:
+          t: np.ndarray) -> np.ndarray:
     """Draws of the streams with the given keys, one row per key, at the
-    indices j = start, start + 1, ... whose j * gamma is jg; with spec
-    None, the uniforms in (0,1) themselves.
+    indices j whose j * gamma is jg; with spec None, the uniforms in (0,1)
+    themselves.
 
     z receives the draws and t is scratch, both uint64 arrays of shape
-    (keys.size, jg.size).  The result is a float64 view of z or t, or a
-    fresh array (two_point), so it lasts only until the buffers are reused.
+    (keys.size, jg.size).  The result is a float64 view of z, or a fresh
+    array (two_point), so it lasts only until the buffers are reused.
     """
     np.add(keys[:, None], jg, out=z)
     if spec is not None and spec.family == "rademacher":
         return _rademacher(_mix64(z, t, sign_only=True))
     u = _unit(_mix64(z, t))
-    if spec is None:
-        return u
-    if spec.family != "heterogeneous":
-        return _transform(spec.family, spec.p, u)
-    out = t.view(np.float64)
-    L = len(spec.components)
-    phase = np.arange(start - 1, start - 1 + jg.size) % L
-    for i, comp in enumerate(spec.components):
-        m = phase == i
-        if m.any():
-            out[:, m] = _transform(comp.family, comp.p, u[:, m])
-    return out
+    return u if spec is None else _transform(spec.family, spec.p, u)
 
 
 def _uniform01(spec: SourceSpec, j: np.ndarray) -> np.ndarray:
@@ -207,7 +182,7 @@ def sample_rows(spec: SourceSpec, lo: int, hi: int, start: int, count: int) -> n
         raise ValueError("need 0 <= lo <= hi")
     keys = _stream_keys(spec, lo, hi)
     z = np.empty((hi - lo, count), dtype=np.uint64)
-    return _draw(spec, keys, _index_keys(start, count), z, np.empty_like(z), start)
+    return _draw(spec, keys, _index_keys(start, count), z, np.empty_like(z))
 
 
 def sample_block(spec: SourceSpec, start: int, count: int) -> np.ndarray:

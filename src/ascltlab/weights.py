@@ -13,8 +13,8 @@ the column sums S_m, T_m (one blocked table-lookup pass, or an FFT for
 large n): the residual of each of the four trig identities is
 |E_a +- E_b| / 2 or |T_a +- T_b| / 2 (E = S minus its exact value), that
 of a Gram entry the same numerator over n, and one pair scan serves both
-check_conditions and verify_trig_identities.  Dense matrices go through
-the error-free ``accum.ozaki_gram``.
+check_conditions and verify_trig_identities.  Haar rows go through the
+error-free Gram ``accum.ozaki_gram``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from .accum import ozaki_gram
 from .sources import SourceSpec, _uniform01
 
-TRIG, HAAR, CUSTOM = "trig", "haar", "custom"
+TRIG, HAAR = "trig", "haar"
 
 # materialization guard: r*n entries of a pair or of r Haar rows
 _MATERIALIZE_LIMIT = 1 << 23
@@ -91,11 +91,12 @@ def require_trig(n: int, r: int) -> None:
 
 @dataclass(frozen=True)
 class WeightMatrixPair:
-    """An r x n weight matrix U with optional companion V.
+    """An r x n weight matrix U, with companion V for kind "trig".
 
     For kind "trig" the arrays may be None, meaning the entries are
     implicit in (n, r) and generated on demand; this keeps n = 2**16 with
-    r = (n-1)//2 representable without the 17 GB dense matrix.
+    r = (n-1)//2 representable without the 17 GB dense matrix.  A "haar"
+    pair holds U alone.
     """
 
     kind: str
@@ -105,26 +106,23 @@ class WeightMatrixPair:
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (TRIG, HAAR, CUSTOM):
+        if self.kind not in (TRIG, HAAR):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1 or self.r < 1:
             raise ValueError("need r >= 1 and n >= 1")
         if self.kind == TRIG:
             require_trig(self.n, self.r)
+        # no finiteness pass: trig rows are lookups in a finite table, and
+        # sample_haar_orthogonal checks its Q
         for name, a in (("u", self.u), ("v", self.v)):
-            if a is not None:
-                if a.shape != (self.r, self.n):
-                    raise ValueError(f"{name} must be {self.r}x{self.n}, got {a.shape}")
-                # trig rows are lookups in a finite table, and
-                # sample_haar_orthogonal checks its Q
-                if self.kind == CUSTOM and not np.all(np.isfinite(a)):
-                    raise FloatingPointError(f"{name} has non-finite entries")
-        if self.u is None and self.kind != TRIG:
-            raise ValueError("only trig pairs may be implicit")
+            if a is not None and a.shape != (self.r, self.n):
+                raise ValueError(f"{name} must be {self.r}x{self.n}, got {a.shape}")
+        if self.kind == HAAR and (self.u is None or self.v is not None):
+            raise ValueError("a haar pair holds u alone: only trig pairs are implicit or have v")
 
     @property
     def has_v(self) -> bool:
-        return self.v is not None or self.kind == TRIG
+        return self.kind == TRIG
 
     def rows_u(self, ks: np.ndarray) -> np.ndarray:
         """Rows for 1-based indices ks."""
@@ -173,13 +171,6 @@ def make_trig_pair(n: int, r: int, materialize: bool | None = None) -> WeightMat
     if materialize is None:
         materialize = r * n <= _MATERIALIZE_LIMIT
     return pair.materialize() if materialize else pair
-
-
-def custom_pair(u: np.ndarray, v: np.ndarray | None = None) -> WeightMatrixPair:
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if v is not None:
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-    return WeightMatrixPair(kind=CUSTOM, n=u.shape[1], r=u.shape[0], u=u, v=v)
 
 
 def sample_haar_orthogonal(n: int, spec: SourceSpec, r: int | None = None) -> WeightMatrixPair:
@@ -319,22 +310,13 @@ def _check_conditions_trig(n: int, r: int, delta: float, sums) -> ConditionRepor
 
 
 def _check_conditions_dense(w: WeightMatrixPair, delta: float) -> ConditionReport:
-    u = w.u
-    gram_u = ozaki_gram(u, u)
-    eye = np.eye(w.r)
-    eps_orth_u = float(np.max(np.abs(gram_u - eye)))
-    eps_entry_u = float(np.max(np.abs(u)))
-    eps_entry_v = eps_orth_v = eps_cross = None
-    if w.v is not None:
-        eps_entry_v = float(np.max(np.abs(w.v)))
-        eps_orth_v = float(np.max(np.abs(ozaki_gram(w.v, w.v) - eye)))
-        eps_cross = float(np.max(np.abs(ozaki_gram(u, w.v))))
+    # a dense pair is a Haar one, which has no V
     return ConditionReport(
-        eps_entry_u=eps_entry_u,
-        eps_entry_v=eps_entry_v,
-        eps_orth_u=eps_orth_u,
-        eps_orth_v=eps_orth_v,
-        eps_cross=eps_cross,
+        eps_entry_u=float(np.max(np.abs(w.u))),
+        eps_entry_v=None,
+        eps_orth_u=float(np.max(np.abs(ozaki_gram(w.u) - np.eye(w.r)))),
+        eps_orth_v=None,
+        eps_cross=None,
         log_scale=math.log1p(w.r) ** (1.0 + delta),
         n=w.n,
         r=w.r,
@@ -348,9 +330,10 @@ def check_conditions(w: WeightMatrixPair, delta: float, sums=None) -> ConditionR
     Trig pairs go through the structured scan of the column sums, which
     never reads the rows; ``sums`` may pass in trig_column_sums(w.n) so
     that callers that also run verify_trig_identities compute them once.
-    Anything dense goes through the error-free Gram ``ozaki_gram``.  The
-    two paths agree to ~1e-12 on small trig pairs (asserted in the test
-    suite).
+    Haar rows go through the error-free Gram ``ozaki_gram`` and report
+    None for the three V fields.  The trig scan agrees with a plain BLAS
+    Gram of the materialized pair to 1e-13 at n <= 96 (asserted in the
+    test suite).
     """
     if not delta > 0:
         raise ValueError("delta must be positive")

@@ -153,7 +153,8 @@ def test_config_precondition_propagates(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, text",
     [(["check-weights", "--n", "8", "--r", "3"], "kind = custom\n"),
-     (["spectrum", "--n", "33"], "ensemble = bogus\n")],
+     (["spectrum", "--n", "33"], "ensemble = bogus\n"),
+     (["periodogram", "--n", "64"], "family = bogus\n")],
 )
 def test_config_value_outside_the_choices_exits_2(tmp_path, capsys, argv, text):
     cfg = tmp_path / "bad.cfg"
@@ -166,8 +167,8 @@ def test_config_value_outside_the_choices_exits_2(tmp_path, capsys, argv, text):
 
 # flags follow the field name with - for _, except these
 _FLAG_OF = {"kind": "--weights"}
-_TEXT_OF = {"kind": "haar", "ensemble": "reverse", "p": "0.25", "n": "65", "r": "7",
-            "schedule": "64:31"}
+_TEXT_OF = {"kind": "haar", "ensemble": "reverse", "family": "normal", "p": "0.25", "n": "65",
+            "r": "7", "schedule": "64:31"}
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -274,6 +275,22 @@ def test_negative_thread_count_exits_2(tmp_path, monkeypatch, capsys, source):
     err = capsys.readouterr().err
     assert "must be >= 0" in err and "-1" in err
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_ldp_without_replicas_exits_2(tmp_path, capsys, replicas):
+    out = tmp_path / "out"
+    argv = ["ldp", "--n", "64", "--r", "4", "--replicas", replicas, "--out-dir", str(out)]
+    assert run(argv) == 2
+    assert f"replicas={replicas}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", sources.FAMILIES)
+def test_every_family_runs_from_the_command_line(tmp_path, family):
+    p = ["--p", "0.25"] if family == "two_point" else []
+    argv = ["periodogram", "--family", family, *p, "--n", "64", "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
 
 
 def test_haar_check_weights_checks_the_first_r_rows(tmp_path, capsys):

@@ -88,10 +88,7 @@ def test_block_matches_prefix(seed, start, count):
 
 
 def all_family_specs(seed, stream):
-    mixed = (make_spec("rademacher"), make_spec("two_point"), make_spec("exponential"))
-    return [make_spec(f, seed, stream) for f in FAMILIES] + [
-        SourceSpec(family="heterogeneous", master_seed=seed, stream_id=stream, components=mixed)
-    ]
+    return [make_spec(f, seed, stream) for f in FAMILIES]
 
 
 # row ranges crossing the 512-replica chunk and the 218-row sub-block of n = 300
@@ -169,18 +166,6 @@ def test_two_point_requires_valid_p():
         SourceSpec(family="two_point", p=1.0)
     with pytest.raises(ValueError):
         SourceSpec(family="two_point")
-
-
-def test_heterogeneous_cycles_families():
-    spec = SourceSpec(
-        family="heterogeneous",
-        master_seed=3,
-        components=(make_spec("rademacher"), make_spec("normal")),
-    )
-    x = sample_prefix(spec, 100)
-    # odd j (0-based even index) come from the first component: all +-1
-    assert np.all(np.abs(x[0::2]) == 1.0)
-    assert not np.all(np.abs(x[1::2]) == 1.0)
 
 
 def test_seed_bounds_rejected():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from ascltlab import weights
 from ascltlab.sources import SourceSpec
 from ascltlab.weights import (
+    HAAR,
+    WeightMatrixPair,
     check_conditions,
-    custom_pair,
     make_trig_pair,
     sample_haar_orthogonal,
     trig_column_sums,
@@ -85,9 +86,19 @@ def test_check_conditions_trig_n8():
 
 
 def test_check_conditions_custom_unit_row():
-    rep = check_conditions(custom_pair(np.array([[1.0, 0.0, 0.0]])), delta=1.0)
+    rep = check_conditions(WeightMatrixPair(HAAR, 3, 1, np.array([[1.0, 0.0, 0.0]])), delta=1.0)
     assert rep.eps_entry_u == 1.0
     assert rep.eps_orth_u == 0.0
+    # the dense path sees only Haar rows, which have no companion V
+    assert rep.eps_entry_v is None and rep.eps_orth_v is None and rep.eps_cross is None
+
+
+def test_haar_pair_holds_u_alone():
+    u = np.array([[1.0, 0.0, 0.0]])
+    assert not WeightMatrixPair(HAAR, 3, 1, u).has_v
+    for bad in ({"u": u, "v": u}, {}):
+        with pytest.raises(ValueError):
+            WeightMatrixPair(HAAR, 3, 1, **bad)
 
 
 def test_check_conditions_requires_positive_delta():
