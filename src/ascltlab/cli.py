@@ -15,9 +15,9 @@ Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
 timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
 
-Exit codes: 0 success, 2 configuration error (a float setting that is
-nan or +-inf among them), 3 runtime failure (a non-finite result or
-statistic among them, with nothing written).
+Exit codes: 0 success, 2 configuration error (a ConfigError, or a float
+setting that is nan or +-inf), 3 runtime failure (every other exception,
+a non-finite result or statistic among them, with nothing written).
 """
 
 from __future__ import annotations
@@ -35,24 +35,22 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import experiments, spectra
+from . import ConfigError, experiments, spectra
 from .empirical import normal_cdf
 from .sources import FAMILIES, SourceSpec
 from .weights import (
     _MATERIALIZE_LIMIT,
-    TRIG,
     HAAR,
-    check_conditions,
-    make_trig_pair,
-    sample_haar_orthogonal,
+    TRIG,
+    check_haar,
+    check_trig,
+    haar_rows,
+    require_trig,
     trig_column_sums,
+    trig_rows,
+    trig_tables,
     verify_trig_identities,
 )
-
-
-class ConfigError(Exception):
-    pass
-
 
 _RUN_COUNTER = 0
 # cells per CSV write: each block of rows is formatted in C and written at once
@@ -296,14 +294,13 @@ def _harness(call):
 
 def _check_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
-        # the structured check reads only the column sums, never the rows
-        w = make_trig_pair(cfg.n, cfg.r, materialize=False)
+        # r is checked first; the structured check reads only the column sums
+        require_trig(cfg.n, cfg.r)
         sums = trig_column_sums(cfg.n)
-        point = asdict(check_conditions(w, cfg.delta, sums=sums))
+        point = asdict(check_trig(cfg.n, cfg.r, cfg.delta, sums=sums))
         point["trig_identity_residual"] = verify_trig_identities(cfg.n, sums=sums).worst_residual
     else:
-        w = sample_haar_orthogonal(cfg.n, cfg.source_spec(), cfg.r)
-        point = asdict(check_conditions(w, cfg.delta))
+        point = asdict(check_haar(haar_rows(cfg.n, cfg.source_spec(), cfg.r), cfg.delta))
     return _result(cfg, {"kind": cfg.kind, "delta": cfg.delta}, point), None
 
 
@@ -330,16 +327,18 @@ def _spectrum_table(e: np.ndarray):
 
 def _gen_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
-        w = make_trig_pair(cfg.n, cfg.r, materialize=False)
-        if w.r * w.n > _MATERIALIZE_LIMIT:
-            raise MemoryError(f"refusing to write {w.r}x{w.n} trig weights")
+        require_trig(cfg.n, cfg.r)
+        if cfg.r * cfg.n > _MATERIALIZE_LIMIT:
+            raise MemoryError(f"refusing to write {cfg.r}x{cfg.n} trig weights")
+        # the trig rows are built one at a time from one cos table, V never
+        cos_tab = trig_tables(cfg.n)[0]
+        u = (trig_rows(cos_tab, [k])[0] for k in range(1, cfg.r + 1))
     else:
-        w = sample_haar_orthogonal(cfg.n, cfg.source_spec(), cfg.r)
-    # U streams to the writer one row at a time; a trig pair never holds
-    # more than that row, and V is never built
-    rows = ((k, *w.rows_u([k])[0].tolist()) for k in range(1, w.r + 1))
-    table = (["k"] + [f"u{j}" for j in range(w.n)], rows)
-    point = {"n": w.n, "r": w.r, "kind": cfg.kind}
+        u = haar_rows(cfg.n, cfg.source_spec(), cfg.r)
+    # U streams to the writer one row at a time
+    rows = ((k, *row.tolist()) for k, row in enumerate(u, start=1))
+    table = (["k"] + [f"u{j}" for j in range(cfg.n)], rows)
+    point = {"n": cfg.n, "r": cfg.r, "kind": cfg.kind}
     return _result(cfg, {"kind": cfg.kind}, point), table
 
 
@@ -425,7 +424,7 @@ def run(argv) -> int:
         result, table = runner(cfg)
         wall_clock_s = time.perf_counter() - t0
         lines = [summary(cfg, point) for point in result.points]
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

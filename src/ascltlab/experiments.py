@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import empirical
+from . import ConfigError, empirical
 from .empirical import EmpiricalMeasure, ks_to, normal_cdf
 from .sources import SourceSpec, _draw, _index_keys, _stream_keys, sample_prefix
 from .transform import (
@@ -39,7 +39,7 @@ from .transform import (
     partial_sums_batch,
     partial_sums_fast,
 )
-from .weights import TRIG, HAAR, require_trig, sample_haar_orthogonal
+from .weights import HAAR, TRIG, haar_rows, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
 _REPLICA_CHUNK = 512
@@ -55,13 +55,13 @@ class Schedule:
     def __post_init__(self):
         pts = tuple((int(n), int(r)) for n, r in self.points)
         if not pts:
-            raise ValueError("schedule must be nonempty")
+            raise ConfigError("schedule must be nonempty")
         for n, r in pts:
             if not (1 <= r <= n):
-                raise ValueError(f"need 1 <= r <= n, got (n={n}, r={r})")
+                raise ConfigError(f"need 1 <= r <= n, got (n={n}, r={r})")
         ns = [n for n, _ in pts]
         if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("schedule must be strictly increasing in n")
+            raise ConfigError("schedule must be strictly increasing in n")
         object.__setattr__(self, "points", pts)
 
     def require_trig(self) -> None:
@@ -74,9 +74,10 @@ class Schedule:
         pts = []
         for part in text.split(","):
             n, _, r = part.strip().partition(":")
-            if not r:
-                raise ValueError(f"schedule entry {part!r} is not n:r")
-            pts.append((int(n), int(r)))
+            try:
+                pts.append((int(n), int(r)))
+            except ValueError as exc:
+                raise ConfigError(f"schedule entry {part!r} is not n:r") from exc
         return cls(points=tuple(pts))
 
 
@@ -132,9 +133,8 @@ def _trajectory_sums(spec: SourceSpec, x: np.ndarray, r: int, kind: str) -> np.n
     if kind == HAAR:
         # the Haar rows are part of omega too: derive them from a companion
         # stream so it stays fixed for fixed (seed, stream)
-        w = sample_haar_orthogonal(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r)
-        return w.u @ x
-    raise ValueError(f"unsupported weight kind {kind!r}")
+        return haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r) @ x
+    raise ConfigError(f"unsupported weight kind {kind!r}")
 
 
 def asclt_trajectory(
@@ -200,7 +200,7 @@ def _replica_map(
     The next sub-block overwrites the block, so each result is copied.
     """
     if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+        raise ConfigError(f"threads must be >= 0, got {threads}")
     rows = max(1, _SUB_BLOCK_BYTES // (8 * n))
     jg = _index_keys(1, n)
 
@@ -230,7 +230,7 @@ def char_variance_decay(
 ) -> ExperimentResult:
     """Monte Carlo estimate of E|Phi_n(s,t,.) - e^{-(s^2+t^2)/2}|^2 per point."""
     if replicas < 100:
-        raise ValueError("need at least 100 replicas")
+        raise ConfigError("need at least 100 replicas")
     schedule.require_trig()
     target = math.exp(-(s * s + t * t) / 2.0)
     points = []
@@ -270,7 +270,7 @@ def clt_fluctuation(
     diagnostic r^3 (log n)^2 / n is reported, not enforced.
     """
     if replicas < 100:
-        raise ValueError("need at least 100 replicas")
+        raise ConfigError("need at least 100 replicas")
     require_trig(n, r)
     px = normal_cdf(x)
     kernel = batch_kernel(n, r)
@@ -336,9 +336,9 @@ def ldp_rate(
     when there are no hits).
     """
     if not a > 0.0:
-        raise ValueError("a must be positive")
+        raise ConfigError("a must be positive")
     if replicas < 1:
-        raise ValueError(f"need at least 1 replica, got replicas={replicas}")
+        raise ConfigError(f"need at least 1 replica, got replicas={replicas}")
     require_trig(n, r)
     main = _half_line_rate(spec, mean_weights(n, r), r, a, replicas, threads)
     oracle_spec = SourceSpec(

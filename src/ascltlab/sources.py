@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
+from . import ConfigError
+
 FAMILIES = (
     "rademacher",
     "uniform",
@@ -76,16 +78,16 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ConfigError(f"unknown family {self.family!r}")
         if not (0 <= self.master_seed < 2**64):
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+            raise ConfigError("master_seed must be an unsigned 64-bit integer")
         if not (0 <= self.stream_id < 2**64):
-            raise ValueError("stream_id must be an unsigned 64-bit integer")
+            raise ConfigError("stream_id must be an unsigned 64-bit integer")
         if self.family == "two_point":
             if self.p is None or not (0.0 < self.p < 1.0):
-                raise ValueError("two_point requires p in (0, 1)")
+                raise ConfigError("two_point requires p in (0, 1)")
         elif self.p is not None:
-            raise ValueError(f"family {self.family!r} takes no p parameter")
+            raise ConfigError(f"family {self.family!r} takes no p parameter")
 
     def with_stream(self, stream_id: int) -> "SourceSpec":
         return replace(self, stream_id=int(stream_id))
@@ -94,7 +96,7 @@ class SourceSpec:
 def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
     """Per-stream keys of streams spec.stream_id + lo .. spec.stream_id + hi - 1."""
     if spec.stream_id + hi > 2**64:
-        raise ValueError("stream ids must stay below 2**64")
+        raise ConfigError("stream ids must stay below 2**64")
     z = np.empty(hi - lo + 1, dtype=np.uint64)
     z[0] = spec.master_seed
     z[1:] = np.arange(lo, hi, dtype=np.uint64) + np.uint64(spec.stream_id) + _GAMMA

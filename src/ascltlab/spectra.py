@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import empirical
+from . import ConfigError, empirical
 from .sources import SourceSpec, sample_prefix
 from .transform import partial_sums_fast
 
@@ -99,7 +99,7 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
     """Spectrum of the symmetric random circulant, scaled by 1/sqrt(n);
     its entries are the standardized draws of the stream."""
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ConfigError("need n >= 3")
     c = symmetric_circulant_first_row(sample_prefix(spec, n // 2 + 1), n)
     eig = circulant_eigen_dft(c)
     if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, np.max(np.abs(eig.real))):
@@ -121,7 +121,7 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
     same sqrt(2/n)-scaled units and excluded from the ESD.
     """
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ConfigError("need n >= 3")
     x = sample_prefix(spec, n)
     r = (n - 1) // 2
     ps = partial_sums_fast(n, r, x)
@@ -153,7 +153,7 @@ def periodogram_all(x: np.ndarray) -> np.ndarray:
 def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:
     """Exact KS distance of the periodogram ECDF to Exp(1)."""
     if n < 7:
-        raise ValueError("need n >= 7")
+        raise ConfigError("need n >= 7")
     vals = periodogram_all(sample_prefix(spec, n))
     mu = empirical.EmpiricalMeasure.from_samples(vals)
     return empirical.ks_to(mu, empirical.exponential_cdf)

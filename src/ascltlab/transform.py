@@ -1,10 +1,10 @@
 """Weighted partial sums: slow compensated reference vs. fast DFT path.
 
-The naive path is the correctness oracle and works for every weight kind.
-The fast path is specific to trig weights: the whole (s, t) vector is the
-scaled real/imaginary part of one length-n real DFT, valid for arbitrary
-n (the FFT backend falls back to a convolution-based kernel for lengths
-that are not powers of two).
+Every path computes the sums of the trig pair.  The naive path, the
+correctness oracle, reads the rows; the fast path takes the whole (s, t)
+vector as the scaled real/imaginary part of one length-n real DFT, valid
+for arbitrary n (the FFT backend falls back to a convolution-based kernel
+for lengths that are not powers of two).
 
 S over a batch of inputs (replicas x n) has two kernels: the batched
 rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accum import kahan_matvec
-from .weights import TRIG, WeightMatrixPair, require_trig, trig_rows, trig_tables
+from .weights import WeightMatrixPair, require_trig, trig_rows, trig_tables
 
-# naive/fast crossover for automatic dispatch on trig weights
+# naive/fast crossover for automatic dispatch
 FAST_THRESHOLD = 1024
 _ROW_BLOCK = 1024
 # A batch takes the GEMM while it multiplies by at most this many trig
@@ -41,17 +41,15 @@ _GEMM_SLICE = 16
 
 @dataclass(frozen=True)
 class PartialSums:
-    """S_{n,k} (and T_{n,k} when a companion matrix exists), k = 1..r."""
+    """S_{n,k} and T_{n,k}, k = 1..r."""
 
     s: np.ndarray
-    t: np.ndarray | None
+    t: np.ndarray
     n: int
     r: int
 
     def __post_init__(self):
         for name, v in (("s", self.s), ("t", self.t)):
-            if v is None:
-                continue
             if v.shape != (self.r,):
                 raise ValueError(f"{name} must be a vector of length r")
             if not np.all(np.isfinite(v)):
@@ -63,13 +61,11 @@ def partial_sums_naive(w: WeightMatrixPair, x: np.ndarray) -> PartialSums:
     x = np.asarray(x, dtype=float)
     if x.shape != (w.n,):
         raise ValueError(f"expected input of length {w.n}, got {x.shape}")
-    s = np.empty(w.r)
-    t = np.empty(w.r) if w.has_v else None
+    s, t = np.empty(w.r), np.empty(w.r)
     for lo in range(1, w.r + 1, _ROW_BLOCK):
         ks = np.arange(lo, min(lo + _ROW_BLOCK, w.r + 1))
         s[ks - 1] = kahan_matvec(w.rows_u(ks), x)
-        if t is not None:
-            t[ks - 1] = kahan_matvec(w.rows_v(ks), x)
+        t[ks - 1] = kahan_matvec(w.rows_v(ks), x)
     return PartialSums(s=s, t=t, n=w.n, r=w.r)
 
 
@@ -154,15 +150,12 @@ def mean_partial_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 def partial_sums(
     w: WeightMatrixPair, x: np.ndarray, force: str | None = None
 ) -> PartialSums:
-    """Dispatch: fast DFT for big trig pairs, naive otherwise.
+    """Dispatch: fast DFT from n = FAST_THRESHOLD on, naive below.
 
     force is "naive" or "fast" to override the size heuristic.
     """
     if force not in (None, "naive", "fast"):
         raise ValueError("force must be None, 'naive' or 'fast'")
-    use_fast = w.kind == TRIG and (force == "fast" or (force is None and w.n >= FAST_THRESHOLD))
-    if force == "fast" and w.kind != TRIG:
-        raise ValueError("fast path applies to trig weights only")
-    if use_fast:
+    if force == "fast" or (force is None and w.n >= FAST_THRESHOLD):
         return partial_sums_fast(w.n, w.r, x)
     return partial_sums_naive(w, x)

@@ -4,7 +4,8 @@ The trigonometric pair u_{k,j} = sqrt(2/n) cos(2 pi j k / n),
 v_{k,j} = sqrt(2/n) sin(2 pi j k / n) is the workhorse.  Entries are
 always computed from the residue (j*k) mod n in exact integer arithmetic
 before the floating-point cosine, so the classical orthogonality
-identities hold to near machine precision even at large j*k.
+identities hold to near machine precision even at large j*k.  Haar
+weights are a plain r x n array of rows (haar_rows, check_haar).
 
 Condition residuals (max entry, row-orthogonality defect, cross defect)
 are reported raw; whether they are "small enough" is a statement across a
@@ -13,7 +14,7 @@ the column sums S_m, T_m (one blocked table-lookup pass, or an FFT for
 large n): the residual of each of the four trig identities is
 |E_a +- E_b| / 2 or |T_a +- T_b| / 2 (E = S minus its exact value), that
 of a Gram entry the same numerator over n, and one pair scan serves both
-check_conditions and verify_trig_identities.  Haar rows go through the
+check_trig and verify_trig_identities.  Haar rows go through the
 error-free Gram ``accum.ozaki_gram``.
 """
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from . import ConfigError
 from .accum import ozaki_gram
 from .sources import SourceSpec, _uniform01
 
@@ -84,98 +86,67 @@ def require_trig(n: int, r: int) -> None:
     """Reject (n, r) outside the trig construction, whose rows are
     orthonormal only when 2r < n."""
     if not 1 <= r <= (n - 1) // 2:
-        raise ValueError(
+        raise ConfigError(
             f"trig weights need 1 <= r <= floor((n-1)/2) = {(n - 1) // 2}, got n={n} r={r}"
         )
 
 
 @dataclass(frozen=True)
 class WeightMatrixPair:
-    """An r x n weight matrix U, with companion V for kind "trig".
+    """The trig pair: r x n matrices U (cos rows) and V (sin rows).
 
-    For kind "trig" the arrays may be None, meaning the entries are
-    implicit in (n, r) and generated on demand; this keeps n = 2**16 with
-    r = (n-1)//2 representable without the 17 GB dense matrix.  A "haar"
-    pair holds U alone.
+    u and v may be None, meaning the entries are implicit in (n, r) and
+    generated on demand; this keeps n = 2**16 with r = (n-1)//2
+    representable without the 17 GB dense matrices.
     """
 
-    kind: str
     n: int
     r: int
     u: np.ndarray | None = None
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (TRIG, HAAR):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < 1 or self.r < 1:
-            raise ValueError("need r >= 1 and n >= 1")
-        if self.kind == TRIG:
-            require_trig(self.n, self.r)
-        # no finiteness pass: trig rows are lookups in a finite table, and
-        # sample_haar_orthogonal checks its Q
+        require_trig(self.n, self.r)
+        # no finiteness pass: trig rows are lookups in a finite table
         for name, a in (("u", self.u), ("v", self.v)):
             if a is not None and a.shape != (self.r, self.n):
                 raise ValueError(f"{name} must be {self.r}x{self.n}, got {a.shape}")
-        if self.kind == HAAR and (self.u is None or self.v is not None):
-            raise ValueError("a haar pair holds u alone: only trig pairs are implicit or have v")
 
-    @property
-    def has_v(self) -> bool:
-        return self.kind == TRIG
+    def _rows(self, a: np.ndarray | None, table: int, ks) -> np.ndarray:
+        ks = np.asarray(ks, dtype=np.int64)
+        if np.any((ks < 1) | (ks > self.r)):
+            raise IndexError("row index out of range")
+        if a is not None:
+            return a[ks - 1]
+        return trig_rows(trig_tables(self.n)[table], ks)
 
     def rows_u(self, ks: np.ndarray) -> np.ndarray:
-        """Rows for 1-based indices ks."""
-        ks = np.asarray(ks, dtype=np.int64)
-        if np.any((ks < 1) | (ks > self.r)):
-            raise IndexError("row index out of range")
-        if self.u is not None:
-            return self.u[ks - 1]
-        return trig_rows(trig_tables(self.n)[0], ks)
+        """U rows for 1-based indices ks."""
+        return self._rows(self.u, 0, ks)
 
     def rows_v(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        if np.any((ks < 1) | (ks > self.r)):
-            raise IndexError("row index out of range")
-        if self.v is not None:
-            return self.v[ks - 1]
-        if self.kind != TRIG:
-            raise ValueError("no companion matrix V")
-        return trig_rows(trig_tables(self.n)[1], ks)
-
-    def materialize(self) -> "WeightMatrixPair":
-        if self.u is not None:
-            return self
-        if self.r * self.n > _MATERIALIZE_LIMIT:
-            raise MemoryError(
-                f"refusing to materialize {self.r}x{self.n} trig pair; use the implicit API"
-            )
-        ks = np.arange(1, self.r + 1)
-        cos_tab, sin_tab = trig_tables(self.n)
-        return WeightMatrixPair(
-            kind=self.kind,
-            n=self.n,
-            r=self.r,
-            u=trig_rows(cos_tab, ks),
-            v=trig_rows(sin_tab, ks),
-        )
+        """V rows for 1-based indices ks."""
+        return self._rows(self.v, 1, ks)
 
 
-def make_trig_pair(n: int, r: int, materialize: bool | None = None) -> WeightMatrixPair:
+def make_trig_pair(n: int, r: int) -> WeightMatrixPair:
     """The trigonometric pair of u/v weight rows for k = 1..r.
 
-    The construction needs 2r < n (see require_trig).  By default small
-    pairs are materialized and large ones stay implicit.
+    The construction needs 2r < n (see require_trig).  A pair of at most
+    _MATERIALIZE_LIMIT entries per matrix is materialized, a larger one
+    stays implicit.
     """
-    pair = WeightMatrixPair(kind=TRIG, n=n, r=r)
-    if materialize is None:
-        materialize = r * n <= _MATERIALIZE_LIMIT
-    return pair.materialize() if materialize else pair
+    require_trig(n, r)
+    if r * n > _MATERIALIZE_LIMIT:
+        return WeightMatrixPair(n, r)
+    ks = np.arange(1, r + 1)
+    cos_tab, sin_tab = trig_tables(n)
+    return WeightMatrixPair(n, r, trig_rows(cos_tab, ks), trig_rows(sin_tab, ks))
 
 
-def sample_haar_orthogonal(n: int, spec: SourceSpec, r: int | None = None) -> WeightMatrixPair:
+def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
     """The first r rows (all n when r is None) of a Haar-distributed
-    orthogonal n x n matrix, with no companion.
+    orthogonal n x n matrix, as an r x n array.
 
     Row i is column i of Q in G = QR, where G holds i.i.d. standard normals
     of the spec's counter-based stream, entry (i, c) at counter i*n + c + 1;
@@ -191,7 +162,7 @@ def sample_haar_orthogonal(n: int, spec: SourceSpec, r: int | None = None) -> We
     """
     r = n if r is None else r
     if not 1 <= r <= n:
-        raise ValueError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
+        raise ConfigError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
     if r * n > _MATERIALIZE_LIMIT:
         raise MemoryError(f"refusing to sample {r} rows of a {n}x{n} Haar matrix")
     cols = np.arange(1, r + 1, dtype=np.uint64)
@@ -200,8 +171,7 @@ def sample_haar_orthogonal(n: int, spec: SourceSpec, r: int | None = None) -> We
     d = np.diagonal(rr)
     if not np.all(np.isfinite(q)) or np.any(d == 0.0):
         raise ArithmeticError("degenerate normal draw: QR produced a zero pivot")
-    q = q * np.sign(d)[None, :]
-    return WeightMatrixPair(kind=HAAR, n=n, r=r, u=q.T.copy())
+    return (q * np.sign(d)[None, :]).T.copy()
 
 
 # --- trigonometric column sums ---------------------------------------------
@@ -289,10 +259,21 @@ def _pair_residuals(e: np.ndarray, t: np.ndarray, m: int) -> tuple[float, float,
     return float(cc), float(ss), float(cross)
 
 
-def _check_conditions_trig(n: int, r: int, delta: float, sums) -> ConditionReport:
-    # Product-to-sum reduction: every Gram entry of the trig pair is an
-    # exact half-sum of two column sums S_m / T_m, so the r x r residual
-    # scan needs only the 2n sums (see _pair_residuals).
+def check_trig(n: int, r: int, delta: float, sums=None) -> ConditionReport:
+    """Raw maxima for conditions (max entry / orthogonality / cross) of the
+    trig pair of (n, r).
+
+    Product-to-sum reduction: every Gram entry of the pair is an exact
+    half-sum of two column sums S_m / T_m, so the r x r residual scan
+    needs only the 2n sums (see _pair_residuals) and never reads the rows.
+    ``sums`` may pass in trig_column_sums(n), so that callers that also
+    run verify_trig_identities compute them once.  The scan agrees with a
+    plain BLAS Gram of the materialized pair to 1e-13 at n <= 96 (asserted
+    in the test suite).
+    """
+    require_trig(n, r)
+    if not delta > 0:
+        raise ConfigError("delta must be positive")
     cc, ss, cross = _pair_residuals(*_sum_errors(n, sums), r)
     scale = math.sqrt(2.0 / n)
     return ConditionReport(
@@ -302,44 +283,22 @@ def _check_conditions_trig(n: int, r: int, delta: float, sums) -> ConditionRepor
         eps_orth_u=cc / n,
         eps_orth_v=ss / n,
         eps_cross=cross / n,
-        log_scale=math.log1p(r) ** (1.0 + delta),
-        n=n,
-        r=r,
-        delta=delta,
+        log_scale=math.log1p(r) ** (1.0 + delta), n=n, r=r, delta=delta,
     )
 
 
-def _check_conditions_dense(w: WeightMatrixPair, delta: float) -> ConditionReport:
-    # a dense pair is a Haar one, which has no V
-    return ConditionReport(
-        eps_entry_u=float(np.max(np.abs(w.u))),
-        eps_entry_v=None,
-        eps_orth_u=float(np.max(np.abs(ozaki_gram(w.u) - np.eye(w.r)))),
-        eps_orth_v=None,
-        eps_cross=None,
-        log_scale=math.log1p(w.r) ** (1.0 + delta),
-        n=w.n,
-        r=w.r,
-        delta=delta,
-    )
-
-
-def check_conditions(w: WeightMatrixPair, delta: float, sums=None) -> ConditionReport:
-    """Raw maxima for conditions (max entry / orthogonality / cross).
-
-    Trig pairs go through the structured scan of the column sums, which
-    never reads the rows; ``sums`` may pass in trig_column_sums(w.n) so
-    that callers that also run verify_trig_identities compute them once.
-    Haar rows go through the error-free Gram ``ozaki_gram`` and report
-    None for the three V fields.  The trig scan agrees with a plain BLAS
-    Gram of the materialized pair to 1e-13 at n <= 96 (asserted in the
-    test suite).
-    """
+def check_haar(u: np.ndarray, delta: float) -> ConditionReport:
+    """Raw maxima for conditions (max entry / orthogonality) of the r x n
+    Haar rows u, through the error-free Gram ``ozaki_gram``.  Haar rows
+    have no companion V, so the three V fields are None."""
     if not delta > 0:
-        raise ValueError("delta must be positive")
-    if w.kind == TRIG:
-        return _check_conditions_trig(w.n, w.r, delta, sums)
-    return _check_conditions_dense(w, delta)
+        raise ConfigError("delta must be positive")
+    r, n = u.shape
+    return ConditionReport(
+        eps_entry_u=float(np.max(np.abs(u))), eps_entry_v=None,
+        eps_orth_u=float(np.max(np.abs(ozaki_gram(u) - np.eye(r)))), eps_orth_v=None,
+        eps_cross=None, log_scale=math.log1p(r) ** (1.0 + delta), n=n, r=r, delta=delta,
+    )
 
 
 @dataclass(frozen=True)
@@ -357,11 +316,11 @@ def verify_trig_identities(n: int, tol: float = 1e-9, sums=None) -> TrigIdentity
     Every pairwise sum reduces exactly to a half-sum of the column sums
     S_m, T_m, so the residual of a pair is |E_a +- E_b| / 2 (E = S minus
     its exact value) or |T_a +- T_b| / 2, and the worst pair is found
-    exactly by the O(n) scan that also serves check_conditions
+    exactly by the O(n) scan that also serves check_trig
     (_pair_residuals).  ``sums`` may pass in trig_column_sums(n), as for
-    check_conditions.
+    check_trig.
     """
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ConfigError("need n >= 3")
     worst = max(_pair_residuals(*_sum_errors(n, sums), n)) / 2.0
     return TrigIdentityReport(worst <= tol, worst, n, tol)

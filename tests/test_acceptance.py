@@ -36,9 +36,9 @@ from ascltlab.spectra import (
 )
 from ascltlab.transform import partial_sums_fast, partial_sums_naive
 from ascltlab.weights import (
-    check_conditions,
+    check_trig,
+    haar_rows,
     make_trig_pair,
-    sample_haar_orthogonal,
     verify_trig_identities,
 )
 
@@ -70,7 +70,7 @@ def test_criterion_02_condition_residuals():
     worst = 0.0
     for e in range(8, 17):
         n = 2**e
-        rep = check_conditions(make_trig_pair(n, (n - 1) // 2), delta=1.0)
+        rep = check_trig(n, (n - 1) // 2, delta=1.0)
         worst = max(worst, rep.eps_orth_u, rep.eps_orth_v, rep.eps_cross)
     elapsed = time.perf_counter() - t0
     verdict(2, worst <= 1e-9 and elapsed < 30.0, f"worst eps {worst:.3g}, {elapsed:.2f}s")
@@ -215,10 +215,10 @@ def test_criterion_10_circulant_spectra():
 def test_criterion_11_haar_weights():
     t0 = time.perf_counter()
     n = 1024
-    w = sample_haar_orthogonal(n, spec_of("normal", 2, stream=1 << 32))
-    orth = float(np.max(np.abs(w.u @ w.u.T - np.eye(n))))
+    u = haar_rows(n, spec_of("normal", 2, stream=1 << 32))
+    orth = float(np.max(np.abs(u @ u.T - np.eye(n))))
     x = sample_prefix(spec_of("rademacher", 2), n)
-    ks = ks_to(EmpiricalMeasure.from_samples(w.u @ x), normal_cdf)
+    ks = ks_to(EmpiricalMeasure.from_samples(u @ x), normal_cdf)
     elapsed = time.perf_counter() - t0
     verdict(
         11,

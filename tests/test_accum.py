@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ascltlab.accum import ozaki_gram
+from ascltlab.accum import kahan_matvec, ozaki_gram
 
 from .oracles import exact_gram
 
@@ -103,3 +103,9 @@ def test_identical_at_blas_threads_1_and_2():
         digests.append(out.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+def test_kahan_matvec_unit_row_projection():
+    # a unit row picks out its coordinate exactly
+    got = kahan_matvec(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([3.5, 1.0, -2.0, 7.0]))
+    assert got.shape == (1,) and got[0] == 3.5

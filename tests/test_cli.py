@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ascltlab import cli, experiments, sources, spectra
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 from ascltlab.sources import SourceSpec
-from ascltlab.weights import make_trig_pair, sample_haar_orthogonal
+from ascltlab.weights import haar_rows, make_trig_pair
 
 from . import oracles
 
@@ -310,12 +310,20 @@ def test_haar_check_weights_checks_the_first_r_rows(tmp_path, capsys):
     assert point["eps_entry_u"] == max(abs(float(v)) for row in rows for v in row)
 
 
-@pytest.mark.parametrize("subcommand, r", [("check-weights", 30), ("gen-weights", 20), ("check-weights", 0)])
-def test_haar_r_outside_1_to_n_exits_2(tmp_path, capsys, subcommand, r):
-    argv = [subcommand, "--weights", "haar", "--n", "8", "--r", str(r), "--out-dir", str(tmp_path)]
+# the trig cases are in range for Haar weights, but not for the trig bound
+@pytest.mark.parametrize(
+    "subcommand, weights, r",
+    [pytest.param("check-weights", "haar", 30, id="check-weights-30"),
+     pytest.param("gen-weights", "haar", 20, id="gen-weights-20"),
+     pytest.param("check-weights", "haar", 0, id="check-weights-0"),
+     pytest.param("check-weights", "trig", 4, id="check-weights-trig-4"),
+     pytest.param("gen-weights", "trig", 4, id="gen-weights-trig-4")],
+)
+def test_haar_r_outside_1_to_n_exits_2(tmp_path, capsys, subcommand, weights, r):
+    argv = [subcommand, "--weights", weights, "--n", "8", "--r", str(r), "--out-dir", str(tmp_path)]
     assert run(argv) == 2
-    assert "r <= n" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.json"))
+    assert {"haar": "r <= n", "trig": "r <= floor((n-1)/2)"}[weights] in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -467,6 +475,16 @@ def test_non_finite_result_is_a_runtime_failure(tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 3
     assert "runtime failure" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def test_numpy_value_error_is_a_runtime_failure(tmp_path, capsys):
+    # n = 2^62 passes every settings check; numpy then refuses the 2^65-byte
+    # array of draws with a ValueError before allocating it
+    out = tmp_path / "out"
+    assert run(["periodogram", "--n", str(1 << 62), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "too big" in err
+    assert not out.exists()
 
 
 def _nan_prefix(spec, n):
@@ -646,7 +664,7 @@ def test_gen_weights_rows_wider_than_a_block_match_the_per_row_writer(tmp_path, 
     if kind == "trig":
         u = make_trig_pair(n, r).u
     else:
-        u = sample_haar_orthogonal(n, SourceSpec("rademacher", 2, 0), r).u
+        u = haar_rows(n, SourceSpec("rademacher", 2, 0), r)
     header = ["k"] + [f"u{j}" for j in range(n)]
     ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, header,
                      oracles.csv_cells(range(1, r + 1), *u.T.tolist()))

@@ -17,7 +17,7 @@ from ascltlab.experiments import (
 )
 from ascltlab.sources import SourceSpec, sample_prefix, sample_rows
 from ascltlab.transform import partial_sums_fast
-from ascltlab.weights import TRIG, WeightMatrixPair, make_trig_pair
+from ascltlab.weights import check_trig, make_trig_pair
 
 from .oracles import empirical_char, joint_cdf, ldp_normal_baseline
 from .test_sources import all_family_specs
@@ -48,7 +48,7 @@ def test_schedule_validation():
         lambda n, r: ldp_rate(spec_of("normal", 0), n, r, 0.5, 100),
         lambda n, r: partial_sums_fast(n, r, np.zeros(n)),
         lambda n, r: make_trig_pair(n, r),
-        lambda n, r: WeightMatrixPair(kind=TRIG, n=n, r=r),
+        lambda n, r: check_trig(n, r, 1.0),
     ],
 )
 @pytest.mark.parametrize("n, r", [(64, 32), (9, 5), (2, 1)])

@@ -15,7 +15,7 @@ from ascltlab.transform import (
     partial_sums_naive,
     use_gemm,
 )
-from ascltlab.weights import HAAR, WeightMatrixPair, make_trig_pair
+from ascltlab.weights import make_trig_pair
 
 
 def test_naive_trig_all_ones_vanishes():
@@ -23,13 +23,6 @@ def test_naive_trig_all_ones_vanishes():
     ps = partial_sums_naive(w, np.ones(16))
     assert np.max(np.abs(ps.s)) < 1e-12
     assert np.max(np.abs(ps.t)) < 1e-12
-
-
-def test_naive_custom_projection():
-    w = WeightMatrixPair(HAAR, 4, 1, np.array([[1.0, 0.0, 0.0, 0.0]]))
-    ps = partial_sums_naive(w, np.array([3.5, 1.0, -2.0, 7.0]))
-    assert ps.s[0] == 3.5
-    assert ps.t is None
 
 
 def test_naive_trig_single_coordinate():
@@ -119,7 +112,7 @@ def test_dispatch_and_force():
     assert np.array_equal(fast.s, ref.s) and np.array_equal(fast.t, ref.t)
     assert np.max(np.abs(naive.s - fast.s)) < 1e-10
     with pytest.raises(ValueError):
-        partial_sums(WeightMatrixPair(HAAR, 3, 3, np.eye(3)), np.zeros(3), force="fast")
+        partial_sums(w, x, force="gemm")
 
 
 def test_batch_matches_single():

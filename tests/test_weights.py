@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from ascltlab import weights
 from ascltlab.sources import SourceSpec
 from ascltlab.weights import (
-    HAAR,
-    WeightMatrixPair,
-    check_conditions,
+    check_haar,
+    check_trig,
+    haar_rows,
     make_trig_pair,
-    sample_haar_orthogonal,
     trig_column_sums,
     trig_rows,
     trig_tables,
@@ -46,8 +45,7 @@ def test_trig_entries_n8():
 
 
 def test_trig_rows_orthogonal_n8():
-    w = make_trig_pair(8, 3)
-    u = w.materialize().u
+    u = make_trig_pair(8, 3).u
     # k1 + k2 = 3 != 8, so the cross sum vanishes exactly
     assert abs(np.dot(u[0], u[1])) < 1e-14
 
@@ -77,7 +75,7 @@ def test_verify_trig_identities_small(n):
 
 
 def test_check_conditions_trig_n8():
-    rep = check_conditions(make_trig_pair(8, 3), delta=1.0)
+    rep = check_trig(8, 3, delta=1.0)
     assert rep.eps_orth_u < 1e-14
     assert rep.eps_orth_v < 1e-14
     assert rep.eps_cross < 1e-14
@@ -85,26 +83,20 @@ def test_check_conditions_trig_n8():
     assert rep.log_scale == pytest.approx(math.log(4.0) ** 2)
 
 
-def test_check_conditions_custom_unit_row():
-    rep = check_conditions(WeightMatrixPair(HAAR, 3, 1, np.array([[1.0, 0.0, 0.0]])), delta=1.0)
+def test_check_haar_unit_row():
+    rep = check_haar(np.array([[1.0, 0.0, 0.0]]), delta=1.0)
     assert rep.eps_entry_u == 1.0
     assert rep.eps_orth_u == 0.0
-    # the dense path sees only Haar rows, which have no companion V
+    # Haar rows have no companion V
     assert rep.eps_entry_v is None and rep.eps_orth_v is None and rep.eps_cross is None
-
-
-def test_haar_pair_holds_u_alone():
-    u = np.array([[1.0, 0.0, 0.0]])
-    assert not WeightMatrixPair(HAAR, 3, 1, u).has_v
-    for bad in ({"u": u, "v": u}, {}):
-        with pytest.raises(ValueError):
-            WeightMatrixPair(HAAR, 3, 1, **bad)
 
 
 def test_check_conditions_requires_positive_delta():
     for delta in (0.0, math.nan):
         with pytest.raises(ValueError):
-            check_conditions(make_trig_pair(8, 3), delta=delta)
+            check_trig(8, 3, delta=delta)
+        with pytest.raises(ValueError):
+            check_haar(np.eye(3), delta=delta)
 
 
 @given(
@@ -116,9 +108,8 @@ def test_structured_matches_dense_conditions(n, seed):
     # the O(r) trig-condition scan must agree with brute-force Gram residuals
     r = (n - 1) // 2
     w = make_trig_pair(n, r)
-    fast = check_conditions(w, delta=1.0)
-    u = w.materialize().u
-    v = w.materialize().v
+    fast = check_trig(n, r, delta=1.0)
+    u, v = w.u, w.v
     gram_u = u @ u.T - np.eye(r)
     gram_v = v @ v.T - np.eye(r)
     assert fast.eps_orth_u == pytest.approx(np.max(np.abs(gram_u)), abs=1e-13)
@@ -130,7 +121,7 @@ def test_structured_matches_dense_conditions(n, seed):
 
 def test_entry_bound_sqrt_2_over_n():
     for n in [16, 127, 1024]:
-        rep = check_conditions(make_trig_pair(n, (n - 1) // 2), delta=1.0)
+        rep = check_trig(n, (n - 1) // 2, delta=1.0)
         bound = math.sqrt(2.0 / n) * (1.0 + 1e-12)
         assert rep.eps_entry_u <= bound
         assert rep.eps_entry_v <= bound
@@ -141,7 +132,7 @@ def test_condition_i_single_constant_along_schedule():
     vals = []
     for e in range(10, 17):
         n = 2**e
-        rep = check_conditions(make_trig_pair(n, (n - 1) // 2), delta=1.0)
+        rep = check_trig(n, (n - 1) // 2, delta=1.0)
         vals.append(rep.eps_entry_u * rep.log_scale)
     assert max(vals) < 10.0
 
@@ -184,27 +175,25 @@ def test_condition_scan_bit_identical_to_loop(n):
     # diagonal of V V^T is (E_0 - S_2k) / n and that of U V^T (T_2k + T_0) / n
     s, t = trig_column_sums(n)
     for r in (1, 2, (n - 1) // 2):
-        rep = check_conditions(make_trig_pair(n, r, materialize=False), 1.0, sums=(s, t))
+        rep = check_trig(n, r, 1.0, sums=(s, t))
         assert (rep.eps_orth_u, rep.eps_orth_v, rep.eps_cross) == trig_conditions_loop(n, r, s, t), r
 
 
 def test_shared_sums_give_the_same_reports():
     n, r = 300, 149
     sums = trig_column_sums(n)
-    w = make_trig_pair(n, r, materialize=False)
-    assert check_conditions(w, 1.0, sums=sums) == check_conditions(w, 1.0)
+    assert check_trig(n, r, 1.0, sums=sums) == check_trig(n, r, 1.0)
     with pytest.raises(ValueError):
-        check_conditions(w, 1.0, sums=trig_column_sums(n + 1))
+        check_trig(n, r, 1.0, sums=trig_column_sums(n + 1))
     with pytest.raises(ValueError):
         verify_trig_identities(n, sums=trig_column_sums(n - 1))
 
 
 def test_trig_checks_memory_bounded():
     # the n x n angle matrix of the one-shot sums took about 520 MB at this size
-    w = make_trig_pair(4096, 2047, materialize=False)
     tracemalloc.start()
     try:
-        check_conditions(w, delta=1.0)
+        check_trig(4096, 2047, delta=1.0)
         verify_trig_identities(4096)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -227,19 +216,20 @@ def test_trig_materialize_memory_bounded():
     n, r = 4096, 2047
     tracemalloc.start()
     try:
-        w = make_trig_pair(n, r, materialize=True)
+        w = make_trig_pair(n, r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert w.u.nbytes + w.v.nbytes == 16 * r * n
     assert peak < 16 * r * n + 4 * 2**20
+    # one more row is past the limit, and that pair stays implicit
+    assert make_trig_pair(n + 1, r + 1).u is None
 
 
 def test_haar_n1_support():
     seen = set()
     for seed in range(40):
-        w = sample_haar_orthogonal(1, normal_spec(seed))
-        val = float(w.u[0, 0])
+        val = float(haar_rows(1, normal_spec(seed))[0, 0])
         assert val == pytest.approx(1.0, abs=1e-12) or val == pytest.approx(-1.0, abs=1e-12)
         seen.add(round(val))
     assert seen == {-1, 1}
@@ -247,13 +237,13 @@ def test_haar_n1_support():
 
 def test_haar_orthonormality():
     for n in [2, 16, 64]:
-        w = sample_haar_orthogonal(n, normal_spec(5))
-        gram = w.u @ w.u.T
+        u = haar_rows(n, normal_spec(5))
+        gram = u @ u.T
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
 
 
 def test_haar_conditions_report():
-    rep = check_conditions(sample_haar_orthogonal(32, normal_spec(1)), delta=1.0)
+    rep = check_haar(haar_rows(32, normal_spec(1)), delta=1.0)
     assert rep.eps_orth_u <= 1e-10
     assert rep.eps_cross is None
 
@@ -266,8 +256,7 @@ def test_haar_max_entry_law():
     bound = 2.0 * math.sqrt(math.log(n) / n)
     hits = 0
     for seed in range(200):
-        w = sample_haar_orthogonal(n, normal_spec(seed))
-        if np.max(np.abs(w.u)) <= bound:
+        if np.max(np.abs(haar_rows(n, normal_spec(seed)))) <= bound:
             hits += 1
     assert hits >= 170
 
@@ -276,7 +265,7 @@ def test_haar_first_entry_moments():
     # first-row first-entry is uniform-on-sphere marginal: mean 0, var 1/16
     n, reps = 16, 10**4
     vals = np.array(
-        [float(sample_haar_orthogonal(n, normal_spec(seed)).u[0, 0]) for seed in range(reps)]
+        [float(haar_rows(n, normal_spec(seed))[0, 0]) for seed in range(reps)]
     )
     mean_se = 1.0 / math.sqrt(n * reps)
     assert abs(np.mean(vals)) < 5.0 * mean_se
@@ -289,13 +278,11 @@ def test_haar_first_entry_moments():
 def test_haar_thin_rows_match_the_full_matrix(n, r):
     # the thin QR of the first r normal columns against the full n x n QR:
     # equal up to the last ulp at r < n, bit for bit at r = n
-    full = sample_haar_orthogonal(n, normal_spec(n + r)).u
-    thin = sample_haar_orthogonal(n, normal_spec(n + r), r)
-    assert (thin.kind, thin.n, thin.r) == ("haar", n, r)
-    assert np.max(np.abs(thin.u - full[:r])) <= (0.0 if r == n else 1e-14)
+    full = haar_rows(n, normal_spec(n + r))
+    thin = haar_rows(n, normal_spec(n + r), r)
+    assert thin.shape == (r, n)
+    assert np.max(np.abs(thin - full[:r])) <= (0.0 if r == n else 1e-14)
 
 
 def test_haar_deterministic_in_seed():
-    a = sample_haar_orthogonal(8, normal_spec(3))
-    b = sample_haar_orthogonal(8, normal_spec(3))
-    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(haar_rows(8, normal_spec(3)), haar_rows(8, normal_spec(3)))
