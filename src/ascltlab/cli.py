@@ -5,7 +5,9 @@ Every subcommand is one entry of _COMMANDS: a runner that returns an
 ExperimentResult (and, when the CSV rows are not its points, the CSV
 rows), the RunConfig fields it needs, and its summary line per point.
 run() checks those fields, times the runner, writes the artifacts and
-prints the summary lines in the same way for all of them.
+prints the summary lines in the same way for all of them.  The JSON
+document is laid out here alone: the run's identity (experiment, seed,
+stream, family) comes from RunConfig, the rest from the result.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
@@ -30,7 +32,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 
 import numpy as np
@@ -38,19 +40,7 @@ import numpy as np
 from . import ConfigError, experiments, spectra
 from .empirical import normal_cdf
 from .sources import FAMILIES, SourceSpec
-from .weights import (
-    _MATERIALIZE_LIMIT,
-    HAAR,
-    TRIG,
-    check_haar,
-    check_trig,
-    haar_rows,
-    require_trig,
-    trig_column_sums,
-    trig_rows,
-    trig_tables,
-    verify_trig_identities,
-)
+from .weights import HAAR, TRIG, check_haar, check_trig, haar_rows, trig_u_rows
 
 _RUN_COUNTER = 0
 # cells per CSV write: each block of rows is formatted in C and written at once
@@ -193,12 +183,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_csv(path: str, header, rows) -> None:
     """The header line, then one line per row: str of each cell (a Python
     float's str is its shortest round-trip repr), ","-separated.
@@ -246,16 +230,23 @@ def _sorted_cells(e: np.ndarray):
     return chain(chain.from_iterable(lower), _floats(e[h:e.size - h]), chain.from_iterable(upper))
 
 
-def _write_artifacts(cfg: RunConfig, doc: dict, wall_clock_s: float, table) -> tuple[str, str]:
-    """Write {experiment}-{seed}-{timestamp}.json and .csv, return paths."""
+def _write_artifacts(
+    cfg: RunConfig, result: experiments.ExperimentResult, wall_clock_s: float, table
+) -> tuple[str, str]:
+    """Write {experiment}-{seed}-{timestamp}.json and .csv, return paths;
+    the JSON is the run's identity from cfg, then the result."""
     global _RUN_COUNTER
     _RUN_COUNTER += 1
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"-{os.getpid()}-{_RUN_COUNTER}"
+    doc = {"schema_version": 1, "experiment": cfg.experiment, "master_seed": cfg.seed,
+           "stream_id": cfg.stream, "family": cfg.family, **vars(result)}
+    if result.config is None:
+        del doc["config"]
     # everything volatile across reruns lives under this one key, so that
     # identical (config, seed) runs are byte-identical once it is dropped
     doc["timestamp"] = {"stamp": stamp, "wall_clock_s": wall_clock_s, "threads": cfg.threads}
     # a non-finite value raises ValueError here, before any file is opened
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     base = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}-{stamp}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     json_path = base + ".json"
@@ -270,13 +261,6 @@ def _points_table(points: list[dict]):
     """CSV header and rows, one row per point; a None value is an empty cell."""
     header = list(points[0])
     return header, (["" if p[c] is None else p[c] for c in header] for p in points)
-
-
-def _result(cfg: RunConfig, params: dict, point: dict) -> experiments.ExperimentResult:
-    """The one-point result of a subcommand that runs no harness."""
-    return experiments.ExperimentResult(
-        cfg.experiment, cfg.seed, cfg.stream, cfg.family, params, [point]
-    )
 
 
 def _harness(call):
@@ -294,19 +278,15 @@ def _harness(call):
 
 def _check_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
-        # r is checked first; the structured check reads only the column sums
-        require_trig(cfg.n, cfg.r)
-        sums = trig_column_sums(cfg.n)
-        point = asdict(check_trig(cfg.n, cfg.r, cfg.delta, sums=sums))
-        point["trig_identity_residual"] = verify_trig_identities(cfg.n, sums=sums).worst_residual
+        point = check_trig(cfg.n, cfg.r, cfg.delta)
     else:
-        point = asdict(check_haar(haar_rows(cfg.n, cfg.source_spec(), cfg.r), cfg.delta))
-    return _result(cfg, {"kind": cfg.kind, "delta": cfg.delta}, point), None
+        point = check_haar(cfg.n, cfg.r, cfg.source_spec(), cfg.delta)
+    return experiments.ExperimentResult({"kind": cfg.kind, "delta": cfg.delta}, [point]), None
 
 
 def _periodogram(cfg: RunConfig):
     dist = spectra.periodogram_ecdf_distance(cfg.n, cfg.source_spec())
-    return _result(cfg, {}, {"n": cfg.n, "ks_to_exponential": dist}), None
+    return experiments.ExperimentResult({}, [{"n": cfg.n, "ks_to_exponential": dist}]), None
 
 
 def _spectrum(cfg: RunConfig):
@@ -317,7 +297,8 @@ def _spectrum(cfg: RunConfig):
     else:
         sp = spectra.reverse_circulant_spectrum(cfg.n, spec)
         summary = sp.summary()
-    return _result(cfg, {"ensemble": cfg.ensemble}, summary), _spectrum_table(sp.eigenvalues)
+    result = experiments.ExperimentResult({"ensemble": cfg.ensemble}, [summary])
+    return result, _spectrum_table(sp.eigenvalues)
 
 
 def _spectrum_table(e: np.ndarray):
@@ -327,19 +308,14 @@ def _spectrum_table(e: np.ndarray):
 
 def _gen_weights(cfg: RunConfig):
     if cfg.kind == TRIG:
-        require_trig(cfg.n, cfg.r)
-        if cfg.r * cfg.n > _MATERIALIZE_LIMIT:
-            raise MemoryError(f"refusing to write {cfg.r}x{cfg.n} trig weights")
-        # the trig rows are built one at a time from one cos table, V never
-        cos_tab = trig_tables(cfg.n)[0]
-        u = (trig_rows(cos_tab, [k])[0] for k in range(1, cfg.r + 1))
+        u = trig_u_rows(cfg.n, cfg.r)
     else:
         u = haar_rows(cfg.n, cfg.source_spec(), cfg.r)
     # U streams to the writer one row at a time
     rows = ((k, *row.tolist()) for k, row in enumerate(u, start=1))
     table = (["k"] + [f"u{j}" for j in range(cfg.n)], rows)
     point = {"n": cfg.n, "r": cfg.r, "kind": cfg.kind}
-    return _result(cfg, {"kind": cfg.kind}, point), table
+    return experiments.ExperimentResult({"kind": cfg.kind}, [point]), table
 
 
 def _line(fmt: str, *keys: str):
@@ -432,7 +408,7 @@ def run(argv) -> int:
         return 3
     try:
         json_path, csv_path = _write_artifacts(
-            cfg, result.to_dict(), wall_clock_s, table or _points_table(result.points)
+            cfg, result, wall_clock_s, table or _points_table(result.points)
         )
     except (OSError, ValueError) as exc:
         # ValueError: a non-finite result, which JSON cannot hold

@@ -83,46 +83,18 @@ class Schedule:
 
 @dataclass
 class ExperimentResult:
-    """Structured record of one run, ready for persistence.
+    """What a run computed: its params and points, and its replica count.
 
+    The CLI lays these out in the artifact next to the run's identity
+    (experiment, seed, stream, family), which it knows from its settings.
     config, when set, is the block of resolved command-line settings that
     the CLI attaches to the artifacts of these harnesses.
     """
 
-    experiment: str
-    master_seed: int
-    stream_id: int
-    family: str
     params: dict
     points: list[dict]
     replicas: int = 1
     config: dict | None = None
-
-    def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("replica count must be >= 1")
-
-    def to_dict(self) -> dict:
-        doc = {
-            "schema_version": 1,
-            "experiment": self.experiment,
-            "master_seed": self.master_seed,
-            "stream_id": self.stream_id,
-            "family": self.family,
-            "params": self.params,
-            "points": self.points,
-            "replicas": self.replicas,
-        }
-        if self.config is not None:
-            doc["config"] = self.config
-        return doc
-
-
-def _result(experiment: str, spec: SourceSpec, params: dict, points: list, replicas: int = 1):
-    """The result of a harness run on the inputs of spec."""
-    return ExperimentResult(
-        experiment, spec.master_seed, spec.stream_id, spec.family, params, points, replicas
-    )
 
 
 def _trajectory_sums(spec: SourceSpec, x: np.ndarray, r: int, kind: str) -> np.ndarray:
@@ -157,7 +129,7 @@ def asclt_trajectory(
         ks = ks_to(EmpiricalMeasure.from_samples(s), normal_cdf)
         digest = hashlib.sha256(x).hexdigest()
         points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": digest})
-    return _result("asclt", spec, {"kind": kind}, points)
+    return ExperimentResult({"kind": kind}, points)
 
 
 def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
@@ -180,7 +152,7 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
             joint[i] = np.searchsorted(tt, gx, side="right") / r
         dev = float(np.max(np.abs(joint - target)))
         points.append({"n": n, "r": r, "max_grid_deviation": dev})
-    return _result("bivariate", spec, {"grid": [float(v) for v in gx]}, points)
+    return ExperimentResult({"grid": [float(v) for v in gx]}, points)
 
 
 def _finite(v: np.ndarray, what: str) -> np.ndarray:
@@ -252,7 +224,7 @@ def char_variance_decay(
                 "std_error": float(np.std(sq, ddof=1) / math.sqrt(replicas)),
             }
         )
-    return _result("char-decay", spec, {"s": s, "t": t}, points, replicas)
+    return ExperimentResult({"s": s, "t": t}, points, replicas)
 
 
 def clt_fluctuation(
@@ -294,7 +266,7 @@ def clt_fluctuation(
         "ks_standardized_to_normal": ks,
         "r3_log2_over_n": r**3 * math.log(n) ** 2 / n,
     }
-    return _result("clt-fluct", spec, {"x": x}, [point], replicas)
+    return ExperimentResult({"x": x}, [point], replicas)
 
 
 def _half_line_rate(
@@ -368,4 +340,4 @@ def ldp_rate(
         "oracle_rate_is_lower_bound": oracle["rate_is_lower_bound"],
         "rate_ratio_to_oracle": main["rate"] / oracle["rate"],
     }
-    return _result("ldp", spec, {"a": a}, [point], replicas)
+    return ExperimentResult({"a": a}, [point], replicas)

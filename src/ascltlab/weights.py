@@ -7,15 +7,17 @@ before the floating-point cosine, so the classical orthogonality
 identities hold to near machine precision even at large j*k.  Haar
 weights are a plain r x n array of rows (haar_rows, check_haar).
 
-Condition residuals (max entry, row-orthogonality defect, cross defect)
-are reported raw; whether they are "small enough" is a statement across a
-schedule of n and is left to the caller.  Trig pairs are checked through
-the column sums S_m, T_m (one blocked table-lookup pass, or an FFT for
-large n): the residual of each of the four trig identities is
+check_trig and check_haar each return the whole check-weights point as a
+dict, in its CSV column order.  Condition residuals (max entry,
+row-orthogonality defect, cross defect) are reported raw; whether they
+are "small enough" is a statement across a schedule of n and is left to
+the caller.  Trig pairs are checked through the column sums S_m, T_m (one
+blocked table-lookup pass, or an FFT for large n), computed once per
+point: the residual of each of the four trig identities is
 |E_a +- E_b| / 2 or |T_a +- T_b| / 2 (E = S minus its exact value), that
 of a Gram entry the same numerator over n, and one pair scan serves both
-check_trig and verify_trig_identities.  Haar rows go through the
-error-free Gram ``accum.ozaki_gram``.
+the conditions and the identities.  Haar rows go through the error-free
+Gram ``accum.ozaki_gram``.
 """
 
 from __future__ import annotations
@@ -144,6 +146,17 @@ def make_trig_pair(n: int, r: int) -> WeightMatrixPair:
     return WeightMatrixPair(n, r, trig_rows(cos_tab, ks), trig_rows(sin_tab, ks))
 
 
+def trig_u_rows(n: int, r: int):
+    """The r U rows of the trig pair of (n, r), built one at a time from one
+    cos table as they are read; V is never built.  r*n above
+    _MATERIALIZE_LIMIT is refused before any row is built."""
+    require_trig(n, r)
+    if r * n > _MATERIALIZE_LIMIT:
+        raise MemoryError(f"refusing to write {r}x{n} trig weights")
+    cos_tab = trig_tables(n)[0]
+    return (trig_rows(cos_tab, [k])[0] for k in range(1, r + 1))
+
+
 def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
     """The first r rows (all n when r is None) of a Haar-distributed
     orthogonal n x n matrix, as an r x n array.
@@ -204,31 +217,10 @@ def trig_column_sums(n: int, direct: bool | None = None):
     return s, t
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Raw left-hand sides of the three almost-orthogonality conditions."""
-
-    eps_entry_u: float
-    eps_entry_v: float | None
-    eps_orth_u: float
-    eps_orth_v: float | None
-    eps_cross: float | None
-    log_scale: float
-    n: int
-    r: int
-    delta: float
-
-
-def _sum_errors(n: int, sums):
-    """(E, T) of the caller's trig_column_sums(n), after a shape check, or of
-    fresh ones: E is S minus its exact value (n at m = 0, else 0); that of T
-    is 0 at every m, so T is its own error."""
-    if sums is None:
-        sums = trig_column_sums(n)
-    elif any(np.shape(a) != (n,) for a in sums):
-        raise ValueError(f"sums must be the two length-{n} arrays of trig_column_sums({n})")
-    e, t = sums
-    e = e.copy()
+def _sum_errors(n: int):
+    """(E, T) of trig_column_sums(n): E is S minus its exact value (n at
+    m = 0, else 0); that of T is 0 at every m, so T is its own error."""
+    e, t = trig_column_sums(n)
     e[0] -= n
     return e, t
 
@@ -259,68 +251,59 @@ def _pair_residuals(e: np.ndarray, t: np.ndarray, m: int) -> tuple[float, float,
     return float(cc), float(ss), float(cross)
 
 
-def check_trig(n: int, r: int, delta: float, sums=None) -> ConditionReport:
-    """Raw maxima for conditions (max entry / orthogonality / cross) of the
-    trig pair of (n, r).
+def check_trig(n: int, r: int, delta: float) -> dict:
+    """The check-weights point of the trig pair of (n, r): raw maxima for
+    conditions (max entry / orthogonality / cross), then the worst trig
+    identity residual of n, exactly verify_trig_identities(n).
 
-    Product-to-sum reduction: every Gram entry of the pair is an exact
-    half-sum of two column sums S_m / T_m, so the r x r residual scan
-    needs only the 2n sums (see _pair_residuals) and never reads the rows.
-    ``sums`` may pass in trig_column_sums(n), so that callers that also
-    run verify_trig_identities compute them once.  The scan agrees with a
-    plain BLAS Gram of the materialized pair to 1e-13 at n <= 96 (asserted
-    in the test suite).
+    r and delta are checked before the column sums are computed, once for
+    both scans.  Every Gram entry of the pair is an exact half-sum of two
+    column sums S_m / T_m, so the r x r residual scan never reads the rows;
+    it agrees with a plain BLAS Gram of the materialized pair to 1e-13 at
+    n <= 96 (asserted in the test suite).
     """
     require_trig(n, r)
     if not delta > 0:
         raise ConfigError("delta must be positive")
-    cc, ss, cross = _pair_residuals(*_sum_errors(n, sums), r)
+    e, t = _sum_errors(n)
+    cc, ss, cross = _pair_residuals(e, t, r)
     scale = math.sqrt(2.0 / n)
-    return ConditionReport(
+    return {
         # residue 0 is hit at j = n for every k, where |cos| = 1
-        eps_entry_u=scale,
-        eps_entry_v=scale * float(np.max(np.abs(trig_tables(n)[1]))),
-        eps_orth_u=cc / n,
-        eps_orth_v=ss / n,
-        eps_cross=cross / n,
-        log_scale=math.log1p(r) ** (1.0 + delta), n=n, r=r, delta=delta,
-    )
+        "eps_entry_u": scale,
+        "eps_entry_v": scale * float(np.max(np.abs(trig_tables(n)[1]))),
+        "eps_orth_u": cc / n, "eps_orth_v": ss / n, "eps_cross": cross / n,
+        "log_scale": math.log1p(r) ** (1.0 + delta), "n": n, "r": r, "delta": delta,
+        "trig_identity_residual": max(_pair_residuals(e, t, n)) / 2.0,
+    }
 
 
-def check_haar(u: np.ndarray, delta: float) -> ConditionReport:
-    """Raw maxima for conditions (max entry / orthogonality) of the r x n
-    Haar rows u, through the error-free Gram ``ozaki_gram``.  Haar rows
-    have no companion V, so the three V fields are None."""
+def check_haar(n: int, r: int, spec: SourceSpec, delta: float) -> dict:
+    """The check-weights point of the first r Haar rows of (n, spec): raw
+    maxima for conditions (max entry / orthogonality), through the
+    error-free Gram ``ozaki_gram``.  delta is checked before the rows are
+    drawn.  Haar rows have no companion V, so the three V fields are None."""
     if not delta > 0:
         raise ConfigError("delta must be positive")
-    r, n = u.shape
-    return ConditionReport(
-        eps_entry_u=float(np.max(np.abs(u))), eps_entry_v=None,
-        eps_orth_u=float(np.max(np.abs(ozaki_gram(u) - np.eye(r)))), eps_orth_v=None,
-        eps_cross=None, log_scale=math.log1p(r) ** (1.0 + delta), n=n, r=r, delta=delta,
-    )
+    u = haar_rows(n, spec, r)
+    return {
+        "eps_entry_u": float(np.max(np.abs(u))), "eps_entry_v": None,
+        "eps_orth_u": float(np.max(np.abs(ozaki_gram(u) - np.eye(r)))), "eps_orth_v": None,
+        "eps_cross": None, "log_scale": math.log1p(r) ** (1.0 + delta), "n": n, "r": r,
+        "delta": delta,
+    }
 
 
-@dataclass(frozen=True)
-class TrigIdentityReport:
-    ok: bool
-    worst_residual: float
-    n: int
-    tol: float
-
-
-def verify_trig_identities(n: int, tol: float = 1e-9, sums=None) -> TrigIdentityReport:
-    """Check the four cos/sin orthogonality identities over 1 <= k1 <= k2 <= n.
+def verify_trig_identities(n: int) -> float:
+    """The worst residual of the four cos/sin orthogonality identities over
+    1 <= k1 <= k2 <= n.
 
     Includes the exceptional cases k1 + k2 = n (values +-n/2) and 2k = n.
     Every pairwise sum reduces exactly to a half-sum of the column sums
     S_m, T_m, so the residual of a pair is |E_a +- E_b| / 2 (E = S minus
     its exact value) or |T_a +- T_b| / 2, and the worst pair is found
-    exactly by the O(n) scan that also serves check_trig
-    (_pair_residuals).  ``sums`` may pass in trig_column_sums(n), as for
-    check_trig.
+    exactly by the O(n) scan of check_trig (_pair_residuals).
     """
     if n < 3:
         raise ConfigError("need n >= 3")
-    worst = max(_pair_residuals(*_sum_errors(n, sums), n)) / 2.0
-    return TrigIdentityReport(worst <= tol, worst, n, tol)
+    return max(_pair_residuals(*_sum_errors(n), n)) / 2.0

@@ -58,9 +58,9 @@ def test_criterion_01_trig_identity_exactness():
     t0 = time.perf_counter()
     worst, ok = 0.0, True
     for n in [8, 127, 1024, 65536]:
-        rep = verify_trig_identities(n)
-        worst = max(worst, rep.worst_residual / n)
-        ok = ok and rep.ok and rep.worst_residual <= n * 2.0**-46
+        res = verify_trig_identities(n)
+        worst = max(worst, res / n)
+        ok = ok and res <= 1e-9 and res <= n * 2.0**-46
     elapsed = time.perf_counter() - t0
     verdict(1, ok and elapsed < 5.0, f"worst residual/n {worst:.3g}, {elapsed:.2f}s")
 
@@ -71,7 +71,7 @@ def test_criterion_02_condition_residuals():
     for e in range(8, 17):
         n = 2**e
         rep = check_trig(n, (n - 1) // 2, delta=1.0)
-        worst = max(worst, rep.eps_orth_u, rep.eps_orth_v, rep.eps_cross)
+        worst = max(worst, rep["eps_orth_u"], rep["eps_orth_v"], rep["eps_cross"])
     elapsed = time.perf_counter() - t0
     verdict(2, worst <= 1e-9 and elapsed < 30.0, f"worst eps {worst:.3g}, {elapsed:.2f}s")
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ascltlab import cli, experiments, sources, spectra
+from ascltlab import cli, experiments, sources, spectra, weights
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 from ascltlab.sources import SourceSpec
 from ascltlab.weights import haar_rows, make_trig_pair
@@ -389,6 +390,41 @@ def test_haar_above_the_size_limit_fails_before_sampling(tmp_path, capsys, subco
         assert run(argv + ["--out-dir", str(tmp_path)]) == 3
         assert "refusing" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the Haar rows were drawn")
+
+
+@pytest.mark.parametrize(
+    "kind, n, r",
+    [pytest.param("haar", 100000, 100000, id="haar-above-the-size-limit"),
+     pytest.param("haar", 2896, 2896, id="haar-at-the-size-limit"),
+     pytest.param("trig", 1 << 62, 5, id="trig-above-any-column-sums")],
+)
+def test_check_weights_checks_delta_before_any_work(tmp_path, capsys, monkeypatch, kind, n, r):
+    # delta is a setting: exit 2 before the rows are drawn or the column
+    # sums are allocated, however large (n, r)
+    for module in (weights, cli):
+        monkeypatch.setattr(module, "haar_rows", _no_draw)
+    argv = ["check-weights", "--weights", kind, "--n", str(n), "--r", str(r), "--delta", "0"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "delta must be positive" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_imports_no_private_name():
+    # a private name of another module is that module's own decision
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
 
 
 def test_haar_asclt_beyond_a_full_matrix(tmp_path):

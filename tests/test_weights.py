@@ -69,26 +69,27 @@ def test_trig_identity_exceptional_values_n8():
 
 @pytest.mark.parametrize("n", [8, 127, 1024])
 def test_verify_trig_identities_small(n):
-    rep = verify_trig_identities(n)
-    assert rep.ok
-    assert rep.worst_residual <= n * 2.0**-46
+    worst = verify_trig_identities(n)
+    assert worst <= 1e-9
+    assert worst <= n * 2.0**-46
 
 
 def test_check_conditions_trig_n8():
     rep = check_trig(8, 3, delta=1.0)
-    assert rep.eps_orth_u < 1e-14
-    assert rep.eps_orth_v < 1e-14
-    assert rep.eps_cross < 1e-14
-    assert rep.eps_entry_u == pytest.approx(math.sqrt(2.0 / 8.0), abs=1e-15)
-    assert rep.log_scale == pytest.approx(math.log(4.0) ** 2)
+    assert rep["eps_orth_u"] < 1e-14
+    assert rep["eps_orth_v"] < 1e-14
+    assert rep["eps_cross"] < 1e-14
+    assert rep["eps_entry_u"] == pytest.approx(math.sqrt(2.0 / 8.0), abs=1e-15)
+    assert rep["log_scale"] == pytest.approx(math.log(4.0) ** 2)
 
 
 def test_check_haar_unit_row():
-    rep = check_haar(np.array([[1.0, 0.0, 0.0]]), delta=1.0)
-    assert rep.eps_entry_u == 1.0
-    assert rep.eps_orth_u == 0.0
+    # the n = r = 1 Haar row is +-1
+    rep = check_haar(1, 1, normal_spec(0), delta=1.0)
+    assert rep["eps_entry_u"] == 1.0
+    assert rep["eps_orth_u"] == 0.0
     # Haar rows have no companion V
-    assert rep.eps_entry_v is None and rep.eps_orth_v is None and rep.eps_cross is None
+    assert rep["eps_entry_v"] is None and rep["eps_orth_v"] is None and rep["eps_cross"] is None
 
 
 def test_check_conditions_requires_positive_delta():
@@ -96,7 +97,7 @@ def test_check_conditions_requires_positive_delta():
         with pytest.raises(ValueError):
             check_trig(8, 3, delta=delta)
         with pytest.raises(ValueError):
-            check_haar(np.eye(3), delta=delta)
+            check_haar(3, 3, normal_spec(0), delta=delta)
 
 
 @given(
@@ -112,19 +113,19 @@ def test_structured_matches_dense_conditions(n, seed):
     u, v = w.u, w.v
     gram_u = u @ u.T - np.eye(r)
     gram_v = v @ v.T - np.eye(r)
-    assert fast.eps_orth_u == pytest.approx(np.max(np.abs(gram_u)), abs=1e-13)
-    assert fast.eps_orth_v == pytest.approx(np.max(np.abs(gram_v)), abs=1e-13)
-    assert fast.eps_cross == pytest.approx(np.max(np.abs(u @ v.T)), abs=1e-13)
-    assert fast.eps_entry_u == pytest.approx(np.max(np.abs(u)), abs=1e-15)
-    assert fast.eps_entry_v == pytest.approx(np.max(np.abs(v)), abs=1e-15)
+    assert fast["eps_orth_u"] == pytest.approx(np.max(np.abs(gram_u)), abs=1e-13)
+    assert fast["eps_orth_v"] == pytest.approx(np.max(np.abs(gram_v)), abs=1e-13)
+    assert fast["eps_cross"] == pytest.approx(np.max(np.abs(u @ v.T)), abs=1e-13)
+    assert fast["eps_entry_u"] == pytest.approx(np.max(np.abs(u)), abs=1e-15)
+    assert fast["eps_entry_v"] == pytest.approx(np.max(np.abs(v)), abs=1e-15)
 
 
 def test_entry_bound_sqrt_2_over_n():
     for n in [16, 127, 1024]:
         rep = check_trig(n, (n - 1) // 2, delta=1.0)
         bound = math.sqrt(2.0 / n) * (1.0 + 1e-12)
-        assert rep.eps_entry_u <= bound
-        assert rep.eps_entry_v <= bound
+        assert rep["eps_entry_u"] <= bound
+        assert rep["eps_entry_v"] <= bound
 
 
 def test_condition_i_single_constant_along_schedule():
@@ -133,7 +134,7 @@ def test_condition_i_single_constant_along_schedule():
     for e in range(10, 17):
         n = 2**e
         rep = check_trig(n, (n - 1) // 2, delta=1.0)
-        vals.append(rep.eps_entry_u * rep.log_scale)
+        vals.append(rep["eps_entry_u"] * rep["log_scale"])
     assert max(vals) < 10.0
 
 
@@ -164,9 +165,7 @@ def test_trig_identity_scan_bit_identical_to_loop():
     # 4097 and 8193 take the FFT column sums, still with the exact pair scan
     for n in _BIT_IDENTITY_NS + [4097, 8193]:
         s, t = trig_column_sums(n)
-        rep = verify_trig_identities(n)
-        assert rep.worst_residual == trig_identity_worst_loop(n, s, t), n
-        assert verify_trig_identities(n, sums=(s, t)) == rep
+        assert verify_trig_identities(n) == trig_identity_worst_loop(n, s, t), n
 
 
 @pytest.mark.parametrize("n", [4097, 8193])
@@ -175,18 +174,16 @@ def test_condition_scan_bit_identical_to_loop(n):
     # diagonal of V V^T is (E_0 - S_2k) / n and that of U V^T (T_2k + T_0) / n
     s, t = trig_column_sums(n)
     for r in (1, 2, (n - 1) // 2):
-        rep = check_trig(n, r, 1.0, sums=(s, t))
-        assert (rep.eps_orth_u, rep.eps_orth_v, rep.eps_cross) == trig_conditions_loop(n, r, s, t), r
+        rep = check_trig(n, r, 1.0)
+        got = (rep["eps_orth_u"], rep["eps_orth_v"], rep["eps_cross"])
+        assert got == trig_conditions_loop(n, r, s, t), r
 
 
-def test_shared_sums_give_the_same_reports():
-    n, r = 300, 149
-    sums = trig_column_sums(n)
-    assert check_trig(n, r, 1.0, sums=sums) == check_trig(n, r, 1.0)
-    with pytest.raises(ValueError):
-        check_trig(n, r, 1.0, sums=trig_column_sums(n + 1))
-    with pytest.raises(ValueError):
-        verify_trig_identities(n, sums=trig_column_sums(n - 1))
+@pytest.mark.parametrize("n", [8, 127, 300, 1024, 4096, 4097, 8193])
+def test_check_trig_identity_residual_is_verify_trig_identities(n):
+    # one pass of column sums serves both scans of the check-weights point
+    rep = check_trig(n, (n - 1) // 2, 1.0)
+    assert rep["trig_identity_residual"] == verify_trig_identities(n)
 
 
 def test_trig_checks_memory_bounded():
@@ -243,9 +240,9 @@ def test_haar_orthonormality():
 
 
 def test_haar_conditions_report():
-    rep = check_haar(haar_rows(32, normal_spec(1)), delta=1.0)
-    assert rep.eps_orth_u <= 1e-10
-    assert rep.eps_cross is None
+    rep = check_haar(32, 32, normal_spec(1), delta=1.0)
+    assert rep["eps_orth_u"] <= 1e-10
+    assert rep["eps_cross"] is None
 
 
 def test_haar_max_entry_law():
