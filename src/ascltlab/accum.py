@@ -3,8 +3,9 @@
 Condition residuals near zero are the test signal in this project, so the
 reference summation paths must not be swamped by naive accumulation error.
 
-- ``kahan_matvec``: u @ x with Kahan compensation along the summation
-  index, vectorized over rows.
+- ``kahan_sum``: a sum of vectors with Kahan compensation along the
+  terms, vectorized over the elements; the naive trig partial sums feed
+  it one column of the pair at a time.
 - ``ozaki_gram``: a @ a.T by Ozaki-scheme splitting (Ozaki, Ogita, Oishi
   & Rump, Numer. Algorithms 59, 2012). Each row is cut into slices so
   narrow that every slice-by-slice BLAS product is exact in float64; the
@@ -20,22 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def kahan_matvec(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Compensated u @ x, accumulating column by column.
-
-    The compensation runs along the summation index j while staying
-    vectorized over rows, so the cost is O(n) numpy operations on
-    r-vectors rather than a per-element Python loop.
-    """
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r, n = u.shape
-    if x.shape != (n,):
-        raise ValueError(f"expected x of length {n}, got {x.shape}")
-    acc = np.zeros(r)
-    c = np.zeros(r)
-    for j in range(n):
-        y = u[:, j] * x[j] - c
+def kahan_sum(terms, size: int) -> np.ndarray:
+    """Compensated elementwise sum of the vectors of length size that
+    terms yields, each read before the next is drawn: O(1) numpy
+    operations per term, vectorized over the elements.  With the terms
+    u[:, j] * x[j] this is u @ x, accumulated column by column."""
+    acc = np.zeros(size)
+    c = np.zeros(size)
+    for p in terms:
+        y = p - c
         t = acc + y
         c = (t - acc) - y
         acc = t

@@ -38,8 +38,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import ConfigError, experiments, spectra
-from .empirical import normal_cdf
-from .sources import FAMILIES, SourceSpec
+from .sources import FAMILIES, SourceSpec, require_u64
 from .weights import HAAR, TRIG, check_haar, check_trig, haar_rows, trig_u_rows
 
 _RUN_COUNTER = 0
@@ -175,6 +174,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 cfg.threads = int(env)
             except ValueError as exc:
                 raise ConfigError(f"ASCLT_THREADS is not an integer: {env!r}") from exc
+    require_u64("seed", cfg.seed)
+    require_u64("stream", cfg.stream)
     if cfg.threads < 0:
         raise ConfigError(
             f"threads (--threads, config key or ASCLT_THREADS) must be >= 0"
@@ -290,15 +291,11 @@ def _periodogram(cfg: RunConfig):
 
 
 def _spectrum(cfg: RunConfig):
-    spec = cfg.source_spec()
-    if cfg.ensemble == "symmetric":
-        sp = spectra.symmetric_circulant_spectrum(cfg.n, spec)
-        summary = sp.summary(limit_cdf=normal_cdf)
-    else:
-        sp = spectra.reverse_circulant_spectrum(cfg.n, spec)
-        summary = sp.summary()
-    result = experiments.ExperimentResult({"ensemble": cfg.ensemble}, [summary])
-    return result, _spectrum_table(sp.eigenvalues)
+    spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
+                "reverse": spectra.reverse_circulant_spectrum}[cfg.ensemble]
+    eigenvalues, point = spectrum(cfg.n, cfg.source_spec())
+    result = experiments.ExperimentResult({"ensemble": cfg.ensemble}, [point])
+    return result, _spectrum_table(eigenvalues)
 
 
 def _spectrum_table(e: np.ndarray):

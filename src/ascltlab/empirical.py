@@ -8,7 +8,6 @@ attained at the atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -34,39 +33,21 @@ def exponential_cdf(x):
     return float(res) if res.ndim == 0 else res
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform probability measure on a finite sorted sample."""
+def ks_to(samples, cdf) -> float:
+    """Exact sup-distance between the ECDF of a sample and a continuous CDF.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("need a nonempty 1-D sample")
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError("sample has non-finite values")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("values must be sorted ascending")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalMeasure":
-        return cls(np.sort(np.asarray(samples, dtype=float)))
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
-def ks_to(mu: EmpiricalMeasure, cdf) -> float:
-    """Exact sup-distance between the ECDF and a continuous CDF.
-
-    Checked at both staircase corners of every atom:
+    The sample is a nonempty 1-D array of finite values (else ValueError,
+    or FloatingPointError for a non-finite value), in any order: a sorted
+    copy v is checked at both staircase corners of every atom,
     max_i max(|i/m - F(v_i)|, |(i-1)/m - F(v_i)|).
     """
-    m = mu.size
-    f = np.asarray(cdf(mu.values), dtype=float)
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("need a nonempty 1-D sample")
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError("sample has non-finite values")
+    m = v.size
+    f = np.asarray(cdf(np.sort(v)), dtype=float)
     i = np.arange(1, m + 1)
     return float(np.max(np.maximum(np.abs(i / m - f), np.abs((i - 1) / m - f))))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigError, empirical
-from .empirical import EmpiricalMeasure, ks_to, normal_cdf
+from .empirical import ks_to, normal_cdf
 from .sources import SourceSpec, _draw, _index_keys, _stream_keys, sample_prefix
 from .transform import (
     batch_kernel,
@@ -126,7 +126,7 @@ def asclt_trajectory(
     for n, r in schedule.points:
         x = path[:n]
         s = _trajectory_sums(spec, x, r, kind)
-        ks = ks_to(EmpiricalMeasure.from_samples(s), normal_cdf)
+        ks = ks_to(s, normal_cdf)
         digest = hashlib.sha256(x).hexdigest()
         points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": digest})
     return ExperimentResult({"kind": kind}, points)
@@ -140,11 +140,11 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     gx = _BIVARIATE_GRID
     target = np.outer(normal_cdf(gx), normal_cdf(gx))
     for n, r in schedule.points:
-        ps = partial_sums_fast(n, r, path[:n])
-        order = np.argsort(ps.s)
-        ss = ps.s[order]
+        s, t = partial_sums_fast(n, r, path[:n])
+        order = np.argsort(s)
+        ss = s[order]
         # joint ECDF on the grid via cumulative counts over s-sorted t's
-        t_sorted_by_s = ps.t[order]
+        t_sorted_by_s = t[order]
         joint = np.empty((gx.size, gx.size))
         for i, x in enumerate(gx):
             m = int(np.searchsorted(ss, x, side="right"))
@@ -255,7 +255,7 @@ def clt_fluctuation(
     mean = float(np.mean(w))
     var = float(np.var(w, ddof=1))
     sd = math.sqrt(var) if var > 0 else 1.0
-    ks = ks_to(EmpiricalMeasure.from_samples((w - mean) / sd), normal_cdf)
+    ks = ks_to((w - mean) / sd, normal_cdf)
     point = {
         "n": n,
         "r": r,

@@ -2,7 +2,9 @@
 
 Circulant matrices are diagonalized exactly by the DFT, so no dense
 eigensolver is ever needed in production code; the test suite anchors the
-DFT formula against a dense solver at tiny n.
+DFT formula against a dense solver at tiny n.  Each ensemble returns its
+sorted real eigenvalues with the spectrum's summary point, a dict; only
+the symmetric ensemble's point compares the ESD with a limit law (N(0, 1)).
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -15,7 +17,6 @@ empirical module exports the Exp(1) CDF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,44 +28,17 @@ SYMMETRIC_CIRCULANT = "SymmetricCirculant"
 REVERSE_CIRCULANT = "ReverseCirculant"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted real spectrum of one ensemble draw.
-
-    exceptional holds the (at most two) eigenvalues that fall outside the
-    paired +-sqrt(S^2+T^2) / multiplicity-two description; they are
-    excluded from `eigenvalues` and from ESD comparisons, but never
-    silently dropped.
-    """
-
-    eigenvalues: np.ndarray
-    ensemble: str
-    n: int
-    normalization: float
-    exceptional: tuple = ()
-
-    def __post_init__(self):
-        e = np.asarray(self.eigenvalues, dtype=float)
-        if not np.all(np.isfinite(e)):
-            raise FloatingPointError("non-finite eigenvalues")
-        if np.any(np.diff(e) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        object.__setattr__(self, "eigenvalues", e)
-
-    def esd(self) -> empirical.EmpiricalMeasure:
-        return empirical.EmpiricalMeasure(self.eigenvalues)
-
-    def summary(self, limit_cdf=None) -> dict:
-        out = {
-            "ensemble": self.ensemble,
-            "n": self.n,
-            "normalization": self.normalization,
-            "count": int(self.eigenvalues.size),
-            "exceptional": [float(v) for v in self.exceptional],
-        }
-        if limit_cdf is not None:
-            out["ks_to_limit"] = empirical.ks_to(self.esd(), limit_cdf)
-        return out
+def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
+              exceptional: list[float]) -> tuple[np.ndarray, dict]:
+    """(vals, the summary point) of the sorted eigenvalues vals, checked
+    finite; a symmetric point also has the ESD's KS distance to N(0, 1)."""
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("non-finite eigenvalues")
+    point = {"ensemble": ensemble, "n": n, "normalization": normalization,
+             "count": int(vals.size), "exceptional": exceptional}
+    if ensemble == SYMMETRIC_CIRCULANT:
+        point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
+    return vals, point
 
 
 def circulant_eigen_dft(first_row: np.ndarray) -> np.ndarray:
@@ -95,7 +69,7 @@ def symmetric_circulant_first_row(x: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
+def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, dict]:
     """Spectrum of the symmetric random circulant, scaled by 1/sqrt(n);
     its entries are the standardized draws of the stream."""
     if n < 3:
@@ -105,15 +79,10 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
     if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, np.max(np.abs(eig.real))):
         raise ArithmeticError("symmetric circulant produced complex spectrum")
     vals = np.sort(eig.real / math.sqrt(n))
-    return Spectrum(
-        eigenvalues=vals,
-        ensemble=SYMMETRIC_CIRCULANT,
-        n=n,
-        normalization=1.0 / math.sqrt(n),
-    )
+    return _spectrum(vals, SYMMETRIC_CIRCULANT, n, 1.0 / math.sqrt(n), [])
 
 
-def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
+def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, dict]:
     """Eigenvalues +-sqrt(S_{n,k}^2 + T_{n,k}^2), k = 1..floor((n-1)/2).
 
     The at-most-two eigenvalues outside the paired formula (frequency 0,
@@ -124,21 +93,15 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> Spectrum:
         raise ConfigError("need n >= 3")
     x = sample_prefix(spec, n)
     r = (n - 1) // 2
-    ps = partial_sums_fast(n, r, x)
-    mag = np.sqrt(ps.s**2 + ps.t**2)
+    s, t = partial_sums_fast(n, r, x)
+    mag = np.sqrt(s**2 + t**2)
     vals = np.sort(np.concatenate([-mag, mag]))
     scale = math.sqrt(2.0 / n)
     exceptional = [scale * float(np.sum(x))]
     if n % 2 == 0:
         signs = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
         exceptional.append(scale * float(np.sum(signs * x)))
-    return Spectrum(
-        eigenvalues=vals,
-        ensemble=REVERSE_CIRCULANT,
-        n=n,
-        normalization=scale,
-        exceptional=tuple(exceptional),
-    )
+    return _spectrum(vals, REVERSE_CIRCULANT, n, scale, exceptional)
 
 
 def periodogram_all(x: np.ndarray) -> np.ndarray:
@@ -146,14 +109,12 @@ def periodogram_all(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = x.size
     r = (n - 1) // 2
-    ps = partial_sums_fast(n, r, x)
-    return (ps.s**2 + ps.t**2) / 2.0
+    s, t = partial_sums_fast(n, r, x)
+    return (s**2 + t**2) / 2.0
 
 
 def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:
     """Exact KS distance of the periodogram ECDF to Exp(1)."""
     if n < 7:
         raise ConfigError("need n >= 7")
-    vals = periodogram_all(sample_prefix(spec, n))
-    mu = empirical.EmpiricalMeasure.from_samples(vals)
-    return empirical.ks_to(mu, empirical.exponential_cdf)
+    return empirical.ks_to(periodogram_all(sample_prefix(spec, n)), empirical.exponential_cdf)

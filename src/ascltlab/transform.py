@@ -1,10 +1,12 @@
 """Weighted partial sums: slow compensated reference vs. fast DFT path.
 
-Every path computes the sums of the trig pair.  The naive path, the
-correctness oracle, reads the rows; the fast path takes the whole (s, t)
-vector as the scaled real/imaginary part of one length-n real DFT, valid
-for arbitrary n (the FFT backend falls back to a convolution-based kernel
-for lengths that are not powers of two).
+Every path computes the sums of the trig pair of (n, r).  The naive
+path, the correctness oracle, accumulates each row compensated, reading
+the pair one column at a time from the n-long trig tables; the fast path
+takes the whole (s, t) vector as the scaled real/imaginary part of one
+length-n real DFT, valid for arbitrary n (the FFT backend falls back to a
+convolution-based kernel for lengths that are not powers of two).  Both
+return a PartialSums named (s, t) pair, checked finite.
 
 S over a batch of inputs (replicas x n) has two kernels: the batched
 rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
@@ -16,16 +18,13 @@ the reference both are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .accum import kahan_matvec
-from .weights import WeightMatrixPair, require_trig, trig_rows, trig_tables
+from .accum import kahan_sum
+from .weights import require_trig, trig_rows, trig_tables
 
-# naive/fast crossover for automatic dispatch
-FAST_THRESHOLD = 1024
-_ROW_BLOCK = 1024
 # A batch takes the GEMM while it multiplies by at most this many trig
 # rows per unit of log2 n, and while those rows fit in _GEMM_WEIGHT_BYTES;
 # else the rfft.  Measured on a 2-core Xeon VM: at n = 4096 a 32-row GEMM
@@ -39,45 +38,53 @@ _GEMM_WEIGHT_BYTES = 4 << 20
 _GEMM_SLICE = 16
 
 
-@dataclass(frozen=True)
-class PartialSums:
+class PartialSums(NamedTuple):
     """S_{n,k} and T_{n,k}, k = 1..r."""
 
     s: np.ndarray
     t: np.ndarray
-    n: int
-    r: int
-
-    def __post_init__(self):
-        for name, v in (("s", self.s), ("t", self.t)):
-            if v.shape != (self.r,):
-                raise ValueError(f"{name} must be a vector of length r")
-            if not np.all(np.isfinite(v)):
-                raise FloatingPointError(f"{name} has non-finite values")
 
 
-def partial_sums_naive(w: WeightMatrixPair, x: np.ndarray) -> PartialSums:
-    """Reference path: compensated row-by-row accumulation, O(r n)."""
+def _checked(n: int, x, sums) -> PartialSums:
+    """sums(x) for an input x of length n (else ValueError), each of S and
+    T checked finite (else FloatingPointError)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (w.n,):
-        raise ValueError(f"expected input of length {w.n}, got {x.shape}")
-    s, t = np.empty(w.r), np.empty(w.r)
-    for lo in range(1, w.r + 1, _ROW_BLOCK):
-        ks = np.arange(lo, min(lo + _ROW_BLOCK, w.r + 1))
-        s[ks - 1] = kahan_matvec(w.rows_u(ks), x)
-        t[ks - 1] = kahan_matvec(w.rows_v(ks), x)
-    return PartialSums(s=s, t=t, n=w.n, r=w.r)
+    if x.shape != (n,):
+        raise ValueError(f"expected input of length {n}, got {x.shape}")
+    ps = PartialSums(*sums(x))
+    for name, v in zip(ps._fields, ps):
+        if not np.all(np.isfinite(v)):
+            raise FloatingPointError(f"{name} has non-finite values")
+    return ps
+
+
+def partial_sums_naive(n: int, r: int, x: np.ndarray) -> PartialSums:
+    """Reference path: compensated accumulation of each row, O(r n) time
+    and O(r) memory, one column j of the pair at a time.  Its 2r entries
+    are looked up by their exact residues (k j) mod n in the scaled trig
+    tables, bit for bit the entries of trig_rows."""
+    require_trig(n, r)
+    tables = np.stack(trig_tables(n)) * math.sqrt(2.0 / n)
+    ks = np.arange(1, r + 1, dtype=np.int64)
+
+    def terms(x):
+        # column j times x_j; from column to column the residues advance by k
+        idx, col = np.zeros(r, dtype=np.int64), np.empty((2, r))
+        for xj in x:
+            idx += ks
+            idx %= n
+            np.take(tables, idx, axis=1, out=col, mode="clip")
+            col *= xj
+            yield col.ravel()
+
+    return _checked(n, x, lambda x: kahan_sum(terms(x), 2 * r).reshape(2, r))
 
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
     """Trig-weight partial sums via one real DFT: the one-row case of
     partial_sums_batch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"expected input of length {n}, got {x.shape}")
     require_trig(n, r)
-    s, t = partial_sums_batch(n, r, x[None])
-    return PartialSums(s=s[0], t=t[0], n=n, r=r)
+    return _checked(n, x, lambda x: [a[0] for a in partial_sums_batch(n, r, x[None])])
 
 
 def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +154,11 @@ def mean_partial_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", x, c)
 
 
-def partial_sums(
-    w: WeightMatrixPair, x: np.ndarray, force: str | None = None
-) -> PartialSums:
-    """Dispatch: fast DFT from n = FAST_THRESHOLD on, naive below.
-
-    force is "naive" or "fast" to override the size heuristic.
-    """
-    if force not in (None, "naive", "fast"):
-        raise ValueError("force must be None, 'naive' or 'fast'")
-    if force == "fast" or (force is None and w.n >= FAST_THRESHOLD):
-        return partial_sums_fast(w.n, w.r, x)
-    return partial_sums_naive(w, x)
+def partial_sums(w: tuple[int, int], x: np.ndarray, force: str) -> PartialSums:
+    """partial_sums_naive or partial_sums_fast (force "naive" or "fast") of
+    the pair w = make_trig_pair(n, r).  Kept, with make_trig_pair, for the
+    oracle op of bench/worker.py until it calls the two paths itself
+    (ROADMAP item 3)."""
+    if force not in ("naive", "fast"):
+        raise ValueError("force must be 'naive' or 'fast'")
+    return (partial_sums_naive if force == "naive" else partial_sums_fast)(*w, x)

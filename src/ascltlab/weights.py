@@ -4,8 +4,9 @@ The trigonometric pair u_{k,j} = sqrt(2/n) cos(2 pi j k / n),
 v_{k,j} = sqrt(2/n) sin(2 pi j k / n) is the workhorse.  Entries are
 always computed from the residue (j*k) mod n in exact integer arithmetic
 before the floating-point cosine, so the classical orthogonality
-identities hold to near machine precision even at large j*k.  Haar
-weights are a plain r x n array of rows (haar_rows, check_haar).
+identities hold to near machine precision even at large j*k.  trig_rows
+builds any block of rows from the n-long tables of trig_tables(n), and no
+pair is stored; Haar weights are a plain r x n array (haar_rows).
 
 check_trig and check_haar each return the whole check-weights point as a
 dict, in its CSV column order.  Condition residuals (max entry,
@@ -23,7 +24,6 @@ Gram ``accum.ozaki_gram``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -34,7 +34,8 @@ from .sources import SourceSpec, _uniform01
 
 TRIG, HAAR = "trig", "haar"
 
-# materialization guard: r*n entries of a pair or of r Haar rows
+# size guard: r*n entries of the trig U rows that gen-weights writes, or of
+# r Haar rows
 _MATERIALIZE_LIMIT = 1 << 23
 # direct (non-FFT) column sums up to this n
 _DIRECT_SUM_LIMIT = 4096
@@ -93,57 +94,12 @@ def require_trig(n: int, r: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WeightMatrixPair:
-    """The trig pair: r x n matrices U (cos rows) and V (sin rows).
-
-    u and v may be None, meaning the entries are implicit in (n, r) and
-    generated on demand; this keeps n = 2**16 with r = (n-1)//2
-    representable without the 17 GB dense matrices.
-    """
-
-    n: int
-    r: int
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-    def __post_init__(self):
-        require_trig(self.n, self.r)
-        # no finiteness pass: trig rows are lookups in a finite table
-        for name, a in (("u", self.u), ("v", self.v)):
-            if a is not None and a.shape != (self.r, self.n):
-                raise ValueError(f"{name} must be {self.r}x{self.n}, got {a.shape}")
-
-    def _rows(self, a: np.ndarray | None, table: int, ks) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        if np.any((ks < 1) | (ks > self.r)):
-            raise IndexError("row index out of range")
-        if a is not None:
-            return a[ks - 1]
-        return trig_rows(trig_tables(self.n)[table], ks)
-
-    def rows_u(self, ks: np.ndarray) -> np.ndarray:
-        """U rows for 1-based indices ks."""
-        return self._rows(self.u, 0, ks)
-
-    def rows_v(self, ks: np.ndarray) -> np.ndarray:
-        """V rows for 1-based indices ks."""
-        return self._rows(self.v, 1, ks)
-
-
-def make_trig_pair(n: int, r: int) -> WeightMatrixPair:
-    """The trigonometric pair of u/v weight rows for k = 1..r.
-
-    The construction needs 2r < n (see require_trig).  A pair of at most
-    _MATERIALIZE_LIMIT entries per matrix is materialized, a larger one
-    stays implicit.
-    """
+def make_trig_pair(n: int, r: int) -> tuple[int, int]:
+    """(n, r), once require_trig accepts them; the pair's rows are never
+    stored.  Kept, with transform.partial_sums, for the oracle op of
+    bench/worker.py until it calls the two paths itself (ROADMAP item 3)."""
     require_trig(n, r)
-    if r * n > _MATERIALIZE_LIMIT:
-        return WeightMatrixPair(n, r)
-    ks = np.arange(1, r + 1)
-    cos_tab, sin_tab = trig_tables(n)
-    return WeightMatrixPair(n, r, trig_rows(cos_tab, ks), trig_rows(sin_tab, ks))
+    return n, r
 
 
 def trig_u_rows(n: int, r: int):
@@ -259,7 +215,7 @@ def check_trig(n: int, r: int, delta: float) -> dict:
     r and delta are checked before the column sums are computed, once for
     both scans.  Every Gram entry of the pair is an exact half-sum of two
     column sums S_m / T_m, so the r x r residual scan never reads the rows;
-    it agrees with a plain BLAS Gram of the materialized pair to 1e-13 at
+    it agrees with a plain BLAS Gram of the trig rows to 1e-13 at
     n <= 96 (asserted in the test suite).
     """
     require_trig(n, r)

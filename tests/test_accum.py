@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ascltlab.accum import kahan_matvec, ozaki_gram
+from ascltlab.accum import kahan_sum, ozaki_gram
 
 from .oracles import exact_gram
 
@@ -105,7 +105,11 @@ def test_identical_at_blas_threads_1_and_2():
     assert digests[0] == digests[1]
 
 
-def test_kahan_matvec_unit_row_projection():
-    # a unit row picks out its coordinate exactly
-    got = kahan_matvec(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([3.5, 1.0, -2.0, 7.0]))
+def test_kahan_sum_unit_row_projection():
+    # as u @ x, column by column: a unit row picks out its coordinate exactly
+    u, x = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([3.5, 1.0, -2.0, 7.0])
+    got = kahan_sum((u[:, j] * x[j] for j in range(4)), 1)
     assert got.shape == (1,) and got[0] == 3.5
+    # the compensation keeps the ten terms that plain summation drops
+    terms = [np.array([1.0])] + [np.array([2.0**-53])] * 10
+    assert sum(terms)[0] == 1.0 and kahan_sum(terms, 1)[0] == 1.0 + 10 * 2.0**-53

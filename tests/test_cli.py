@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ascltlab import cli, experiments, sources, spectra, weights
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 from ascltlab.sources import SourceSpec
-from ascltlab.weights import haar_rows, make_trig_pair
+from ascltlab.weights import haar_rows, trig_rows, trig_tables
 
 from . import oracles
 
@@ -278,6 +278,32 @@ def test_negative_thread_count_exits_2(tmp_path, monkeypatch, capsys, source):
     assert not list(tmp_path.glob("*.json"))
 
 
+# the settings of one small valid run of each subcommand
+_SMALL_RUN = {
+    "check-weights": ["--weights", "trig", "--n", "8", "--r", "3"],
+    "asclt": ["--n", "64", "--r", "31"],
+    "bivariate": ["--n", "64", "--r", "31"],
+    "char-decay": ["--n", "64", "--r", "31", "--replicas", "100"],
+    "clt-fluct": ["--n", "64", "--r", "4", "--replicas", "100"],
+    "ldp": ["--n", "64", "--r", "4", "--replicas", "100"],
+    "periodogram": ["--n", "64"],
+    "spectrum": ["--n", "65"],
+    "gen-weights": ["--weights", "trig", "--n", "8", "--r", "3"],
+}
+
+
+@pytest.mark.parametrize("setting", [["--seed", "-1"], ["--stream", str(2**64)]],
+                         ids=["seed-negative", "stream-2**64"])
+@pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+def test_seed_and_stream_outside_64_bits_exit_2(tmp_path, capsys, subcommand, setting):
+    # the artifact schema takes unsigned 64-bit seeds and streams; every
+    # subcommand refuses others before any work, also those that draw nothing
+    out = tmp_path / "out"
+    assert run([subcommand, *_SMALL_RUN[subcommand], *setting, "--out-dir", str(out)]) == 2
+    assert "must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("replicas", ["0", "-3"])
 def test_ldp_without_replicas_exits_2(tmp_path, capsys, replicas):
     out = tmp_path / "out"
@@ -531,11 +557,15 @@ def _nan_prefix(spec, n):
     "module, name, fake, argv",
     [
         (experiments, "sample_prefix", _nan_prefix, ["asclt", "--n", "256", "--r", "127"]),
+        (experiments, "sample_prefix", _nan_prefix, ["bivariate", "--n", "256", "--r", "127"]),
         (spectra, "sample_prefix", _nan_prefix, ["spectrum", "--n", "65"]),
+        (spectra, "sample_prefix", _nan_prefix,
+         ["spectrum", "--ensemble", "reverse", "--n", "65"]),
         (spectra, "periodogram_all", lambda x: np.full(x.size // 2, np.nan),
          ["periodogram", "--n", "256"]),
     ],
-    ids=["partial-sums", "eigenvalues", "empirical-sample"],
+    ids=["partial-sums", "bivariate-partial-sums", "eigenvalues", "reverse-eigenvalues",
+         "empirical-sample"],
 )
 def test_non_finite_statistic_is_a_runtime_failure(
     tmp_path, capsys, monkeypatch, module, name, fake, argv
@@ -608,7 +638,7 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
     _, csvs = read_artifacts(out)
     spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
                 "reverse": spectra.reverse_circulant_spectrum}[ensemble]
-    e = spectrum(n, SourceSpec("rademacher", 11, 0)).eigenvalues
+    e, _ = spectrum(n, SourceSpec("rademacher", 11, 0))
     new, ref = _spectrum_csvs(tmp_path, e)
     assert (out / csvs[0]).read_bytes() == new == ref
 
@@ -648,11 +678,11 @@ def test_reverse_spectrum_formats_one_value_per_pair(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     spec = SourceSpec("rademacher", 5, 0)
-    rev = spectra.reverse_circulant_spectrum(4097, spec).eigenvalues
+    rev = spectra.reverse_circulant_spectrum(4097, spec)[0]
     for e, count in [(rev, 2048),
                      (np.insert(rev, 2048, 0.0), 2048),
-                     (spectra.reverse_circulant_spectrum(4096, spec).eigenvalues, 2047),
-                     (spectra.symmetric_circulant_spectrum(4096, spec).eigenvalues, 0)]:
+                     (spectra.reverse_circulant_spectrum(4096, spec)[0], 2047),
+                     (spectra.symmetric_circulant_spectrum(4096, spec)[0], 0)]:
         calls.clear()
         assert list(map(str, cli._sorted_cells(e))) == [repr(v) for v in e.tolist()]
         assert len(calls) == count
@@ -698,7 +728,7 @@ def test_gen_weights_rows_wider_than_a_block_match_the_per_row_writer(tmp_path, 
     assert run(argv + ["--out-dir", str(out)]) == 0
     _, csvs = read_artifacts(out)
     if kind == "trig":
-        u = make_trig_pair(n, r).u
+        u = trig_rows(trig_tables(n)[0], np.arange(1, r + 1))
     else:
         u = haar_rows(n, SourceSpec("rademacher", 2, 0), r)
     header = ["k"] + [f"u{j}" for j in range(n)]

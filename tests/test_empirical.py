@@ -7,7 +7,6 @@ from scipy import integrate
 from scipy.special import ndtri
 
 from ascltlab.empirical import (
-    EmpiricalMeasure,
     exponential_cdf,
     ks_to,
     normal_cdf,
@@ -42,17 +41,17 @@ def test_normal_cdf_monotone_on_grid():
 
 
 def test_ks_atom_at_zero_vs_normal():
-    assert ks_to(EmpiricalMeasure(np.array([0.0])), normal_cdf) == 0.5
+    assert ks_to(np.array([0.0]), normal_cdf) == 0.5
 
 
 def test_ks_atom_at_zero_vs_exponential():
-    assert ks_to(EmpiricalMeasure(np.array([0.0])), exponential_cdf) == 1.0
+    assert ks_to(np.array([0.0]), exponential_cdf) == 1.0
 
 
 def test_ks_midpoint_quantiles():
     m = 100
     vals = ndtri((np.arange(1, m + 1) - 0.5) / m)
-    assert ks_to(EmpiricalMeasure.from_samples(vals), normal_cdf) == pytest.approx(
+    assert ks_to(vals, normal_cdf) == pytest.approx(
         1.0 / (2.0 * m), abs=1e-12
     )
 
@@ -62,10 +61,10 @@ def test_ks_midpoint_quantiles():
 def test_ks_shuffle_invariant(seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(50)
-    base = ks_to(EmpiricalMeasure.from_samples(vals), normal_cdf)
+    base = ks_to(vals, normal_cdf)
     shuffled = vals.copy()
     rng.shuffle(shuffled)
-    assert ks_to(EmpiricalMeasure.from_samples(shuffled), normal_cdf) == base
+    assert ks_to(shuffled, normal_cdf) == base
 
 
 def test_dkw_sanity():
@@ -73,8 +72,7 @@ def test_dkw_sanity():
     m, hits = 400, 0
     for seed in range(200):
         spec = SourceSpec(family="normal", master_seed=seed, stream_id=5)
-        mu = EmpiricalMeasure.from_samples(sample_prefix(spec, m))
-        if ks_to(mu, normal_cdf) <= 1.36 / math.sqrt(m):
+        if ks_to(sample_prefix(spec, m), normal_cdf) <= 1.36 / math.sqrt(m):
             hits += 1
     assert hits >= 180
 
@@ -93,8 +91,7 @@ def test_joint_cdf_gaussian_oracle():
 
 
 def test_empirical_char_examples():
-    atom = EmpiricalMeasure(np.array([0.0]))
-    assert empirical_char(atom.values, 3.7) == 1.0
+    assert empirical_char(np.array([0.0]), 3.7) == 1.0
     rng = np.random.default_rng(2)
     vals = rng.standard_normal(100)
     assert empirical_char(vals, 0.0) == 1.0
@@ -151,12 +148,12 @@ def test_rate_gaussian_rejects_bad_sigma():
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([2.0, 1.0]))
     with pytest.raises(FloatingPointError):
-        EmpiricalMeasure(np.array([np.nan]))
+        ks_to(np.array([np.nan]), normal_cdf)
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([]))
+        ks_to(np.array([]), normal_cdf)
+    with pytest.raises(ValueError):
+        ks_to(np.zeros((2, 2)), normal_cdf)
 
 
 @pytest.mark.parametrize("hits, trials", [(1, 10), (5, 10), (9, 10), (223, 100000), (1, 2)])

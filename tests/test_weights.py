@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascltlab import weights
 from ascltlab.sources import SourceSpec
+from ascltlab.transform import partial_sums_naive
 from ascltlab.weights import (
     check_haar,
     check_trig,
@@ -38,14 +39,14 @@ def normal_spec(seed, stream=0):
 
 
 def test_trig_entries_n8():
-    w = make_trig_pair(8, 3)
+    cos_tab = trig_tables(8)[0]
     # u_{k,j} with 1-based (k, j)
-    assert w.rows_u([1])[0, 0] == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
-    assert w.rows_u([2])[0, 1] == pytest.approx(-0.5, abs=1e-15)
+    assert trig_rows(cos_tab, [1])[0, 0] == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
+    assert trig_rows(cos_tab, [2])[0, 1] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_trig_rows_orthogonal_n8():
-    u = make_trig_pair(8, 3).u
+    u = trig_rows(trig_tables(8)[0], np.arange(1, 4))
     # k1 + k2 = 3 != 8, so the cross sum vanishes exactly
     assert abs(np.dot(u[0], u[1])) < 1e-14
 
@@ -108,9 +109,9 @@ def test_check_conditions_requires_positive_delta():
 def test_structured_matches_dense_conditions(n, seed):
     # the O(r) trig-condition scan must agree with brute-force Gram residuals
     r = (n - 1) // 2
-    w = make_trig_pair(n, r)
     fast = check_trig(n, r, delta=1.0)
-    u, v = w.u, w.v
+    ks = np.arange(1, r + 1)
+    u, v = (trig_rows(table, ks) for table in trig_tables(n))
     gram_u = u @ u.T - np.eye(r)
     gram_v = v @ v.T - np.eye(r)
     assert fast["eps_orth_u"] == pytest.approx(np.max(np.abs(gram_u)), abs=1e-13)
@@ -186,15 +187,20 @@ def test_check_trig_identity_residual_is_verify_trig_identities(n):
     assert rep["trig_identity_residual"] == verify_trig_identities(n)
 
 
-def test_trig_checks_memory_bounded():
-    # the n x n angle matrix of the one-shot sums took about 520 MB at this size
+def _peak_bytes(call):
+    """(call(), the tracemalloc peak while it ran)."""
     tracemalloc.start()
     try:
-        check_trig(4096, 2047, delta=1.0)
-        verify_trig_identities(4096)
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_trig_checks_memory_bounded():
+    # the n x n angle matrix of the one-shot sums took about 520 MB at this size
+    _, peak = _peak_bytes(lambda: (check_trig(4096, 2047, delta=1.0), verify_trig_identities(4096)))
     assert peak < 64 * 2**20
 
 
@@ -207,20 +213,17 @@ def test_trig_rows_match_the_angle_formula(n, r):
 
 
 def test_trig_materialize_memory_bounded():
-    # beyond the pair itself, the rows take only the n-long tables and two
-    # reused row blocks; no r x n temporary (angles, residues or a
+    # beyond the rows themselves, trig_rows takes only the n-long tables and
+    # two reused row blocks; no r x n temporary (angles, residues or a
     # finiteness mask) is built
     n, r = 4096, 2047
-    tracemalloc.start()
-    try:
-        w = make_trig_pair(n, r)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert w.u.nbytes + w.v.nbytes == 16 * r * n
-    assert peak < 16 * r * n + 4 * 2**20
-    # one more row is past the limit, and that pair stays implicit
-    assert make_trig_pair(n + 1, r + 1).u is None
+    u, peak = _peak_bytes(lambda: trig_rows(trig_tables(n)[0], np.arange(1, r + 1)))
+    assert u.nbytes == 8 * r * n
+    assert peak < 8 * r * n + 4 * 2**20
+    # the reference sums store no row, let alone the pair
+    x = np.random.default_rng(0).standard_normal(n)
+    _, peak = _peak_bytes(lambda: partial_sums_naive(n, r, x))
+    assert peak < 8 * 1024 * n + 8 * 2**20
 
 
 def test_haar_n1_support():
