@@ -3,23 +3,28 @@ persistence of JSON + CSV artifacts.
 
 Every subcommand is one entry of _COMMANDS: a runner that returns an
 ExperimentResult (and, when the CSV rows are not its points, the CSV
-rows), the RunConfig fields it needs, and its summary line per point.
-run() checks those fields, times the runner, writes the artifacts and
-prints the summary lines in the same way for all of them.  The JSON
-document is laid out here alone: the run's identity (experiment, seed,
-stream, family) comes from RunConfig, the rest from the result.
+rows), the RunConfig fields it reads, and its summary line per point.
+A subcommand takes the settings of _IDENTITY, which every run reads and
+records, and its own fields, and no others: they are its flags, its
+config keys and, where the field has no default, its required settings.
+run() times the runner, writes the artifacts and prints the summary
+lines in the same way for all of them.  The JSON document is laid out
+here alone: the run's identity (experiment, seed, stream, family, p)
+comes from RunConfig, the rest from the result.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
 (--weights) and out_dir (--out-dir); explicit flags always win over
-file values.
+file values.  A schedule is given only as --schedule, a comma list of
+n:r pairs.  Only the subcommands that read threads consult ASCLT_THREADS.
 Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
 timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
 
-Exit codes: 0 success, 2 configuration error (a ConfigError, or a float
-setting that is nan or +-inf), 3 runtime failure (every other exception,
-a non-finite result or statistic among them, with nothing written).
+Exit codes: 0 success, 2 configuration error (a ConfigError, a setting
+the subcommand does not take, or a float setting that is nan or +-inf),
+3 runtime failure (every other exception, a non-finite result or
+statistic among them, with nothing written).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import ConfigError, experiments, spectra
-from .sources import FAMILIES, SourceSpec, require_u64
+from .sources import FAMILIES, SourceSpec
 from .weights import HAAR, TRIG, check_haar, check_trig, haar_rows, trig_u_rows
 
 _RUN_COUNTER = 0
@@ -81,13 +86,6 @@ class RunConfig:
             family=self.family, master_seed=self.seed, stream_id=self.stream, p=self.p
         )
 
-    def schedule_obj(self) -> experiments.Schedule:
-        if self.schedule is not None:
-            return experiments.Schedule.parse(self.schedule)
-        if self.n is None or self.r is None:
-            raise ConfigError("either schedule or both n and r are required")
-        return experiments.Schedule(points=((self.n, self.r),))
-
 
 def finite_float(text: str) -> float:
     """float(text), refusing nan and +-inf."""
@@ -108,12 +106,12 @@ _SETTINGS = {
 }
 
 
-def load_config(path) -> dict:
+def load_config(path, keys) -> dict:
     """Parse a key=value config file into a {key: typed value} dict.
 
-    Rejects unknown keys and duplicate keys (naming both line numbers);
-    values are converted by the declared type of each key, and checked
-    against its choices.
+    Rejects a key outside keys, the settings the subcommand takes, and
+    duplicate keys (naming both line numbers); values are converted by
+    the declared type of each key, and checked against its choices.
     """
     seen: dict[str, int] = {}
     out: dict = {}
@@ -126,8 +124,10 @@ def load_config(path) -> dict:
             if not eq:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = key.strip(), value.strip()
-            if key not in _SETTINGS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in keys:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown key {key!r} (the keys are {', '.join(keys)})"
+                )
             if key in seen:
                 raise ConfigError(
                     f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
@@ -147,16 +147,19 @@ def load_config(path) -> dict:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parsing
-    keeps no state in it."""
+    keeps no state in it.  A subcommand has a flag for each setting of
+    _IDENTITY and of its own, and no other: with no abbreviations, so
+    that --r is not taken for --replicas where there is no --r."""
     parser = argparse.ArgumentParser(
         prog="ascltlab",
         description="Numerical experiments on weighted-sum central limit behavior.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, settings, _) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value config file")
-        for key, (parse, meta) in _SETTINGS.items():
+        for key in _IDENTITY + settings:
+            parse, meta = _SETTINGS[key]
             flag = meta.get("flag", "--" + key.replace("_", "-"))
             p.add_argument(flag, dest=key, type=parse, default=None,
                            choices=meta.get("choices"), help=meta.get("help"))
@@ -164,18 +167,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_vals = load_config(args.config) if args.config is not None else {}
-    flag_vals = {key: v for key in _SETTINGS if (v := getattr(args, key)) is not None}
-    cfg = RunConfig(experiment=args.experiment, **{**file_vals, **flag_vals})
-    if "threads" not in flag_vals and "threads" not in file_vals:
+    """The settings of args' subcommand: its flags over its config file,
+    threads from ASCLT_THREADS when it reads threads and neither sets
+    them; the identity checked and every setting without a default set."""
+    settings = _COMMANDS[args.experiment][1]
+    keys = _IDENTITY + settings
+    given = load_config(args.config, keys) if args.config is not None else {}
+    given.update((key, v) for key in keys if (v := getattr(args, key)) is not None)
+    cfg = RunConfig(experiment=args.experiment, **given)
+    if "threads" in settings and "threads" not in given:
         env = os.environ.get("ASCLT_THREADS")
         if env is not None:
             try:
                 cfg.threads = int(env)
             except ValueError as exc:
                 raise ConfigError(f"ASCLT_THREADS is not an integer: {env!r}") from exc
-    require_u64("seed", cfg.seed)
-    require_u64("stream", cfg.stream)
+    cfg.source_spec()
+    missing = [key for key in settings if getattr(cfg, key) is None]
+    if missing:
+        raise ConfigError(f"{cfg.experiment} requires {' and '.join(missing)}")
     if cfg.threads < 0:
         raise ConfigError(
             f"threads (--threads, config key or ASCLT_THREADS) must be >= 0"
@@ -240,9 +250,7 @@ def _write_artifacts(
     _RUN_COUNTER += 1
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"-{os.getpid()}-{_RUN_COUNTER}"
     doc = {"schema_version": 1, "experiment": cfg.experiment, "master_seed": cfg.seed,
-           "stream_id": cfg.stream, "family": cfg.family, **vars(result)}
-    if result.config is None:
-        del doc["config"]
+           "stream_id": cfg.stream, "family": cfg.family, "p": cfg.p, **vars(result)}
     # everything volatile across reruns lives under this one key, so that
     # identical (config, seed) runs are byte-identical once it is dropped
     doc["timestamp"] = {"stamp": stamp, "wall_clock_s": wall_clock_s, "threads": cfg.threads}
@@ -265,16 +273,8 @@ def _points_table(points: list[dict]):
 
 
 def _harness(call):
-    """Runner for call(cfg, spec), a harness of the experiments module;
-    its artifact carries the block of resolved settings."""
-
-    def runner(cfg: RunConfig):
-        result = call(cfg, cfg.source_spec())
-        keys = ("experiment", "family", "seed", "stream", "kind")
-        result.config = {k: getattr(cfg, k) for k in keys}
-        return result, None
-
-    return runner
+    """Runner for call(cfg, spec), a harness of the experiments module."""
+    return lambda cfg: (call(cfg, cfg.source_spec()), None)
 
 
 def _check_weights(cfg: RunConfig):
@@ -333,49 +333,54 @@ def _spectrum_line(cfg: RunConfig, p: dict) -> str:
     return line
 
 
-# subcommand -> (runner, required RunConfig fields, summary); runner(cfg)
+# the settings every subcommand reads: the run's identity, and where it writes
+_IDENTITY = ("family", "p", "seed", "stream", "out_dir")
+
+# subcommand -> (runner, the other RunConfig fields it reads, summary); runner(cfg)
 # returns (ExperimentResult, CSV (header, rows of cells), or None for the points),
 # and summary(cfg, point) one stdout line per point
 _COMMANDS = {
-    "check-weights": (_check_weights, ("n", "r"), _check_weights_line),
+    "check-weights": (_check_weights, ("kind", "n", "r", "delta"), _check_weights_line),
     "asclt": (
         _harness(lambda cfg, spec: experiments.asclt_trajectory(
-            spec, cfg.schedule_obj(), cfg.kind)),
-        (),
+            spec, experiments.Schedule.parse(cfg.schedule), cfg.kind)),
+        ("kind", "schedule"),
         _line("asclt n=%d r=%d ks=%.6g", "n", "r", "ks_to_normal"),
     ),
     "bivariate": (
-        _harness(lambda cfg, spec: experiments.asclt_bivariate(spec, cfg.schedule_obj())),
-        (),
+        _harness(lambda cfg, spec: experiments.asclt_bivariate(
+            spec, experiments.Schedule.parse(cfg.schedule))),
+        ("schedule",),
         _line("bivariate n=%d r=%d max_dev=%.6g", "n", "r", "max_grid_deviation"),
     ),
     "char-decay": (
         _harness(lambda cfg, spec: experiments.char_variance_decay(
-            spec, cfg.schedule_obj(), cfg.s, cfg.t, cfg.replicas, cfg.threads)),
-        (),
+            spec, experiments.Schedule.parse(cfg.schedule), cfg.s, cfg.t, cfg.replicas,
+            cfg.threads)),
+        ("schedule", "s", "t", "replicas", "threads"),
         _line("char-decay n=%d r=%d estimate=%.6g ratio_r=%.4g",
               "n", "r", "estimate", "ratio_to_inverse_r"),
     ),
     "clt-fluct": (
         _harness(lambda cfg, spec: experiments.clt_fluctuation(
             spec, cfg.n, cfg.r, cfg.x, cfg.replicas, cfg.threads)),
-        ("n", "r"),
+        ("n", "r", "x", "replicas", "threads"),
         _line("clt-fluct n=%d r=%d x=%g mean=%.6g variance=%.6g ks_std=%.6g",
               "n", "r", "x", "w_mean", "w_variance", "ks_standardized_to_normal"),
     ),
     "ldp": (
         _harness(lambda cfg, spec: experiments.ldp_rate(
             spec, cfg.n, cfg.r, cfg.a, cfg.replicas, cfg.threads)),
-        ("n", "r"),
+        ("n", "r", "a", "replicas", "threads"),
         _line("ldp n=%d r=%d a=%g rate=%.6g oracle=%.6g target_rate=%.6g",
               "n", "r", "a", "rate", "oracle_rate", "target_rate"),
     ),
     "periodogram": (
         _periodogram, ("n",), _line("periodogram n=%d ks_to_exp=%.6g", "n", "ks_to_exponential")
     ),
-    "spectrum": (_spectrum, ("n",), _spectrum_line),
+    "spectrum": (_spectrum, ("n", "ensemble"), _spectrum_line),
     "gen-weights": (
-        _gen_weights, ("n", "r"), _line("gen-weights kind=%s n=%d r=%d", "kind", "n", "r")
+        _gen_weights, ("kind", "n", "r"), _line("gen-weights kind=%s n=%d r=%d", "kind", "n", "r")
     ),
 }
 
@@ -390,9 +395,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         cfg = _resolve_config(args)
-        runner, required, summary = _COMMANDS[cfg.experiment]
-        if any(getattr(cfg, name) is None for name in required):
-            raise ConfigError(f"{cfg.experiment} requires {' and '.join(required)}")
+        runner, _, summary = _COMMANDS[cfg.experiment]
         t0 = time.perf_counter()
         result, table = runner(cfg)
         wall_clock_s = time.perf_counter() - t0

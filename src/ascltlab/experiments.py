@@ -86,15 +86,12 @@ class ExperimentResult:
     """What a run computed: its params and points, and its replica count.
 
     The CLI lays these out in the artifact next to the run's identity
-    (experiment, seed, stream, family), which it knows from its settings.
-    config, when set, is the block of resolved command-line settings that
-    the CLI attaches to the artifacts of these harnesses.
+    (experiment, seed, stream, family, p), which it knows from its settings.
     """
 
     params: dict
     points: list[dict]
     replicas: int = 1
-    config: dict | None = None
 
 
 def _trajectory_sums(spec: SourceSpec, x: np.ndarray, r: int, kind: str) -> np.ndarray:

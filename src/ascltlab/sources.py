@@ -61,12 +61,6 @@ def _unit(z: np.ndarray) -> np.ndarray:
     return u
 
 
-def require_u64(name: str, value: int) -> None:
-    """Reject a seed or stream id outside the unsigned 64-bit integers."""
-    if not 0 <= value < 2**64:
-        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {value}")
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """A family of independent standardized random variables X_1, X_2, ...
@@ -85,8 +79,9 @@ class SourceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
-        require_u64("master_seed", self.master_seed)
-        require_u64("stream_id", self.stream_id)
+        for name, value in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
+            if not 0 <= value < 2**64:
+                raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {value}")
         if self.family == "two_point":
             if self.p is None or not (0.0 < self.p < 1.0):
                 raise ConfigError("two_point requires p in (0, 1)")

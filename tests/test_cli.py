@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from . import oracles
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "result.schema.json")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads.py")
 
 
 def read_artifacts(out_dir):
@@ -107,10 +109,10 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_config_file_plus_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nfamily = rademacher\nseed = 9\nn = 256\nr = 100\n")
+    cfg.write_text("# comment\nfamily = rademacher\nseed = 9\nschedule = 256:100\n")
     out = tmp_path / "out"
-    # flag overrides the file value of r
-    code = run(["asclt", "--config", str(cfg), "--r", "127", "--out-dir", str(out)])
+    # the flag overrides the file's schedule
+    code = run(["asclt", "--config", str(cfg), "--schedule", "256:127", "--out-dir", str(out)])
     assert code == 0
     jsons, _ = read_artifacts(out)
     doc = load_json(out, jsons[0])
@@ -122,7 +124,7 @@ def test_empty_config_with_full_flags(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
     code = run(
-        ["asclt", "--config", str(cfg), "--family", "normal", "--n", "128", "--r", "63",
+        ["asclt", "--config", str(cfg), "--family", "normal", "--schedule", "128:63",
          "--out-dir", str(tmp_path / "o")]
     )
     assert code == 0
@@ -132,7 +134,7 @@ def test_config_duplicate_key_names_both_lines(tmp_path):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("family = normal\nfamily = rademacher\n")
     with pytest.raises(ConfigError) as err:
-        load_config(cfg)
+        load_config(cfg, cli._IDENTITY)
     assert "line 1" in str(err.value)
     assert ":2:" in str(err.value)
 
@@ -141,12 +143,12 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "unk.cfg"
     cfg.write_text("wibble = 3\n")
     with pytest.raises(ConfigError):
-        load_config(cfg)
+        load_config(cfg, cli._IDENTITY)
 
 
 def test_config_precondition_propagates(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("n = 64\nr = 40\n")
+    cfg.write_text("schedule = 64:40\n")
     assert run(["asclt", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "r <= floor((n-1)/2)" in capsys.readouterr().err
 
@@ -166,35 +168,114 @@ def test_config_value_outside_the_choices_exits_2(tmp_path, capsys, argv, text):
     assert not out.exists()
 
 
-# flags follow the field name with - for _, except these
+# the settings every subcommand takes, and those each takes besides
+_IDENTITY = ("family", "p", "seed", "stream", "out_dir")
+_READS = {
+    "check-weights": ("kind", "n", "r", "delta"),
+    "asclt": ("kind", "schedule"),
+    "bivariate": ("schedule",),
+    "char-decay": ("schedule", "s", "t", "replicas", "threads"),
+    "clt-fluct": ("n", "r", "x", "replicas", "threads"),
+    "ldp": ("n", "r", "a", "replicas", "threads"),
+    "periodogram": ("n",),
+    "spectrum": ("n", "ensemble"),
+    "gen-weights": ("kind", "n", "r"),
+}
+_SETTING_NAMES = [f.name for f in fields(RunConfig) if f.name != "experiment"]
+# one small valid run of each subcommand
+_SMALL = {
+    "check-weights": {"kind": "trig", "n": "8", "r": "3"},
+    "asclt": {"schedule": "64:31"},
+    "bivariate": {"schedule": "64:31"},
+    "char-decay": {"schedule": "64:31", "replicas": "100"},
+    "clt-fluct": {"n": "64", "r": "4", "replicas": "100"},
+    "ldp": {"n": "64", "r": "4", "replicas": "100"},
+    "periodogram": {"n": "64"},
+    "spectrum": {"n": "65"},
+    "gen-weights": {"kind": "trig", "n": "8", "r": "3"},
+}
+# a value of each setting, valid in every small run that reads it and
+# other than that run's (p is varied in a two_point run with p = 0.5)
+_OTHER = {"family": "normal", "p": "0.25", "seed": "5", "stream": "1", "kind": "haar",
+          "schedule": "64:30", "n": "9", "r": "2", "delta": "0.5", "x": "0.5", "s": "2",
+          "t": "0.5", "a": "0.25", "replicas": "101", "ensemble": "reverse", "threads": "2"}
+# flags follow the field name with - for _, except this one
 _FLAG_OF = {"kind": "--weights"}
-_TEXT_OF = {"kind": "haar", "ensemble": "reverse", "family": "normal", "p": "0.25", "n": "65",
-            "r": "7", "schedule": "64:31"}
+
+
+def _flags(settings: dict) -> list[str]:
+    return [a for name, text in settings.items()
+            for a in (_FLAG_OF.get(name, "--" + name.replace("_", "-")), text)]
+
+
+def _given(tmp_path, subcommand: str, settings: dict, name: str, source: str) -> list[str]:
+    """argv of subcommand with settings, name's by source (a flag or a
+    config line) and the others as flags."""
+    if source == "flag":
+        return [subcommand, *_flags(settings)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {settings[name]}\n")
+    rest = {k: v for k, v in settings.items() if k != name}
+    return [subcommand, *_flags(rest), "--config", str(cfg)]
+
+
+def _only_artifact(out_dir) -> tuple[dict, dict]:
+    """The JSON of the one run in out_dir, without and with its timestamp."""
+    jsons, csvs = read_artifacts(out_dir)
+    assert len(jsons) == len(csvs) == 1
+    doc = load_json(out_dir, jsons[0])
+    return doc, doc.pop("timestamp")
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.name != "experiment"])
+@pytest.mark.parametrize("name", _SETTING_NAMES)
 def test_every_setting_is_a_flag_and_a_config_key(tmp_path, monkeypatch, source, name):
+    # each subcommand that reads the setting takes it both ways, and the
+    # artifact shows it: threads only under timestamp, out_dir in where
+    # the files go
     monkeypatch.delenv("ASCLT_THREADS", raising=False)
-    default = getattr(RunConfig("asclt"), name)
-    text = _TEXT_OF.get(name, "zz" if isinstance(default, str) else "5")
-    if source == "flag":
-        argv = ["asclt", _FLAG_OF.get(name, "--" + name.replace("_", "-")), text]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{name} = {text}\n")
-        argv = ["asclt", "--config", str(cfg)]
-    value = getattr(_resolve_config(_build_parser().parse_args(argv)), name)
-    assert value != default
-    assert value == (text if isinstance(value, str) else float(text))
-    assert default is None or type(value) is type(default)
+    readers = [c for c, keys in _READS.items() if name in _IDENTITY + keys]
+    assert readers
+    for subcommand in readers:
+        here = tmp_path / subcommand
+        small = dict(_SMALL[subcommand], out_dir=str(here / "small"))
+        if name == "p":
+            small.update(family="two_point", p="0.5")
+        other = dict(small, out_dir=str(here / "other"))
+        if name != "out_dir":
+            other[name] = _OTHER[name]
+        assert run([subcommand, *_flags(small)]) == 0
+        assert run(_given(here, subcommand, other, name, source)) == 0, subcommand
+        (doc, stamp), (other_doc, other_stamp) = map(_only_artifact, [small["out_dir"],
+                                                                      other["out_dir"]])
+        if name == "threads":
+            assert (doc, stamp["threads"], other_stamp["threads"]) == (other_doc, 0, 2)
+        else:
+            assert (doc == other_doc) == (name == "out_dir"), subcommand
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("subcommand", list(_READS))
+def test_a_setting_the_subcommand_does_not_read_exits_2(tmp_path, capsys, source, subcommand):
+    # ldp --weights haar and asclt --schedule 64:31 --n 9 among them: each
+    # is refused before any work, by argparse or naming the config line
+    unread = [k for k in _SETTING_NAMES if k not in _IDENTITY + _READS[subcommand]]
+    assert unread
+    out = tmp_path / "out"
+    for name in unread:
+        settings = dict(_SMALL[subcommand], out_dir=str(out), **{name: _OTHER[name]})
+        assert run(_given(tmp_path, subcommand, settings, name, source)) == 2, name
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'run.cfg'}:1: unknown key {name!r}" if source == "config"
+                else "unrecognized arguments") in err, name
+        assert not out.exists()
 
 
 def test_config_malformed_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just a line without equals\n")
     with pytest.raises(ConfigError) as err:
-        load_config(cfg)
+        load_config(cfg, cli._IDENTITY)
     assert ":1:" in str(err.value)
 
 
@@ -203,8 +284,8 @@ def test_all_artifacts_validate_against_schema(tmp_path):
         schema = json.load(fh)
     commands = [
         ["check-weights", "--weights", "trig", "--n", "16", "--r", "7"],
-        ["asclt", "--family", "normal", "--n", "128", "--r", "63"],
-        ["bivariate", "--family", "normal", "--n", "128", "--r", "63"],
+        ["asclt", "--family", "normal", "--schedule", "128:63"],
+        ["bivariate", "--family", "normal", "--schedule", "128:63"],
         ["char-decay", "--family", "normal", "--schedule", "64:31", "--replicas", "100"],
         ["clt-fluct", "--family", "normal", "--n", "256", "--r", "16", "--replicas", "100"],
         ["ldp", "--family", "normal", "--n", "256", "--r", "16", "--replicas", "200"],
@@ -239,18 +320,17 @@ def test_reproducible_json_across_thread_counts(tmp_path):
 
 def test_env_thread_count_and_flag_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ASCLT_THREADS", "3")
-    run(["periodogram", "--family", "normal", "--n", "64", "--out-dir", str(tmp_path / "e")])
+    argv = ["clt-fluct", "--family", "normal", "--n", "64", "--r", "4", "--replicas", "100"]
+    run(argv + ["--out-dir", str(tmp_path / "e")])
     je, _ = read_artifacts(tmp_path / "e")
     assert load_json(tmp_path / "e", je[0])["timestamp"]["threads"] == 3
-    run(["periodogram", "--family", "normal", "--n", "64", "--threads", "2",
-         "--out-dir", str(tmp_path / "f")])
+    run(argv + ["--threads", "2", "--out-dir", str(tmp_path / "f")])
     jf, _ = read_artifacts(tmp_path / "f")
     assert load_json(tmp_path / "f", jf[0])["timestamp"]["threads"] == 2
 
 
 def test_json_floats_round_trip(tmp_path):
-    run(["asclt", "--family", "normal", "--n", "256", "--r", "127",
-         "--out-dir", str(tmp_path)])
+    run(["asclt", "--family", "normal", "--schedule", "256:127", "--out-dir", str(tmp_path)])
     jsons, _ = read_artifacts(tmp_path)
     doc = load_json(tmp_path, jsons[0])
     from ascltlab.experiments import Schedule, asclt_trajectory
@@ -278,20 +358,6 @@ def test_negative_thread_count_exits_2(tmp_path, monkeypatch, capsys, source):
     assert not list(tmp_path.glob("*.json"))
 
 
-# the settings of one small valid run of each subcommand
-_SMALL_RUN = {
-    "check-weights": ["--weights", "trig", "--n", "8", "--r", "3"],
-    "asclt": ["--n", "64", "--r", "31"],
-    "bivariate": ["--n", "64", "--r", "31"],
-    "char-decay": ["--n", "64", "--r", "31", "--replicas", "100"],
-    "clt-fluct": ["--n", "64", "--r", "4", "--replicas", "100"],
-    "ldp": ["--n", "64", "--r", "4", "--replicas", "100"],
-    "periodogram": ["--n", "64"],
-    "spectrum": ["--n", "65"],
-    "gen-weights": ["--weights", "trig", "--n", "8", "--r", "3"],
-}
-
-
 @pytest.mark.parametrize("setting", [["--seed", "-1"], ["--stream", str(2**64)]],
                          ids=["seed-negative", "stream-2**64"])
 @pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
@@ -299,9 +365,64 @@ def test_seed_and_stream_outside_64_bits_exit_2(tmp_path, capsys, subcommand, se
     # the artifact schema takes unsigned 64-bit seeds and streams; every
     # subcommand refuses others before any work, also those that draw nothing
     out = tmp_path / "out"
-    assert run([subcommand, *_SMALL_RUN[subcommand], *setting, "--out-dir", str(out)]) == 2
+    assert run([subcommand, *_flags(_SMALL[subcommand]), *setting, "--out-dir", str(out)]) == 2
     assert "must be an unsigned 64-bit integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [(["--family", "two_point"], "two_point requires p in (0, 1)"),
+     (["--family", "rademacher", "--p", "0.3"], "family 'rademacher' takes no p parameter")],
+    ids=["two_point-without-p", "rademacher-with-p"],
+)
+@pytest.mark.parametrize("subcommand", ["check-weights", "gen-weights"])
+def test_trig_weights_check_the_family_and_p(tmp_path, capsys, subcommand, family, message):
+    # trig weights draw nothing, but the run's identity is checked all the same
+    out = tmp_path / "out"
+    argv = [subcommand, "--weights", "trig", "--n", "8", "--r", "3", *family, "--out-dir", str(out)]
+    assert run(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_artifact_records_p(tmp_path):
+    with open(SCHEMA_PATH, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    for p in ("0.25", "0.5"):
+        out = tmp_path / p
+        argv = ["asclt", "--family", "two_point", "--p", p, "--schedule", "64:31"]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        jsons, _ = read_artifacts(out)
+        doc = load_json(out, jsons[0])
+        jsonschema.validate(doc, schema)
+        assert doc["p"] == float(p)
+
+
+@pytest.mark.parametrize("subcommand", [c for c, keys in _READS.items() if "threads" not in keys])
+def test_subcommands_without_threads_ignore_the_environment(tmp_path, monkeypatch, subcommand):
+    monkeypatch.setenv("ASCLT_THREADS", "-1")
+    assert run([subcommand, *_flags(_SMALL[subcommand]), "--out-dir", str(tmp_path)]) == 0
+    _, stamp = _only_artifact(tmp_path)
+    assert stamp["threads"] == 0
+
+
+def test_benchmark_ops_parse(monkeypatch):
+    # every command-line op of the benchmark, full and small, resolves to a
+    # run's settings; bench/workloads.py is read and nothing is written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delenv("ASCLT_THREADS", raising=False)
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    argvs = [op.argv(1, tiny, 2) + ["--out-dir", "x"]
+             for ops in workloads.WORKLOADS.values() for op in ops if op.kind != "oracle"
+             for tiny in (False, True)]
+    assert len(argvs) == 28
+    for argv in argvs:
+        cfg = _resolve_config(_build_parser().parse_args(argv))
+        assert (cfg.experiment, cfg.seed, cfg.out_dir) == (argv[0], 1, "x")
 
 
 @pytest.mark.parametrize("replicas", ["0", "-3"])
@@ -511,14 +632,25 @@ def test_runs_in_one_process_match_fresh_processes(tmp_path):
         assert _artifact_bytes(here) == _artifact_bytes(fresh)
 
 
+# a small run of a subcommand that reads each float setting
+_READS_FLOAT = {
+    "p": ["periodogram", "--family", "two_point", "--n", "64"],
+    "delta": ["check-weights", "--n", "8", "--r", "3"],
+    "x": ["clt-fluct", "--n", "64", "--r", "3", "--replicas", "10"],
+    "s": ["char-decay", "--schedule", "64:3", "--replicas", "10"],
+    "t": ["char-decay", "--schedule", "64:3", "--replicas", "10"],
+    "a": ["ldp", "--n", "64", "--r", "3", "--replicas", "10"],
+}
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("name", ["p", "delta", "x", "s", "t", "a"])
+@pytest.mark.parametrize("name", list(_READS_FLOAT))
 def test_non_finite_float_setting_exits_2(tmp_path, capsys, name, value, source):
     # parsed before any sampling: clt-fluct with x = nan used to run every
     # replica first
     out = tmp_path / "out"
-    argv = ["clt-fluct", "--n", "64", "--r", "3", "--replicas", "10", "--out-dir", str(out)]
+    argv = _READS_FLOAT[name] + ["--out-dir", str(out)]
     if source == "flag":
         argv += [f"--{name}={value}"]
     else:
@@ -556,8 +688,8 @@ def _nan_prefix(spec, n):
 @pytest.mark.parametrize(
     "module, name, fake, argv",
     [
-        (experiments, "sample_prefix", _nan_prefix, ["asclt", "--n", "256", "--r", "127"]),
-        (experiments, "sample_prefix", _nan_prefix, ["bivariate", "--n", "256", "--r", "127"]),
+        (experiments, "sample_prefix", _nan_prefix, ["asclt", "--schedule", "256:127"]),
+        (experiments, "sample_prefix", _nan_prefix, ["bivariate", "--schedule", "256:127"]),
         (spectra, "sample_prefix", _nan_prefix, ["spectrum", "--n", "65"]),
         (spectra, "sample_prefix", _nan_prefix,
          ["spectrum", "--ensemble", "reverse", "--n", "65"]),
@@ -600,7 +732,7 @@ _REPLICA_STATS = {
     [
         ["ldp", "--n", "256", "--r", "8", "--replicas", "200"],
         ["clt-fluct", "--n", "256", "--r", "8", "--replicas", "200"],
-        ["char-decay", "--n", "256", "--r", "8", "--replicas", "200"],
+        ["char-decay", "--schedule", "256:8", "--replicas", "200"],
     ],
     ids=lambda argv: argv[0],
 )
