@@ -144,6 +144,17 @@ def load_config(path, keys) -> dict:
     return out
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports arguments it does not take with
+    its own usage and flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return parsed, extra
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parsing
@@ -154,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ascltlab",
         description="Numerical experiments on weighted-sum central limit behavior.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(dest="experiment", required=True, parser_class=_SubcommandParser)
     for name, (_, settings, _) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value config file")

@@ -3,14 +3,11 @@ variance decay, CLT fluctuations, and LDP rate estimates.
 
 Replica contract: replica i draws X_1..X_n from the stream
 spec.stream_id + i.  Replicas run in chunks of 512, one chunk per task
-when threads > 1, and each chunk is sampled in sub-blocks of about
-512 KiB of inputs (max(1, 512 KiB // (8 n)) replicas), so that a block
-stays in cache.  Sub-block bounds depend only on n, never on the thread
-count.  A chunk task computes its 512 stream keys once and allocates one
-buffer pair (the draws and the finalizer's scratch) that all of its
-sub-blocks reuse, so a statistic may not keep its input block: the next
-sub-block overwrites it.  Each harness maps a sub-block to the one
-statistic it reads (the mean of S, S alone, or S and T); that small
+when threads > 1, and each chunk is drawn by sources.stream_blocks in
+sub-blocks of about 512 KiB of inputs (max(1, 512 KiB // (8 n))
+replicas), so that a block stays in cache.  Sub-block bounds depend only
+on n, never on the thread count.  Each harness maps a sub-block to the
+one statistic it reads (the mean of S, S alone, or S and T); that small
 per-replica result is copied, so it may be a view of the block.
 Per-replica statistics are concatenated in ascending replica order, so
 the output is bit-identical for any thread count.
@@ -31,7 +28,7 @@ import numpy as np
 
 from . import ConfigError, empirical
 from .empirical import ks_to, normal_cdf
-from .sources import SourceSpec, _draw, _index_keys, _stream_keys, sample_prefix
+from .sources import SourceSpec, sample_prefix, stream_blocks
 from .transform import (
     batch_kernel,
     mean_partial_sum,
@@ -165,20 +162,17 @@ def _replica_map(
 ) -> np.ndarray:
     """stat of each replica's inputs, in ascending replica order.
 
-    stat maps a (replicas x n) block of inputs to one value per replica.
-    The next sub-block overwrites the block, so each result is copied.
+    stat maps a (replicas x n) block of inputs to one value per replica;
+    each result is copied, since the block does not outlive the next one
+    (see sources.stream_blocks).
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     rows = max(1, _SUB_BLOCK_BYTES // (8 * n))
-    jg = _index_keys(1, n)
 
     def chunk(lo: int) -> list:
-        keys = _stream_keys(spec, lo, min(lo + _REPLICA_CHUNK, n_replicas))
-        z = np.empty((min(rows, keys.size), n), dtype=np.uint64)
-        t = np.empty_like(z)
-        blocks = (keys[b:b + rows] for b in range(0, keys.size, rows))
-        return [np.array(stat(_draw(spec, k, jg, z[:k.size], t[:k.size]))) for k in blocks]
+        hi = min(lo + _REPLICA_CHUNK, n_replicas)
+        return [np.array(stat(x)) for x in stream_blocks(spec, n, lo, hi, rows)]
 
     starts = range(0, n_replicas, _REPLICA_CHUNK)
     if threads > 1:
@@ -272,12 +266,10 @@ def _half_line_rate(
     """Replicas whose mean of S_{n,1..r} (one product with c) is >= a."""
     means = _replica_map(lambda xs: mean_partial_sum(xs, c), spec, c.size, replicas, threads)
     hits = int(np.sum(_finite(means, "replica means") >= a))
-    if hits == 0:
-        # no observed exceedances: report the 1/replicas bound, flag rate
-        p_hat = 1.0 / replicas
-        return {"hits": 0, "p_hat": p_hat, "rate": -math.log(p_hat) / r, "rate_is_lower_bound": True}
-    p_hat = hits / replicas
-    return {"hits": hits, "p_hat": p_hat, "rate": -math.log(p_hat) / r, "rate_is_lower_bound": False}
+    # with no observed exceedances, report the 1/replicas bound and flag the rate
+    p_hat = max(hits, 1) / replicas
+    return {"hits": hits, "p_hat": p_hat, "rate": -math.log(p_hat) / r,
+            "rate_is_lower_bound": hits == 0}
 
 
 def ldp_rate(

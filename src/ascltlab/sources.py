@@ -51,12 +51,13 @@ def _mix64(z: np.ndarray, t: np.ndarray, sign_only: bool = False) -> np.ndarray:
     return z
 
 
-def _unit(z: np.ndarray) -> np.ndarray:
-    """Uniforms in (0,1) from splitmix64 outputs, reusing z's memory."""
+def _unit(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Uniforms in (0,1) from splitmix64 outputs, reusing z's memory; t is
+    scratch (converting z in place would make numpy copy all of z first)."""
     # 53 significant bits, offset by half an ulp to stay inside (0,1)
-    np.right_shift(z, np.uint64(11), out=z)
+    np.right_shift(z, np.uint64(11), out=t)
     u = z.view(np.float64)
-    np.add(z, 0.5, out=u, casting="unsafe")
+    np.add(t, 0.5, out=u, casting="unsafe")
     u *= 2.0**-53
     return u
 
@@ -103,9 +104,9 @@ def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
     return z[1:] ^ z[0]
 
 
-def _index_keys(start: int, count: int) -> np.ndarray:
-    """j * gamma for the 1-based indices j = start..start+count-1."""
-    return np.arange(start, start + count, dtype=np.uint64) * _GAMMA
+def _index_keys(count: int) -> np.ndarray:
+    """j * gamma for the 1-based indices j = 1..count."""
+    return np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
 
 
 def _rademacher(z: np.ndarray) -> np.ndarray:
@@ -145,52 +146,48 @@ def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
     raise AssertionError(family)
 
 
-def _draw(spec: SourceSpec | None, keys: np.ndarray, jg: np.ndarray, z: np.ndarray,
+def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.ndarray,
           t: np.ndarray) -> np.ndarray:
-    """Draws of the streams with the given keys, one row per key, at the
-    indices j whose j * gamma is jg; with spec None, the uniforms in (0,1)
-    themselves.
-
-    z receives the draws and t is scratch, both uint64 arrays of shape
-    (keys.size, jg.size).  The result is a float64 view of z, or a fresh
-    array (two_point), so it lasts only until the buffers are reused.
+    """Draws of the family at the keys keys[i] + jg[c], jg holding j * gamma
+    for the indices j.  z receives them and t is scratch, both uint64 of
+    shape (keys.size, jg.size); the result is a float64 view of z, or a
+    fresh array (two_point).
     """
     np.add(keys[:, None], jg, out=z)
-    if spec is not None and spec.family == "rademacher":
+    if family == "rademacher":
         return _rademacher(_mix64(z, t, sign_only=True))
-    u = _unit(_mix64(z, t))
-    return u if spec is None else _transform(spec.family, spec.p, u)
+    return _transform(family, p, _unit(_mix64(z, t), t))
 
 
-def _uniform01(spec: SourceSpec, j: np.ndarray) -> np.ndarray:
-    """Uniforms in (0,1), one per index; pure in (seed, stream, index)."""
-    jg = j.astype(np.uint64, copy=False).ravel() * _GAMMA
-    z = np.empty((1, jg.size), dtype=np.uint64)
-    return _draw(None, _stream_keys(spec, 0, 1), jg, z, np.empty_like(z)).reshape(j.shape)
-
-
-def sample_rows(spec: SourceSpec, lo: int, hi: int, start: int, count: int) -> np.ndarray:
-    """Draws of streams lo..hi-1 (offsets from spec.stream_id) at indices
-    start..start+count-1, as a (hi - lo) x count array.
-
-    Row i equals sample_block(spec.with_stream(spec.stream_id + lo + i),
-    start, count): a counter-based draw is a pure function of (seed,
-    stream, index), so a whole block comes from one set of array passes.
+def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
+    """X_1..X_n of the streams spec.stream_id + lo .. spec.stream_id + hi - 1,
+    in order, as (streams x n) blocks of at most rows streams; a draw is pure
+    in (seed, stream, index), so the block size changes no value.  All blocks
+    share one buffer pair, so a block lasts only until the next one is drawn:
+    whatever outlives that must be copied.
     """
-    if start < 1:
-        raise ValueError("indices are 1-based")
-    if not (0 <= lo <= hi):
-        raise ValueError("need 0 <= lo <= hi")
     keys = _stream_keys(spec, lo, hi)
-    z = np.empty((hi - lo, count), dtype=np.uint64)
-    return _draw(spec, keys, _index_keys(start, count), z, np.empty_like(z))
-
-
-def sample_block(spec: SourceSpec, start: int, count: int) -> np.ndarray:
-    """X_start, ..., X_{start+count-1} as an array (indices are 1-based)."""
-    return sample_rows(spec, 0, 1, start, count)[0]
+    # z (which sample_prefix keeps) before the buffers freed at the end: the
+    # other way round, glibc left runs of 2^20-long prefixes 7 MB higher in RSS
+    z = np.empty((min(rows, keys.size), n), dtype=np.uint64)
+    jg = _index_keys(n)
+    t = np.empty_like(z)
+    for b in range(0, keys.size, rows):
+        k = keys[b:b + rows]
+        yield _draw(spec.family, spec.p, k, jg, z[:k.size], t[:k.size])
 
 
 def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
     """The first n values X_1..X_n of the stream."""
-    return sample_block(spec, 1, n)
+    return next(stream_blocks(spec, n, 0, 1, 1))[0]
+
+
+def normal_grid(spec: SourceSpec, n: int, r: int) -> np.ndarray:
+    """n x r standard normals of the spec's stream, whatever its family:
+    entry (i, c) is the normal draw at index i*n + c + 1.  Its key is row
+    key key + i*n*gamma plus column key (c+1)*gamma (uint64, mod 2^64), so
+    no array of indices is built.
+    """
+    row_keys = _stream_keys(spec, 0, 1) + np.arange(n, dtype=np.uint64) * np.uint64(n) * _GAMMA
+    z = np.empty((n, r), dtype=np.uint64)
+    return _draw("normal", None, row_keys, _index_keys(r), z, np.empty_like(z))

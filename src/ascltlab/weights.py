@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import ConfigError
 from .accum import ozaki_gram
-from .sources import SourceSpec, _uniform01
+from .sources import SourceSpec, normal_grid
 
 TRIG, HAAR = "trig", "haar"
 
@@ -117,26 +116,25 @@ def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
     """The first r rows (all n when r is None) of a Haar-distributed
     orthogonal n x n matrix, as an r x n array.
 
-    Row i is column i of Q in G = QR, where G holds i.i.d. standard normals
-    of the spec's counter-based stream, entry (i, c) at counter i*n + c + 1;
-    rescaling each column so that R's diagonal is positive makes the law
-    exactly Haar rather than merely orthogonal.  By Householder QR the
-    first r columns of Q depend only on the first r columns of G, so only
-    those n x r draws are made and factored by a thin QR; with the sign fix
-    they are uniform on the Stiefel manifold (F. Mezzadri, "How to generate
-    random matrices from the classical compact groups", Notices AMS 54,
-    2007).  At r = n this is the full matrix bit for bit; at r < n the rows
-    differ from its first r only in the last ulp.  r*n above
-    _MATERIALIZE_LIMIT is refused before anything is allocated.
+    Row i is column i of Q in G = QR, where the n x n G holds i.i.d.
+    standard normals of the spec's counter-based stream, its first r
+    columns being normal_grid(spec, n, r); rescaling each column so that
+    R's diagonal is positive makes the law exactly Haar rather than merely
+    orthogonal.  By Householder QR the first r columns of Q depend only on
+    the first r columns of G, so only those n x r draws are made and
+    factored by a thin QR; with the sign fix they are uniform on the
+    Stiefel manifold (F. Mezzadri, "How to generate random matrices from
+    the classical compact groups", Notices AMS 54, 2007).  At r = n this is
+    the full matrix bit for bit; at r < n the rows differ from its first r
+    only in the last ulp.  r*n above _MATERIALIZE_LIMIT is refused before
+    anything is allocated.
     """
     r = n if r is None else r
     if not 1 <= r <= n:
         raise ConfigError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
     if r * n > _MATERIALIZE_LIMIT:
         raise MemoryError(f"refusing to sample {r} rows of a {n}x{n} Haar matrix")
-    cols = np.arange(1, r + 1, dtype=np.uint64)
-    j = np.add.outer(np.arange(n, dtype=np.uint64) * np.uint64(n), cols)
-    q, rr = np.linalg.qr(ndtri(_uniform01(spec, j)))
+    q, rr = np.linalg.qr(normal_grid(spec, n, r))
     d = np.diagonal(rr)
     if not np.all(np.isfinite(q)) or np.any(d == 0.0):
         raise ArithmeticError("degenerate normal draw: QR produced a zero pivot")

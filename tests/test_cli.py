@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -101,6 +102,18 @@ def test_ldp_without_hits_writes_a_null_rate_bound(tmp_path):
 def test_unknown_flag_exits_2(capsys):
     assert run(["asclt", "--bogus"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--n", "1024"], ["--bogus", "1"]], ids=["n", "bogus"])
+def test_unread_flag_shows_the_subcommand_usage(tmp_path, capsys, extra):
+    # a flag of another subcommand, or of none: the error lists asclt's
+    # own flags, not the subcommand names
+    out = tmp_path / "out"
+    assert run(["asclt", "--schedule", "64:31", "--out-dir", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ascltlab asclt ") and "--schedule" in err
+    assert f"ascltlab asclt: error: unrecognized arguments: {' '.join(extra)}" in err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -561,16 +574,18 @@ def test_check_weights_checks_delta_before_any_work(tmp_path, capsys, monkeypatc
 
 
 def test_cli_imports_no_private_name():
-    # a private name of another module is that module's own decision
-    with open(cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    # a private name of another module is that module's own decision; this
+    # holds for every module of the package, not only the CLI
+    private = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [
+            f"{path.stem}: {node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
     assert not private
 
 
@@ -711,10 +726,14 @@ def test_non_finite_statistic_is_a_runtime_failure(
     assert not out.exists()
 
 
+_real_draw = sources._draw
+
+
 def _nan_draw(*args, **kwargs):
     # the replica sampler's own draws, then overwritten with nan: the fake
-    # takes whatever arguments the real core takes
-    x = sources._draw(*args, **kwargs)
+    # takes whatever arguments the real core takes, and calls the core
+    # captured before the patch (the patched global would call itself)
+    x = _real_draw(*args, **kwargs)
     x[...] = np.nan
     return x
 
@@ -739,7 +758,7 @@ _REPLICA_STATS = {
 def test_non_finite_replica_statistic_is_a_runtime_failure(tmp_path, capsys, monkeypatch, argv):
     # a nan replica mean or partial sum compares false with a or x; it must
     # not count as a replica without a hit
-    monkeypatch.setattr(experiments, "_draw", _nan_draw)
+    monkeypatch.setattr(sources, "_draw", _nan_draw)
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", str(out)]) == 3
     assert f"runtime failure: non-finite {_REPLICA_STATS[argv[0]]}" in capsys.readouterr().err

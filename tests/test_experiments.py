@@ -15,7 +15,7 @@ from ascltlab.experiments import (
     clt_fluctuation,
     ldp_rate,
 )
-from ascltlab.sources import SourceSpec, sample_prefix, sample_rows
+from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
 from ascltlab.transform import partial_sums_fast
 from ascltlab.weights import check_trig, make_trig_pair
 
@@ -187,7 +187,8 @@ def test_char_decay_matches_empirical_char_reference():
     res = char_variance_decay(spec, Schedule(points=((n, r),)), s, t, reps)
     target = math.exp(-(s * s + t * t) / 2.0)
     sq = []
-    for x in sample_rows(spec, 0, reps, 1, n):
+    for i in range(reps):
+        x = sample_prefix(spec.with_stream(spec.stream_id + i), n)
         ps = partial_sums_fast(n, r, x)
         sq.append(abs(empirical_char(np.column_stack([ps.s, ps.t]), s, t) - target) ** 2)
     assert abs(res.points[0]["estimate"] - float(np.mean(sq))) <= 1e-12
@@ -254,7 +255,7 @@ def test_replica_map_follows_replica_streams():
 @pytest.mark.parametrize("n, lo, hi", [(300, 509, 516), (300, 1021, 1035), (4096, 0, 17),
                                        (4096, 100, 613)])
 def test_replica_sampler_matches_sample_rows_and_streams(spec, n, lo, hi):
-    block = sample_rows(spec, 0, hi + 3, 1, n)
+    block = next(stream_blocks(spec, n, 0, hi + 3, hi + 3))
     for i in range(lo, hi):
         assert np.array_equal(block[i], sample_prefix(spec.with_stream(spec.stream_id + i), n))
     for threads in (1, 2):
@@ -330,7 +331,8 @@ def test_ldp_oracle_reads_the_first_draw_of_each_offset_stream():
     n, r, a, replicas = 512, 8, 0.5, 3000
     p = ldp_rate(spec_of("rademacher", 4, stream=17), n, r, a, replicas, threads=2).points[0]
     oracle_spec = spec_of("normal", 4, stream=17 + replicas)
-    x1 = sample_rows(oracle_spec, 0, replicas, 1, 1)[:, 0]
+    x1 = np.array([sample_prefix(oracle_spec.with_stream(oracle_spec.stream_id + i), 1)[0]
+                   for i in range(replicas)])
     assert p["oracle_hits"] == int(np.sum(x1 / math.sqrt(r) >= a))
 
 

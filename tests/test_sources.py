@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ascltlab.sources import (
     SourceSpec,
     _rademacher,
-    sample_block,
+    normal_grid,
     sample_prefix,
-    sample_rows,
+    stream_blocks,
 )
 
 FAMILIES = ["rademacher", "uniform", "two_point", "normal", "exponential"]
@@ -29,7 +29,7 @@ def test_rademacher_support():
 def test_sample_deterministic():
     # a single draw X_5 is the same however it is reached
     spec = make_spec("normal", seed=42)
-    assert sample_block(spec, 5, 1)[0] == sample_block(spec, 5, 1)[0] == sample_prefix(spec, 9)[4]
+    assert sample_prefix(spec, 5)[4] == sample_prefix(spec, 5)[4] == sample_prefix(spec, 9)[4]
 
 
 def test_uniform_monte_carlo_standardization():
@@ -73,18 +73,27 @@ def test_prefix_stability(family, seed, n1, n2):
     assert np.array_equal(short, long[:n1])
 
 
+def stacked(spec, n, lo, hi, rows):
+    """Every block of stream_blocks, copied and stacked in stream order."""
+    return np.vstack([b.copy() for b in stream_blocks(spec, n, lo, hi, rows)])
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    start=st.integers(min_value=1, max_value=500),
+    streams=st.integers(min_value=1, max_value=40),
+    rows=st.integers(min_value=1, max_value=50),
     count=st.integers(min_value=1, max_value=100),
 )
 @settings(max_examples=50, deadline=None)
-def test_block_matches_prefix(seed, start, count):
-    # counter-based: any window equals the same slice of the prefix
+def test_block_matches_prefix(seed, streams, rows, count):
+    # counter-based: the block size changes no draw, and each row is the
+    # prefix of its own stream
     spec = make_spec("normal", seed=seed)
-    block = sample_block(spec, start, count)
-    prefix = sample_prefix(spec, start + count - 1)
-    assert np.array_equal(block, prefix[start - 1 :])
+    blocks = [b.copy() for b in stream_blocks(spec, count, 0, streams, rows)]
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    block = np.vstack(blocks)
+    for i in range(streams):
+        assert np.array_equal(block[i], sample_prefix(spec.with_stream(i), count))
 
 
 def all_family_specs(seed, stream):
@@ -96,7 +105,7 @@ def all_family_specs(seed, stream):
 @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 20), (211, 230), (509, 515), (1021, 1034)])
 def test_sample_rows_match_streams(spec, lo, hi):
     n = 300
-    block = sample_rows(spec, lo, hi, 1, n)
+    block = stacked(spec, n, lo, hi, 218)
     assert block.shape == (hi - lo, n)
     for i in range(lo, hi):
         assert np.array_equal(block[i - lo], sample_prefix(spec.with_stream(spec.stream_id + i), n))
@@ -104,16 +113,17 @@ def test_sample_rows_match_streams(spec, lo, hi):
 
 @pytest.mark.parametrize("spec", all_family_specs(2**64 - 1, 0), ids=lambda s: s.family)
 def test_sample_rows_window_matches_block(spec):
-    block = sample_rows(spec, 2, 5, 7, 50)
+    # streams 2..4 in blocks of 2 and 1
+    block = stacked(spec, 50, 2, 5, 2)
     for i in range(2, 5):
-        assert np.array_equal(block[i - 2], sample_block(spec.with_stream(i), 7, 50))
+        assert np.array_equal(block[i - 2], sample_prefix(spec.with_stream(i), 50))
 
 
 def test_sample_rows_rejects_stream_overflow():
     spec = make_spec("rademacher", stream=2**64 - 3)
-    assert sample_rows(spec, 0, 3, 1, 4).shape == (3, 4)
+    assert stacked(spec, 4, 0, 3, 3).shape == (3, 4)
     with pytest.raises(ValueError):
-        sample_rows(spec, 0, 4, 1, 4)
+        stacked(spec, 4, 0, 4, 4)
 
 
 def _splitmix64_uniform(seed, stream, j):
@@ -133,7 +143,7 @@ def _splitmix64_uniform(seed, stream, j):
 @pytest.mark.parametrize("family", ["rademacher", "uniform"])
 def test_sample_rows_match_scalar_reference(family):
     spec = make_spec(family, seed=2**64 - 5, stream=2**63 + 1)
-    block = sample_rows(spec, 3, 7, 1, 40)
+    block = stacked(spec, 40, 3, 7, 3)
     for i in range(3, 7):
         u = [_splitmix64_uniform(spec.master_seed, spec.stream_id + i, j) for j in range(1, 41)]
         if family == "rademacher":
@@ -175,6 +185,19 @@ def test_seed_bounds_rejected():
         SourceSpec(family="normal", master_seed=2**64)
 
 
-def test_sample_index_must_be_positive():
-    with pytest.raises(ValueError):
-        sample_block(make_spec("normal"), 0, 1)
+# rademacher and two_point specs draw normals too; the last stream is
+# within 10 of 2**64
+@pytest.mark.parametrize(
+    "spec",
+    [make_spec("rademacher", 13, 4), make_spec("two_point", 2**64 - 1, 9),
+     make_spec("normal", 3, 2**64 - 10)],
+    ids=lambda s: s.family,
+)
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_normal_grid_is_the_normal_prefix_in_rows_of_n(spec, n):
+    # entry (i, c) is the draw at index i*n + c + 1 of the stream's normal prefix
+    normal = SourceSpec("normal", spec.master_seed, spec.stream_id)
+    rows = sample_prefix(normal, n * n).reshape(n, n)
+    for r in range(1, n + 1):
+        grid = normal_grid(spec, n, r)
+        assert grid.shape == (n, r) and grid.tobytes() == rows[:, :r].copy().tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascltlab.sources import SourceSpec, sample_rows
+from ascltlab.sources import SourceSpec, stream_blocks
 from ascltlab.transform import (
     batch_kernel,
     mean_partial_sum,
@@ -135,7 +135,7 @@ def test_rfft_gemm_rule_covers_both_harness_shapes():
 @pytest.mark.parametrize("family", ["rademacher", "normal"])
 @pytest.mark.parametrize("n, r", [(4096, 32), (4096, 8), (2048, 1023)])
 def test_batch_kernel_matches_reference(family, n, r):
-    x = sample_rows(SourceSpec(family=family, master_seed=21), 0, 40, 1, n)
+    x = next(stream_blocks(SourceSpec(family=family, master_seed=21), n, 0, 40, 40))
     ref_s, _ = partial_sums_batch(n, r, x)
     s = batch_kernel(n, r)(x)
     assert s.shape == ref_s.shape and np.max(np.abs(s - ref_s)) <= 1e-12 * math.sqrt(n)
@@ -143,7 +143,7 @@ def test_batch_kernel_matches_reference(family, n, r):
 
 @pytest.mark.parametrize("n, r", [(4096, 32), (1024, 511), (1000, 7), (999, 499), (7, 3)])
 def test_mean_partial_sum_matches_reference(n, r):
-    x = sample_rows(SourceSpec(family="normal", master_seed=22), 0, 16, 1, n)
+    x = next(stream_blocks(SourceSpec(family="normal", master_seed=22), n, 0, 16, 16))
     ref_s, _ = partial_sums_batch(n, r, x)
     got = mean_partial_sum(x, mean_weights(n, r))
     assert np.max(np.abs(got - ref_s.mean(axis=1))) <= 1e-12 * math.sqrt(n)
@@ -160,7 +160,7 @@ def test_gaussian_oracle_moments():
     # (s[1], s[2]) over 1e5 replicas: identity covariance within 0.02
     spec = SourceSpec(family="normal", master_seed=17)
     n, r, reps = 64, 8, 10**5
-    xs = sample_rows(spec, 0, reps, 1, n)
+    xs = next(stream_blocks(spec, n, 0, reps, reps))
     ss, _ = partial_sums_batch(n, r, xs)
     cov = np.cov(ss[:, 0], ss[:, 1])
     assert abs(cov[0, 1]) < 0.02
