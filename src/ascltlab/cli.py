@@ -10,7 +10,8 @@ config keys and, where the field has no default, its required settings.
 run() times the runner, writes the artifacts and prints the summary
 lines in the same way for all of them.  The JSON document is laid out
 here alone: the run's identity (experiment, seed, stream, family, p)
-comes from RunConfig, the rest from the result.
+comes from RunConfig, the rest from the result.  The ensemble alone
+picks a spectrum's CSV cells: a reverse one's +- pairs share one repr.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
@@ -49,7 +50,6 @@ from .weights import HAAR, TRIG, check_haar, check_trig, haar_rows, trig_u_rows
 _RUN_COUNTER = 0
 # cells per CSV write: each block of rows is formatted in C and written at once
 _BLOCK_CELLS = 1 << 12
-_SIGN = np.uint64(1 << 63)  # the sign bit of a float64
 
 
 @dataclass
@@ -230,26 +230,20 @@ def _floats(a: np.ndarray):
     return chain.from_iterable(a[i:i + step].tolist() for i in range(0, a.size, step))
 
 
-def _sorted_cells(e: np.ndarray):
-    """CSV cells of the sorted float64 array e: its values, or their repr.
+def _mirrored_cells(e: np.ndarray):
+    """CSV cells of a reverse circulant spectrum e, which is -m[::-1] then
+    m for magnitudes m >= 0 (see spectra.reverse_circulant_spectrum).
 
-    When the lower half is, bit for bit, the negated mirror of the upper
-    half and the upper half has no sign bit set (the +- pairs of a reverse
-    circulant spectrum), only the upper half is formatted: repr(-x) is
-    "-" + repr(x) for such x, 0.0 included.  Its reprs are kept ","-joined
-    per slice, a quarter of the memory of separate strings, and split
-    again for each half.  A middle element of an odd size stays a value.
+    Only m is formatted: each cell of the lower half is "-" + the repr of
+    its mirror, which is repr(-x) for x >= 0, 0.0 included.  The reprs are
+    kept ","-joined per slice, a quarter of the memory of separate
+    strings, and split again for each half.
     """
-    h = e.size // 2
-    hi = e[e.size - h:]
-    if np.signbit(hi).any() or not np.array_equal(e[:h].view(np.uint64) ^ _SIGN,
-                                                  hi[::-1].view(np.uint64)):
-        return _floats(e)
     step = _BLOCK_CELLS
-    joined = [",".join(map(repr, hi[i:i + step].tolist())) for i in range(0, h, step)]
+    m = e[e.size // 2:]
+    joined = [",".join(map(repr, m[i:i + step].tolist())) for i in range(0, m.size, step)]
     lower = (reversed(("-" + s.replace(",", ",-")).split(",")) for s in reversed(joined))
-    upper = (s.split(",") for s in joined)
-    return chain(chain.from_iterable(lower), _floats(e[h:e.size - h]), chain.from_iterable(upper))
+    return chain(chain.from_iterable(lower), chain.from_iterable(s.split(",") for s in joined))
 
 
 def _write_artifacts(
@@ -302,16 +296,12 @@ def _periodogram(cfg: RunConfig):
 
 
 def _spectrum(cfg: RunConfig):
-    spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
-                "reverse": spectra.reverse_circulant_spectrum}[cfg.ensemble]
-    eigenvalues, point = spectrum(cfg.n, cfg.source_spec())
+    spectrum, cells = {"symmetric": (spectra.symmetric_circulant_spectrum, _floats),
+                       "reverse": (spectra.reverse_circulant_spectrum, _mirrored_cells)
+                       }[cfg.ensemble]
+    e, point = spectrum(cfg.n, cfg.source_spec())
     result = experiments.ExperimentResult({"ensemble": cfg.ensemble}, [point])
-    return result, _spectrum_table(eigenvalues)
-
-
-def _spectrum_table(e: np.ndarray):
-    """CSV header and (index, eigenvalue) rows of the sorted spectrum e."""
-    return ["index", "eigenvalue"], zip(range(e.size), _sorted_cells(e))
+    return result, (["index", "eigenvalue"], zip(range(e.size), cells(e)))
 
 
 def _gen_weights(cfg: RunConfig):
@@ -339,7 +329,7 @@ def _check_weights_line(cfg: RunConfig, p: dict) -> str:
 
 def _spectrum_line(cfg: RunConfig, p: dict) -> str:
     line = "spectrum ensemble=%s n=%d count=%d" % (cfg.ensemble, p["n"], p["count"])
-    if "ks_to_limit" in p:
+    if cfg.ensemble == "symmetric":
         line += " ks_to_normal=%.6g" % p["ks_to_limit"]
     return line
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -176,7 +177,8 @@ def _replica_map(
 
     starts = range(0, n_replicas, _REPLICA_CHUNK)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # a thread per chunk up to max_workers: past the cores they only cost memory
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(chunk, starts))
     else:
         parts = [chunk(lo) for lo in starts]
@@ -294,7 +296,8 @@ def ldp_rate(
 
     p_hat_lo and p_hat_hi bound p_hat by the 95% Wilson interval of its
     hits, and rate_lo, rate_hi are the rates they imply (rate_hi is None
-    when there are no hits).
+    when there are no hits).  rate_ratio_to_oracle is None when the
+    baseline rate is 0: one replica, or every baseline replica hits.
     """
     if not a > 0.0:
         raise ConfigError("a must be positive")
@@ -327,6 +330,6 @@ def ldp_rate(
         "oracle_p_hat": oracle["p_hat"],
         "oracle_hits": oracle["hits"],
         "oracle_rate_is_lower_bound": oracle["rate_is_lower_bound"],
-        "rate_ratio_to_oracle": main["rate"] / oracle["rate"],
+        "rate_ratio_to_oracle": main["rate"] / oracle["rate"] if oracle["rate"] else None,
     }
     return ExperimentResult({"a": a}, [point], replicas)

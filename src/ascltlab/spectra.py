@@ -1,10 +1,12 @@
 """Random circulant-family ensembles, periodograms, and their spectra.
 
 Circulant matrices are diagonalized exactly by the DFT, so no dense
-eigensolver is ever needed in production code; the test suite anchors the
-DFT formula against a dense solver at tiny n.  Each ensemble returns its
-sorted real eigenvalues with the spectrum's summary point, a dict; only
-the symmetric ensemble's point compares the ESD with a limit law (N(0, 1)).
+eigensolver is ever needed in production code; the test suite anchors
+both spectra against a dense solver at small n.  Each ensemble returns
+its sorted real eigenvalues with the spectrum's summary point, a dict;
+only the symmetric ensemble's point compares the ESD with a limit law
+(N(0, 1)).  The reverse ensemble's paired eigenvalues are the +-
+periodogram magnitudes m: -m[::-1] then m, mirrored by construction.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -31,14 +33,11 @@ REVERSE_CIRCULANT = "ReverseCirculant"
 def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
               exceptional: list[float]) -> tuple[np.ndarray, dict]:
     """(vals, the summary point) of the sorted eigenvalues vals, checked
-    finite; a symmetric point also has the ESD's KS distance to N(0, 1)."""
+    finite."""
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite eigenvalues")
-    point = {"ensemble": ensemble, "n": n, "normalization": normalization,
-             "count": int(vals.size), "exceptional": exceptional}
-    if ensemble == SYMMETRIC_CIRCULANT:
-        point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
-    return vals, point
+    return vals, {"ensemble": ensemble, "n": n, "normalization": normalization,
+                  "count": int(vals.size), "exceptional": exceptional}
 
 
 def circulant_eigen_dft(first_row: np.ndarray) -> np.ndarray:
@@ -78,12 +77,15 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
     eig = circulant_eigen_dft(c)
     if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, np.max(np.abs(eig.real))):
         raise ArithmeticError("symmetric circulant produced complex spectrum")
-    vals = np.sort(eig.real / math.sqrt(n))
-    return _spectrum(vals, SYMMETRIC_CIRCULANT, n, 1.0 / math.sqrt(n), [])
+    vals, point = _spectrum(np.sort(eig.real / math.sqrt(n)), SYMMETRIC_CIRCULANT, n,
+                            1.0 / math.sqrt(n), [])
+    point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
+    return vals, point
 
 
 def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, dict]:
-    """Eigenvalues +-sqrt(S_{n,k}^2 + T_{n,k}^2), k = 1..floor((n-1)/2).
+    """Eigenvalues +-sqrt(S_{n,k}^2 + T_{n,k}^2) = +-sqrt(2 I_n(2 pi k / n)),
+    k = 1..floor((n-1)/2): -m[::-1] then m, for the sorted magnitudes m.
 
     The at-most-two eigenvalues outside the paired formula (frequency 0,
     and frequency n/2 for even n) are reported in `exceptional` in the
@@ -92,10 +94,9 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
     if n < 3:
         raise ConfigError("need n >= 3")
     x = sample_prefix(spec, n)
-    r = (n - 1) // 2
-    s, t = partial_sums_fast(n, r, x)
-    mag = np.sqrt(s**2 + t**2)
-    vals = np.sort(np.concatenate([-mag, mag]))
+    # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
+    m = np.sort(np.sqrt(2.0 * periodogram_all(x)))
+    vals = np.concatenate([-m[::-1], m])
     scale = math.sqrt(2.0 / n)
     exceptional = [scale * float(np.sum(x))]
     if n % 2 == 0:

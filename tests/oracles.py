@@ -2,10 +2,12 @@
 
 Kept out of the package on purpose. Production code never needs a dense
 eigensolver (circulants are diagonalized exactly by the DFT), so those
-exist only to anchor the DFT formulas at tiny n. The trig row, column-sum,
-identity-scan and condition-scan oracles are one-shot formulas or loops
-over k1, so that the table-lookup, blocked and O(n) versions can be held
-to them bit for bit. The Gram oracle is exact rational arithmetic.
+exist only to anchor the DFT formulas at small n: the symmetric spectrum,
+and the reverse one (the dense sqrt(2/n) [x_{(i+j) mod n}]) up to
+n = 64. The trig row, column-sum, identity-scan and condition-scan
+oracles are one-shot formulas or loops over k1, so that the
+table-lookup, blocked and O(n) versions can be held to them bit for
+bit. The Gram oracle is exact rational arithmetic.
 
 Four statistics are written out directly, one value at a time, to check
 the vectorized versions inside the pipeline: ``joint_cdf`` (the grid
@@ -15,8 +17,9 @@ ordinate by the defining sum, against ``spectra.periodogram_all``) and
 ``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
 
 ``csv_cells`` and ``write_csv_rows`` are the per-row CSV writer that
-``cli._write_csv`` and the cells of ``cli._sorted_cells`` are held to
-byte for byte: str of every cell, one line per row.
+``cli._write_csv`` and the spectrum cells of ``cli._floats`` and
+``cli._mirrored_cells`` are held to byte for byte: str of every cell,
+one line per row.
 
 ``ldp_normal_baseline`` is the Gaussian baseline of ``ldp_rate`` by plain
 Monte Carlo: every replica draws all n normal inputs and projects them on

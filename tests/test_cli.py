@@ -99,6 +99,20 @@ def test_ldp_without_hits_writes_a_null_rate_bound(tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["rate_hi"] == ""
 
 
+def test_ldp_with_a_zero_baseline_rate_writes_a_null_ratio(tmp_path):
+    # one replica: p_hat is 1 and both rates are 0, so the ratio of the
+    # rates is undefined
+    with open(SCHEMA_PATH, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    argv = ["ldp", "--n", "64", "--r", "1", "--a", "0.01", "--replicas", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    jsons, _ = read_artifacts(tmp_path)
+    doc = load_json(tmp_path, jsons[0])
+    point = doc["points"][0]
+    assert point["oracle_rate"] == 0.0 and point["rate_ratio_to_oracle"] is None
+    jsonschema.validate(doc, schema)
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["asclt", "--bogus"]) == 2
     assert "usage" in capsys.readouterr().err
@@ -770,13 +784,20 @@ def _csv_bytes(path, write, header, rows) -> bytes:
     return path.read_bytes()
 
 
-def _spectrum_csvs(tmp_path, e):
-    """The spectrum CSV of the sorted array e from the block writer, and
-    from the per-row reference writer."""
-    new = _csv_bytes(tmp_path / "new.csv", cli._write_csv, *cli._spectrum_table(e))
+def _spectrum_csvs(tmp_path, e, cells):
+    """The spectrum CSV of the sorted array e from the block writer fed
+    cells(e), and from the per-row reference writer."""
+    new = _csv_bytes(tmp_path / "new.csv", cli._write_csv, ["index", "eigenvalue"],
+                     zip(range(e.size), cells(e)))
     ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, ["index", "eigenvalue"],
                      oracles.csv_cells(range(e.size), e.tolist()))
     return new, ref
+
+
+def _mirrored(m) -> np.ndarray:
+    """The reverse circulant form -m[::-1] then m of the magnitudes m."""
+    m = np.sort(np.array(m, dtype=float))
+    return np.concatenate([-m[::-1], m])
 
 
 @pytest.mark.parametrize("ensemble", ["symmetric", "reverse"])
@@ -787,23 +808,24 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
     argv = ["spectrum", "--ensemble", ensemble, "--n", str(n), "--seed", "11"]
     assert run(argv + ["--out-dir", str(out)]) == 0
     _, csvs = read_artifacts(out)
-    spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
-                "reverse": spectra.reverse_circulant_spectrum}[ensemble]
+    spectrum, cells = {"symmetric": (spectra.symmetric_circulant_spectrum, cli._floats),
+                       "reverse": (spectra.reverse_circulant_spectrum, cli._mirrored_cells)
+                       }[ensemble]
     e, _ = spectrum(n, SourceSpec("rademacher", 11, 0))
-    new, ref = _spectrum_csvs(tmp_path, e)
+    new, ref = _spectrum_csvs(tmp_path, e, cells)
     assert (out / csvs[0]).read_bytes() == new == ref
 
 
 @pytest.mark.parametrize(
     "values",
     [
-        # +-0.0 pairs: the mirror holds bit for bit
+        # +-0.0 pairs
         [-1.5, -0.0, 0.0, 1.5],
         [-2.0, -0.0, -0.0, 0.0, 0.0, 2.0],
-        # -0.0 in the upper half: "-" + "-0.0" would be wrong
+        # -0.0 in the upper half
         [-1.5, 0.0, -0.0, 1.5],
         [0.0, -0.0],
-        # mirrored at odd size, around any middle element
+        # odd sizes, around any middle element
         [-3.0, -5e-324, 0.5, 5e-324, 3.0],
         [-2.5, -0.0, 2.5],
         [-1e308, 7.0, 1e308],
@@ -818,42 +840,52 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
     ],
 )
 def test_hand_built_spectra_match_the_per_row_writer(tmp_path, values):
-    new, ref = _spectrum_csvs(tmp_path, np.array(values, dtype=float))
+    # the symmetric ensemble's plain cells, on any sorted array
+    new, ref = _spectrum_csvs(tmp_path, np.array(values, dtype=float), cli._floats)
+    assert new == ref
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[], [0.0], [0.0, 0.0], [5e-324], [1e308], [0.0, 5e-324, 1.5, 1e308]],
+    ids=["empty", "zero", "zeros", "subnormal", "huge", "mixed"],
+)
+def test_mirrored_cells_edge_cases_match_the_per_row_writer(tmp_path, m):
+    # 0.0 pairs with -0.0, whose repr is "-" + repr(0.0)
+    new, ref = _spectrum_csvs(tmp_path, _mirrored(m), cli._mirrored_cells)
     assert new == ref
 
 
 def test_reverse_spectrum_formats_one_value_per_pair(monkeypatch):
-    # a reverse spectrum's +- pairs share one repr, also around a middle
-    # value; a symmetric one has no such mirror and its values go to the
-    # writer as they are
+    # a reverse spectrum's +- pairs share one repr; a symmetric one's
+    # values go to the writer as they are
     calls = []
     monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     spec = SourceSpec("rademacher", 5, 0)
-    rev = spectra.reverse_circulant_spectrum(4097, spec)[0]
-    for e, count in [(rev, 2048),
-                     (np.insert(rev, 2048, 0.0), 2048),
-                     (spectra.reverse_circulant_spectrum(4096, spec)[0], 2047),
-                     (spectra.symmetric_circulant_spectrum(4096, spec)[0], 0)]:
+    for e, cells, count in [
+        (spectra.reverse_circulant_spectrum(4097, spec)[0], cli._mirrored_cells, 2048),
+        (spectra.reverse_circulant_spectrum(4096, spec)[0], cli._mirrored_cells, 2047),
+        (spectra.symmetric_circulant_spectrum(4096, spec)[0], cli._floats, 0),
+    ]:
         calls.clear()
-        assert list(map(str, cli._sorted_cells(e))) == [repr(v) for v in e.tolist()]
+        assert list(map(str, cells(e))) == [repr(v) for v in e.tolist()]
         assert len(calls) == count
 
 
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(half=st.lists(_finite_floats, max_size=40), middle=st.none() | _finite_floats,
-       mirrored=st.booleans())
+@given(values=st.lists(_finite_floats, max_size=80), mirrored=st.booleans())
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_sorted_floats_match_the_per_row_writer(tmp_path, half, middle, mirrored):
+def test_sorted_floats_match_the_per_row_writer(tmp_path, values, mirrored):
+    # mirrored: the magnitudes |values| through the reverse ensemble's
+    # cells; else the sorted values through the symmetric ensemble's
     if mirrored:
-        up = np.sort(np.abs(np.array(half, dtype=float)))
-        mid = [] if middle is None else [middle if not up.size else np.clip(middle, -up[0], up[0])]
-        e = np.concatenate([-up[::-1], mid, up])
+        e, cells = _mirrored(np.abs(values)), cli._mirrored_cells
     else:
-        e = np.sort(np.array(half + ([] if middle is None else [middle]), dtype=float))
-    new, ref = _spectrum_csvs(tmp_path, e)
+        e, cells = np.sort(np.array(values, dtype=float)), cli._floats
+    new, ref = _spectrum_csvs(tmp_path, e, cells)
     assert new == ref
 
 

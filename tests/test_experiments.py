@@ -1,10 +1,12 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from ascltlab import experiments
 from ascltlab.empirical import ks_to, normal_cdf
 from ascltlab.experiments import (
     Schedule,
@@ -276,6 +278,38 @@ def test_replica_map_keeps_a_stat_that_views_its_block(family, threads):
 def test_replica_map_rejects_negative_threads():
     with pytest.raises(ValueError):
         _replica_map(lambda x: x[:, 0], spec_of("normal", 8), 16, 10, threads=-1)
+
+
+class _SerialPool:
+    """A ThreadPoolExecutor stand-in that records its max_workers and runs
+    every chunk in the calling thread."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [2, 3, 3]), (None, [1, 1, 1])])
+def test_replica_map_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, workers):
+    # no real threads are started: the pool runs its chunks serially
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "workers", [])
+    spec = spec_of("normal", 8)
+    serial = _replica_map(lambda x: x[:, 0], spec, 16, 1100, threads=1)
+    for threads in (2, 3, 100_000):
+        assert np.array_equal(_replica_map(lambda x: x[:, 0], spec, 16, 1100, threads), serial)
+    assert _SerialPool.workers == workers
 
 
 def test_clt_fluctuation_replica_floor():

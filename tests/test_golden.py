@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "quick"
 MANIFEST = ROOT / "tests" / "golden" / "quick_manifest.json"
@@ -33,27 +35,6 @@ def canonical(doc: dict) -> str:
     doc = dict(doc)
     doc.pop("timestamp")
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def test_quick_battery_matches_golden(tmp_path):
-    env = dict(os.environ)
-    env.pop("ASCLT_THREADS", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), str(tmp_path), "--quick"],
-        check=True,
-        env=env,
-        capture_output=True,
-    )
-    produced = {}
-    for path in tmp_path.glob("*.json"):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        produced[label(doc)] = canonical(doc)
-    golden = {path.stem: path.read_text(encoding="utf-8") for path in GOLDEN.glob("*.json")}
-    assert len(golden) == 10
-    assert sorted(produced) == sorted(golden)
-    for name, text in golden.items():
-        assert produced[name] == text, f"{name} differs from tests/golden/quick/{name}.json"
 
 
 def run_battery(out_dir) -> subprocess.CompletedProcess:
@@ -87,9 +68,29 @@ def battery_manifest(out_dir, stdout: str) -> dict:
     return {"csv_sha256": csv_sha256, "stdout": summaries}
 
 
-def test_quick_battery_csv_and_stdout_match_manifest(tmp_path):
-    proc = run_battery(tmp_path)
-    produced = battery_manifest(tmp_path, proc.stdout)
+@pytest.fixture(scope="module")
+def battery(tmp_path_factory):
+    """(out_dir, process) of one quick battery run, shared by this module."""
+    out_dir = tmp_path_factory.mktemp("quick")
+    return out_dir, run_battery(out_dir)
+
+
+def test_quick_battery_matches_golden(battery):
+    out_dir, _ = battery
+    produced = {}
+    for path in out_dir.glob("*.json"):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        produced[label(doc)] = canonical(doc)
+    golden = {path.stem: path.read_text(encoding="utf-8") for path in GOLDEN.glob("*.json")}
+    assert len(golden) == 10
+    assert sorted(produced) == sorted(golden)
+    for name, text in golden.items():
+        assert produced[name] == text, f"{name} differs from tests/golden/quick/{name}.json"
+
+
+def test_quick_battery_csv_and_stdout_match_manifest(battery):
+    out_dir, proc = battery
+    produced = battery_manifest(out_dir, proc.stdout)
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert len(expected["csv_sha256"]) == 10 and len(expected["stdout"]) == 10
     assert produced["stdout"] == expected["stdout"]

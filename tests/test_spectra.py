@@ -150,9 +150,31 @@ def test_reverse_circulant_symmetry_and_exceptional():
     spec = SourceSpec(family="rademacher", master_seed=3)
     e, point = reverse_circulant_spectrum(4096, spec)
     assert len(point["exceptional"]) == 2  # even n: frequencies 0 and n/2
-    assert np.array_equal(np.sort(-e), e)
+    # the lower half is the upper one reversed, with the sign bit flipped
+    bits = e.view(np.uint64)
+    h = e.size // 2
+    assert e.size == 2 * 2047 and not np.signbit(e[h:]).any()
+    assert np.array_equal(bits[:h] ^ np.uint64(1 << 63), bits[h:][::-1])
     x = sample_prefix(spec, 4096)
     assert point["exceptional"][0] == pytest.approx(math.sqrt(2.0 / 4096) * np.sum(x))
+
+
+@pytest.mark.parametrize("seed", [4, 19])
+@pytest.mark.parametrize("n", [5, 8, 9, 16, 17, 64])
+def test_reverse_circulant_matches_jacobi_oracle(n, seed):
+    # the dense reverse circulant sqrt(2/n) [x_{(i+j) mod n}], x_0 = x_n
+    spec = SourceSpec(family="normal", master_seed=seed)
+    e, point = reverse_circulant_spectrum(n, spec)
+    v = np.roll(sample_prefix(spec, n), 1)
+    i = np.arange(n)
+    dense = list(jacobi_eigenvalues(math.sqrt(2.0 / n) * v[(i[:, None] + i) % n]))
+    assert len(point["exceptional"]) == 2 - n % 2
+    for lam in point["exceptional"]:
+        nearest = min(dense, key=lambda d: abs(d - lam))
+        assert abs(nearest - lam) <= 1e-12
+        dense.remove(nearest)
+    assert e.size == len(dense) == 2 * ((n - 1) // 2)
+    assert np.max(np.abs(e - np.array(dense))) <= 1e-12
 
 
 def test_reverse_circulant_pairs_match_transform():
