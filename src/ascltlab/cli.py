@@ -10,8 +10,8 @@ config keys and, where the field has no default, its required settings.
 run() times the runner, writes the artifacts and prints the summary
 lines in the same way for all of them.  The JSON document is laid out
 here alone: the run's identity (experiment, seed, stream, family, p)
-comes from RunConfig, the rest from the result.  The ensemble alone
-picks a spectrum's CSV cells: a reverse one's +- pairs share one repr.
+comes from RunConfig, the rest from the result.  The float cells of a
+CSV are formatted a slice at a time by one compiled call, as repr would.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
@@ -39,16 +39,16 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
 
 import numpy as np
+import orjson
 
 from . import ConfigError, experiments, spectra
 from .sources import FAMILIES, SourceSpec
 from .weights import HAAR, TRIG, check_haar, check_trig, haar_rows, trig_u_rows
 
 _RUN_COUNTER = 0
-# cells per CSV write: each block of rows is formatted in C and written at once
+# float cells per slice: each slice is formatted by one orjson call
 _BLOCK_CELLS = 1 << 12
 
 
@@ -205,45 +205,44 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: str, header, rows) -> None:
-    """The header line, then one line per row: str of each cell (a Python
-    float's str is its shortest round-trip repr), ","-separated.
-
-    Rows are read lazily, about _BLOCK_CELLS cells at a time; each block
-    is formatted by one % of the repeated line format, in C, and written
-    at once.
-    """
-    width = len(header)
-    per_block = max(1, _BLOCK_CELLS // width)
-    line = ",".join(["%s"] * width) + "\n"
-    rows = iter(rows)
+def _write_csv(path: str, header, blocks) -> None:
+    """The header line, then the text blocks as they are read."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        while cells := tuple(chain.from_iterable(islice(rows, per_block))):
-            fh.write(line * (len(cells) // width) % cells)
+        fh.writelines(blocks)
 
 
-def _floats(a: np.ndarray):
-    """The values of a 1-D float array as Python floats, lazily, one
-    slice at a time."""
+def _float_strs(a: np.ndarray) -> list[str]:
+    """str (the shortest round-trip repr) of each value of the nonempty
+    contiguous 1-D float64 array a: orjson's shortest digits (Ryu) in one
+    compiled call, but repr's cell where repr writes nan, inf or an
+    exponent, at |v| >= 1e16 and at 0 < |v| < 1e-4 (no double below 1e-4
+    prints as 0.0001)."""
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(a)
+    idx = np.flatnonzero(~((mag < 1e16) & ((mag >= 1e-4) | (mag == 0.0))))
+    for i, v in zip(idx.tolist(), a[idx].tolist()):
+        cells[i] = repr(v)
+    return cells
+
+
+def _indexed_lines(e: np.ndarray):
+    """The CSV lines "i,e[i]" of the 1-D float array e, a slice at a time."""
     step = _BLOCK_CELLS
-    return chain.from_iterable(a[i:i + step].tolist() for i in range(0, a.size, step))
+    for lo in range(0, e.size, step):
+        cells = _float_strs(e[lo:lo + step])
+        yield "\n".join(map(",".join, zip(map(str, range(lo, lo + step)), cells))) + "\n"
 
 
-def _mirrored_cells(e: np.ndarray):
-    """CSV cells of a reverse circulant spectrum e, which is -m[::-1] then
-    m for magnitudes m >= 0 (see spectra.reverse_circulant_spectrum).
-
-    Only m is formatted: each cell of the lower half is "-" + the repr of
-    its mirror, which is repr(-x) for x >= 0, 0.0 included.  The reprs are
-    kept ","-joined per slice, a quarter of the memory of separate
-    strings, and split again for each half.
-    """
+def _row_lines(rows):
+    """The CSV line "k,row" of each 1-D float array row, k = 1, 2, ...; a
+    row is formatted a slice at a time."""
     step = _BLOCK_CELLS
-    m = e[e.size // 2:]
-    joined = [",".join(map(repr, m[i:i + step].tolist())) for i in range(0, m.size, step)]
-    lower = (reversed(("-" + s.replace(",", ",-")).split(",")) for s in reversed(joined))
-    return chain(chain.from_iterable(lower), chain.from_iterable(s.split(",") for s in joined))
+    for k, row in enumerate(rows, start=1):
+        yield str(k)
+        for lo in range(0, row.size, step):
+            yield "," + ",".join(_float_strs(row[lo:lo + step]))
+        yield "\n"
 
 
 def _write_artifacts(
@@ -272,9 +271,10 @@ def _write_artifacts(
 
 
 def _points_table(points: list[dict]):
-    """CSV header and rows, one row per point; a None value is an empty cell."""
+    """CSV header and one line per point: str of each value, None as ""."""
     header = list(points[0])
-    return header, (["" if p[c] is None else p[c] for c in header] for p in points)
+    return header, (",".join("" if p[c] is None else str(p[c]) for c in header) + "\n"
+                    for p in points)
 
 
 def _harness(call):
@@ -296,12 +296,11 @@ def _periodogram(cfg: RunConfig):
 
 
 def _spectrum(cfg: RunConfig):
-    spectrum, cells = {"symmetric": (spectra.symmetric_circulant_spectrum, _floats),
-                       "reverse": (spectra.reverse_circulant_spectrum, _mirrored_cells)
-                       }[cfg.ensemble]
+    spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
+                "reverse": spectra.reverse_circulant_spectrum}[cfg.ensemble]
     e, point = spectrum(cfg.n, cfg.source_spec())
     result = experiments.ExperimentResult({"ensemble": cfg.ensemble}, [point])
-    return result, (["index", "eigenvalue"], zip(range(e.size), cells(e)))
+    return result, (["index", "eigenvalue"], _indexed_lines(e))
 
 
 def _gen_weights(cfg: RunConfig):
@@ -310,8 +309,7 @@ def _gen_weights(cfg: RunConfig):
     else:
         u = haar_rows(cfg.n, cfg.source_spec(), cfg.r)
     # U streams to the writer one row at a time
-    rows = ((k, *row.tolist()) for k, row in enumerate(u, start=1))
-    table = (["k"] + [f"u{j}" for j in range(cfg.n)], rows)
+    table = (["k"] + [f"u{j}" for j in range(cfg.n)], _row_lines(u))
     point = {"n": cfg.n, "r": cfg.r, "kind": cfg.kind}
     return experiments.ExperimentResult({"kind": cfg.kind}, [point]), table
 
@@ -338,7 +336,7 @@ def _spectrum_line(cfg: RunConfig, p: dict) -> str:
 _IDENTITY = ("family", "p", "seed", "stream", "out_dir")
 
 # subcommand -> (runner, the other RunConfig fields it reads, summary); runner(cfg)
-# returns (ExperimentResult, CSV (header, rows of cells), or None for the points),
+# returns (ExperimentResult, CSV (header, text blocks), or None for the points),
 # and summary(cfg, point) one stdout line per point
 _COMMANDS = {
     "check-weights": (_check_weights, ("kind", "n", "r", "delta"), _check_weights_line),

@@ -136,15 +136,12 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     target = np.outer(normal_cdf(gx), normal_cdf(gx))
     for n, r in schedule.points:
         s, t = partial_sums_fast(n, r, path[:n])
-        order = np.argsort(s)
-        ss = s[order]
-        # joint ECDF on the grid via cumulative counts over s-sorted t's
-        t_sorted_by_s = t[order]
-        joint = np.empty((gx.size, gx.size))
-        for i, x in enumerate(gx):
-            m = int(np.searchsorted(ss, x, side="right"))
-            tt = np.sort(t_sorted_by_s[:m])
-            joint[i] = np.searchsorted(tt, gx, side="right") / r
+        # joint ECDF on the grid: count (s, t) per grid cell, the last row and
+        # column beyond the grid; s <= gx[i] iff its cell is at most i
+        g = gx.size + 1
+        cells = np.searchsorted(gx, s, side="left") * g + np.searchsorted(gx, t, side="left")
+        counts = np.bincount(cells, minlength=g * g).reshape(g, g)
+        joint = counts.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
         dev = float(np.max(np.abs(joint - target)))
         points.append({"n": n, "r": r, "max_grid_deviation": dev})
     return ExperimentResult({"grid": [float(v) for v in gx]}, points)
@@ -268,9 +265,10 @@ def _half_line_rate(
     """Replicas whose mean of S_{n,1..r} (one product with c) is >= a."""
     means = _replica_map(lambda xs: mean_partial_sum(xs, c), spec, c.size, replicas, threads)
     hits = int(np.sum(_finite(means, "replica means") >= a))
-    # with no observed exceedances, report the 1/replicas bound and flag the rate
+    # with no observed exceedances, report the 1/replicas bound and flag the
+    # rate; + 0.0 writes the rate at p_hat = 1 as 0.0, not -0.0
     p_hat = max(hits, 1) / replicas
-    return {"hits": hits, "p_hat": p_hat, "rate": -math.log(p_hat) / r,
+    return {"hits": hits, "p_hat": p_hat, "rate": -math.log(p_hat) / r + 0.0,
             "rate_is_lower_bound": hits == 0}
 
 

@@ -17,9 +17,9 @@ ordinate by the defining sum, against ``spectra.periodogram_all``) and
 ``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
 
 ``csv_cells`` and ``write_csv_rows`` are the per-row CSV writer that
-``cli._write_csv`` and the spectrum cells of ``cli._floats`` and
-``cli._mirrored_cells`` are held to byte for byte: str of every cell,
-one line per row.
+``cli._write_csv`` and its lines from ``cli._float_strs`` (the orjson
+cells of spectra and weight rows) are held to byte for byte: str of
+every cell, one line per row.
 
 ``ldp_normal_baseline`` is the Gaussian baseline of ``ldp_rate`` by plain
 Monte Carlo: every replica draws all n normal inputs and projects them on

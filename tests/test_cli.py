@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -111,6 +112,19 @@ def test_ldp_with_a_zero_baseline_rate_writes_a_null_ratio(tmp_path):
     point = doc["points"][0]
     assert point["oracle_rate"] == 0.0 and point["rate_ratio_to_oracle"] is None
     jsonschema.validate(doc, schema)
+
+
+def test_a_zero_rate_is_written_without_a_sign(tmp_path, capsys):
+    # p_hat is 1, and -log(1) / r is -0.0 unless the sign is dropped
+    argv = ["ldp", "--n", "64", "--r", "1", "--a", "0.01", "--replicas", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert " rate=0 oracle=0 " in capsys.readouterr().out
+    jsons, csvs = read_artifacts(tmp_path)
+    text = (tmp_path / jsons[0]).read_text(encoding="utf-8")
+    assert '"rate": 0.0,' in text and '"oracle_rate": 0.0,' in text
+    header, row = (tmp_path / csvs[0]).read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["rate"] == cells["oracle_rate"] == "0.0"
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -603,6 +617,23 @@ def test_cli_imports_no_private_name():
     assert not private
 
 
+def test_every_third_party_import_is_a_declared_dependency():
+    # a module the package imports that is neither stdlib nor the package
+    # itself must be installed with it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(SRC, "..", "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", d).group(0).lower().replace("-", "_") for d in deps}
+    imported = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"ascltlab"} <= declared
+
+
 def test_haar_asclt_beyond_a_full_matrix(tmp_path):
     # a full 16384 x 16384 Haar matrix would be 2 GiB; the 64 rows are 8 MiB
     argv = ["asclt", "--weights", "haar", "--schedule", "4096:64,16384:64"]
@@ -784,11 +815,11 @@ def _csv_bytes(path, write, header, rows) -> bytes:
     return path.read_bytes()
 
 
-def _spectrum_csvs(tmp_path, e, cells):
-    """The spectrum CSV of the sorted array e from the block writer fed
-    cells(e), and from the per-row reference writer."""
+def _spectrum_csvs(tmp_path, e):
+    """The spectrum CSV of the sorted array e from the CLI's writer, and
+    from the per-row reference writer."""
     new = _csv_bytes(tmp_path / "new.csv", cli._write_csv, ["index", "eigenvalue"],
-                     zip(range(e.size), cells(e)))
+                     cli._indexed_lines(e))
     ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, ["index", "eigenvalue"],
                      oracles.csv_cells(range(e.size), e.tolist()))
     return new, ref
@@ -808,11 +839,10 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
     argv = ["spectrum", "--ensemble", ensemble, "--n", str(n), "--seed", "11"]
     assert run(argv + ["--out-dir", str(out)]) == 0
     _, csvs = read_artifacts(out)
-    spectrum, cells = {"symmetric": (spectra.symmetric_circulant_spectrum, cli._floats),
-                       "reverse": (spectra.reverse_circulant_spectrum, cli._mirrored_cells)
-                       }[ensemble]
+    spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
+                "reverse": spectra.reverse_circulant_spectrum}[ensemble]
     e, _ = spectrum(n, SourceSpec("rademacher", 11, 0))
-    new, ref = _spectrum_csvs(tmp_path, e, cells)
+    new, ref = _spectrum_csvs(tmp_path, e)
     assert (out / csvs[0]).read_bytes() == new == ref
 
 
@@ -830,6 +860,10 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
         [-2.5, -0.0, 2.5],
         [-1e308, 7.0, 1e308],
         [4.0],
+        # mirrored, with cells that repr writes: subnormal, huge, tiny
+        [-1e308, -5e-324, -0.0, 0.0, 5e-324, 1e308],
+        [-1e16, -9999999999999998.0, -1e-4, -9.999999999999999e-05, 9.999999999999999e-05,
+         1e-4, 9999999999999998.0, 1e16],
         # not mirrored: equal halves, a one-ulp miss, a shifted mirror
         [0.5, 0.5],
         [0.0, 0.0, 0.0, 0.0],
@@ -840,36 +874,24 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
     ],
 )
 def test_hand_built_spectra_match_the_per_row_writer(tmp_path, values):
-    # the symmetric ensemble's plain cells, on any sorted array
-    new, ref = _spectrum_csvs(tmp_path, np.array(values, dtype=float), cli._floats)
+    new, ref = _spectrum_csvs(tmp_path, np.array(values, dtype=float))
     assert new == ref
 
 
-@pytest.mark.parametrize(
-    "m",
-    [[], [0.0], [0.0, 0.0], [5e-324], [1e308], [0.0, 5e-324, 1.5, 1e308]],
-    ids=["empty", "zero", "zeros", "subnormal", "huge", "mixed"],
-)
-def test_mirrored_cells_edge_cases_match_the_per_row_writer(tmp_path, m):
-    # 0.0 pairs with -0.0, whose repr is "-" + repr(0.0)
-    new, ref = _spectrum_csvs(tmp_path, _mirrored(m), cli._mirrored_cells)
-    assert new == ref
-
-
-def test_reverse_spectrum_formats_one_value_per_pair(monkeypatch):
-    # a reverse spectrum's +- pairs share one repr; a symmetric one's
-    # values go to the writer as they are
-    calls = []
-    monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
-    spec = SourceSpec("rademacher", 5, 0)
-    for e, cells, count in [
-        (spectra.reverse_circulant_spectrum(4097, spec)[0], cli._mirrored_cells, 2048),
-        (spectra.reverse_circulant_spectrum(4096, spec)[0], cli._mirrored_cells, 2047),
-        (spectra.symmetric_circulant_spectrum(4096, spec)[0], cli._floats, 0),
-    ]:
-        calls.clear()
-        assert list(map(str, cells(e))) == [repr(v) for v in e.tolist()]
-        assert len(calls) == count
+def test_float_strs_are_the_reprs():
+    # orjson's digits where it writes positional notation, repr's cells
+    # elsewhere; a change of orjson's output fails here
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 1 << 64, size=10**6, dtype=np.uint64, endpoint=False)
+    # random sign and significand, binary exponents where orjson writes the
+    # cell; then random bit patterns of any exponent, whose reprs are slow
+    positional = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
+        rng.integers(1023 - 14, 1023 + 54, size=bits.size, dtype=np.uint64) << np.uint64(52))
+    random = bits[:10**5].view(np.float64)
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
+             9999999999999998.0, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+    for values in [positional.view(np.float64), random[np.isfinite(random)], np.array(edges)]:
+        assert cli._float_strs(values) == [repr(v) for v in values.tolist()]
 
 
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -879,13 +901,12 @@ _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_sorted_floats_match_the_per_row_writer(tmp_path, values, mirrored):
-    # mirrored: the magnitudes |values| through the reverse ensemble's
-    # cells; else the sorted values through the symmetric ensemble's
+    # mirrored: the reverse ensemble's form of the magnitudes |values|
     if mirrored:
-        e, cells = _mirrored(np.abs(values)), cli._mirrored_cells
+        e = _mirrored(np.abs(values))
     else:
-        e, cells = np.sort(np.array(values, dtype=float)), cli._floats
-    new, ref = _spectrum_csvs(tmp_path, e, cells)
+        e = np.sort(np.array(values, dtype=float))
+    new, ref = _spectrum_csvs(tmp_path, e)
     assert new == ref
 
 
