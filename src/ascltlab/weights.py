@@ -13,12 +13,11 @@ dict, in its CSV column order.  Condition residuals (max entry,
 row-orthogonality defect, cross defect) are reported raw; whether they
 are "small enough" is a statement across a schedule of n and is left to
 the caller.  Trig pairs are checked through the column sums S_m, T_m (one
-blocked table-lookup pass, or an FFT for large n), computed once per
-point: the residual of each of the four trig identities is
-|E_a +- E_b| / 2 or |T_a +- T_b| / 2 (E = S minus its exact value), that
-of a Gram entry the same numerator over n, and one pair scan serves both
-the conditions and the identities.  Haar rows go through the error-free
-Gram ``accum.ozaki_gram``.
+table sum per divisor of n), computed once per point: the residual of
+each of the four trig identities is |E_a +- E_b| / 2 or |T_a +- T_b| / 2
+(E = S minus its exact value), that of a Gram entry the same numerator
+over n, and one pair scan serves both the conditions and the identities.
+Haar rows go through the error-free Gram ``accum.ozaki_gram``.
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ from .sources import SourceSpec, normal_grid
 
 TRIG, HAAR = "trig", "haar"
 
-# size guard: r*n entries of the trig U rows that gen-weights writes, or of
-# r Haar rows
+# size guard: r*n entries of the trig U rows that gen-weights writes, of r
+# Haar rows, or n of the trig column sums (two n-long tables and two sums)
 _MATERIALIZE_LIMIT = 1 << 23
-# direct (non-FFT) column sums up to this n
-_DIRECT_SUM_LIMIT = 4096
 # bytes of one row block of int64 residues (k*j) mod n, and of the values
-# looked up by them; with the n-long tables, that is all the scratch that
-# the trig rows and the direct column sums allocate
+# looked up by them; with the n-long table, that is all the scratch that
+# trig_rows allocates
 _SUM_BLOCK_BYTES = 1 << 18
 
 
@@ -51,36 +48,29 @@ def trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), np.sin(ang)
 
 
-def _residue_blocks(n: int, ks: np.ndarray):
-    """(lo, idx, terms) over row blocks ks[lo:lo+b]: idx holds the residues
-    (k*j) mod n, j = 1..n, and terms is float scratch of the same shape.
-
-    The two blocks, of _SUM_BLOCK_BYTES each (or one row, if larger), are
-    reused, so memory is bounded before anything is allocated.
-    """
-    j = np.arange(1, n + 1, dtype=np.int64)
-    rows = max(1, min(len(ks), _SUM_BLOCK_BYTES // (8 * n)))
-    idx, terms = np.empty((rows, n), dtype=np.int64), np.empty((rows, n))
-    for lo in range(0, len(ks), rows):
-        b = min(rows, len(ks) - lo)
-        np.multiply(ks[lo : lo + b, None], j, out=idx[:b])
-        np.remainder(idx[:b], n, out=idx[:b])
-        yield lo, idx[:b], terms[:b]
-
-
 def trig_rows(table: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Rows sqrt(2/n) table[(k j) mod n], j = 1..n, for the given k values.
 
     With a table of trig_tables(n) these are the u (cos) or v (sin) rows,
-    bit for bit what evaluating cos/sin(2 pi ((k j) mod n) / n) gives.
+    bit for bit what evaluating cos/sin(2 pi ((k j) mod n) / n) gives.  The
+    rows are built in blocks of _SUM_BLOCK_BYTES (or one row, if larger)
+    through two reused scratch arrays, so memory is bounded before anything
+    is allocated.
     """
     n = table.size
     ks = np.asarray(ks, dtype=np.int64)
     scale = math.sqrt(2.0 / n)
     out = np.empty((ks.size, n))
-    for lo, ib, tb in _residue_blocks(n, ks):
+    j = np.arange(1, n + 1, dtype=np.int64)
+    rows = max(1, min(ks.size, _SUM_BLOCK_BYTES // (8 * n)))
+    idx, terms = np.empty((rows, n), dtype=np.int64), np.empty((rows, n))
+    for lo in range(0, ks.size, rows):
+        b = min(rows, ks.size - lo)
+        ib, tb = idx[:b], terms[:b]
+        np.multiply(ks[lo : lo + b, None], j, out=ib)
+        np.remainder(ib, n, out=ib)
         # mode="clip" lets take write into tb unbuffered; every residue is in range
-        np.multiply(np.take(table, ib, out=tb, mode="clip"), scale, out=out[lo : lo + len(ib)])
+        np.multiply(np.take(table, ib, out=tb, mode="clip"), scale, out=out[lo : lo + b])
     return out
 
 
@@ -143,31 +133,30 @@ def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
 
 # --- trigonometric column sums ---------------------------------------------
 
-def trig_column_sums(n: int, direct: bool | None = None):
+def trig_column_sums(n: int):
     """(S_m, T_m) with S_m = sum_{j=1..n} cos(2 pi m j / n), T_m the sine sum.
 
     Exact values are S_m = n for m = 0 mod n and 0 otherwise, T_m = 0;
-    the computed arrays carry the actual floating-point residuals.  Small
-    n uses direct summation on exactly reduced angles; large n evaluates
-    the same sums as the DFT of the all-ones vector (the term j = n equals
-    the term j = 0, so the two index ranges agree).
-
-    The direct sums run in row blocks of m (see _residue_blocks).  Each
-    term is looked up by its exact residue (m*j) mod n in trig_tables(n)
-    instead of evaluating n^2 angles; the terms, and numpy's pairwise sum
-    along each row, are the same as for the full n x n angle matrix, so
-    the sums are too, bit for bit.
+    the computed arrays carry the actual floating-point residuals.  As j
+    runs over 1..n, (m j) mod n hits every multiple of g = gcd(m, n)
+    exactly g times, so S_m = g * sum_{i < n/g} cos_tab[g i] and T_m is the
+    same sum over the sine table of trig_tables(n): one pairwise sum per
+    divisor of n.  gcd(m, n) is the largest divisor of n that divides m, so
+    writing the divisors' sums in ascending order leaves each m with its
+    own.  S_0 = n and T_0 = 0 come out exact.  At prime n every m > 0
+    shares the sum of the whole table; where that sum reads exactly 0, so
+    do the residuals built on it, a property of the table rather than a
+    skipped check.  n above _MATERIALIZE_LIMIT is refused before anything
+    is allocated.
     """
-    if direct is None:
-        direct = n <= _DIRECT_SUM_LIMIT
-    if not direct:
-        f = np.fft.fft(np.ones(n))
-        return f.real.copy(), (-f.imag).copy()
+    if n > _MATERIALIZE_LIMIT:
+        raise MemoryError(f"refusing to sum the {n} trig columns")
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     cos_tab, sin_tab = trig_tables(n)
     s, t = np.empty(n), np.empty(n)
-    for m0, ib, tb in _residue_blocks(n, np.arange(n, dtype=np.int64)):
-        s[m0 : m0 + len(ib)] = np.take(cos_tab, ib, out=tb, mode="clip").sum(axis=1)
-        t[m0 : m0 + len(ib)] = np.take(sin_tab, ib, out=tb, mode="clip").sum(axis=1)
+    for d in sorted({*low, *(n // d for d in low)}):
+        s[::d] = d * cos_tab[::d].sum()
+        t[::d] = d * sin_tab[::d].sum()
     return s, t
 
 

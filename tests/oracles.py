@@ -106,12 +106,12 @@ def trig_rows_v_angles(n: int, ks: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / n) * np.sin(2.0 * np.pi * idx / n)
 
 
-def trig_column_sums_one_shot(n: int):
-    """(S_m, T_m) from the full n x n matrix of exactly reduced angles."""
+def trig_column_sums_fsum(n: int):
+    """(S_m, T_m), each the correctly rounded sum (math.fsum) of its n terms
+    cos/sin(2 pi ((m j) mod n) / n), j = 1..n."""
     j = np.arange(1, n + 1, dtype=np.int64)
-    m = np.arange(n, dtype=np.int64)[:, None]
-    ang = 2.0 * np.pi * ((m * j) % n) / n
-    return np.cos(ang).sum(axis=1), np.sin(ang).sum(axis=1)
+    ang = 2.0 * np.pi * ((np.arange(n, dtype=np.int64)[:, None] * j) % n) / n
+    return tuple(np.array([math.fsum(row) for row in f(ang).tolist()]) for f in (np.cos, np.sin))
 
 
 def trig_identity_worst_loop(n: int, s: np.ndarray, t: np.ndarray) -> float:

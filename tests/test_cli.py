@@ -580,6 +580,14 @@ def test_haar_above_the_size_limit_fails_before_sampling(tmp_path, capsys, subco
         assert not os.listdir(tmp_path)
 
 
+def test_trig_check_above_the_size_limit_fails_before_allocating(tmp_path, capsys):
+    # n = 4e8 > 2^23: the tables and sums alone would take over 12 GB
+    argv = ["check-weights", "--weights", "trig", "--n", "400000000", "--r", "1"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 3
+    assert "refusing" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def _no_draw(*args, **kwargs):
     raise AssertionError("the Haar rows were drawn")
 

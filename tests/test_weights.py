@@ -20,14 +20,14 @@ from ascltlab.weights import (
 )
 
 from .oracles import (
-    trig_column_sums_one_shot,
+    trig_column_sums_fsum,
     trig_conditions_loop,
     trig_identity_worst_loop,
     trig_rows_u_angles,
     trig_rows_v_angles,
 )
 
-# n = _BLOCK_EDGE is the largest n whose direct column sums fit one row block
+# n = _BLOCK_EDGE is the largest n at which n trig_rows fit one row block
 _BLOCK_EDGE = math.isqrt(weights._SUM_BLOCK_BYTES // 8)
 _BIT_IDENTITY_NS = sorted(
     set(range(3, 301)) | {_BLOCK_EDGE - 1, _BLOCK_EDGE, _BLOCK_EDGE + 1, 1024, 4095, 4096}
@@ -139,31 +139,27 @@ def test_condition_i_single_constant_along_schedule():
     assert max(vals) < 10.0
 
 
-def test_trig_column_sums_direct_vs_fft():
-    for n in [8, 127, 500]:
-        sd, td = trig_column_sums(n, direct=True)
-        sf, tf = trig_column_sums(n, direct=False)
-        assert np.max(np.abs(sd - sf)) < 1e-9
-        assert np.max(np.abs(td - tf)) < 1e-9
-        # exact values: S_0 = n, everything else 0
-        assert sd[0] == pytest.approx(n, abs=1e-9)
-        assert np.max(np.abs(sd[1:])) < 1e-9
-        assert np.max(np.abs(td)) < 1e-9
+def test_trig_column_sums_match_fsum():
+    # the gcd sums against correctly rounded per-m sums of the n terms: the
+    # worst error measured over n = 3..300, 1024 and 4095..4097 was
+    # n 2^-52.9; 4095..4097 are left out for time
+    for n in sorted(set(range(3, 201)) | {256, 257, 300, 1024}):
+        s, t = trig_column_sums(n)
+        s_ref, t_ref = trig_column_sums_fsum(n)
+        assert s[0] == n and t[0] == 0.0, n
+        assert np.max(np.abs(s - s_ref)) <= n * 2.0**-50, n
+        assert np.max(np.abs(t - t_ref)) <= n * 2.0**-50, n
 
 
-def test_trig_column_sums_bit_identical_to_one_shot():
-    # the blocked table lookup must reproduce the full n x n angle matrix
-    # exactly, on both sides of the single-block edge and at many blocks
-    assert 3 < _BLOCK_EDGE < 300
-    for n in _BIT_IDENTITY_NS:
-        s, t = trig_column_sums(n, direct=True)
-        s_ref, t_ref = trig_column_sums_one_shot(n)
-        assert np.array_equal(s, s_ref), n
-        assert np.array_equal(t, t_ref), n
+@pytest.mark.parametrize("n", [8192, 65536])
+def test_trig_identity_residual_measures_rounding_at_powers_of_two(n):
+    # a DFT of ones is exact at powers of two, so sums taken that way read
+    # every residual as exactly 0 and the check measured nothing
+    assert check_trig(n, (n - 1) // 2, 1.0)["trig_identity_residual"] > 0
 
 
 def test_trig_identity_scan_bit_identical_to_loop():
-    # 4097 and 8193 take the FFT column sums, still with the exact pair scan
+    # 4097 = 17 * 241 and 8193 = 3 * 2731: sizes past 4096 with few divisors
     for n in _BIT_IDENTITY_NS + [4097, 8193]:
         s, t = trig_column_sums(n)
         assert verify_trig_identities(n) == trig_identity_worst_loop(n, s, t), n
@@ -171,8 +167,8 @@ def test_trig_identity_scan_bit_identical_to_loop():
 
 @pytest.mark.parametrize("n", [4097, 8193])
 def test_condition_scan_bit_identical_to_loop(n):
-    # FFT column sums, where the computed S_0 - n and T_0 are not 0: the
-    # diagonal of V V^T is (E_0 - S_2k) / n and that of U V^T (T_2k + T_0) / n
+    # the computed S_0 - n and T_0 are exactly 0, so the diagonal of V V^T
+    # is (E_0 - S_2k) / n = -S_2k / n and that of U V^T (T_2k + T_0) / n = T_2k / n
     s, t = trig_column_sums(n)
     for r in (1, 2, (n - 1) // 2):
         rep = check_trig(n, r, 1.0)
@@ -199,9 +195,24 @@ def _peak_bytes(call):
 
 
 def test_trig_checks_memory_bounded():
-    # the n x n angle matrix of the one-shot sums took about 520 MB at this size
+    # summing over the n x n angle matrix took about 520 MB at this size
     _, peak = _peak_bytes(lambda: (check_trig(4096, 2047, delta=1.0), verify_trig_identities(4096)))
     assert peak < 64 * 2**20
+
+
+def test_trig_sums_refused_above_the_size_limit_before_allocating():
+    # every trig check refuses n above _MATERIALIZE_LIMIT before the tables
+    # and sums are allocated
+    n = weights._MATERIALIZE_LIMIT + 1
+    for check in (trig_column_sums, verify_trig_identities, lambda n: check_trig(n, 1, 1.0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="refusing"):
+                check(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("n, r", [(4096, 2047), (4097, 2048), (1000, 499), (7, 3), (65536, 64)])
