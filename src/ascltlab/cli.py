@@ -22,10 +22,11 @@ Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
 timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
 
-Exit codes: 0 success, 2 configuration error (a ConfigError, a setting
-the subcommand does not take, or a float setting that is nan or +-inf),
-3 runtime failure (every other exception, a non-finite result or
-statistic among them, with nothing written).
+Exit codes: 0 success, 2 configuration error (a ConfigError, a config
+file that cannot be opened or read as UTF-8, a setting the subcommand
+does not take, or a float setting that is nan or +-inf), 3 runtime
+failure (every other exception, a non-finite result or statistic among
+them, with nothing written).
 """
 
 from __future__ import annotations
@@ -111,36 +112,41 @@ def load_config(path, keys) -> dict:
 
     Rejects a key outside keys, the settings the subcommand takes, and
     duplicate keys (naming both line numbers); values are converted by
-    the declared type of each key, and checked against its choices.
+    the declared type of each key, and checked against its choices.  A
+    file that cannot be opened or read as UTF-8 is a ConfigError too.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     seen: dict[str, int] = {}
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = key.strip(), value.strip()
-            if key not in keys:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r} (the keys are {', '.join(keys)})"
-                )
-            if key in seen:
-                raise ConfigError(
-                    f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
-                )
-            seen[key] = lineno
-            parse, meta = _SETTINGS[key]
-            try:
-                out[key] = parse(value)
-                choices = meta.get("choices")
-                if choices and out[key] not in choices:
-                    raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r} (the keys are {', '.join(keys)})"
+            )
+        if key in seen:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
+            )
+        seen[key] = lineno
+        parse, meta = _SETTINGS[key]
+        try:
+            out[key] = parse(value)
+            choices = meta.get("choices")
+            if choices and out[key] not in choices:
+                raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return out
 
 

@@ -2,11 +2,15 @@
 
 Circulant matrices are diagonalized exactly by the DFT, so no dense
 eigensolver is ever needed in production code; the test suite anchors
-both spectra against a dense solver at small n.  Each ensemble returns
-its sorted real eigenvalues with the spectrum's summary point, a dict;
-only the symmetric ensemble's point compares the ESD with a limit law
-(N(0, 1)).  The reverse ensemble's paired eigenvalues are the +-
-periodogram magnitudes m: -m[::-1] then m, mirrored by construction.
+both spectra against a dense solver at small n.  Each ensemble's
+spectrum is one real DFT of its draws: an inverse real DFT of the
+symmetric circulant's free entries, the forward one behind the
+periodogram for the reverse circulant.  Each returns its sorted real
+eigenvalues with the spectrum's summary point, a dict; only the
+symmetric ensemble's point compares the ESD with a limit law (N(0, 1)).
+Both build their equal or opposite eigenvalue pairs from one float: the
+symmetric lambda_k = lambda_{n-k} is written twice, and the reverse
+ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -40,45 +44,21 @@ def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
                   "count": int(vals.size), "exceptional": exceptional}
 
 
-def circulant_eigen_dft(first_row: np.ndarray) -> np.ndarray:
-    """Exact eigenvalues of the circulant with the given first row.
-
-    lambda_k = sum_j c_j exp(-2 pi i j k / n), k = 0..n-1.
-    """
-    c = np.asarray(first_row, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError("first_row must be a nonempty vector")
-    return np.fft.fft(c)
-
-
-def symmetric_circulant_first_row(x: np.ndarray, n: int) -> np.ndarray:
-    """First row of the symmetric circulant: entries X_1..X_{[n/2]+1},
-    then mirrored so row index i and n - i carry the same variable.
-
-    Indices 0..[n/2] are free (for even n, index n/2 is its own mirror),
-    which is (n+1)/2 entries for odd n and n/2 + 1 for even n.
-    """
-    half = n // 2 + 1
-    x = np.asarray(x, dtype=float)
-    if x.size < half:
-        raise ValueError(f"need at least {half} inputs")
-    c = np.empty(n)
-    c[:half] = x[:half]
-    c[half:] = c[n - half : 0 : -1]
-    return c
-
-
 def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, dict]:
     """Spectrum of the symmetric random circulant, scaled by 1/sqrt(n);
-    its entries are the standardized draws of the stream."""
+    the n//2 + 1 free entries x_0..x_{n//2} of its first row are the
+    standardized draws of the stream, and entry j equals entry n - j.
+
+    lambda_k = x_0 + 2 sum_{1 <= j < n/2} x_j cos(2 pi j k / n) (+ (-1)^k
+    x_{n/2} for even n) is n irfft(x, n)[k], so one inverse real DFT gives
+    h = lambda_0..lambda_{n//2} / sqrt(n).  lambda_{n-k} = lambda_k:
+    h[1:(n+1)//2] is written twice, so every pair is one float.
+    """
     if n < 3:
         raise ConfigError("need n >= 3")
-    c = symmetric_circulant_first_row(sample_prefix(spec, n // 2 + 1), n)
-    eig = circulant_eigen_dft(c)
-    if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, np.max(np.abs(eig.real))):
-        raise ArithmeticError("symmetric circulant produced complex spectrum")
-    vals, point = _spectrum(np.sort(eig.real / math.sqrt(n)), SYMMETRIC_CIRCULANT, n,
-                            1.0 / math.sqrt(n), [])
+    h = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")[: n // 2 + 1]
+    vals, point = _spectrum(np.sort(np.concatenate([h, h[1 : (n + 1) // 2]])),
+                            SYMMETRIC_CIRCULANT, n, 1.0 / math.sqrt(n), [])
     point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
     return vals, point
 

@@ -2,10 +2,14 @@
 
 Kept out of the package on purpose. Production code never needs a dense
 eigensolver (circulants are diagonalized exactly by the DFT), so those
-exist only to anchor the DFT formulas at small n: the symmetric spectrum,
-and the reverse one (the dense sqrt(2/n) [x_{(i+j) mod n}]) up to
-n = 64. The trig row, column-sum, identity-scan and condition-scan
-oracles are one-shot formulas or loops over k1, so that the
+exist only to anchor the DFT formulas at small n: the symmetric spectrum
+and the reverse one (the dense sqrt(2/n) [x_{(i+j) mod n}]), up to
+n = 64. The complex DFT of a whole first row (``circulant_eigen_dft``)
+and the mirrored first row of the symmetric circulant
+(``symmetric_circulant_first_row``) are the references the symmetric
+spectrum's one inverse real DFT of its free entries is held to. The
+trig row, column-sum, identity-scan and condition-scan oracles are
+one-shot formulas or loops over k1, so that the
 table-lookup, blocked and O(n) versions can be held to them bit for
 bit. The Gram oracle is exact rational arithmetic.
 
@@ -74,6 +78,34 @@ def char_poly_roots(a: np.ndarray) -> np.ndarray:
         m = a @ m + coeffs[-1] * np.eye(n)
         coeffs.append(-np.trace(a @ m) / k)
     return np.roots(coeffs)
+
+
+def circulant_eigen_dft(first_row: np.ndarray) -> np.ndarray:
+    """Exact eigenvalues of the circulant with the given first row.
+
+    lambda_k = sum_j c_j exp(-2 pi i j k / n), k = 0..n-1.
+    """
+    c = np.asarray(first_row, dtype=float)
+    if c.ndim != 1 or c.size < 1:
+        raise ValueError("first_row must be a nonempty vector")
+    return np.fft.fft(c)
+
+
+def symmetric_circulant_first_row(x: np.ndarray, n: int) -> np.ndarray:
+    """First row of the symmetric circulant: entries X_1..X_{[n/2]+1},
+    then mirrored so row index i and n - i carry the same variable.
+
+    Indices 0..[n/2] are free (for even n, index n/2 is its own mirror),
+    which is (n+1)/2 entries for odd n and n/2 + 1 for even n.
+    """
+    half = n // 2 + 1
+    x = np.asarray(x, dtype=float)
+    if x.size < half:
+        raise ValueError(f"need at least {half} inputs")
+    c = np.empty(n)
+    c[:half] = x[:half]
+    c[half:] = c[n - half : 0 : -1]
+    return c
 
 
 def circulant_dense(first_row: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from ascltlab.experiments import (
 )
 from ascltlab.sources import SourceSpec, sample_prefix
 from ascltlab.spectra import (
-    circulant_eigen_dft,
     periodogram_ecdf_distance,
     reverse_circulant_spectrum,
     symmetric_circulant_spectrum,
@@ -41,7 +40,12 @@ from ascltlab.weights import (
     verify_trig_identities,
 )
 
-from .oracles import char_poly_roots, circulant_dense, match_complex_multisets
+from .oracles import (
+    char_poly_roots,
+    circulant_dense,
+    circulant_eigen_dft,
+    match_complex_multisets,
+)
 
 
 def spec_of(family, seed, stream=0):

@@ -209,6 +209,20 @@ def test_config_value_outside_the_choices_exits_2(tmp_path, capsys, argv, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"n = 64\nfamily = r\xe9ademacher\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["periodogram", "--n", "64", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 # the settings every subcommand takes, and those each takes besides
 _IDENTITY = ("family", "p", "seed", "stream", "out_dir")
 _READS = {

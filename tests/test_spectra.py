@@ -10,11 +10,9 @@ from ascltlab.empirical import (
 )
 from ascltlab.sources import SourceSpec, sample_prefix
 from ascltlab.spectra import (
-    circulant_eigen_dft,
     periodogram_all,
     periodogram_ecdf_distance,
     reverse_circulant_spectrum,
-    symmetric_circulant_first_row,
     symmetric_circulant_spectrum,
 )
 from ascltlab.transform import partial_sums_fast
@@ -23,9 +21,11 @@ from .oracles import (
     char_poly_roots,
     chi2_2_cdf,
     circulant_dense,
+    circulant_eigen_dft,
     jacobi_eigenvalues,
     match_complex_multisets,
     periodogram,
+    symmetric_circulant_first_row,
 )
 
 
@@ -97,12 +97,36 @@ def test_symmetric_degenerate_zero_input():
     assert np.allclose(eig, 0.0)
 
 
-def test_symmetric_matches_jacobi_oracle():
-    spec = SourceSpec(family="normal", master_seed=13)
-    e, _ = symmetric_circulant_spectrum(5, spec)
-    c = symmetric_circulant_first_row(sample_prefix(spec, 3), 5)
-    dense = jacobi_eigenvalues(circulant_dense(c) / math.sqrt(5.0))
-    assert np.max(np.abs(e - dense)) < 1e-9
+@pytest.mark.parametrize("seed", [4, 19])
+@pytest.mark.parametrize("n", [5, 8, 9, 16, 17, 64])
+def test_symmetric_matches_jacobi_oracle(n, seed):
+    spec = SourceSpec(family="normal", master_seed=seed)
+    e, _ = symmetric_circulant_spectrum(n, spec)
+    c = symmetric_circulant_first_row(sample_prefix(spec, n // 2 + 1), n)
+    dense = jacobi_eigenvalues(circulant_dense(c) / math.sqrt(n))
+    assert e.size == n
+    assert np.max(np.abs(e - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 64, 65, 4096, 4097])
+def test_symmetric_pairs_bit_equal(n):
+    # lambda_k = lambda_{n-k}: every value but lambda_0 (and lambda_{n/2}
+    # for even n) is one float written twice, so it occurs an even
+    # number of times
+    e, _ = symmetric_circulant_spectrum(n, SourceSpec(family="rademacher", master_seed=3))
+    _, counts = np.unique(e.view(np.uint64), return_counts=True)
+    assert np.count_nonzero(counts % 2) <= 2 - n % 2
+
+
+@pytest.mark.parametrize("n, seed", [(4097, 3), (262145, 1)])
+def test_symmetric_spectrum_near_complex_dft(n, seed):
+    # the declared change from the complex DFT of the mirrored row is
+    # roundoff: 1.8e-15 and 2.7e-15 at these sizes
+    spec = SourceSpec(family="rademacher", master_seed=seed)
+    e, _ = symmetric_circulant_spectrum(n, spec)
+    c = symmetric_circulant_first_row(sample_prefix(spec, n // 2 + 1), n)
+    old = np.sort(circulant_eigen_dft(c).real / math.sqrt(n))
+    assert np.max(np.abs(e - old)) <= 1e-14
 
 
 def test_symmetric_eigenvalue_pairing_vs_transform():
