@@ -11,7 +11,9 @@ run() times the runner, writes the artifacts and prints the summary
 lines in the same way for all of them.  The JSON document is laid out
 here alone: the run's identity (experiment, seed, stream, family, p)
 comes from RunConfig, the rest from the result.  The float cells of a
-CSV are formatted a slice at a time by one compiled call, as repr would.
+CSV are formatted a slice of 4096 at a time by one compiled call, as repr
+would, and an indexed slice's lines by one % format: no Python runs per
+cell except where repr writes an exponent or a non-finite value.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
@@ -218,26 +220,32 @@ def _write_csv(path: str, header, blocks) -> None:
         fh.writelines(blocks)
 
 
-def _float_strs(a: np.ndarray) -> list[str]:
-    """str (the shortest round-trip repr) of each value of the nonempty
-    contiguous 1-D float64 array a: orjson's shortest digits (Ryu) in one
-    compiled call, but repr's cell where repr writes nan, inf or an
+def _float_text(a: np.ndarray) -> str:
+    """The comma-joined str (the shortest round-trip repr) of each value of
+    the nonempty contiguous 1-D float64 array a: orjson's shortest digits
+    (Ryu) in one compiled call.  Only where repr writes nan, inf or an
     exponent, at |v| >= 1e16 and at 0 < |v| < 1e-4 (no double below 1e-4
-    prints as 0.0001)."""
-    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    prints as 0.0001), are the cells split out and those patched with
+    repr's."""
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
     mag = np.abs(a)
     idx = np.flatnonzero(~((mag < 1e16) & ((mag >= 1e-4) | (mag == 0.0))))
-    for i, v in zip(idx.tolist(), a[idx].tolist()):
-        cells[i] = repr(v)
-    return cells
+    if idx.size:
+        cells = text.split(",")
+        for i, v in zip(idx.tolist(), a[idx].tolist()):
+            cells[i] = repr(v)
+        text = ",".join(cells)
+    return text
 
 
 def _indexed_lines(e: np.ndarray):
-    """The CSV lines "i,e[i]" of the 1-D float array e, a slice at a time."""
+    """The CSV lines "i,e[i]" of the 1-D float array e, a slice at a time:
+    one % format per slice puts the indices in front of its cells."""
     step = _BLOCK_CELLS
     for lo in range(0, e.size, step):
-        cells = _float_strs(e[lo:lo + step])
-        yield "\n".join(map(",".join, zip(map(str, range(lo, lo + step)), cells))) + "\n"
+        hi = min(lo + step, e.size)
+        text = _float_text(e[lo:hi])
+        yield ("%d," + text.replace(",", "\n%d,") + "\n") % tuple(range(lo, hi))
 
 
 def _row_lines(rows):
@@ -247,7 +255,7 @@ def _row_lines(rows):
     for k, row in enumerate(rows, start=1):
         yield str(k)
         for lo in range(0, row.size, step):
-            yield "," + ",".join(_float_strs(row[lo:lo + step]))
+            yield "," + _float_text(row[lo:lo + step])
         yield "\n"
 
 

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.special import erfc
 
+from . import BLOCK
+
 _SQRT2 = math.sqrt(2.0)
 _Z95 = 1.959963984540054  # Phi^{-1}(0.975)
 
@@ -37,19 +39,32 @@ def ks_to(samples, cdf) -> float:
     """Exact sup-distance between the ECDF of a sample and a continuous CDF.
 
     The sample is a nonempty 1-D array of finite values (else ValueError,
-    or FloatingPointError for a non-finite value), in any order: a sorted
-    copy v is checked at both staircase corners of every atom,
-    max_i max(|i/m - F(v_i)|, |(i-1)/m - F(v_i)|).
+    or FloatingPointError for a non-finite value), in any order.  Its one
+    sorted copy v is checked at both staircase corners of every atom,
+    max_i max(|i/m - F(v_i)|, |(i-1)/m - F(v_i)|), BLOCK atoms at a time
+    with a running max: beyond the copy, a few blocks of scratch.
     """
-    v = np.asarray(samples, dtype=float)
+    v = np.sort(np.asarray(samples, dtype=float))
     if v.ndim != 1 or v.size < 1:
         raise ValueError("need a nonempty 1-D sample")
-    if not np.all(np.isfinite(v)):
+    # nan sorts last and -inf first, so the ends hold any non-finite value
+    if not (np.isfinite(v[0]) and np.isfinite(v[-1])):
         raise FloatingPointError("sample has non-finite values")
     m = v.size
-    f = np.asarray(cdf(np.sort(v)), dtype=float)
-    i = np.arange(1, m + 1)
-    return float(np.max(np.maximum(np.abs(i / m - f), np.abs((i - 1) / m - f))))
+    return max(_corner_gap(v[lo:lo + BLOCK], lo, m, cdf) for lo in range(0, m, BLOCK))
+
+
+def _corner_gap(v: np.ndarray, lo: int, m: int, cdf) -> float:
+    """max(|i/m - F(v_i)|, |(i-1)/m - F(v_i)|) over the atoms i = lo + 1..
+    lo + v.size of a sorted sample of size m, given their values v."""
+    f = np.asarray(cdf(v), dtype=float)
+    gap = 0.0
+    for first in (lo, lo + 1):
+        g = np.arange(first, first + v.size, dtype=float)
+        g /= m
+        g -= f
+        gap = max(gap, float(np.max(np.abs(g, out=g))))
+    return gap
 
 
 def rate_function_gaussian(m: float, sigma2: float) -> float:

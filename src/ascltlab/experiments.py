@@ -4,11 +4,11 @@ variance decay, CLT fluctuations, and LDP rate estimates.
 Replica contract: replica i draws X_1..X_n from the stream
 spec.stream_id + i.  Replicas run in chunks of 512, one chunk per task
 when threads > 1, and each chunk is drawn by sources.stream_blocks in
-sub-blocks of about 512 KiB of inputs (max(1, 512 KiB // (8 n))
-replicas), so that a block stays in cache.  Sub-block bounds depend only
-on n, never on the thread count.  Each harness maps a sub-block to the
-one statistic it reads (the mean of S, S alone, or S and T); that small
-per-replica result is copied, so it may be a view of the block.
+sub-blocks of about BLOCK inputs (max(1, BLOCK // n) replicas), so that
+a block stays in cache.  Sub-block bounds depend only on n, never on the
+thread count.  Each harness maps a sub-block to the one statistic it
+reads (the mean of S, S alone, or S and T); that small per-replica
+result is copied, so it may be a view of the block.
 Per-replica statistics are concatenated in ascending replica order, so
 the output is bit-identical for any thread count.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError, empirical
+from . import BLOCK, ConfigError, empirical
 from .empirical import ks_to, normal_cdf
 from .sources import SourceSpec, sample_prefix, stream_blocks
 from .transform import (
@@ -41,7 +41,6 @@ from .weights import HAAR, TRIG, haar_rows, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
 _REPLICA_CHUNK = 512
-_SUB_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -112,18 +111,20 @@ def asclt_trajectory(
     The path is sampled once, to the largest n; every schedule point reads
     a prefix of it, so all points share one omega by construction.  By
     prefix stability, the X_1..X_n of a point are also exactly what
-    sample_prefix(spec, n) returns.
+    sample_prefix(spec, n) returns.  The path is hashed once: each point
+    feeds the new stretch of its prefix to one running sha256.
     """
     if kind == TRIG:
         schedule.require_trig()
     path = sample_prefix(spec, schedule.points[-1][0])
     points = []
+    h, done = hashlib.sha256(), 0
     for n, r in schedule.points:
-        x = path[:n]
-        s = _trajectory_sums(spec, x, r, kind)
+        s = _trajectory_sums(spec, path[:n], r, kind)
         ks = ks_to(s, normal_cdf)
-        digest = hashlib.sha256(x).hexdigest()
-        points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": digest})
+        h.update(path[done:n])
+        done = n
+        points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": h.copy().hexdigest()})
     return ExperimentResult({"kind": kind}, points)
 
 
@@ -136,12 +137,16 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     target = np.outer(normal_cdf(gx), normal_cdf(gx))
     for n, r in schedule.points:
         s, t = partial_sums_fast(n, r, path[:n])
-        # joint ECDF on the grid: count (s, t) per grid cell, the last row and
-        # column beyond the grid; s <= gx[i] iff its cell is at most i
+        # joint ECDF on the grid: count (s, t) per grid cell, BLOCK pairs at a
+        # time, the last row and column beyond the grid; s <= gx[i] iff its
+        # cell is at most i
         g = gx.size + 1
-        cells = np.searchsorted(gx, s, side="left") * g + np.searchsorted(gx, t, side="left")
-        counts = np.bincount(cells, minlength=g * g).reshape(g, g)
-        joint = counts.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
+        counts = np.zeros(g * g, dtype=np.intp)
+        for lo in range(0, r, BLOCK):
+            cells = np.searchsorted(gx, s[lo:lo + BLOCK], side="left") * g
+            cells += np.searchsorted(gx, t[lo:lo + BLOCK], side="left")
+            counts += np.bincount(cells, minlength=g * g)
+        joint = counts.reshape(g, g).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
         dev = float(np.max(np.abs(joint - target)))
         points.append({"n": n, "r": r, "max_grid_deviation": dev})
     return ExperimentResult({"grid": [float(v) for v in gx]}, points)
@@ -166,7 +171,7 @@ def _replica_map(
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
-    rows = max(1, _SUB_BLOCK_BYTES // (8 * n))
+    rows = max(1, BLOCK // n)
 
     def chunk(lo: int) -> list:
         hi = min(lo + _REPLICA_CHUNK, n_replicas)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from . import ConfigError
+from . import BLOCK, ConfigError
 
 FAMILIES = (
     "rademacher",
@@ -104,9 +104,11 @@ def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
     return z[1:] ^ z[0]
 
 
-def _index_keys(count: int) -> np.ndarray:
-    """j * gamma for the 1-based indices j = 1..count."""
-    return np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+def _index_keys(lo: int, hi: int) -> np.ndarray:
+    """j * gamma for the 1-based indices j = lo + 1..hi."""
+    jg = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    jg *= _GAMMA
+    return jg
 
 
 def _rademacher(z: np.ndarray) -> np.ndarray:
@@ -167,10 +169,8 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
     whatever outlives that must be copied.
     """
     keys = _stream_keys(spec, lo, hi)
-    # z (which sample_prefix keeps) before the buffers freed at the end: the
-    # other way round, glibc left runs of 2^20-long prefixes 7 MB higher in RSS
     z = np.empty((min(rows, keys.size), n), dtype=np.uint64)
-    jg = _index_keys(n)
+    jg = _index_keys(0, n)
     t = np.empty_like(z)
     for b in range(0, keys.size, rows):
         k = keys[b:b + rows]
@@ -178,8 +178,22 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
 
 
 def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
-    """The first n values X_1..X_n of the stream."""
-    return next(stream_blocks(spec, n, 0, 1, 1))[0]
+    """The first n values X_1..X_n of the stream.
+
+    They are drawn straight into the result, BLOCK values at a time, with
+    one block of scratch: about n + 2 BLOCK floats in all.  A draw is pure
+    in (seed, stream, index), so the blocks change no value.
+    """
+    key = _stream_keys(spec, 0, 1)
+    x = np.empty(n)
+    z = x.view(np.uint64)[None]
+    t = np.empty((1, min(n, BLOCK)), dtype=np.uint64)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        v = _draw(spec.family, spec.p, key, _index_keys(lo, hi), z[:, lo:hi], t[:, : hi - lo])
+        if not np.may_share_memory(v, x):  # two_point draws into fresh memory
+            x[lo:hi] = v[0]
+    return x
 
 
 def normal_grid(spec: SourceSpec, n: int, r: int) -> np.ndarray:
@@ -190,4 +204,4 @@ def normal_grid(spec: SourceSpec, n: int, r: int) -> np.ndarray:
     """
     row_keys = _stream_keys(spec, 0, 1) + np.arange(n, dtype=np.uint64) * np.uint64(n) * _GAMMA
     z = np.empty((n, r), dtype=np.uint64)
-    return _draw("normal", None, row_keys, _index_keys(r), z, np.empty_like(z))
+    return _draw("normal", None, row_keys, _index_keys(0, r), z, np.empty_like(z))

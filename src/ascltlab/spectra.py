@@ -57,8 +57,9 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
     if n < 3:
         raise ConfigError("need n >= 3")
     h = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")[: n // 2 + 1]
-    vals, point = _spectrum(np.sort(np.concatenate([h, h[1 : (n + 1) // 2]])),
-                            SYMMETRIC_CIRCULANT, n, 1.0 / math.sqrt(n), [])
+    vals = np.concatenate([h, h[1 : (n + 1) // 2]])
+    vals.sort()
+    vals, point = _spectrum(vals, SYMMETRIC_CIRCULANT, n, 1.0 / math.sqrt(n), [])
     point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
     return vals, point
 
@@ -75,7 +76,10 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
         raise ConfigError("need n >= 3")
     x = sample_prefix(spec, n)
     # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
-    m = np.sort(np.sqrt(2.0 * periodogram_all(x)))
+    m = periodogram_all(x)
+    m *= 2.0
+    np.sqrt(m, out=m)
+    m.sort()
     vals = np.concatenate([-m[::-1], m])
     scale = math.sqrt(2.0 / n)
     exceptional = [scale * float(np.sum(x))]
@@ -86,12 +90,16 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
 
 
 def periodogram_all(x: np.ndarray) -> np.ndarray:
-    """All periodogram ordinates I_n(2 pi k / n), k = 1..floor((n-1)/2)."""
+    """All periodogram ordinates I_n(2 pi k / n) = (s_k^2 + t_k^2) / 2,
+    k = 1..floor((n-1)/2), squared and added in the memory of s."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    r = (n - 1) // 2
-    s, t = partial_sums_fast(n, r, x)
-    return (s**2 + t**2) / 2.0
+    s, t = partial_sums_fast(n, (n - 1) // 2, x)
+    s *= s
+    t *= t
+    s += t
+    s /= 2.0
+    return s
 
 
 def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:

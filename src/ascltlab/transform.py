@@ -92,13 +92,10 @@ def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
     The weight index j runs 1..n while the DFT index runs 0..n-1; the two
     agree because the j = n term of the trig sums equals the j = 0 term,
-    so each input is rotated by one before the transform.
+    so each input is rotated by one before the transform; the rotated copy
+    is dropped as soon as the transform returns.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.empty_like(x)
-    y[:, 0] = x[:, n - 1]
-    y[:, 1:] = x[:, : n - 1]
-    f = np.fft.rfft(y, axis=1)
+    f = np.fft.rfft(np.roll(np.asarray(x, dtype=float), 1, axis=1), axis=1)
     scale = math.sqrt(2.0 / n)
     return scale * f.real[:, 1 : r + 1], -scale * f.imag[:, 1 : r + 1]
 

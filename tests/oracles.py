@@ -19,9 +19,11 @@ deviation of the bivariate harness), ``empirical_char`` (the
 characteristic function of the char-decay harness), ``periodogram`` (one
 ordinate by the defining sum, against ``spectra.periodogram_all``) and
 ``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
+``ks_to`` is the KS distance in one pass over the whole sorted sample,
+the reference the blocked ``empirical.ks_to`` is held to bit for bit.
 
 ``csv_cells`` and ``write_csv_rows`` are the per-row CSV writer that
-``cli._write_csv`` and its lines from ``cli._float_strs`` (the orjson
+``cli._write_csv`` and its lines from ``cli._float_text`` (the orjson
 cells of spectra and weight rows) are held to byte for byte: str of
 every cell, one line per row.
 
@@ -243,6 +245,21 @@ def ldp_normal_baseline(spec, n: int, r: int, a: float, replicas: int, threads: 
         stream_id=spec.stream_id + replicas,
     )
     return _half_line_rate(oracle_spec, c, r, a, replicas, threads)
+
+
+def ks_to(samples, cdf) -> float:
+    """Exact sup-distance between the ECDF of a sample and a continuous CDF
+    in one pass over the whole sorted sample: the reference the blocked
+    empirical.ks_to is held to bit for bit."""
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("need a nonempty 1-D sample")
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError("sample has non-finite values")
+    m = v.size
+    f = np.asarray(cdf(np.sort(v)), dtype=float)
+    i = np.arange(1, m + 1)
+    return float(np.max(np.maximum(np.abs(i / m - f), np.abs((i - 1) / m - f))))
 
 
 def csv_cells(*columns):

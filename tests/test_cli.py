@@ -847,6 +847,23 @@ def _spectrum_csvs(tmp_path, e):
     return new, ref
 
 
+# cells that repr writes, where orjson's text is patched: tiny, >= 1e16,
+# nan, +-inf, -0.0 (orjson's own cell) and subnormal
+_FALLBACK = [1e-300, -9.999999999999999e-05, 1e16, -1.7976931348623157e308, np.nan, np.inf,
+             -np.inf, -0.0, 5e-324, -2.2250738585072014e-308]
+
+
+def _across_a_slice_edge(cells) -> np.ndarray:
+    """Four CSV slices and one value of clean cells, with cells on both
+    sides of the edge between slices 1 and 2: slices 0 and 3 and the last
+    value stay clean."""
+    step, k = cli._BLOCK_CELLS, len(cells)
+    e = np.random.default_rng(k).uniform(-3.0, 3.0, 4 * step + 1)
+    e[np.abs(e) < 1e-4] = 0.5
+    e[2 * step - k : 2 * step + k] = cells + cells[::-1]
+    return e
+
+
 def _mirrored(m) -> np.ndarray:
     """The reverse circulant form -m[::-1] then m of the magnitudes m."""
     m = np.sort(np.array(m, dtype=float))
@@ -893,6 +910,10 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
         [-3.0, -2.0, -1.0, 1.0, 2.0, 4.0],
         [-1.0, 0.5, 1.0, 2.0],
         [-2.0, -1.0, 1.0],
+        # longer than a slice: clean slices, and repr's cells at a slice edge
+        _across_a_slice_edge(_FALLBACK),
+        _across_a_slice_edge([-0.0]),
+        _across_a_slice_edge([]),
     ],
 )
 def test_hand_built_spectra_match_the_per_row_writer(tmp_path, values):
@@ -900,7 +921,16 @@ def test_hand_built_spectra_match_the_per_row_writer(tmp_path, values):
     assert new == ref
 
 
-def test_float_strs_are_the_reprs():
+def test_rows_longer_than_a_slice_match_the_per_row_writer(tmp_path):
+    rows = np.stack([_across_a_slice_edge(_FALLBACK), _across_a_slice_edge([])])
+    header = ["k"] + [f"u{j}" for j in range(rows.shape[1])]
+    new = _csv_bytes(tmp_path / "new.csv", cli._write_csv, header, cli._row_lines(rows))
+    ref = _csv_bytes(tmp_path / "ref.csv", oracles.write_csv_rows, header,
+                     oracles.csv_cells(range(1, len(rows) + 1), *rows.T.tolist()))
+    assert new == ref
+
+
+def test_float_text_is_the_reprs():
     # orjson's digits where it writes positional notation, repr's cells
     # elsewhere; a change of orjson's output fails here
     rng = np.random.default_rng(20)
@@ -913,7 +943,7 @@ def test_float_strs_are_the_reprs():
     edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
              9999999999999998.0, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
     for values in [positional.view(np.float64), random[np.isfinite(random)], np.array(edges)]:
-        assert cli._float_strs(values) == [repr(v) for v in values.tolist()]
+        assert cli._float_text(values) == ",".join(map(repr, values.tolist()))
 
 
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)

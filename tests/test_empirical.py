@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import ndtri
 
+from ascltlab import BLOCK
 from ascltlab.empirical import (
     exponential_cdf,
     ks_to,
@@ -16,7 +17,9 @@ from ascltlab.empirical import (
 from ascltlab.sources import SourceSpec, sample_prefix
 from ascltlab.transform import partial_sums_fast
 
+from . import oracles
 from .oracles import empirical_char, joint_cdf
+from .test_weights import peak_bytes
 
 
 def test_normal_cdf_values():
@@ -65,6 +68,36 @@ def test_ks_shuffle_invariant(seed):
     shuffled = vals.copy()
     rng.shuffle(shuffled)
     assert ks_to(shuffled, normal_cdf) == base
+
+
+def _tied_at_block_edges(v: np.ndarray) -> np.ndarray:
+    """v sorted, with four equal values across each block edge, shuffled."""
+    v = np.sort(v)
+    for edge in range(BLOCK, v.size, BLOCK):
+        v[edge - 2 : edge + 2] = v[edge - 2]
+    np.random.default_rng(v.size).shuffle(v)
+    return v
+
+
+@pytest.mark.parametrize("cdf, draw", [(normal_cdf, "standard_normal"),
+                                       (exponential_cdf, "standard_exponential")])
+@pytest.mark.parametrize("m", [3 * BLOCK + 1, 4 * BLOCK, 3 * BLOCK + 17])
+def test_blocked_ks_matches_the_one_pass_reference(cdf, draw, m):
+    # 3 BLOCK + 1 leaves a last block of one atom
+    rng = np.random.default_rng(m)
+    for v in (getattr(rng, draw)(m), _tied_at_block_edges(getattr(rng, draw)(m))):
+        assert ks_to(v, cdf) == oracles.ks_to(v, cdf)
+    # midpoint quantiles: every atom is within rounding of the max gap 1/(2m)
+    mid = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    assert ks_to(mid, normal_cdf) == oracles.ks_to(mid, normal_cdf)
+
+
+def test_ks_memory_is_the_sorted_copy_and_a_few_blocks():
+    # the one-pass reference held about five n-long temporaries besides
+    x = np.random.default_rng(4).standard_normal(2**19)
+    for cdf in (normal_cdf, exponential_cdf):
+        _, peak = peak_bytes(lambda: ks_to(x, cdf))
+        assert peak <= x.nbytes + 2 * 2**20, f"ks_to peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_dkw_sanity():
@@ -148,8 +181,9 @@ def test_rate_gaussian_rejects_bad_sigma():
 
 
 def test_measure_validation():
-    with pytest.raises(FloatingPointError):
-        ks_to(np.array([np.nan]), normal_cdf)
+    for bad in ([np.nan], [0.0, np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(FloatingPointError):
+            ks_to(np.array(bad), normal_cdf)
     with pytest.raises(ValueError):
         ks_to(np.array([]), normal_cdf)
     with pytest.raises(ValueError):

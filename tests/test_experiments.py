@@ -154,6 +154,21 @@ def test_bivariate_matches_joint_cdf_reference(family):
         assert abs(p["max_grid_deviation"] - ref) <= 1e-15
 
 
+def test_bivariate_blocked_counts_match_one_pass_counts():
+    # r = 199999 pairs make four blocks of grid counts, the last one partial
+    spec = spec_of("rademacher", 13)
+    n, r = 400000, 199999
+    res = asclt_bivariate(spec, Schedule(points=((n, r),)))
+    s, t = partial_sums_fast(n, r, sample_prefix(spec, n))
+    gx = np.array(res.params["grid"])
+    g = gx.size + 1
+    cells = np.searchsorted(gx, s) * g + np.searchsorted(gx, t)
+    counts = np.bincount(cells, minlength=g * g).reshape(g, g)
+    joint = counts.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
+    target = np.outer(normal_cdf(gx), normal_cdf(gx))
+    assert res.points[0]["max_grid_deviation"] == float(np.max(np.abs(joint - target)))
+
+
 def test_bivariate_degenerate_origin_deviation(monkeypatch):
     # a zero path puts every (s, t) at the origin: the joint ECDF is 1 on
     # the closed positive quadrant, where Phi(x)Phi(y) is smallest at 0

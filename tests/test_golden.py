@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from ascltlab import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "quick"
 MANIFEST = ROOT / "tests" / "golden" / "quick_manifest.json"
@@ -99,3 +101,57 @@ def test_quick_battery_csv_and_stdout_match_manifest(battery):
     timed = re.findall(r"^\d+\.\d\d s  (ascltlab .+)$", proc.stderr, flags=re.M)
     assert timed == [line[3:] for line in proc.stdout.splitlines() if line.startswith("== ")]
     assert len(timed) == 10
+
+
+# The benchmark's single-path ops at their full sizes, seed 1: one sample
+# path out to n = 2^20, many blocks past the quick battery's sizes. The
+# digests are of the JSON without `timestamp` (as canonical() writes it)
+# and of the CSV; like the quick goldens, a mismatch is a numerical change.
+_TRIG_PATH = ",".join(f"{4**k}:{4**k // 2 - 1}" for k in range(5, 11))
+SCALE_PIN = {
+    "asclt rademacher trig": (
+        ["asclt", "--family", "rademacher", "--weights", "trig", "--schedule", _TRIG_PATH],
+        "b83fc9b64f4709446f447b80518717ba40ae95dcf7433da9915a2becf2c0c84e",
+        "e3e98835b690f131a52f5803308ca73258522f7014f107391885d62892833c16"),
+    "asclt normal trig": (
+        ["asclt", "--family", "normal", "--weights", "trig", "--schedule", _TRIG_PATH],
+        "888b627b9acfb0ed6318b67202045934807d1eaae899884c99f616af94464409",
+        "05004d5cc301f017a109f7e079089c4f63d2c2c8fee2f46e1b7f29e842e485e0"),
+    "asclt rademacher haar": (
+        ["asclt", "--family", "rademacher", "--weights", "haar",
+         "--schedule", "256:64,512:64,1024:64"],
+        "00840c7dd215e880495b1334a2f78c0ae02d8d6b47643dc97bbfe9df22f07e16",
+        "ce40a5c4cc69ad096519e086aea172b7a6433efa1fdee6b2b59bdacc30f5156c"),
+    "bivariate": (
+        ["bivariate", "--family", "rademacher", "--schedule", "1048576:524287"],
+        "3146e5b10eb7ae21c5f71a4584b6afb6e0283ac6d699f3f6e31e715bdf8bea9b",
+        "0c074c47a7f77bfb8b566db9a4f533118b33551e9734d814137ba516043da2ef"),
+    "periodogram": (
+        ["periodogram", "--family", "rademacher", "--n", "1048576"],
+        "ebb0c0ddb480079e08dd67ad0765c62f6115433d5331063c4dfeab0de176d9d7",
+        "646d3cad17587399d085eb487b1d75d34d3411096f74587c80f4f8710c63c8c7"),
+    "spectrum symmetric": (
+        ["spectrum", "--family", "rademacher", "--ensemble", "symmetric", "--n", "262145"],
+        "374628c5ce91d10f330595493f75aa6031e03ca3ba952c566f1c925bf14b1567",
+        "3fc3f706dc00b16e26711626bec081184aab242804eecd8d3fe2217b0ec56385"),
+    "spectrum reverse": (
+        ["spectrum", "--family", "rademacher", "--ensemble", "reverse", "--n", "262145"],
+        "8391d9e263614f9b725c998830c097c1e81624530cb6a3283b3115985627a74b",
+        "73c098b64c3e1bac5166047e7ab93ba9d3360684381034f46501bead5d7d5f0d"),
+}
+
+
+def scale_digests(argv, out_dir) -> tuple[str, str]:
+    """sha256 of the JSON without `timestamp` and of the CSV of one
+    in-process run of argv at seed 1."""
+    assert cli.run(argv + ["--seed", "1", "--out-dir", str(out_dir)]) == 0
+    (path,) = Path(out_dir).glob("*.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return (hashlib.sha256(canonical(doc).encode()).hexdigest(),
+            hashlib.sha256(path.with_suffix(".csv").read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("name", list(SCALE_PIN))
+def test_single_path_ops_at_full_size_keep_their_bytes(tmp_path, name):
+    argv, json_sha256, csv_sha256 = SCALE_PIN[name]
+    assert scale_digests(argv, tmp_path) == (json_sha256, csv_sha256)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ascltlab import BLOCK
 from ascltlab.sources import (
     SourceSpec,
     _rademacher,
@@ -11,6 +12,8 @@ from ascltlab.sources import (
     sample_prefix,
     stream_blocks,
 )
+
+from .test_weights import peak_bytes
 
 FAMILIES = ["rademacher", "uniform", "two_point", "normal", "exponential"]
 
@@ -71,6 +74,24 @@ def test_prefix_stability(family, seed, n1, n2):
     short = sample_prefix(spec, n1)
     long = sample_prefix(spec, n2)
     assert np.array_equal(short, long[:n1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_prefix_in_blocks_matches_one_block_draw(family, n):
+    # sample_prefix draws BLOCK values at a time into its result; the
+    # one-stream block of stream_blocks draws all n at once
+    spec = make_spec(family, seed=2**63 + 5, stream=7)
+    assert np.array_equal(sample_prefix(spec, n), next(stream_blocks(spec, n, 0, 1, 1))[0])
+
+
+@pytest.mark.parametrize("family", ["rademacher", "normal"])
+def test_prefix_memory_is_its_result_and_two_blocks(family):
+    # the 8 MiB result plus a block of scratch and one of index keys;
+    # drawing all of it at once took 24 MiB
+    x, peak = peak_bytes(lambda: sample_prefix(make_spec(family, seed=3), 2**20))
+    assert x.size == 2**20
+    assert peak <= 10 * 2**20, f"sample_prefix peaked at {peak / 2**20:.1f} MiB"
 
 
 def stacked(spec, n, lo, hi, rows):

@@ -183,7 +183,7 @@ def test_check_trig_identity_residual_is_verify_trig_identities(n):
     assert rep["trig_identity_residual"] == verify_trig_identities(n)
 
 
-def _peak_bytes(call):
+def peak_bytes(call):
     """(call(), the tracemalloc peak while it ran)."""
     tracemalloc.start()
     try:
@@ -196,7 +196,7 @@ def _peak_bytes(call):
 
 def test_trig_checks_memory_bounded():
     # summing over the n x n angle matrix took about 520 MB at this size
-    _, peak = _peak_bytes(lambda: (check_trig(4096, 2047, delta=1.0), verify_trig_identities(4096)))
+    _, peak = peak_bytes(lambda: (check_trig(4096, 2047, delta=1.0), verify_trig_identities(4096)))
     assert peak < 64 * 2**20
 
 
@@ -228,12 +228,12 @@ def test_trig_materialize_memory_bounded():
     # two reused row blocks; no r x n temporary (angles, residues or a
     # finiteness mask) is built
     n, r = 4096, 2047
-    u, peak = _peak_bytes(lambda: trig_rows(trig_tables(n)[0], np.arange(1, r + 1)))
+    u, peak = peak_bytes(lambda: trig_rows(trig_tables(n)[0], np.arange(1, r + 1)))
     assert u.nbytes == 8 * r * n
     assert peak < 8 * r * n + 4 * 2**20
     # the reference sums store no row, let alone the pair
     x = np.random.default_rng(0).standard_normal(n)
-    _, peak = _peak_bytes(lambda: partial_sums_naive(n, r, x))
+    _, peak = peak_bytes(lambda: partial_sums_naive(n, r, x))
     assert peak < 8 * 1024 * n + 8 * 2**20
 
 
