@@ -125,7 +125,7 @@ def _rademacher(z: np.ndarray) -> np.ndarray:
 
 def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
     """Standardized draws from uniforms, for every family but rademacher
-    (see _rademacher); may overwrite u."""
+    (see _rademacher), written over u."""
     if family == "uniform":
         # uniform on [-sqrt(3), sqrt(3)]: mean 0, variance 1
         u *= 2.0
@@ -133,9 +133,10 @@ def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
         u *= _SQRT3
         return u
     if family == "two_point":
-        a = math.sqrt((1.0 - p) / p)
-        b = -math.sqrt(p / (1.0 - p))
-        return np.where(u < p, a, b)
+        mask = u < p
+        u.fill(-math.sqrt(p / (1.0 - p)))
+        np.copyto(u, math.sqrt((1.0 - p) / p), where=mask)
+        return u
     if family == "normal":
         return ndtri(u, out=u)
     if family == "exponential":
@@ -152,8 +153,7 @@ def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.
           t: np.ndarray) -> np.ndarray:
     """Draws of the family at the keys keys[i] + jg[c], jg holding j * gamma
     for the indices j.  z receives them and t is scratch, both uint64 of
-    shape (keys.size, jg.size); the result is a float64 view of z, or a
-    fresh array (two_point).
+    shape (keys.size, jg.size); the result is a float64 view of z.
     """
     np.add(keys[:, None], jg, out=z)
     if family == "rademacher":
@@ -190,9 +190,7 @@ def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
     t = np.empty((1, min(n, BLOCK)), dtype=np.uint64)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        v = _draw(spec.family, spec.p, key, _index_keys(lo, hi), z[:, lo:hi], t[:, : hi - lo])
-        if not np.may_share_memory(v, x):  # two_point draws into fresh memory
-            x[lo:hi] = v[0]
+        _draw(spec.family, spec.p, key, _index_keys(lo, hi), z[:, lo:hi], t[:, : hi - lo])
     return x
 
 

@@ -81,23 +81,24 @@ def partial_sums_naive(n: int, r: int, x: np.ndarray) -> PartialSums:
 
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
-    """Trig-weight partial sums via one real DFT: the one-row case of
-    partial_sums_batch."""
+    """Trig-weight partial sums via one real DFT: partial_sums_batch of
+    one input."""
     require_trig(n, r)
-    return _checked(n, x, lambda x: [a[0] for a in partial_sums_batch(n, r, x[None])])
+    return _checked(n, x, lambda x: partial_sums_batch(n, r, x))
 
 
 def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fast path over a batch of inputs (replicas x n) -> (s, t) arrays.
+    """Fast path over one input (n) or a batch of them (replicas x n), the
+    inputs on the last axis -> (s, t) arrays of r sums per input.
 
     The weight index j runs 1..n while the DFT index runs 0..n-1; the two
     agree because the j = n term of the trig sums equals the j = 0 term,
     so each input is rotated by one before the transform; the rotated copy
     is dropped as soon as the transform returns.
     """
-    f = np.fft.rfft(np.roll(np.asarray(x, dtype=float), 1, axis=1), axis=1)
+    f = np.fft.rfft(np.roll(np.asarray(x, dtype=float), 1, axis=-1), axis=-1)
     scale = math.sqrt(2.0 / n)
-    return scale * f.real[:, 1 : r + 1], -scale * f.imag[:, 1 : r + 1]
+    return scale * f.real[..., 1 : r + 1], -scale * f.imag[..., 1 : r + 1]
 
 
 def use_gemm(n: int, r: int) -> bool:

@@ -5,8 +5,8 @@ v_{k,j} = sqrt(2/n) sin(2 pi j k / n) is the workhorse.  Entries are
 always computed from the residue (j*k) mod n in exact integer arithmetic
 before the floating-point cosine, so the classical orthogonality
 identities hold to near machine precision even at large j*k.  trig_rows
-builds any block of rows from the n-long tables of trig_tables(n), and no
-pair is stored; Haar weights are a plain r x n array (haar_rows).
+builds rows one at a time from the n-long tables of trig_tables(n), and
+no pair is stored; Haar weights are a plain r x n array (haar_rows).
 
 check_trig and check_haar each return the whole check-weights point as a
 dict, in its CSV column order.  Condition residuals (max entry,
@@ -35,10 +35,6 @@ TRIG, HAAR = "trig", "haar"
 # size guard: r*n entries of the trig U rows that gen-weights writes, of r
 # Haar rows, or n of the trig column sums (two n-long tables and two sums)
 _MATERIALIZE_LIMIT = 1 << 23
-# bytes of one row block of int64 residues (k*j) mod n, and of the values
-# looked up by them; with the n-long table, that is all the scratch that
-# trig_rows allocates
-_SUM_BLOCK_BYTES = 1 << 18
 
 
 def trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -53,24 +49,15 @@ def trig_rows(table: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     With a table of trig_tables(n) these are the u (cos) or v (sin) rows,
     bit for bit what evaluating cos/sin(2 pi ((k j) mod n) / n) gives.  The
-    rows are built in blocks of _SUM_BLOCK_BYTES (or one row, if larger)
-    through two reused scratch arrays, so memory is bounded before anything
-    is allocated.
+    rows are written one at a time into the result, with O(n) temporaries.
     """
     n = table.size
     ks = np.asarray(ks, dtype=np.int64)
     scale = math.sqrt(2.0 / n)
     out = np.empty((ks.size, n))
     j = np.arange(1, n + 1, dtype=np.int64)
-    rows = max(1, min(ks.size, _SUM_BLOCK_BYTES // (8 * n)))
-    idx, terms = np.empty((rows, n), dtype=np.int64), np.empty((rows, n))
-    for lo in range(0, ks.size, rows):
-        b = min(rows, ks.size - lo)
-        ib, tb = idx[:b], terms[:b]
-        np.multiply(ks[lo : lo + b, None], j, out=ib)
-        np.remainder(ib, n, out=ib)
-        # mode="clip" lets take write into tb unbuffered; every residue is in range
-        np.multiply(np.take(table, ib, out=tb, mode="clip"), scale, out=out[lo : lo + b])
+    for k, row in zip(ks, out):
+        np.multiply(table[k * j % n], scale, out=row)
     return out
 
 

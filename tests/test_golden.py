@@ -103,10 +103,12 @@ def test_quick_battery_csv_and_stdout_match_manifest(battery):
     assert len(timed) == 10
 
 
-# The benchmark's single-path ops at their full sizes, seed 1: one sample
-# path out to n = 2^20, many blocks past the quick battery's sizes. The
-# digests are of the JSON without `timestamp` (as canonical() writes it)
-# and of the CSV; like the quick goldens, a mismatch is a numerical change.
+# The benchmark's ops at their full sizes, seed 1: one sample path out to
+# n = 2^20, many blocks past the quick battery's sizes, and the replica and
+# reference ops, plus one two_point op per drawing path (sample_prefix and
+# stream_blocks). The digests are of the JSON without `timestamp` (as
+# canonical() writes it) and of the CSV; like the quick goldens, a mismatch
+# is a numerical change.
 _TRIG_PATH = ",".join(f"{4**k}:{4**k // 2 - 1}" for k in range(5, 11))
 SCALE_PIN = {
     "asclt rademacher trig": (
@@ -138,6 +140,44 @@ SCALE_PIN = {
         ["spectrum", "--family", "rademacher", "--ensemble", "reverse", "--n", "262145"],
         "8391d9e263614f9b725c998830c097c1e81624530cb6a3283b3115985627a74b",
         "73c098b64c3e1bac5166047e7ab93ba9d3360684381034f46501bead5d7d5f0d"),
+    "asclt two_point trig": (
+        ["asclt", "--family", "two_point", "--p", "0.3", "--weights", "trig",
+         "--schedule", _TRIG_PATH],
+        "dbb97dd0023dd35fd0272f223b0fe982a560eec8180a198b9f49c2036cba8081",
+        "29ff15ff50443cc745cd0d94b0c9a304d7677d7948a81dbff01f56d2aec29f3a"),
+}
+# the thread count changes no byte of an ldp artifact
+_LDP = ("ldp --family rademacher --n 4096 --r 32 --a 0.5 --replicas 8192 --threads {}",
+        "5c0f67bba61b98d2bc6ee39e88dae42124f8b3b4fc94b4fafd3c7d1e021ab442",
+        "ac0fb892d0c7c004991f1778e673908ee533627ddbdcfcc9ac31dc639ac67541")
+REPLICA_REFERENCE_PIN = {
+    "ldp threads 1": (_LDP[0].format(1).split(), *_LDP[1:]),
+    "ldp threads 2": (_LDP[0].format(2).split(), *_LDP[1:]),
+    "clt-fluct": (
+        "clt-fluct --family rademacher --n 4096 --r 32 --x 0 --replicas 2048 --threads 1".split(),
+        "1d8239892506be629795d2cb85846ce97341c059a27ff532abde4d626b6c884e",
+        "f90341feaf5d8508b6e4ab0acb8ad6deabf3c6d0871c5f861c0f66202b823ffd"),
+    "clt-fluct two_point": (
+        "clt-fluct --family two_point --p 0.3 --n 4096 --r 32 --x 0 --replicas 2048".split(),
+        "348dcc245584a089b1c48dfadc410a9c7444e2494c1310b905f0d31e97241fc7",
+        "d86112b4e6f9e5d4727eb5d7e4a0ce7fc9869ec28d0a612676cd76b51afc7618"),
+    "char-decay": (
+        ("char-decay --family rademacher --schedule 128:63,512:255,2048:1023"
+         " --s 1 --t 0 --replicas 2048 --threads 1").split(),
+        "3de4df8a901a5053f94d2640051fbbb9ac7819b5499bd81c1e63af7592653e1d",
+        "ea2d75413b898cd3d2d9539305db21d7277ec9eea1be996e51a99284a91d3f2a"),
+    "check-weights haar": (
+        "check-weights --weights haar --n 512 --r 512".split(),
+        "b6b71bb3a29e3e04cddb0c28124a9736622229477eb226fefaa588c60af46f50",
+        "026945d2de09014a014145bec32ecf279503463ed09df049da807cd7b8681349"),
+    "check-weights trig": (
+        "check-weights --weights trig --n 4096 --r 2047".split(),
+        "e44389d0c805f8d2530bb4ebcb5ddf4905c6def586f2a961b549074fca58e3e4",
+        "d337425048b20ec34f9f0c222f6f33d5713349a2ac451bbe87ba5de284dff0d4"),
+    "gen-weights haar": (
+        "gen-weights --weights haar --n 1024 --r 64".split(),
+        "a9656c256965dbb727e5a220a5d062e8755cc06a5cb209924fe6428dd96e2dec",
+        "ea62e67bfd41ecd5a7de5bd69ca86c70514d6a45afcc3b825f06e77e9ab3702a"),
 }
 
 
@@ -154,4 +194,10 @@ def scale_digests(argv, out_dir) -> tuple[str, str]:
 @pytest.mark.parametrize("name", list(SCALE_PIN))
 def test_single_path_ops_at_full_size_keep_their_bytes(tmp_path, name):
     argv, json_sha256, csv_sha256 = SCALE_PIN[name]
+    assert scale_digests(argv, tmp_path) == (json_sha256, csv_sha256)
+
+
+@pytest.mark.parametrize("name", list(REPLICA_REFERENCE_PIN))
+def test_replica_and_reference_ops_at_full_size_keep_their_bytes(tmp_path, name):
+    argv, json_sha256, csv_sha256 = REPLICA_REFERENCE_PIN[name]
     assert scale_digests(argv, tmp_path) == (json_sha256, csv_sha256)

@@ -85,13 +85,21 @@ def test_prefix_in_blocks_matches_one_block_draw(family, n):
     assert np.array_equal(sample_prefix(spec, n), next(stream_blocks(spec, n, 0, 1, 1))[0])
 
 
-@pytest.mark.parametrize("family", ["rademacher", "normal"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_prefix_memory_is_its_result_and_two_blocks(family):
     # the 8 MiB result plus a block of scratch and one of index keys;
     # drawing all of it at once took 24 MiB
     x, peak = peak_bytes(lambda: sample_prefix(make_spec(family, seed=3), 2**20))
     assert x.size == 2**20
     assert peak <= 10 * 2**20, f"sample_prefix peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stream_blocks_share_one_buffer(family):
+    # every family draws in the buffer of its block, so the next block
+    # overwrites it
+    first, second = stream_blocks(make_spec(family, seed=4), 100, 0, 6, 3)
+    assert np.shares_memory(first, second)
 
 
 def stacked(spec, n, lo, hi, rows):
@@ -161,14 +169,17 @@ def _splitmix64_uniform(seed, stream, j):
     return ((mix((key + j * gamma) & mask) >> 11) + 0.5) * 2.0**-53
 
 
-@pytest.mark.parametrize("family", ["rademacher", "uniform"])
+@pytest.mark.parametrize("family", ["rademacher", "uniform", "two_point"])
 def test_sample_rows_match_scalar_reference(family):
     spec = make_spec(family, seed=2**64 - 5, stream=2**63 + 1)
     block = stacked(spec, 40, 3, 7, 3)
+    p = spec.p
     for i in range(3, 7):
         u = [_splitmix64_uniform(spec.master_seed, spec.stream_id + i, j) for j in range(1, 41)]
         if family == "rademacher":
             expected = [-1.0 if v < 0.5 else 1.0 for v in u]
+        elif family == "two_point":
+            expected = [math.sqrt((1 - p) / p) if v < p else -math.sqrt(p / (1 - p)) for v in u]
         else:
             expected = [(2.0 * v - 1.0) * math.sqrt(3.0) for v in u]
         assert block[i - 3].tolist() == expected

@@ -27,11 +27,7 @@ from .oracles import (
     trig_rows_v_angles,
 )
 
-# n = _BLOCK_EDGE is the largest n at which n trig_rows fit one row block
-_BLOCK_EDGE = math.isqrt(weights._SUM_BLOCK_BYTES // 8)
-_BIT_IDENTITY_NS = sorted(
-    set(range(3, 301)) | {_BLOCK_EDGE - 1, _BLOCK_EDGE, _BLOCK_EDGE + 1, 1024, 4095, 4096}
-)
+_BIT_IDENTITY_NS = sorted(set(range(3, 301)) | {1024, 4095, 4096})
 
 
 def normal_spec(seed, stream=0):
@@ -224,9 +220,9 @@ def test_trig_rows_match_the_angle_formula(n, r):
 
 
 def test_trig_materialize_memory_bounded():
-    # beyond the rows themselves, trig_rows takes only the n-long tables and
-    # two reused row blocks; no r x n temporary (angles, residues or a
-    # finiteness mask) is built
+    # beyond the rows themselves, trig_rows takes only the n-long table and
+    # the O(n) temporaries of one row; no r x n temporary (angles, residues
+    # or a finiteness mask) is built
     n, r = 4096, 2047
     u, peak = peak_bytes(lambda: trig_rows(trig_tables(n)[0], np.arange(1, r + 1)))
     assert u.nbytes == 8 * r * n
