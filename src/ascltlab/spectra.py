@@ -70,22 +70,25 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
 
     The at-most-two eigenvalues outside the paired formula (frequency 0,
     and frequency n/2 for even n) are reported in `exceptional` in the
-    same sqrt(2/n)-scaled units and excluded from the ESD.
+    same sqrt(2/n)-scaled units and excluded from the ESD.  Both are taken
+    before the periodogram, so the peak stays at 24n bytes at every n.
     """
     if n < 3:
         raise ConfigError("need n >= 3")
     x = sample_prefix(spec, n)
+    scale = math.sqrt(2.0 / n)
+    exceptional = [scale * float(np.sum(x))]
+    if n % 2 == 0:  # the sum of x with its 0-based even positions negated
+        alt = x.copy()
+        alt[::2] *= -1.0
+        exceptional.append(scale * float(np.sum(alt)))
+        del alt
     # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
     m = periodogram_all(x)
     m *= 2.0
     np.sqrt(m, out=m)
     m.sort()
     vals = np.concatenate([-m[::-1], m])
-    scale = math.sqrt(2.0 / n)
-    exceptional = [scale * float(np.sum(x))]
-    if n % 2 == 0:
-        signs = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-        exceptional.append(scale * float(np.sum(signs * x)))
     return _spectrum(vals, REVERSE_CIRCULANT, n, scale, exceptional)
 
 

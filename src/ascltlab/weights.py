@@ -16,7 +16,8 @@ the caller.  Trig pairs are checked through the column sums S_m, T_m (one
 table sum per divisor of n), computed once per point: the residual of
 each of the four trig identities is |E_a +- E_b| / 2 or |T_a +- T_b| / 2
 (E = S minus its exact value), that of a Gram entry the same numerator
-over n, and one pair scan serves both the conditions and the identities.
+over n, and one pair scan serves both the conditions and the identities:
+check_trig's trig_identity_residual is the one identity check.
 Haar rows go through the error-free Gram ``accum.ozaki_gram``.
 """
 
@@ -147,14 +148,6 @@ def trig_column_sums(n: int):
     return s, t
 
 
-def _sum_errors(n: int):
-    """(E, T) of trig_column_sums(n): E is S minus its exact value (n at
-    m = 0, else 0); that of T is 0 at every m, so T is its own error."""
-    e, t = trig_column_sums(n)
-    e[0] -= n
-    return e, t
-
-
 def _pair_residuals(e: np.ndarray, t: np.ndarray, m: int) -> tuple[float, float, float]:
     """Exact maxima over 1 <= k1 <= k2 <= m of |E_d + E_s| (cos*cos),
     |E_d - E_s| (sin*sin) and |T_s +- T_d| (cos*sin and sin*cos), with
@@ -183,19 +176,22 @@ def _pair_residuals(e: np.ndarray, t: np.ndarray, m: int) -> tuple[float, float,
 
 def check_trig(n: int, r: int, delta: float) -> dict:
     """The check-weights point of the trig pair of (n, r): raw maxima for
-    conditions (max entry / orthogonality / cross), then the worst trig
-    identity residual of n, exactly verify_trig_identities(n).
+    conditions (max entry / orthogonality / cross), then the worst residual
+    of the four cos/sin identities over 1 <= k1 <= k2 <= n (k1 + k2 = n
+    and 2k = n included), which depends on n alone.
 
     r and delta are checked before the column sums are computed, once for
-    both scans.  Every Gram entry of the pair is an exact half-sum of two
-    column sums S_m / T_m, so the r x r residual scan never reads the rows;
-    it agrees with a plain BLAS Gram of the trig rows to 1e-13 at
-    n <= 96 (asserted in the test suite).
+    both scans; E is S minus its exact value and T is its own error.  Every
+    Gram entry of the pair is an exact half-sum of two column sums S_m /
+    T_m, so the r x r residual scan never reads the rows; it agrees with a
+    plain BLAS Gram of the trig rows to 1e-13 at n <= 96 (asserted in the
+    test suite).
     """
     require_trig(n, r)
     if not delta > 0:
         raise ConfigError("delta must be positive")
-    e, t = _sum_errors(n)
+    e, t = trig_column_sums(n)
+    e[0] -= n
     cc, ss, cross = _pair_residuals(e, t, r)
     scale = math.sqrt(2.0 / n)
     return {
@@ -222,18 +218,3 @@ def check_haar(n: int, r: int, spec: SourceSpec, delta: float) -> dict:
         "eps_cross": None, "log_scale": math.log1p(r) ** (1.0 + delta), "n": n, "r": r,
         "delta": delta,
     }
-
-
-def verify_trig_identities(n: int) -> float:
-    """The worst residual of the four cos/sin orthogonality identities over
-    1 <= k1 <= k2 <= n.
-
-    Includes the exceptional cases k1 + k2 = n (values +-n/2) and 2k = n.
-    Every pairwise sum reduces exactly to a half-sum of the column sums
-    S_m, T_m, so the residual of a pair is |E_a +- E_b| / 2 (E = S minus
-    its exact value) or |T_a +- T_b| / 2, and the worst pair is found
-    exactly by the O(n) scan of check_trig (_pair_residuals).
-    """
-    if n < 3:
-        raise ConfigError("need n >= 3")
-    return max(_pair_residuals(*_sum_errors(n), n)) / 2.0

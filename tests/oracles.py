@@ -30,6 +30,8 @@ every cell, one line per row.
 ``ldp_normal_baseline`` is the Gaussian baseline of ``ldp_rate`` by plain
 Monte Carlo: every replica draws all n normal inputs and projects them on
 the mean weights, where ``ldp_rate`` draws the mean from its exact law.
+``rademacher_mean_tail`` is the exact law of its Rademacher hits at small
+n, by enumerating all 2^n sign vectors.
 """
 
 import math
@@ -245,6 +247,16 @@ def ldp_normal_baseline(spec, n: int, r: int, a: float, replicas: int, threads: 
         stream_id=spec.stream_id + replicas,
     )
     return _half_line_rate(oracle_spec, c, r, a, replicas, threads)
+
+
+def rademacher_mean_tail(n: int, r: int, a: float) -> tuple[float, float]:
+    """(P(x @ c >= a), the distance from a to the nearest atom) over all 2^n
+    equally likely sign vectors x, c = mean_weights(n, r): the exact law of
+    ldp_rate's Rademacher hits wherever no atom lies within rounding of a."""
+    atoms = np.zeros(1)
+    for cj in mean_weights(n, r):
+        atoms = np.concatenate([atoms - cj, atoms + cj])
+    return float(np.mean(atoms >= a)), float(np.min(np.abs(atoms - a)))
 
 
 def ks_to(samples, cdf) -> float:

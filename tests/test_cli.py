@@ -639,6 +639,29 @@ def test_cli_imports_no_private_name():
     assert not private
 
 
+def test_every_public_function_has_a_caller():
+    # a public top-level function or class of the package that no module of
+    # the package, the benchmark or the scripts names (as a name, an
+    # attribute or an import) is a dead helper; its own def is not a use
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "ascltlab").glob("*.py"))
+    defined = {}
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = f"{path.stem}.{node.name}"
+    used = set()
+    for path in package + sorted(root.glob("bench/*.py")) + sorted(root.glob("scripts/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(defined[name] for name in defined.keys() - used) == []
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     # a module the package imports that is neither stdlib nor the package
     # itself must be installed with it

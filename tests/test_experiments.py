@@ -21,7 +21,7 @@ from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
 from ascltlab.transform import partial_sums_fast
 from ascltlab.weights import check_trig, make_trig_pair
 
-from .oracles import empirical_char, joint_cdf, ldp_normal_baseline
+from .oracles import empirical_char, joint_cdf, ldp_normal_baseline, rademacher_mean_tail
 from .test_sources import all_family_specs
 
 
@@ -374,6 +374,18 @@ def test_ldp_oracle_and_reference_land_on_the_normal_tail(n, r):
     ref = ldp_normal_baseline(spec, n, r, a, replicas)["hits"]
     assert abs(got - mean) <= band
     assert abs(ref - mean) <= band
+
+
+@pytest.mark.parametrize("n, r, seed", [(16, 7, 1), (12, 3, 2)])
+def test_ldp_rademacher_hits_match_the_exact_law(n, r, seed):
+    # every one of the 2^n sign vectors is equally likely, so the hit count
+    # is Binomial(replicas, p) with p known exactly; (16, 4) is left out,
+    # since an atom sits exactly at a = 0.5 there
+    a, replicas = 0.5, 200_000
+    p, gap = rademacher_mean_tail(n, r, a)
+    assert gap > 1e-9
+    hits = ldp_rate(spec_of("rademacher", seed), n, r, a, replicas).points[0]["hits"]
+    assert abs(hits - replicas * p) <= 4.0 * math.sqrt(replicas * p * (1.0 - p))
 
 
 def test_ldp_oracle_reads_the_first_draw_of_each_offset_stream():

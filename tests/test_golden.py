@@ -140,6 +140,11 @@ SCALE_PIN = {
         ["spectrum", "--family", "rademacher", "--ensemble", "reverse", "--n", "262145"],
         "8391d9e263614f9b725c998830c097c1e81624530cb6a3283b3115985627a74b",
         "73c098b64c3e1bac5166047e7ab93ba9d3360684381034f46501bead5d7d5f0d"),
+    # even n: the frequency-n/2 eigenvalue is reported too
+    "spectrum reverse even": (
+        ["spectrum", "--family", "rademacher", "--ensemble", "reverse", "--n", "1048576"],
+        "a43a8f36a30bf0fb5b12ac413de3a274b191aaa3c37267bbe9682a684cdf26f0",
+        "ae0d2f4b256a43e39c300d09d65e3fde44f96ab57b62c26ad0313505cf6c891e"),
     "asclt two_point trig": (
         ["asclt", "--family", "two_point", "--p", "0.3", "--weights", "trig",
          "--schedule", _TRIG_PATH],

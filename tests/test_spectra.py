@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ def test_reverse_circulant_pairs_match_transform():
     ps = partial_sums_fast(n, (n - 1) // 2, sample_prefix(spec, n))
     mags = np.sqrt(ps.s**2 + ps.t**2)
     assert np.max(np.abs(np.sort(e[e >= 0]) - np.sort(mags))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2**20, 2**20 + 1])
+def test_reverse_circulant_memory_bounded(n):
+    # the path, its rotated copy and the rfft output are 24n bytes; the
+    # frequency-n/2 eigenvalue of even n adds at most one copy of the path,
+    # freed before the periodogram (24n plus 3 KiB measured at both sizes)
+    tracemalloc.start()
+    try:
+        reverse_circulant_spectrum(n, SourceSpec(family="normal", master_seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n + 2**20
 
 
 def test_reverse_circulant_squared_magnitudes_chi2():

@@ -16,7 +16,6 @@ from ascltlab.weights import (
     trig_column_sums,
     trig_rows,
     trig_tables,
-    verify_trig_identities,
 )
 
 from .oracles import (
@@ -62,13 +61,6 @@ def test_trig_identity_exceptional_values_n8():
     assert np.sum(np.sin(ang(3)) * np.sin(ang(5))) == pytest.approx(-4.0, abs=1e-12)
     assert np.sum(np.cos(ang(4)) ** 2) == pytest.approx(8.0, abs=1e-12)
     assert np.sum(np.sin(ang(4)) ** 2) == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("n", [8, 127, 1024])
-def test_verify_trig_identities_small(n):
-    worst = verify_trig_identities(n)
-    assert worst <= 1e-9
-    assert worst <= n * 2.0**-46
 
 
 def test_check_conditions_trig_n8():
@@ -155,10 +147,13 @@ def test_trig_identity_residual_measures_rounding_at_powers_of_two(n):
 
 
 def test_trig_identity_scan_bit_identical_to_loop():
-    # 4097 = 17 * 241 and 8193 = 3 * 2731: sizes past 4096 with few divisors
+    # 4097 = 17 * 241 and 8193 = 3 * 2731: sizes past 4096 with few divisors;
+    # the residual depends on n alone, whatever r the point is checked at
     for n in _BIT_IDENTITY_NS + [4097, 8193]:
         s, t = trig_column_sums(n)
-        assert verify_trig_identities(n) == trig_identity_worst_loop(n, s, t), n
+        worst = trig_identity_worst_loop(n, s, t)
+        for r in (1, (n - 1) // 2):
+            assert check_trig(n, r, 1.0)["trig_identity_residual"] == worst, (n, r)
 
 
 @pytest.mark.parametrize("n", [4097, 8193])
@@ -170,13 +165,6 @@ def test_condition_scan_bit_identical_to_loop(n):
         rep = check_trig(n, r, 1.0)
         got = (rep["eps_orth_u"], rep["eps_orth_v"], rep["eps_cross"])
         assert got == trig_conditions_loop(n, r, s, t), r
-
-
-@pytest.mark.parametrize("n", [8, 127, 300, 1024, 4096, 4097, 8193])
-def test_check_trig_identity_residual_is_verify_trig_identities(n):
-    # one pass of column sums serves both scans of the check-weights point
-    rep = check_trig(n, (n - 1) // 2, 1.0)
-    assert rep["trig_identity_residual"] == verify_trig_identities(n)
 
 
 def peak_bytes(call):
@@ -192,7 +180,7 @@ def peak_bytes(call):
 
 def test_trig_checks_memory_bounded():
     # summing over the n x n angle matrix took about 520 MB at this size
-    _, peak = peak_bytes(lambda: (check_trig(4096, 2047, delta=1.0), verify_trig_identities(4096)))
+    _, peak = peak_bytes(lambda: check_trig(4096, 2047, delta=1.0))
     assert peak < 64 * 2**20
 
 
@@ -200,7 +188,7 @@ def test_trig_sums_refused_above_the_size_limit_before_allocating():
     # every trig check refuses n above _MATERIALIZE_LIMIT before the tables
     # and sums are allocated
     n = weights._MATERIALIZE_LIMIT + 1
-    for check in (trig_column_sums, verify_trig_identities, lambda n: check_trig(n, 1, 1.0)):
+    for check in (trig_column_sums, lambda n: check_trig(n, 1, 1.0)):
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError, match="refusing"):
