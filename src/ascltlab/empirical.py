@@ -68,10 +68,10 @@ def _corner_gap(v: np.ndarray, lo: int, m: int, cdf) -> float:
 
 
 def rate_function_gaussian(m: float, sigma2: float) -> float:
-    """KL(N(m, sigma2) || N(0,1)) = (sigma2 + m^2 - 1 - ln sigma2) / 2."""
+    """KL(N(m, sigma2) || N(0,1)) = (sigma2 - 1 - ln sigma2 + m^2) / 2, m^2 added last."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    return max(0.5 * (sigma2 + m * m - 1.0 - math.log(sigma2)), 0.0)
+    return max(0.5 * ((sigma2 - 1.0 - math.log(sigma2)) + m * m), 0.0)
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:

@@ -2,15 +2,15 @@
 variance decay, CLT fluctuations, and LDP rate estimates.
 
 Replica contract: replica i draws X_1..X_n from the stream
-spec.stream_id + i.  Replicas run in chunks of 512, one chunk per task
-when threads > 1, and each chunk is drawn by sources.stream_blocks in
-sub-blocks of about BLOCK inputs (max(1, BLOCK // n) replicas), so that
-a block stays in cache.  Sub-block bounds depend only on n, never on the
-thread count.  Each harness maps a sub-block to the one statistic it
-reads (the mean of S, S alone, or S and T); that small per-replica
-result is copied, so it may be a view of the block.
-Per-replica statistics are concatenated in ascending replica order, so
-the output is bit-identical for any thread count.
+spec.stream_id + i.  Replicas are drawn in sub-blocks of about BLOCK inputs
+(max(1, BLOCK // n) replicas), so that a block stays in cache, and each
+worker draws one run of whole sub-blocks with one sources.stream_blocks
+call.  Sub-block bounds depend only on n, never on the thread count, and
+the whole stream range is checked before any draw.  Each harness maps a
+sub-block to the one statistic it reads (the mean of S, S alone, or S and
+T); that small per-replica result is copied, so it may be a view of the
+block.  Per-replica statistics are concatenated in ascending replica
+order, so the output is bit-identical for any thread count.
 
 The growth condition r^3 (log n)^2 / n is never enforced: no desk-scale
 (n, r) makes it small, yet the empirical limit laws already hold.  The
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import BLOCK, ConfigError, empirical
 from .empirical import ks_to, normal_cdf
-from .sources import SourceSpec, sample_prefix, stream_blocks
+from .sources import SourceSpec, require_streams, sample_prefix, stream_blocks
 from .transform import (
     batch_kernel,
     mean_partial_sum,
@@ -40,7 +40,6 @@ from .transform import (
 from .weights import HAAR, TRIG, haar_rows, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
-_REPLICA_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,7 @@ def _finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def _replica_map(
-    stat, spec: SourceSpec, n: int, n_replicas: int, threads: int
-) -> np.ndarray:
+def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int) -> np.ndarray:
     """stat of each replica's inputs, in ascending replica order.
 
     stat maps a (replicas x n) block of inputs to one value per replica;
@@ -171,19 +168,20 @@ def _replica_map(
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
+    require_streams(spec, n_replicas)
     rows = max(1, BLOCK // n)
+    # one run of whole sub-blocks per worker: threads past the cores only cost memory
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    step = rows * -(-n_replicas // (rows * workers))
 
-    def chunk(lo: int) -> list:
-        hi = min(lo + _REPLICA_CHUNK, n_replicas)
+    def run(lo: int) -> list:
+        hi = min(lo + step, n_replicas)
         return [np.array(stat(x)) for x in stream_blocks(spec, n, lo, hi, rows)]
 
-    starts = range(0, n_replicas, _REPLICA_CHUNK)
-    if threads > 1:
-        # a thread per chunk up to max_workers: past the cores they only cost memory
-        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(chunk, starts))
-    else:
-        parts = [chunk(lo) for lo in starts]
+    if workers == 1:
+        return np.concatenate(run(0))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(run, range(0, n_replicas, step)))
     return np.concatenate([block for part in parts for block in part])
 
 
@@ -307,20 +305,16 @@ def ldp_rate(
     if replicas < 1:
         raise ConfigError(f"need at least 1 replica, got replicas={replicas}")
     require_trig(n, r)
+    require_streams(spec, 2 * replicas)  # the main run and its baseline
     main = _half_line_rate(spec, mean_weights(n, r), r, a, replicas, threads)
-    oracle_spec = SourceSpec(
-        family="normal",
-        master_seed=spec.master_seed,
-        stream_id=spec.stream_id + replicas,
-    )
+    oracle_spec = SourceSpec("normal", spec.master_seed, spec.stream_id + replicas)
     oracle = _half_line_rate(oracle_spec, np.array([1.0 / math.sqrt(r)]), r, a, replicas, threads)
-    target = empirical.rate_function_gaussian(a, 1.0)
     p_lo, p_hi = empirical.wilson_interval(main["hits"], replicas)
     point = {
         "n": n,
         "r": r,
         "a": a,
-        "target_rate": target,
+        "target_rate": empirical.rate_function_gaussian(a, 1.0),
         "rate": main["rate"],
         "p_hat": main["p_hat"],
         "hits": main["hits"],

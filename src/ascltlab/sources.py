@@ -93,10 +93,14 @@ class SourceSpec:
         return replace(self, stream_id=int(stream_id))
 
 
-def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
-    """Per-stream keys of streams spec.stream_id + lo .. spec.stream_id + hi - 1."""
+def require_streams(spec: SourceSpec, hi: int) -> None:
+    """Refuse unless the streams spec.stream_id .. + hi - 1 are all below 2**64."""
     if spec.stream_id + hi > 2**64:
         raise ConfigError("stream ids must stay below 2**64")
+
+
+def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
+    """Per-stream keys of streams spec.stream_id + lo .. + hi - 1 (see require_streams)."""
     z = np.empty(hi - lo + 1, dtype=np.uint64)
     z[0] = spec.master_seed
     z[1:] = np.arange(lo, hi, dtype=np.uint64) + np.uint64(spec.stream_id) + _GAMMA
@@ -164,16 +168,18 @@ def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.
 def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
     """X_1..X_n of the streams spec.stream_id + lo .. spec.stream_id + hi - 1,
     in order, as (streams x n) blocks of at most rows streams; a draw is pure
-    in (seed, stream, index), so the block size changes no value.  All blocks
+    in (seed, stream, index), so the block size changes no value.  The whole
+    range is checked before the first draw, and each block's stream keys are
+    derived as it is drawn, so memory does not grow with hi - lo.  All blocks
     share one buffer pair, so a block lasts only until the next one is drawn:
     whatever outlives that must be copied.
     """
-    keys = _stream_keys(spec, lo, hi)
-    z = np.empty((min(rows, keys.size), n), dtype=np.uint64)
+    require_streams(spec, hi)
+    z = np.empty((min(rows, hi - lo), n), dtype=np.uint64)
     jg = _index_keys(0, n)
     t = np.empty_like(z)
-    for b in range(0, keys.size, rows):
-        k = keys[b:b + rows]
+    for b in range(lo, hi, rows):
+        k = _stream_keys(spec, b, min(b + rows, hi))
         yield _draw(spec.family, spec.p, k, jg, z[:k.size], t[:k.size])
 
 

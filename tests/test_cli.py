@@ -642,24 +642,62 @@ def test_cli_imports_no_private_name():
 def test_every_public_function_has_a_caller():
     # a public top-level function or class of the package that no module of
     # the package, the benchmark or the scripts names (as a name, an
-    # attribute or an import) is a dead helper; its own def is not a use
+    # attribute or an import) is a dead helper; its own def is not a use.
+    # A private top-level function, class or constant must be named by the
+    # package itself, and its own assignment is no use either
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "ascltlab").glob("*.py"))
-    defined = {}
+    public, private = {}, {}
     for path in package:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = f"{path.stem}.{node.name}"
-    used = set()
-    for path in package + sorted(root.glob("bench/*.py")) + sorted(root.glob("scripts/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    assert sorted(defined[name] for name in defined.keys() - used) == []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name) and t.id.startswith("_")]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__"):
+                    (private if name.startswith("_") else public)[name] = f"{path.stem}.{name}"
+
+    def used(paths):
+        names = set()
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+        return names
+
+    callers = package + sorted(root.glob("bench/*.py")) + sorted(root.glob("scripts/*.py"))
+    assert sorted(public[name] for name in public.keys() - used(callers)) == []
+    assert sorted(private[name] for name in private.keys() - used(package)) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["ldp", "--n", "16", "--r", "3", "--replicas", "8192"],
+    ["clt-fluct", "--n", "64", "--r", "4", "--replicas", "20480"],
+    ["char-decay", "--schedule", "16:7,64:31", "--replicas", "20480"],
+], ids=lambda argv: argv[0])
+def test_replica_streams_past_64_bits_exit_2_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                              argv, threads):
+    # 2**64 - 10**4 holds ldp's 8192 main streams but not its baseline's,
+    # and the others' last streams; the range is refused before a draw
+    def draw(*args):
+        raise AssertionError("drew before the stream range was checked")
+
+    monkeypatch.setattr(sources, "_draw", draw)
+    out = tmp_path / "out"
+    assert run([*argv, "--stream", str(2**64 - 10**4), "--threads", threads,
+                "--out-dir", str(out)]) == 2
+    assert "stream ids must stay below 2**64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_third_party_import_is_a_declared_dependency():

@@ -156,6 +156,13 @@ def test_rate_gaussian_examples():
     assert rate_function_gaussian(0.5, 1.0) == pytest.approx(0.125)
 
 
+def test_rate_gaussian_keeps_the_digits_of_a_small_mean():
+    # summing sigma2 + m^2 before subtracting 1 gave 0.0 at m = 1e-9 and
+    # 0.04500000000000004 at m = 0.3
+    for m in (1e-9, -1e-5, 0.01, 0.3, 0.5, 1.7):
+        assert rate_function_gaussian(m, 1.0) == 0.5 * m * m
+
+
 def test_rate_gaussian_quadrature_oracle():
     # KL(N(1,1) || N(0,1)) by direct integration of f ln(f/phi)
     f = lambda x: math.exp(-((x - 1.0) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)

@@ -259,15 +259,15 @@ def test_char_decay_thread_count_invariant():
 
 
 def test_replica_map_follows_replica_streams():
-    # 1100 replicas at n = 300: 218-row sub-blocks straddle the 512-replica chunks
+    # 1100 replicas at n = 300: 218-row sub-blocks, split between the workers
     spec = spec_of("normal", 8, stream=40)
     got = _replica_map(lambda x: x[:, -1] + 2.0 * x[:, 0], spec, 300, 1100, threads=4)
     rows = [sample_prefix(spec.with_stream(40 + i), 300) for i in range(1100)]
     assert np.array_equal(got, np.array([x[-1] + 2.0 * x[0] for x in rows]))
 
 
-# rows [lo, hi) across the 512-replica chunks and the sub-blocks: 218 rows
-# at n = 300, 16 rows at n = 4096
+# rows [lo, hi) across 512, 1024 and the sub-blocks: 218 rows at n = 300,
+# 16 rows at n = 4096
 @pytest.mark.parametrize("spec", all_family_specs(31, 7), ids=lambda s: s.family)
 @pytest.mark.parametrize("n, lo, hi", [(300, 509, 516), (300, 1021, 1035), (4096, 0, 17),
                                        (4096, 100, 613)])
@@ -284,7 +284,7 @@ def test_replica_sampler_matches_sample_rows_and_streams(spec, n, lo, hi):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_replica_map_keeps_a_stat_that_views_its_block(family, threads):
     # x[:, 0] views the buffers that the next sub-block overwrites; 600
-    # replicas at n = 300 cross the 512-replica chunk in 218-row sub-blocks
+    # replicas at n = 300 take three 218-row sub-blocks
     spec = spec_of(family, 9, stream=3)
     got = _replica_map(lambda x: x[:, 0], spec, 300, 600, threads)
     assert np.array_equal(got, [sample_prefix(spec.with_stream(3 + i), 300)[0] for i in range(600)])
@@ -297,7 +297,7 @@ def test_replica_map_rejects_negative_threads():
 
 class _SerialPool:
     """A ThreadPoolExecutor stand-in that records its max_workers and runs
-    every chunk in the calling thread."""
+    every worker's run in the calling thread."""
 
     workers: list = []
 
@@ -314,9 +314,10 @@ class _SerialPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("cpus, workers", [(3, [2, 3, 3]), (None, [1, 1, 1])])
+@pytest.mark.parametrize("cpus, workers", [(3, [2, 3, 3]), (None, [])])
 def test_replica_map_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, workers):
-    # no real threads are started: the pool runs its chunks serially
+    # no real threads are started: the pool runs its workers serially, and
+    # at a cap of one worker no pool is made
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "workers", [])
@@ -325,6 +326,25 @@ def test_replica_map_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, worker
     for threads in (2, 3, 100_000):
         assert np.array_equal(_replica_map(lambda x: x[:, 0], spec, 16, 1100, threads), serial)
     assert _SerialPool.workers == workers
+
+
+@pytest.mark.parametrize("threads, runs", [(1, [(0, 1100)]), (2, [(0, 654), (654, 1100)]),
+                                           (8, [(0, 654), (654, 1100)])])
+def test_replica_map_draws_one_run_of_whole_sub_blocks_per_worker(monkeypatch, threads, runs):
+    # 218-row sub-blocks at n = 300, two CPUs: each worker's run starts at a
+    # multiple of 218 and is drawn by one stream_blocks call
+    calls = []
+
+    def blocks(spec, n, lo, hi, rows):
+        calls.append((lo, hi))
+        return stream_blocks(spec, n, lo, hi, rows)
+
+    monkeypatch.setattr(experiments, "stream_blocks", blocks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = spec_of("normal", 8)
+    got = _replica_map(lambda x: x[:, 0], spec, 300, 1100, threads)
+    assert sorted(calls) == runs
+    assert np.array_equal(got, [sample_prefix(spec.with_stream(i), 300)[0] for i in range(1100)])
 
 
 def test_clt_fluctuation_replica_floor():

@@ -171,6 +171,32 @@ REPLICA_REFERENCE_PIN = {
          " --s 1 --t 0 --replicas 2048 --threads 1").split(),
         "3de4df8a901a5053f94d2640051fbbb9ac7819b5499bd81c1e63af7592653e1d",
         "ea2d75413b898cd3d2d9539305db21d7277ec9eea1be996e51a99284a91d3f2a"),
+    # replica sizes off the benchmark's, at threads 1 and 2 (below): sub-blocks
+    # of 4096 and 1024 streams at n = 16 and 64, one stream per sub-block at
+    # n = 65538 and 131072, and the n = 1 ldp baseline
+    **{f"{name} threads {threads}": ((cmd + f" --threads {threads}").split(), *digests)
+       for name, (cmd, *digests) in {
+           "char-decay small n": (
+               "char-decay --family rademacher --schedule 16:7,64:31 --replicas 3001",
+               "d800560faa29d8f60bead74a873fe6fcc0725108a74a1d4d78c3fd6186a07207",
+               "9342908f229b2c51465645e63f2c7191b847e8826903350e276b0ec57f310dd3"),
+           "char-decay large n": (
+               "char-decay --family rademacher --schedule 65538:5 --replicas 101",
+               "4377948737ea3ba0572a7823103bbf78b53106229c3ad4e4e7637c45c188d2c7",
+               "63df154646fd5902243a1693d8a9b1f52d570023c45c10840c0e0396ffe7b1b9"),
+           "clt-fluct small n": (
+               "clt-fluct --family rademacher --n 64 --r 4 --replicas 5003",
+               "62c8a765a39ba4f3cf2569c77e9f6c02d6d98893271bfee2c905aae8ab8bf386",
+               "0be61ca8866baed4497f003fdac8200000070ede1af63e2f615fd2740ce282b5"),
+           "clt-fluct large n": (
+               "clt-fluct --family rademacher --n 131072 --r 3 --replicas 101",
+               "34abfd4824b69c26b69a213ad3bbab66b96d22fbfa280210811ee5d770fecf2c",
+               "f4db37dc3b7540942d03c82c60bdeccb403f0f0d471581eaa8645f8c31369d0e"),
+           "ldp small n": (
+               "ldp --family rademacher --n 16 --r 3 --replicas 70001",
+               "157f1237a6f64f43e398ccf4d9dd1d29c179e41540271adad78c96461e3424a4",
+               "b3729ed40aa29f614ac9099f7dccbb54c67685ed80add7d21ac1af8038829b95"),
+       }.items() for threads in (1, 2)},
     "check-weights haar": (
         "check-weights --weights haar --n 512 --r 512".split(),
         "b6b71bb3a29e3e04cddb0c28124a9736622229477eb226fefaa588c60af46f50",

@@ -129,7 +129,7 @@ def all_family_specs(seed, stream):
     return [make_spec(f, seed, stream) for f in FAMILIES]
 
 
-# row ranges crossing the 512-replica chunk and the 218-row sub-block of n = 300
+# row ranges crossing 512 and 1024, and the 218-row sub-block of n = 300
 @pytest.mark.parametrize("spec", all_family_specs(29, 11), ids=lambda s: s.family)
 @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 20), (211, 230), (509, 515), (1021, 1034)])
 def test_sample_rows_match_streams(spec, lo, hi):
@@ -153,6 +153,21 @@ def test_sample_rows_rejects_stream_overflow():
     assert stacked(spec, 4, 0, 3, 3).shape == (3, 4)
     with pytest.raises(ValueError):
         stacked(spec, 4, 0, 4, 4)
+    # the whole range is refused before its first block is drawn
+    blocks = stream_blocks(spec, 4, 0, 4, 1)
+    with pytest.raises(ValueError, match="below 2"):
+        next(blocks)
+
+
+def test_stream_blocks_memory_does_not_grow_with_the_stream_range():
+    # a million streams at n = 16 in blocks of 4096: the stream keys are
+    # derived one block at a time, next to the two 512 KiB draw buffers
+    def consume():
+        for _ in stream_blocks(make_spec("rademacher", seed=5), 16, 0, 10**6, 4096):
+            pass
+
+    _, peak = peak_bytes(consume)
+    assert peak < 2 * 2**20
 
 
 def _splitmix64_uniform(seed, stream, j):
