@@ -115,10 +115,11 @@ def load_config(path, keys) -> dict:
     Rejects a key outside keys, the settings the subcommand takes, and
     duplicate keys (naming both line numbers); values are converted by
     the declared type of each key, and checked against its choices.  A
-    file that cannot be opened or read as UTF-8 is a ConfigError too.
+    leading UTF-8 BOM is skipped, and a file that cannot be opened or read
+    as UTF-8 is a ConfigError too.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -178,10 +178,11 @@ def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int) 
         hi = min(lo + step, n_replicas)
         return [np.array(stat(x)) for x in stream_blocks(spec, n, lo, hi, rows)]
 
-    if workers == 1:
+    runs = range(0, n_replicas, step)
+    if len(runs) == 1:
         return np.concatenate(run(0))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, range(0, n_replicas, step)))
+    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+        parts = list(pool.map(run, runs))
     return np.concatenate([block for part in parts for block in part])
 
 

@@ -4,7 +4,9 @@ Every supported family has mean 0 and variance 1 exactly, by analytic
 choice of the standardization constants.  A draw is a pure function of
 (master_seed, stream_id, index), so one fixed sample path can be extended
 as n grows: the first n1 values of a stream never depend on how many
-values are ever requested (prefix stability).
+values are ever requested (prefix stability).  Every draw is made by
+stream_blocks, the one loop over a range of streams (sample_prefix is its
+one-stream block), or by normal_grid.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
     return z[1:] ^ z[0]
 
 
-def _index_keys(lo: int, hi: int) -> np.ndarray:
-    """j * gamma for the 1-based indices j = lo + 1..hi."""
-    jg = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+def _index_keys(m: int) -> np.ndarray:
+    """j * gamma for the 1-based indices j = 1..m."""
+    jg = np.arange(1, m + 1, dtype=np.uint64)
     jg *= _GAMMA
     return jg
 
@@ -170,34 +172,29 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
     in order, as (streams x n) blocks of at most rows streams; a draw is pure
     in (seed, stream, index), so the block size changes no value.  The whole
     range is checked before the first draw, and each block's stream keys are
-    derived as it is drawn, so memory does not grow with hi - lo.  All blocks
-    share one buffer pair, so a block lasts only until the next one is drawn:
+    derived as it is drawn, so memory does not grow with hi - lo.  A block
+    is drawn BLOCK indices at a time, over one (rows x BLOCK) scratch array
+    and one BLOCK of index keys, so it is the only n-long array.  All blocks
+    share one buffer, so a block lasts only until the next one is drawn:
     whatever outlives that must be copied.
     """
     require_streams(spec, hi)
     z = np.empty((min(rows, hi - lo), n), dtype=np.uint64)
-    jg = _index_keys(0, n)
-    t = np.empty_like(z)
+    t = np.empty((z.shape[0], min(n, BLOCK)), dtype=np.uint64)
+    jg = _index_keys(t.shape[1])
     for b in range(lo, hi, rows):
         k = _stream_keys(spec, b, min(b + rows, hi))
-        yield _draw(spec.family, spec.p, k, jg, z[:k.size], t[:k.size])
+        for c in range(0, n, BLOCK):
+            d = min(c + BLOCK, n)
+            _draw(spec.family, spec.p, k, jg[: d - c], z[:k.size, c:d], t[:k.size, : d - c])
+            k += jg[-1]  # the keys of the next chunk, as jg[-1] is then BLOCK gamma
+        yield z[:k.size].view(np.float64)
 
 
 def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
-    """The first n values X_1..X_n of the stream.
-
-    They are drawn straight into the result, BLOCK values at a time, with
-    one block of scratch: about n + 2 BLOCK floats in all.  A draw is pure
-    in (seed, stream, index), so the blocks change no value.
-    """
-    key = _stream_keys(spec, 0, 1)
-    x = np.empty(n)
-    z = x.view(np.uint64)[None]
-    t = np.empty((1, min(n, BLOCK)), dtype=np.uint64)
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        _draw(spec.family, spec.p, key, _index_keys(lo, hi), z[:, lo:hi], t[:, : hi - lo])
-    return x
+    """X_1..X_n of the stream: the one-stream block of stream_blocks, about
+    n + 2 BLOCK floats; the generator is then dropped, so the caller owns it."""
+    return next(stream_blocks(spec, n, 0, 1, 1))[0]
 
 
 def normal_grid(spec: SourceSpec, n: int, r: int) -> np.ndarray:
@@ -208,4 +205,4 @@ def normal_grid(spec: SourceSpec, n: int, r: int) -> np.ndarray:
     """
     row_keys = _stream_keys(spec, 0, 1) + np.arange(n, dtype=np.uint64) * np.uint64(n) * _GAMMA
     z = np.empty((n, r), dtype=np.uint64)
-    return _draw("normal", None, row_keys, _index_keys(0, r), z, np.empty_like(z))
+    return _draw("normal", None, row_keys, _index_keys(r), z, np.empty_like(z))

@@ -31,7 +31,8 @@ every cell, one line per row.
 Monte Carlo: every replica draws all n normal inputs and projects them on
 the mean weights, where ``ldp_rate`` draws the mean from its exact law.
 ``rademacher_mean_tail`` is the exact law of its Rademacher hits at small
-n, by enumerating all 2^n sign vectors.
+n, by enumerating all 2^n sign vectors; ``clt_fluctuation_law`` gives the
+exact moments of ``clt_fluctuation``'s W the same way.
 """
 
 import math
@@ -39,9 +40,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from ascltlab.empirical import normal_cdf
 from ascltlab.experiments import _half_line_rate
 from ascltlab.sources import SourceSpec
-from ascltlab.transform import mean_weights
+from ascltlab.transform import mean_weights, partial_sums_batch
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 50, tol: float = 1e-13) -> np.ndarray:
@@ -257,6 +259,20 @@ def rademacher_mean_tail(n: int, r: int, a: float) -> tuple[float, float]:
     for cj in mean_weights(n, r):
         atoms = np.concatenate([atoms - cj, atoms + cj])
     return float(np.mean(atoms >= a)), float(np.min(np.abs(atoms - a)))
+
+
+def clt_fluctuation_law(n: int, r: int, x: float) -> tuple[float, float, float, float]:
+    """(mean, variance, fourth central moment) of W = (1/sqrt r) sum_k
+    (1_{S_k <= x} - Phi(x)) over all 2^n equally likely sign vectors, S
+    from partial_sums_batch, and the distance from x to the nearest atom
+    S_k: the exact law of clt_fluctuation's Rademacher W wherever no atom
+    lies within rounding of x."""
+    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    s = partial_sums_batch(n, r, signs)[0]
+    w = np.sum(s <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * normal_cdf(x)
+    d = w - np.mean(w)
+    return (float(np.mean(w)), float(np.mean(d**2)), float(np.mean(d**4)),
+            float(np.min(np.abs(s - x))))
 
 
 def ks_to(samples, cdf) -> float:

@@ -161,6 +161,16 @@ def test_config_file_plus_flags(tmp_path):
     assert doc["master_seed"] == 9
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # an editor's UTF-8 BOM is not part of the first key
+    text = "n = 64\nseed = 5\n"
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.cfg").write_bytes(data)
+        assert run(["periodogram", "--config", str(tmp_path / f"{name}.cfg"),
+                    "--out-dir", str(tmp_path / name)]) == 0
+    assert _artifact_bytes(tmp_path / "bom") == _artifact_bytes(tmp_path / "plain")
+
+
 def test_empty_config_with_full_flags(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
@@ -637,6 +647,22 @@ def test_cli_imports_no_private_name():
             if alias.name.startswith("_")
         ]
     assert not private
+
+
+def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
+    # every draw of the package goes through these two functions, so a
+    # count or a timer there sees them all; a call is booked to the
+    # top-level statement that holds it
+    callers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [
+                f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and "_draw" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+    assert sorted(callers) == ["sources.normal_grid", "sources.stream_blocks"]
 
 
 def test_every_public_function_has_a_caller():

@@ -21,7 +21,13 @@ from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
 from ascltlab.transform import partial_sums_fast
 from ascltlab.weights import check_trig, make_trig_pair
 
-from .oracles import empirical_char, joint_cdf, ldp_normal_baseline, rademacher_mean_tail
+from .oracles import (
+    clt_fluctuation_law,
+    empirical_char,
+    joint_cdf,
+    ldp_normal_baseline,
+    rademacher_mean_tail,
+)
 from .test_sources import all_family_specs
 
 
@@ -230,6 +236,22 @@ def test_clt_fluctuation_rademacher():
     assert abs(res.points[0]["w_variance"] - 0.25) <= 0.06
 
 
+@pytest.mark.parametrize("x", [0.3, -0.7])
+@pytest.mark.parametrize("r", [3, 7])
+def test_clt_fluctuation_rademacher_matches_the_exact_law(r, x):
+    # at n = 16 the 2^16 sign vectors are equally likely, so W's mean and
+    # variance are known exactly; the sample's lie within 4 SE of them.
+    # x = 0.5 is left out: an atom sits exactly there at n = 16
+    n, replicas = 16, 20_000
+    mean, var, mu4, gap = clt_fluctuation_law(n, r, x)
+    assert gap > 1e-9
+    p = clt_fluctuation(spec_of("rademacher", 11), n, r, x, replicas).points[0]
+    assert abs(p["w_mean"] - mean) <= 4.0 * math.sqrt(var / replicas)
+    # the variance of the unbiased sample variance, from the exact moments
+    var_se = math.sqrt((mu4 - var**2 * (replicas - 3) / (replicas - 1)) / replicas)
+    assert abs(p["w_variance"] - var) <= 4.0 * var_se
+
+
 def test_clt_fluctuation_far_tail():
     res = clt_fluctuation(spec_of("normal", 3), 2**12, 32, 10.0, 100)
     p = res.points[0]
@@ -314,18 +336,37 @@ class _SerialPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("cpus, workers", [(3, [2, 3, 3]), (None, [])])
-def test_replica_map_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, workers):
-    # no real threads are started: the pool runs its workers serially, and
-    # at a cap of one worker no pool is made
+def pools(monkeypatch, cpus, n, replicas, threads):
+    """The max_workers of each pool that _replica_map makes at each thread
+    count, with cpu_count() giving cpus.  No real threads are started: the
+    pool runs its workers serially, and each output is checked against
+    threads = 1."""
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "workers", [])
     spec = spec_of("normal", 8)
-    serial = _replica_map(lambda x: x[:, 0], spec, 16, 1100, threads=1)
-    for threads in (2, 3, 100_000):
-        assert np.array_equal(_replica_map(lambda x: x[:, 0], spec, 16, 1100, threads), serial)
-    assert _SerialPool.workers == workers
+    serial = _replica_map(lambda x: x[:, 0], spec, n, replicas, threads=1)
+    for t in threads:
+        assert np.array_equal(_replica_map(lambda x: x[:, 0], spec, n, replicas, t), serial)
+    return _SerialPool.workers
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [2, 3, 3]), (None, [])])
+def test_replica_map_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, workers):
+    # 1100 replicas at n = 300 are six 218-row sub-blocks; at a cap of one
+    # worker no pool is made
+    assert pools(monkeypatch, cpus, 300, 1100, (2, 3, 100_000)) == workers
+
+
+@pytest.mark.parametrize("n, replicas, threads, workers", [
+    (16, 1100, (2, 3, 100_000), []),
+    (300, 872, (3,), [2]),
+])
+def test_replica_map_makes_one_worker_per_run(monkeypatch, n, replicas, threads, workers):
+    # 1100 replicas at n = 16 are one 4096-row sub-block, drawn in the
+    # calling thread; 872 replicas at n = 300 are four 218-row sub-blocks,
+    # which three workers split into two runs of two
+    assert pools(monkeypatch, 3, n, replicas, threads) == workers
 
 
 @pytest.mark.parametrize("threads, runs", [(1, [(0, 1100)]), (2, [(0, 654), (654, 1100)]),

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from ascltlab import BLOCK
 from ascltlab.sources import (
     SourceSpec,
+    _draw,
+    _index_keys,
     _rademacher,
+    _stream_keys,
     normal_grid,
     sample_prefix,
     stream_blocks,
@@ -79,10 +82,13 @@ def test_prefix_stability(family, seed, n1, n2):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
 def test_prefix_in_blocks_matches_one_block_draw(family, n):
-    # sample_prefix draws BLOCK values at a time into its result; the
-    # one-stream block of stream_blocks draws all n at once
+    # sample_prefix draws BLOCK indices at a time, advancing the stream key
+    # from chunk to chunk; one _draw over all n index keys at once is the
+    # same stream
     spec = make_spec(family, seed=2**63 + 5, stream=7)
-    assert np.array_equal(sample_prefix(spec, n), next(stream_blocks(spec, n, 0, 1, 1))[0])
+    z = np.empty((1, n), dtype=np.uint64)
+    whole = _draw(family, spec.p, _stream_keys(spec, 0, 1), _index_keys(n), z, np.empty_like(z))
+    assert np.array_equal(sample_prefix(spec, n), whole[0])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -92,6 +98,19 @@ def test_prefix_memory_is_its_result_and_two_blocks(family):
     x, peak = peak_bytes(lambda: sample_prefix(make_spec(family, seed=3), 2**20))
     assert x.size == 2**20
     assert peak <= 10 * 2**20, f"sample_prefix peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_stream_blocks_hold_one_block_and_its_scratch(family):
+    # three blocks of one stream at n = 2**20 share one 8 MiB buffer, next
+    # to one BLOCK of scratch and one of index keys; drawing whole rows
+    # took 24 MiB
+    def consume():
+        for _ in stream_blocks(make_spec(family, seed=6), 2**20, 0, 3, 1):
+            pass
+
+    _, peak = peak_bytes(consume)
+    assert peak <= 10 * 2**20, f"stream_blocks peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -142,10 +161,11 @@ def test_sample_rows_match_streams(spec, lo, hi):
 
 @pytest.mark.parametrize("spec", all_family_specs(2**64 - 1, 0), ids=lambda s: s.family)
 def test_sample_rows_window_matches_block(spec):
-    # streams 2..4 in blocks of 2 and 1
-    block = stacked(spec, 50, 2, 5, 2)
-    for i in range(2, 5):
-        assert np.array_equal(block[i - 2], sample_prefix(spec.with_stream(i), 50))
+    # streams 2..4 in blocks of 2 and 1, in one column chunk and in two
+    for n in (50, BLOCK + 1):
+        block = stacked(spec, n, 2, 5, 2)
+        for i in range(2, 5):
+            assert np.array_equal(block[i - 2], sample_prefix(spec.with_stream(i), n))
 
 
 def test_sample_rows_rejects_stream_overflow():
