@@ -7,6 +7,12 @@ as n grows: the first n1 values of a stream never depend on how many
 values are ever requested (prefix stability).  Every draw is made by
 stream_blocks, the one loop over a range of streams (sample_prefix is its
 one-stream block), or by normal_grid.
+
+Index j of a stream hashes the key stream_key + j * gamma with the
+splitmix64 finalizer.  Every family but rademacher reads the hash as one
+uniform.  A rademacher stream reads one hash per 64 indices: index j takes
+bit (j - 1) % 64 of word (j - 1) // 64, the hash of the key of the word's
+first index, -1 where the bit is clear and +1 where it is set.
 """
 
 from __future__ import annotations
@@ -33,19 +39,16 @@ _SQRT3 = math.sqrt(3.0)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_SIGN = np.uint64(1 << 63)
-_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)  # IEEE-754 bits of -1.0
 _FINALIZER = ((np.uint64(30), _M1), (np.uint64(27), _M2), (np.uint64(31), None))
+# row v: the signs of bits 0..7 of the byte v, -1.0 where clear, +1.0 where set
+_BYTE_SIGNS = np.where(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                     bitorder="little"), 1.0, -1.0)
 
 
-def _mix64(z: np.ndarray, t: np.ndarray, sign_only: bool = False) -> np.ndarray:
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, applied to the uint64 array z in place;
-    t is scratch of z's shape.
-
-    sign_only leaves out the last step, z ^= z >> 31: it never changes
-    bit 63, the only bit a Rademacher draw reads.
-    """
-    for shift, mult in _FINALIZER[:2] if sign_only else _FINALIZER:
+    t is scratch of z's shape."""
+    for shift, mult in _FINALIZER:
         np.right_shift(z, shift, out=t)
         np.bitwise_xor(z, t, out=z)
         if mult is not None:
@@ -117,21 +120,25 @@ def _index_keys(m: int) -> np.ndarray:
     return jg
 
 
-def _rademacher(z: np.ndarray) -> np.ndarray:
-    """Rademacher signs from splitmix64 outputs, reusing z's memory.
-
-    The uniform ((z >> 11) + 0.5) 2^-53 is below 1/2 exactly when bit 63
-    of z is clear, so that bit alone picks -1 (clear) or +1 (set): it
-    clears the sign bit of -1.0.
+def _signs(keys: np.ndarray, jg: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rademacher signs for _draw: column i reads bit i % 64 of the hash of
+    keys + jg[64 (i // 64)], the key of its word's first index.  The words
+    go in t and their bytes (little-endian: byte k holds bits 8k..8k+7)
+    through _BYTE_SIGNS into z's memory, 8 signs per byte.
     """
-    np.bitwise_and(z, _SIGN, out=z)
-    np.bitwise_xor(z, _MINUS_ONE_BITS, out=z)
-    return z.view(np.float64)
+    w = -(-jg.size // 64)
+    b = _mix64(np.add(keys[:, None], jg[::64], out=t[:, :w]), z[:, :w]).view(np.uint8)
+    q, s = divmod(jg.size, 8)
+    out = z.view(np.float64)
+    np.take(_BYTE_SIGNS, b[:, :q], axis=0, out=out[:, : 8 * q].reshape(len(out), q, 8), mode="clip")
+    if s:
+        out[:, 8 * q :] = _BYTE_SIGNS[b[:, q], :s]
+    return out
 
 
 def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
     """Standardized draws from uniforms, for every family but rademacher
-    (see _rademacher), written over u."""
+    (see _signs), written over u."""
     if family == "uniform":
         # uniform on [-sqrt(3), sqrt(3)]: mean 0, variance 1
         u *= 2.0
@@ -158,12 +165,14 @@ def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
 def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.ndarray,
           t: np.ndarray) -> np.ndarray:
     """Draws of the family at the keys keys[i] + jg[c], jg holding j * gamma
-    for the indices j.  z receives them and t is scratch, both uint64 of
-    shape (keys.size, jg.size); the result is a float64 view of z.
+    for the indices j = 1..jg.size.  For rademacher, keys[i] must be a
+    multiple of 64 indices into its stream, a word edge (see _signs).  z
+    receives the draws and t is scratch, both uint64 of shape
+    (keys.size, jg.size); the result is a float64 view of z.
     """
-    np.add(keys[:, None], jg, out=z)
     if family == "rademacher":
-        return _rademacher(_mix64(z, t, sign_only=True))
+        return _signs(keys, jg, z, t)
+    np.add(keys[:, None], jg, out=z)
     return _transform(family, p, _unit(_mix64(z, t), t))
 
 
@@ -174,7 +183,8 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
     range is checked before the first draw, and each block's stream keys are
     derived as it is drawn, so memory does not grow with hi - lo.  A block
     is drawn BLOCK indices at a time, over one (rows x BLOCK) scratch array
-    and one BLOCK of index keys, so it is the only n-long array.  All blocks
+    and one BLOCK of index keys, so it is the only n-long array; BLOCK is a
+    multiple of 64, so no rademacher word straddles two chunks.  All blocks
     share one buffer, so a block lasts only until the next one is drawn:
     whatever outlives that must be copied.
     """

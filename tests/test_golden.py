@@ -113,8 +113,8 @@ _TRIG_PATH = ",".join(f"{4**k}:{4**k // 2 - 1}" for k in range(5, 11))
 SCALE_PIN = {
     "asclt rademacher trig": (
         ["asclt", "--family", "rademacher", "--weights", "trig", "--schedule", _TRIG_PATH],
-        "b83fc9b64f4709446f447b80518717ba40ae95dcf7433da9915a2becf2c0c84e",
-        "e3e98835b690f131a52f5803308ca73258522f7014f107391885d62892833c16"),
+        "0d31f6cd3656651f673695cb84d0c59e01e9414d641c538decfa51a8ae446259",
+        "d984d41998c69259734811631198ceb1df449d8778db1c77235180fdf3183083"),
     "asclt normal trig": (
         ["asclt", "--family", "normal", "--weights", "trig", "--schedule", _TRIG_PATH],
         "888b627b9acfb0ed6318b67202045934807d1eaae899884c99f616af94464409",
@@ -122,29 +122,29 @@ SCALE_PIN = {
     "asclt rademacher haar": (
         ["asclt", "--family", "rademacher", "--weights", "haar",
          "--schedule", "256:64,512:64,1024:64"],
-        "00840c7dd215e880495b1334a2f78c0ae02d8d6b47643dc97bbfe9df22f07e16",
-        "ce40a5c4cc69ad096519e086aea172b7a6433efa1fdee6b2b59bdacc30f5156c"),
+        "e37603bae8783004d5a087c2b9873edeea98c3067e4b51f8e06192859c571dfd",
+        "85ec5e0d1f8692c278cd4c9e2d4a29b25e565835198196a5f16f5fa89e30ee7a"),
     "bivariate": (
         ["bivariate", "--family", "rademacher", "--schedule", "1048576:524287"],
-        "3146e5b10eb7ae21c5f71a4584b6afb6e0283ac6d699f3f6e31e715bdf8bea9b",
-        "0c074c47a7f77bfb8b566db9a4f533118b33551e9734d814137ba516043da2ef"),
+        "7264d3f56fe36b4fbf028ffb1861e0cf947bb9f913eb22de4acc441493e04ce2",
+        "b4919c6faf5443c913d4f98a0817e54c6bea96a9dba6f0141667dc07791e6127"),
     "periodogram": (
         ["periodogram", "--family", "rademacher", "--n", "1048576"],
-        "ebb0c0ddb480079e08dd67ad0765c62f6115433d5331063c4dfeab0de176d9d7",
-        "646d3cad17587399d085eb487b1d75d34d3411096f74587c80f4f8710c63c8c7"),
+        "07c0f3d9e42d54fff2064194122d4d7e16cc73398a11c3dc5e5bc0ac60eaa52d",
+        "be6373e5373ee7c914002ddd93ada0d1511ec999a012ab5e9d6c9ec0c77aaf29"),
     "spectrum symmetric": (
         ["spectrum", "--family", "rademacher", "--ensemble", "symmetric", "--n", "262145"],
-        "374628c5ce91d10f330595493f75aa6031e03ca3ba952c566f1c925bf14b1567",
-        "3fc3f706dc00b16e26711626bec081184aab242804eecd8d3fe2217b0ec56385"),
+        "e05edfbb58ae587b9816f9b6427bc873bb3935f292bfecd3be365b7439786bb0",
+        "c6859fb07f4c1e6dc4fc56eb33c7a14ae635e14fe0b6b1c7bb10d69b458ced57"),
     "spectrum reverse": (
         ["spectrum", "--family", "rademacher", "--ensemble", "reverse", "--n", "262145"],
-        "8391d9e263614f9b725c998830c097c1e81624530cb6a3283b3115985627a74b",
-        "73c098b64c3e1bac5166047e7ab93ba9d3360684381034f46501bead5d7d5f0d"),
+        "090e44e883e1bbc707783b95c271a5f6a7344aeb2bd7fd52ca42265589f195b5",
+        "455ba1188795b3472504153bf204f52fb6529e3514b352ffcf20260b96489853"),
     # even n: the frequency-n/2 eigenvalue is reported too
     "spectrum reverse even": (
         ["spectrum", "--family", "rademacher", "--ensemble", "reverse", "--n", "1048576"],
-        "a43a8f36a30bf0fb5b12ac413de3a274b191aaa3c37267bbe9682a684cdf26f0",
-        "ae0d2f4b256a43e39c300d09d65e3fde44f96ab57b62c26ad0313505cf6c891e"),
+        "d441d4f55e34dbfe248c625445be7f4aaae11346ff8c0fb5cbb34c6f2c56c750",
+        "9337a50e89658effe82df9980e289160f1ffdb802432cfcfbb9d304a3139c5c7"),
     "asclt two_point trig": (
         ["asclt", "--family", "two_point", "--p", "0.3", "--weights", "trig",
          "--schedule", _TRIG_PATH],
@@ -153,15 +153,15 @@ SCALE_PIN = {
 }
 # the thread count changes no byte of an ldp artifact
 _LDP = ("ldp --family rademacher --n 4096 --r 32 --a 0.5 --replicas 8192 --threads {}",
-        "5c0f67bba61b98d2bc6ee39e88dae42124f8b3b4fc94b4fafd3c7d1e021ab442",
-        "ac0fb892d0c7c004991f1778e673908ee533627ddbdcfcc9ac31dc639ac67541")
+        "218a44a194de192b0330e0f2336d923a609b3c80c5f8dd3dac34a96b841e38fe",
+        "24da43e256bc2164bddcc298ddd15534cbb7530b3ce224bc352a44e1566e5882")
 REPLICA_REFERENCE_PIN = {
     "ldp threads 1": (_LDP[0].format(1).split(), *_LDP[1:]),
     "ldp threads 2": (_LDP[0].format(2).split(), *_LDP[1:]),
     "clt-fluct": (
         "clt-fluct --family rademacher --n 4096 --r 32 --x 0 --replicas 2048 --threads 1".split(),
-        "1d8239892506be629795d2cb85846ce97341c059a27ff532abde4d626b6c884e",
-        "f90341feaf5d8508b6e4ab0acb8ad6deabf3c6d0871c5f861c0f66202b823ffd"),
+        "98d855aaf257df755377849837bd01a6dd033f106f9944e64db21fba48c4af98",
+        "c39a4fa9908f31ae848e561a8837790954217613597772efdd8e5b2d25e26cce"),
     "clt-fluct two_point": (
         "clt-fluct --family two_point --p 0.3 --n 4096 --r 32 --x 0 --replicas 2048".split(),
         "348dcc245584a089b1c48dfadc410a9c7444e2494c1310b905f0d31e97241fc7",
@@ -169,8 +169,8 @@ REPLICA_REFERENCE_PIN = {
     "char-decay": (
         ("char-decay --family rademacher --schedule 128:63,512:255,2048:1023"
          " --s 1 --t 0 --replicas 2048 --threads 1").split(),
-        "3de4df8a901a5053f94d2640051fbbb9ac7819b5499bd81c1e63af7592653e1d",
-        "ea2d75413b898cd3d2d9539305db21d7277ec9eea1be996e51a99284a91d3f2a"),
+        "5eafe0426b44d1b78ee3f05ac45ba22e4415d1e50b1c0384efb757464df20fcc",
+        "30a6e900b70aec76f535526867f1500acca0fc990e13ba5ea58ba42278df89c8"),
     # replica sizes off the benchmark's, at threads 1 and 2 (below): sub-blocks
     # of 4096 and 1024 streams at n = 16 and 64, one stream per sub-block at
     # n = 65538 and 131072, and the n = 1 ldp baseline
@@ -178,24 +178,24 @@ REPLICA_REFERENCE_PIN = {
        for name, (cmd, *digests) in {
            "char-decay small n": (
                "char-decay --family rademacher --schedule 16:7,64:31 --replicas 3001",
-               "d800560faa29d8f60bead74a873fe6fcc0725108a74a1d4d78c3fd6186a07207",
-               "9342908f229b2c51465645e63f2c7191b847e8826903350e276b0ec57f310dd3"),
+               "0b56a003f268af414bc03d759bc30cd801796b6ccacb8735df2abd5c67e14353",
+               "1237de744b97d5669935e4ab7070e38ad284584a1087132eed0edf85586041cf"),
            "char-decay large n": (
                "char-decay --family rademacher --schedule 65538:5 --replicas 101",
-               "4377948737ea3ba0572a7823103bbf78b53106229c3ad4e4e7637c45c188d2c7",
-               "63df154646fd5902243a1693d8a9b1f52d570023c45c10840c0e0396ffe7b1b9"),
+               "4e48368de48a287699bc6aa7ad08f4d1a1f15b5b9fe43d004f7c951bdcf268c9",
+               "085cea6893d09a8eae05265000501a46aeb243f90c5a6d2943bdab058374146e"),
            "clt-fluct small n": (
                "clt-fluct --family rademacher --n 64 --r 4 --replicas 5003",
-               "62c8a765a39ba4f3cf2569c77e9f6c02d6d98893271bfee2c905aae8ab8bf386",
-               "0be61ca8866baed4497f003fdac8200000070ede1af63e2f615fd2740ce282b5"),
+               "1cbad8ea572d66ea1a2c04897b0c95dc33b8dce82d9f7f563605aa1ee00abac8",
+               "c155cc26a67d8b89927de4292ba6e013ba34cbd78390a76b7aad5c7ca2e76a03"),
            "clt-fluct large n": (
                "clt-fluct --family rademacher --n 131072 --r 3 --replicas 101",
-               "34abfd4824b69c26b69a213ad3bbab66b96d22fbfa280210811ee5d770fecf2c",
-               "f4db37dc3b7540942d03c82c60bdeccb403f0f0d471581eaa8645f8c31369d0e"),
+               "87189352a3dea7ba0fe83597a6dc1d10725a3194db211b927190a333742d4b9a",
+               "4801d5eda51651479aede9d6034410e891a4d910d71959f01c7bde9939bbb9cb"),
            "ldp small n": (
                "ldp --family rademacher --n 16 --r 3 --replicas 70001",
-               "157f1237a6f64f43e398ccf4d9dd1d29c179e41540271adad78c96461e3424a4",
-               "b3729ed40aa29f614ac9099f7dccbb54c67685ed80add7d21ac1af8038829b95"),
+               "79a99e02d85d348b17eb54214f1ebf487bd34fa5583d2ab16bea4573cce781d1",
+               "df500ab5a21f4a1efc20445823aa41436d50ccef738936129ce0f59943f5002b"),
        }.items() for threads in (1, 2)},
     "check-weights haar": (
         "check-weights --weights haar --n 512 --r 512".split(),

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ascltlab import BLOCK
 from ascltlab.sources import (
+    _BYTE_SIGNS,
     SourceSpec,
     _draw,
     _index_keys,
-    _rademacher,
     _stream_keys,
     normal_grid,
     sample_prefix,
@@ -79,8 +79,9 @@ def test_prefix_stability(family, seed, n1, n2):
     assert np.array_equal(short, long[:n1])
 
 
+# rademacher word edges (64 indices to a hash, 8 to a byte) and chunk edges
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
 def test_prefix_in_blocks_matches_one_block_draw(family, n):
     # sample_prefix draws BLOCK indices at a time, advancing the stream key
     # from chunk to chunk; one _draw over all n index keys at once is the
@@ -161,8 +162,9 @@ def test_sample_rows_match_streams(spec, lo, hi):
 
 @pytest.mark.parametrize("spec", all_family_specs(2**64 - 1, 0), ids=lambda s: s.family)
 def test_sample_rows_window_matches_block(spec):
-    # streams 2..4 in blocks of 2 and 1, in one column chunk and in two
-    for n in (50, BLOCK + 1):
+    # streams 2..4 in blocks of 2 and 1, in one column chunk and in two; the
+    # 2-row block's second chunk at n = BLOCK + 9 is a strided 2 x 9 slice
+    for n in (50, BLOCK + 1, BLOCK + 9):
         block = stacked(spec, n, 2, 5, 2)
         for i in range(2, 5):
             assert np.array_equal(block[i - 2], sample_prefix(spec.with_stream(i), n))
@@ -190,29 +192,46 @@ def test_stream_blocks_memory_does_not_grow_with_the_stream_range():
     assert peak < 2 * 2**20
 
 
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix64_hash(seed, stream, j):
+    """Scalar reference of the counter stream's hash at index j, in Python
+    integers."""
+    key = _mix(seed) ^ _mix((stream + _GAMMA) & _MASK)
+    return _mix((key + j * _GAMMA) & _MASK)
+
+
 def _splitmix64_uniform(seed, stream, j):
-    """Scalar reference of the counter stream, in Python integers."""
-    mask = 2**64 - 1
-    gamma = 0x9E3779B97F4A7C15
+    return ((_splitmix64_hash(seed, stream, j) >> 11) + 0.5) * 2.0**-53
 
-    def mix(z):
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
 
-    key = mix(seed) ^ mix((stream + gamma) & mask)
-    return ((mix((key + j * gamma) & mask) >> 11) + 0.5) * 2.0**-53
+def _rademacher_reference(seed, stream, n):
+    """X_1..X_n of a rademacher stream: index j reads bit (j - 1) % 64 of
+    word (j - 1) // 64, the hash at the word's first index."""
+    words = [_splitmix64_hash(seed, stream, 64 * w + 1) for w in range((n + 63) // 64)]
+    return [1.0 if words[(j - 1) // 64] >> ((j - 1) % 64) & 1 else -1.0 for j in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("family", ["rademacher", "uniform", "two_point"])
 def test_sample_rows_match_scalar_reference(family):
+    # 200 indices cross the word edges 64/65 and 128/129, read bits 0 and 63
+    # and end 8 bits into a fourth word
+    n = 200
     spec = make_spec(family, seed=2**64 - 5, stream=2**63 + 1)
-    block = stacked(spec, 40, 3, 7, 3)
+    block = stacked(spec, n, 3, 7, 3)
     p = spec.p
     for i in range(3, 7):
-        u = [_splitmix64_uniform(spec.master_seed, spec.stream_id + i, j) for j in range(1, 41)]
+        u = [_splitmix64_uniform(spec.master_seed, spec.stream_id + i, j) for j in range(1, n + 1)]
         if family == "rademacher":
-            expected = [-1.0 if v < 0.5 else 1.0 for v in u]
+            expected = _rademacher_reference(spec.master_seed, spec.stream_id + i, n)
         elif family == "two_point":
             expected = [math.sqrt((1 - p) / p) if v < p else -math.sqrt(p / (1 - p)) for v in u]
         else:
@@ -220,14 +239,39 @@ def test_sample_rows_match_scalar_reference(family):
         assert block[i - 3].tolist() == expected
 
 
-def test_rademacher_sign_bit_matches_uniform_rule():
-    edges = [0, 1, 2**11 - 1, 2**11, 2**63 - 2**11 - 1, 2**63 - 2**11, 2**63 - 1,
-             2**63, 2**63 + 1, 2**63 + 2**11, 2**64 - 2**11, 2**64 - 1]
-    z = np.array(edges, dtype=np.uint64)
-    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    expected = np.where(u < 0.5, -1.0, 1.0)
-    assert np.array_equal(_rademacher(z.copy()), expected)
-    assert list(expected[:7]) == [-1.0] * 7 and list(expected[7:]) == [1.0] * 5
+def test_byte_sign_table_maps_every_byte_bit_by_bit():
+    assert _BYTE_SIGNS.shape == (256, 8) and _BYTE_SIGNS.dtype == np.float64
+    for v in range(256):
+        assert _BYTE_SIGNS[v].tolist() == [1.0 if v >> i & 1 else -1.0 for i in range(8)]
+
+
+def _within_4_se(hits, count, p):
+    """Whether hits of count trials lie within 4 binomial SE of count * p."""
+    return abs(hits - count * p) <= 4.0 * math.sqrt(count * p * (1.0 - p))
+
+
+def test_rademacher_pair_frequencies_and_bit_balance():
+    # 1024 streams of n = 4096 (64 words each).  Every band is 4 binomial SE
+    # around the exact law of independent fair signs, over disjoint pairs:
+    # the enumeration laws at n <= 16 read only bits 0..15 of word 0
+    x = stacked(make_spec("rademacher", seed=31), 4096, 0, 1024, 1024) > 0
+    words = x.reshape(1024, 64, 64)  # (stream, word, bit)
+    for bit in (0, 63):
+        column = words[:, :, bit]
+        assert _within_4_se(column.sum(), column.size, 0.5), f"bit {bit}"
+    pairs = {
+        # (j, j+1) inside a word: bits 2i and 2i+1
+        "inside a word": (words[:, :, 0::2], words[:, :, 1::2]),
+        # (64w, 64w + 1): bit 63 of word w - 1 and bit 0 of word w
+        "across a word edge": (words[:, :-1, 63], words[:, 1:, 0]),
+        # (j, j+64): each bit of words 2k and 2k + 1
+        "64 apart": (words[:, 0::2], words[:, 1::2]),
+    }
+    for name, (a, b) in pairs.items():
+        for sa in (False, True):
+            for sb in (False, True):
+                hits = np.count_nonzero((a == sa) & (b == sb))
+                assert _within_4_se(hits, a.size, 0.25), f"{name}: ({sa}, {sb}) {hits} of {a.size}"
 
 
 def test_streams_differ():
