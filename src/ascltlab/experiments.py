@@ -5,11 +5,13 @@ Replica contract: replica i draws X_1..X_n from the stream
 spec.stream_id + i.  Replicas are drawn in sub-blocks of about BLOCK inputs
 (max(1, BLOCK // n) replicas), so that a block stays in cache, and each
 worker draws one run of whole sub-blocks with one sources.stream_blocks
-call.  Sub-block bounds depend only on n, never on the thread count, and
-the whole stream range is checked before any draw.  Each harness maps a
-sub-block to the one statistic it reads (the mean of S, S alone, or S and
-T); that small per-replica result is copied, so it may be a view of the
-block.  Per-replica statistics are concatenated in ascending replica
+call.  Rademacher ldp reads its replicas packed, as sign bytes, in
+sub-blocks of max(1, 8 BLOCK // n) replicas (see _half_line_rate); every
+other run reads float inputs.  Sub-block bounds depend only on n and that
+choice, never on the thread count, and the whole stream range is checked
+before any draw.  Each harness maps a sub-block to the one statistic it
+reads (the mean of S, S alone, or S and T); that small per-replica result
+is copied, so it may be a view of the block.  Per-replica statistics are concatenated in ascending replica
 order, so the output is bit-identical for any thread count.
 
 The growth condition r^3 (log n)^2 / n is never enforced: no desk-scale
@@ -24,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +35,8 @@ from .empirical import ks_to, normal_cdf
 from .sources import SourceSpec, require_streams, sample_prefix, stream_blocks
 from .transform import (
     batch_kernel,
+    mean_byte_table,
+    mean_from_sign_bytes,
     mean_partial_sum,
     mean_weights,
     partial_sums_batch,
@@ -40,6 +45,12 @@ from .transform import (
 from .weights import HAAR, TRIG, haar_rows, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
+# Rademacher ldp reads its means through a byte table of 256 B per index
+# while the table fits this cap, else from the float signs.  Measured on a
+# 2-core Xeon VM (r = 32, 2^25 draws a run, table build included): the table
+# path took 0.34 of the float path's time at n = 4096, 0.59 at 16384 and
+# 0.9 at 32768 (an 8 MiB table), but 1.15 at 65536 and 2.3 at 131072.
+_BYTE_TABLE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -159,24 +170,27 @@ def _finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int) -> np.ndarray:
+def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int,
+                 packed: bool = False) -> np.ndarray:
     """stat of each replica's inputs, in ascending replica order.
 
-    stat maps a (replicas x n) block of inputs to one value per replica;
-    each result is copied, since the block does not outlive the next one
-    (see sources.stream_blocks).
+    stat maps a (replicas x n) block of inputs to one value per replica, or
+    with packed a block of rademacher sign bytes (see sources.stream_blocks)
+    eight times as many replicas deep; each result is copied, since the
+    block does not outlive the next one.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     require_streams(spec, n_replicas)
-    rows = max(1, BLOCK // n)
+    rows = max(1, (8 * BLOCK if packed else BLOCK) // n)
+    blocks = partial(stream_blocks, packed=True) if packed else stream_blocks
     # one run of whole sub-blocks per worker: threads past the cores only cost memory
     workers = max(1, min(threads, os.cpu_count() or 1))
     step = rows * -(-n_replicas // (rows * workers))
 
     def run(lo: int) -> list:
         hi = min(lo + step, n_replicas)
-        return [np.array(stat(x)) for x in stream_blocks(spec, n, lo, hi, rows)]
+        return [np.array(stat(x)) for x in blocks(spec, n, lo, hi, rows)]
 
     runs = range(0, n_replicas, step)
     if len(runs) == 1:
@@ -266,8 +280,18 @@ def clt_fluctuation(
 def _half_line_rate(
     spec: SourceSpec, c: np.ndarray, r: int, a: float, replicas: int, threads: int
 ) -> dict:
-    """Replicas whose mean of S_{n,1..r} (one product with c) is >= a."""
-    means = _replica_map(lambda xs: mean_partial_sum(xs, c), spec, c.size, replicas, threads)
+    """Replicas whose mean of S_{n,1..r} (one product with c) is >= a.
+
+    Rademacher means are read from the sign bytes through the byte table
+    of c while it fits _BYTE_TABLE_BYTES (checked before it is built), and
+    from the float signs otherwise, as every other family's are.
+    """
+    if spec.family == "rademacher" and 256 * 64 * -(-c.size // 64) <= _BYTE_TABLE_BYTES:
+        table = mean_byte_table(c)
+        means = _replica_map(lambda b: mean_from_sign_bytes(b, table), spec, c.size, replicas,
+                             threads, packed=True)
+    else:
+        means = _replica_map(lambda xs: mean_partial_sum(xs, c), spec, c.size, replicas, threads)
     hits = int(np.sum(_finite(means, "replica means") >= a))
     # with no observed exceedances, report the 1/replicas bound and flag the
     # rate; + 0.0 writes the rate at p_hat = 1 as 0.0, not -0.0

@@ -13,6 +13,8 @@ splitmix64 finalizer.  Every family but rademacher reads the hash as one
 uniform.  A rademacher stream reads one hash per 64 indices: index j takes
 bit (j - 1) % 64 of word (j - 1) // 64, the hash of the key of the word's
 first index, -1 where the bit is clear and +1 where it is set.
+stream_blocks hands out those words either as float signs or, packed, as
+their bytes, which ldp reduces through a byte table.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _FINALIZER = ((np.uint64(30), _M1), (np.uint64(27), _M2), (np.uint64(31), None))
 # row v: the signs of bits 0..7 of the byte v, -1.0 where clear, +1.0 where set
-_BYTE_SIGNS = np.where(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                                     bitorder="little"), 1.0, -1.0)
+BYTE_SIGNS = np.where(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                    bitorder="little"), 1.0, -1.0)
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -113,26 +115,33 @@ def _stream_keys(spec: SourceSpec, lo: int, hi: int) -> np.ndarray:
     return z[1:] ^ z[0]
 
 
-def _index_keys(m: int) -> np.ndarray:
-    """j * gamma for the 1-based indices j = 1..m."""
-    jg = np.arange(1, m + 1, dtype=np.uint64)
+def _index_keys(m: int, step: int = 1) -> np.ndarray:
+    """j * gamma for the 1-based indices j = 1, 1 + step, .. up to m."""
+    jg = np.arange(1, m + 1, step, dtype=np.uint64)
     jg *= _GAMMA
     return jg
+
+
+def _sign_words(keys: np.ndarray, wg: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The rademacher words at the keys keys[i] + wg[w], each the key of its
+    word's first index, hashed into t (z is scratch of t's shape), as bytes:
+    little-endian, so byte k of a word holds its bits 8k..8k+7."""
+    return _mix64(np.add(keys[:, None], wg, out=t), z).view(np.uint8)
 
 
 def _signs(keys: np.ndarray, jg: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rademacher signs for _draw: column i reads bit i % 64 of the hash of
     keys + jg[64 (i // 64)], the key of its word's first index.  The words
-    go in t and their bytes (little-endian: byte k holds bits 8k..8k+7)
-    through _BYTE_SIGNS into z's memory, 8 signs per byte.
+    go in t and their bytes through BYTE_SIGNS into z's memory, 8 signs
+    per byte.
     """
     w = -(-jg.size // 64)
-    b = _mix64(np.add(keys[:, None], jg[::64], out=t[:, :w]), z[:, :w]).view(np.uint8)
+    b = _sign_words(keys, jg[::64], t[:, :w], z[:, :w])
     q, s = divmod(jg.size, 8)
     out = z.view(np.float64)
-    np.take(_BYTE_SIGNS, b[:, :q], axis=0, out=out[:, : 8 * q].reshape(len(out), q, 8), mode="clip")
+    np.take(BYTE_SIGNS, b[:, :q], axis=0, out=out[:, : 8 * q].reshape(len(out), q, 8), mode="clip")
     if s:
-        out[:, 8 * q :] = _BYTE_SIGNS[b[:, q], :s]
+        out[:, 8 * q :] = BYTE_SIGNS[b[:, q], :s]
     return out
 
 
@@ -176,7 +185,7 @@ def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.
     return _transform(family, p, _unit(_mix64(z, t), t))
 
 
-def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
+def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int, packed: bool = False):
     """X_1..X_n of the streams spec.stream_id + lo .. spec.stream_id + hi - 1,
     in order, as (streams x n) blocks of at most rows streams; a draw is pure
     in (seed, stream, index), so the block size changes no value.  The whole
@@ -187,8 +196,27 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int):
     multiple of 64, so no rademacher word straddles two chunks.  All blocks
     share one buffer, so a block lasts only until the next one is drawn:
     whatever outlives that must be copied.
+
+    packed (rademacher only) yields the sign words themselves, the same
+    words the float signs are read from: a (streams x 8 ceil(n / 64)) uint8
+    block, byte k of a stream holding X_{8k+1}..X_{8k+8} from bit 0 up (bits
+    past n are drawn too), word w keyed at its first index, (64 w + 1) gamma.
+    The words of a stream are hashed in one piece, so a packed block of rows
+    streams costs rows n / 4 bytes with its scratch.  Callers size it at
+    max(1, 8 BLOCK // n) streams: their n / 8 bytes each, read as floats,
+    fill as much memory as a float block of max(1, BLOCK // n) streams.
     """
     require_streams(spec, hi)
+    if packed:
+        if spec.family != "rademacher":
+            raise ValueError(f"packed blocks hold rademacher signs, not {spec.family!r}")
+        wg = _index_keys(n, 64)
+        z = np.empty((min(rows, hi - lo), wg.size), dtype=np.uint64)
+        t = np.empty_like(z)
+        for b in range(lo, hi, rows):
+            k = _stream_keys(spec, b, min(b + rows, hi))
+            yield _sign_words(k, wg, z[:k.size], t[:k.size])
+        return
     z = np.empty((min(rows, hi - lo), n), dtype=np.uint64)
     t = np.empty((z.shape[0], min(n, BLOCK)), dtype=np.uint64)
     jg = _index_keys(t.shape[1])

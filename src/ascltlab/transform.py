@@ -13,6 +13,11 @@ rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
 a GEMM against the r materialized cosine rows at O(r n) per row.
 use_gemm picks one by comparing r with log2 n; partial_sums_batch stays
 the reference both are tested against.
+
+The mean of S_{n,1..r} is one product x @ c (mean_partial_sum).  For
+rademacher inputs held as sign bytes, mean_from_sign_bytes reads it
+through a table of c's signed byte sums, one lookup per 8 indices;
+mean_partial_sum on the float signs is its reference.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accum import kahan_sum
+from .sources import BYTE_SIGNS
 from .weights import require_trig, trig_rows, trig_tables
 
 # A batch takes the GEMM while it multiplies by at most this many trig
@@ -150,6 +156,30 @@ def mean_partial_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     milliseconds per call on a 2-core VM.
     """
     return np.einsum("ij,j->i", x, c)
+
+
+def mean_byte_table(c: np.ndarray) -> np.ndarray:
+    """T[q, v] = sum_i BYTE_SIGNS[v, i] c[8 q + i], the 256 signed sums of
+    c over each byte's 8 positions, with c zero-padded to whole 64-bit
+    words: mean_from_sign_bytes reads x @ c through it a byte at a time
+    (the "Four Russians" table of Arlazarov, Dinic, Kronrod and Faradzev,
+    1970).  It holds 256 floats per 8 indices: 256 bytes per index.
+    """
+    cw = np.zeros(64 * -(-c.size // 64))
+    cw[: c.size] = c
+    # einsum's loop writes the table in place, with no temporary of its size
+    return np.einsum("qi,vi->qv", cw.reshape(-1, 8), BYTE_SIGNS)
+
+
+def mean_from_sign_bytes(b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """x @ c per replica of a packed block b of rademacher sign bytes
+    (replicas x 8 ceil(n / 64), see sources.stream_blocks), given
+    table = mean_byte_table(c): one lookup per byte, T[q, b[i, q]], then
+    the row sum.  Within a few ulps of |c|_1 of mean_partial_sum on the
+    same signs as floats, which stays its reference.
+    """
+    idx = np.arange(0, table.size, 256) + b
+    return np.take(table.ravel(), idx).sum(axis=1)
 
 
 def partial_sums(w: tuple[int, int], x: np.ndarray, force: str) -> PartialSums:

@@ -31,7 +31,8 @@ every cell, one line per row.
 Monte Carlo: every replica draws all n normal inputs and projects them on
 the mean weights, where ``ldp_rate`` draws the mean from its exact law.
 ``rademacher_mean_tail`` is the exact law of its Rademacher hits at small
-n, by enumerating all 2^n sign vectors; ``clt_fluctuation_law`` gives the
+n, by enumerating all 2^n sign vectors, with atoms at the threshold
+counted on both sides; ``clt_fluctuation_law`` gives the
 exact moments of ``clt_fluctuation``'s W the same way.
 """
 
@@ -251,14 +252,15 @@ def ldp_normal_baseline(spec, n: int, r: int, a: float, replicas: int, threads: 
     return _half_line_rate(oracle_spec, c, r, a, replicas, threads)
 
 
-def rademacher_mean_tail(n: int, r: int, a: float) -> tuple[float, float]:
-    """(P(x @ c >= a), the distance from a to the nearest atom) over all 2^n
-    equally likely sign vectors x, c = mean_weights(n, r): the exact law of
-    ldp_rate's Rademacher hits wherever no atom lies within rounding of a."""
+def rademacher_mean_tail(n: int, r: int, a: float, tie: float = 1e-9) -> tuple[float, float]:
+    """(P(x @ c > a), P(x @ c >= a)) over all 2^n equally likely sign
+    vectors x, c = mean_weights(n, r), an atom within tie of a counted as
+    a tie on both sides: ldp_rate's Rademacher hits land between the two
+    laws, whichever way a summation order rounds an atom at a."""
     atoms = np.zeros(1)
     for cj in mean_weights(n, r):
         atoms = np.concatenate([atoms - cj, atoms + cj])
-    return float(np.mean(atoms >= a)), float(np.min(np.abs(atoms - a)))
+    return float(np.mean(atoms > a + tie)), float(np.mean(atoms >= a - tie))
 
 
 def clt_fluctuation_law(n: int, r: int, x: float) -> tuple[float, float, float, float]:

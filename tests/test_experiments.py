@@ -18,7 +18,12 @@ from ascltlab.experiments import (
     ldp_rate,
 )
 from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
-from ascltlab.transform import partial_sums_fast
+from ascltlab.transform import (
+    mean_byte_table,
+    mean_from_sign_bytes,
+    mean_weights,
+    partial_sums_fast,
+)
 from ascltlab.weights import check_trig, make_trig_pair
 
 from .oracles import (
@@ -29,6 +34,7 @@ from .oracles import (
     rademacher_mean_tail,
 )
 from .test_sources import all_family_specs
+from .test_weights import peak_bytes
 
 
 def spec_of(family, seed, stream=0):
@@ -312,6 +318,30 @@ def test_replica_map_keeps_a_stat_that_views_its_block(family, threads):
     assert np.array_equal(got, [sample_prefix(spec.with_stream(3 + i), 300)[0] for i in range(600)])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_packed_replica_map_keeps_blocks_and_means_in_replica_order(threads):
+    # 4000 replicas at n = 300 take three 1747-row packed sub-blocks, eight
+    # times a float sub-block's rows; the byte-table means are the same bits
+    # in one block of every replica, at any thread count
+    spec, n, replicas = spec_of("rademacher", 10, stream=6), 300, 4000
+    whole = next(stream_blocks(spec, n, 0, replicas, replicas, packed=True))
+    got = _replica_map(lambda b: b, spec, n, replicas, threads, packed=True)
+    assert np.array_equal(got, whole)
+    table = mean_byte_table(mean_weights(n, 7))
+    means = _replica_map(lambda b: mean_from_sign_bytes(b, table), spec, n, replicas, threads,
+                         packed=True)
+    assert np.array_equal(means, mean_from_sign_bytes(whole, table))
+
+
+def test_ldp_builds_its_byte_table_only_under_the_cap():
+    # the table takes 256 B per index.  At n = 32768 it is the 8 MiB cap, and
+    # the run's peak holds it; at 65536 the run reads float signs, and its
+    # peak stays under the 16 MiB the table would take
+    for n, packed in ((32768, True), (65536, False)):
+        _, peak = peak_bytes(lambda: ldp_rate(spec_of("rademacher", 2), n, 3, 0.5, 4))
+        assert (peak >= 256 * n) == packed, f"n = {n}: peak {peak / 2**20:.1f} MiB"
+
+
 def test_replica_map_rejects_negative_threads():
     with pytest.raises(ValueError):
         _replica_map(lambda x: x[:, 0], spec_of("normal", 8), 16, 10, threads=-1)
@@ -437,16 +467,19 @@ def test_ldp_oracle_and_reference_land_on_the_normal_tail(n, r):
     assert abs(ref - mean) <= band
 
 
-@pytest.mark.parametrize("n, r, seed", [(16, 7, 1), (12, 3, 2)])
+@pytest.mark.parametrize("n, r, seed", [(16, 7, 1), (12, 3, 2), (16, 4, 3)])
 def test_ldp_rademacher_hits_match_the_exact_law(n, r, seed):
     # every one of the 2^n sign vectors is equally likely, so the hit count
-    # is Binomial(replicas, p) with p known exactly; (16, 4) is left out,
-    # since an atom sits exactly at a = 0.5 there
+    # is Binomial(replicas, p) with p known exactly.  At (16, 4) atoms sit
+    # exactly at a = 0.5, and the summation order decides their side: the
+    # hits must lie between 4 SE below the law of > a and 4 SE above that
+    # of >= a
     a, replicas = 0.5, 200_000
-    p, gap = rademacher_mean_tail(n, r, a)
-    assert gap > 1e-9
+    p_gt, p_ge = rademacher_mean_tail(n, r, a)
+    assert (p_gt < p_ge) == ((n, r) == (16, 4))
     hits = ldp_rate(spec_of("rademacher", seed), n, r, a, replicas).points[0]["hits"]
-    assert abs(hits - replicas * p) <= 4.0 * math.sqrt(replicas * p * (1.0 - p))
+    assert replicas * p_gt - 4.0 * math.sqrt(replicas * p_gt * (1.0 - p_gt)) <= hits
+    assert hits <= replicas * p_ge + 4.0 * math.sqrt(replicas * p_ge * (1.0 - p_ge))
 
 
 def test_ldp_oracle_reads_the_first_draw_of_each_offset_stream():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascltlab import BLOCK
 from ascltlab.sources import (
-    _BYTE_SIGNS,
+    BYTE_SIGNS,
     SourceSpec,
     _draw,
     _index_keys,
@@ -240,9 +240,27 @@ def test_sample_rows_match_scalar_reference(family):
 
 
 def test_byte_sign_table_maps_every_byte_bit_by_bit():
-    assert _BYTE_SIGNS.shape == (256, 8) and _BYTE_SIGNS.dtype == np.float64
+    assert BYTE_SIGNS.shape == (256, 8) and BYTE_SIGNS.dtype == np.float64
     for v in range(256):
-        assert _BYTE_SIGNS[v].tolist() == [1.0 if v >> i & 1 else -1.0 for i in range(8)]
+        assert BYTE_SIGNS[v].tolist() == [1.0 if v >> i & 1 else -1.0 for i in range(8)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 200, BLOCK + 9])
+def test_packed_blocks_hold_the_float_signs_bit_by_bit(n):
+    # bit i of byte k of a packed stream is X_{8k+i+1}, set where it is +1;
+    # the float draw chunks at BLOCK and the packed one does not, so
+    # BLOCK + 9 checks the word keys across a chunk edge
+    spec = make_spec("rademacher", seed=2**64 - 3, stream=11)
+    packed = np.vstack([b.copy() for b in stream_blocks(spec, n, 2, 9, 3, packed=True)])
+    assert packed.dtype == np.uint8 and packed.shape == (7, 8 * -(-n // 64))
+    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+    assert np.array_equal(np.where(bits, 1.0, -1.0), stacked(spec, n, 2, 9, 4))
+
+
+@pytest.mark.parametrize("family", FAMILIES[1:])
+def test_packed_blocks_are_rademacher_only(family):
+    with pytest.raises(ValueError, match="rademacher"):
+        next(stream_blocks(make_spec(family), 64, 0, 1, 1, packed=True))
 
 
 def _within_4_se(hits, count, p):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascltlab.sources import SourceSpec, stream_blocks
+from ascltlab import BLOCK
+from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
 from ascltlab.transform import (
     batch_kernel,
+    mean_byte_table,
+    mean_from_sign_bytes,
     mean_partial_sum,
     mean_weights,
     partial_sums,
@@ -147,6 +150,28 @@ def test_mean_partial_sum_matches_reference(n, r):
     ref_s, _ = partial_sums_batch(n, r, x)
     got = mean_partial_sum(x, mean_weights(n, r))
     assert np.max(np.abs(got - ref_s.mean(axis=1))) <= 1e-12 * math.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 4096, BLOCK + 9])
+def test_byte_table_means_match_the_float_signs(n):
+    # the same streams as sign bytes and as float signs, against weights of
+    # both signs; BLOCK + 9 is past ldp's table cap, and its float signs
+    # are drawn in two chunks, so the word keys are checked across an edge
+    spec = SourceSpec(family="rademacher", master_seed=2**64 - 9, stream_id=5)
+    c = sample_prefix(SourceSpec(family="normal", master_seed=n), n)
+    streams = 40 if n < BLOCK else 3
+    x = np.vstack([b.copy() for b in stream_blocks(spec, n, 0, streams, 16)])
+    table = mean_byte_table(c)
+    assert table.shape == (8 * -(-n // 64), 256)
+
+    def means(rows):
+        return np.concatenate([mean_from_sign_bytes(b, table)
+                               for b in stream_blocks(spec, n, 0, streams, rows, packed=True)])
+
+    got = means(streams)
+    assert np.max(np.abs(got - mean_partial_sum(x, c))) <= 4 * np.finfo(float).eps * np.sum(np.abs(c))
+    # the block size changes no bit
+    assert np.array_equal(means(1), got) and np.array_equal(means(7), got)
 
 
 @pytest.mark.parametrize("n, r", [(4096, 32), (999, 499), (7, 3), (65536, 64)])
