@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from . import BLOCK
+from .special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _Z95 = 1.959963984540054  # Phi^{-1}(0.975)

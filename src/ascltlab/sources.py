@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import BLOCK, ConfigError
+from .special import ndtri
 
 FAMILIES = (
     "rademacher",

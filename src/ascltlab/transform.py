@@ -178,8 +178,10 @@ def mean_from_sign_bytes(b: np.ndarray, table: np.ndarray) -> np.ndarray:
     the row sum.  Within a few ulps of |c|_1 of mean_partial_sum on the
     same signs as floats, which stays its reference.
     """
+    # row q of the table starts at 256 q and a byte is below 256, so every
+    # index is in range and "clip" only skips the bounds check
     idx = np.arange(0, table.size, 256) + b
-    return np.take(table.ravel(), idx).sum(axis=1)
+    return np.take(table.ravel(), idx, mode="clip").sum(axis=1)
 
 
 def partial_sums(w: tuple[int, int], x: np.ndarray, force: str) -> PartialSums:

@@ -649,6 +649,25 @@ def test_cli_imports_no_private_name():
     assert not private
 
 
+def test_scipy_special_only_through_the_loader_and_no_scipy_stats():
+    # `import scipy.special` runs its array-API layer and scipy.stats costs
+    # about a second, so each process loads only the compiled ufuncs, and
+    # a new special function is one more name in ascltlab.special
+    scipy_names = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]  # importlib.import_module("scipy...")
+            else:
+                continue
+            scipy_names += [(path.stem, n) for n in names if re.fullmatch(r"scipy\.(special|stats)(\.\w+)*", n)]
+    assert {(stem, n.split(".")[1]) for stem, n in scipy_names} == {("special", "special")}
+
+
 def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
     # every draw of the package goes through these two functions, so a
     # count or a timer there sees them all; a call is booked to the
