@@ -7,11 +7,13 @@ spec.stream_id + i.  Replicas are drawn in sub-blocks of about BLOCK inputs
 worker draws one run of whole sub-blocks with one sources.stream_blocks
 call.  Rademacher ldp reads its replicas packed, as sign bytes, in
 sub-blocks of max(1, 8 BLOCK // n) replicas (see _half_line_rate); every
-other run reads float inputs.  Sub-block bounds depend only on n and that
-choice, never on the thread count, and the whole stream range is checked
-before any draw.  Each harness maps a sub-block to the one statistic it
-reads (the mean of S, S alone, or S and T); that small per-replica result
-is copied, so it may be a view of the block.  Per-replica statistics are concatenated in ascending replica
+other run reads float inputs, one-based as sources draws them (X_j in
+column j, column 0 the free slot of the DFT's wrap term).  Sub-block
+bounds depend only on n and that choice, never on the thread count, and
+the whole stream range is checked before any draw.  Each harness maps a
+sub-block to the one statistic it reads (the mean of S, S alone, or S
+and T); that small per-replica result is copied, so it may be a view of
+the block.  Per-replica statistics are concatenated in ascending replica
 order, so the output is bit-identical for any thread count.
 
 The growth condition r^3 (log n)^2 / n is never enforced: no desk-scale
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import BLOCK, ConfigError, empirical
 from .empirical import ks_to, normal_cdf
-from .sources import SourceSpec, require_streams, sample_prefix, stream_blocks
+from .sources import SourceSpec, require_streams, sample_path, stream_blocks
 from .transform import (
     batch_kernel,
     mean_byte_table,
@@ -40,7 +42,7 @@ from .transform import (
     mean_partial_sum,
     mean_weights,
     partial_sums_batch,
-    partial_sums_fast,
+    path_sums,
 )
 from .weights import HAAR, TRIG, haar_rows, require_trig
 
@@ -101,15 +103,15 @@ class ExperimentResult:
     replicas: int = 1
 
 
-def _trajectory_sums(spec: SourceSpec, x: np.ndarray, r: int, kind: str) -> np.ndarray:
-    """S_{n,1..r} of the inputs x (n = x.size); trig via DFT, Haar via matvec."""
-    n = x.size
+def _trajectory_sums(spec: SourceSpec, path: np.ndarray, n: int, r: int, kind: str) -> np.ndarray:
+    """S_{n,1..r} of X_1..X_n of the one-based path; trig via DFT, Haar via
+    matvec."""
     if kind == TRIG:
-        return partial_sums_fast(n, r, x).s
+        return path_sums(n, r, path).s
     if kind == HAAR:
         # the Haar rows are part of omega too: derive them from a companion
         # stream so it stays fixed for fixed (seed, stream)
-        return haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r) @ x
+        return haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r) @ path[1 : n + 1]
     raise ConfigError(f"unsupported weight kind {kind!r}")
 
 
@@ -118,43 +120,61 @@ def asclt_trajectory(
 ) -> ExperimentResult:
     """KS(mu_n, Phi) along one fixed sample path.
 
-    The path is sampled once, to the largest n; every schedule point reads
-    a prefix of it, so all points share one omega by construction.  By
-    prefix stability, the X_1..X_n of a point are also exactly what
-    sample_prefix(spec, n) returns.  The path is hashed once: each point
-    feeds the new stretch of its prefix to one running sha256.
+    The path is sampled once, one-based, to the largest n; every schedule
+    point reads a prefix of it in place, so all points share one omega by
+    construction.  By prefix stability, the X_1..X_n of a point are also
+    exactly what sample_prefix(spec, n) returns.  The path is hashed once:
+    each point feeds the new stretch of its prefix to one running sha256.
     """
     if kind == TRIG:
         schedule.require_trig()
-    path = sample_prefix(spec, schedule.points[-1][0])
+    path = sample_path(spec, schedule.points[-1][0])
     points = []
     h, done = hashlib.sha256(), 0
     for n, r in schedule.points:
-        s = _trajectory_sums(spec, path[:n], r, kind)
+        s = _trajectory_sums(spec, path, n, r, kind)
         ks = ks_to(s, normal_cdf)
-        h.update(path[done:n])
+        h.update(path[done + 1 : n + 1])
         done = n
         points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": h.copy().hexdigest()})
     return ExperimentResult({"kind": kind}, points)
 
 
+def _grid_below(v: np.ndarray, buf: np.ndarray, hit: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = the number of grid points below v[i], which for finite v is
+    np.searchsorted(_BIVARIATE_GRID, v, side="left"): one comparison per
+    grid point, of v copied into the contiguous buf, summed in the uint8
+    array out; hit is bool scratch, read as its 0/1 bytes."""
+    np.copyto(buf, v)
+    out.fill(0)
+    for x in _BIVARIATE_GRID:
+        np.greater(buf, x, out=hit)
+        out += hit.view(np.uint8)
+    return out
+
+
 def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     """Max deviation of the joint ECDF from Phi(x)Phi(y) on the fixed grid."""
     schedule.require_trig()
-    path = sample_prefix(spec, schedule.points[-1][0])
+    path = sample_path(spec, schedule.points[-1][0])
     points = []
     gx = _BIVARIATE_GRID
     target = np.outer(normal_cdf(gx), normal_cdf(gx))
+    # joint ECDF on the grid: count (s, t) per grid cell, BLOCK pairs at a
+    # time, the last row and column beyond the grid; s <= gx[i] iff its
+    # cell is at most i.  A cell index g i + j stays below g^2 = 100, a byte
+    g = gx.size + 1
+    m = min(BLOCK, max(r for _, r in schedule.points))
+    buf, hit = np.empty(m), np.empty(m, dtype=bool)
+    cs, ct = np.empty(m, dtype=np.uint8), np.empty(m, dtype=np.uint8)
     for n, r in schedule.points:
-        s, t = partial_sums_fast(n, r, path[:n])
-        # joint ECDF on the grid: count (s, t) per grid cell, BLOCK pairs at a
-        # time, the last row and column beyond the grid; s <= gx[i] iff its
-        # cell is at most i
-        g = gx.size + 1
+        s, t = path_sums(n, r, path)
         counts = np.zeros(g * g, dtype=np.intp)
         for lo in range(0, r, BLOCK):
-            cells = np.searchsorted(gx, s[lo:lo + BLOCK], side="left") * g
-            cells += np.searchsorted(gx, t[lo:lo + BLOCK], side="left")
+            k = min(BLOCK, r - lo)
+            cells = _grid_below(s[lo : lo + k], buf[:k], hit[:k], cs[:k])
+            cells *= g
+            cells += _grid_below(t[lo : lo + k], buf[:k], hit[:k], ct[:k])
             counts += np.bincount(cells, minlength=g * g)
         joint = counts.reshape(g, g).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
         dev = float(np.max(np.abs(joint - target)))
@@ -291,7 +311,8 @@ def _half_line_rate(
         means = _replica_map(lambda b: mean_from_sign_bytes(b, table), spec, c.size, replicas,
                              threads, packed=True)
     else:
-        means = _replica_map(lambda xs: mean_partial_sum(xs, c), spec, c.size, replicas, threads)
+        means = _replica_map(lambda xs: mean_partial_sum(xs[:, 1:], c), spec, c.size, replicas,
+                             threads)
     hits = int(np.sum(_finite(means, "replica means") >= a))
     # with no observed exceedances, report the 1/replicas bound and flag the
     # rate; + 0.0 writes the rate at p_hat = 1 as 0.0, not -0.0

@@ -5,8 +5,14 @@ choice of the standardization constants.  A draw is a pure function of
 (master_seed, stream_id, index), so one fixed sample path can be extended
 as n grows: the first n1 values of a stream never depend on how many
 values are ever requested (prefix stability).  Every draw is made by
-stream_blocks, the one loop over a range of streams (sample_prefix is its
+stream_blocks, the one loop over a range of streams (sample_path is its
 one-stream block), or by normal_grid.
+
+Float draws are stored one-based: X_j of a stream sits at index j of its
+n + 1 floats, and index 0 is a free slot.  The DFT of the partial sums
+reads X_n, X_1, .., X_{n-1}, so it writes X_n into the slot and reads the
+first n floats in place (transform.partial_sums_batch), for the whole
+path and for every prefix of it alike.  The slot costs one float a stream.
 
 Index j of a stream hashes the key stream_key + j * gamma with the
 splitmix64 finalizer.  Every family but rademacher reads the hash as one
@@ -187,13 +193,15 @@ def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.
 
 def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int, packed: bool = False):
     """X_1..X_n of the streams spec.stream_id + lo .. spec.stream_id + hi - 1,
-    in order, as (streams x n) blocks of at most rows streams; a draw is pure
-    in (seed, stream, index), so the block size changes no value.  The whole
-    range is checked before the first draw, and each block's stream keys are
-    derived as it is drawn, so memory does not grow with hi - lo.  A block
-    is drawn BLOCK indices at a time, over one (rows x BLOCK) scratch array
-    and one BLOCK of index keys, so it is the only n-long array; BLOCK is a
-    multiple of 64, so no rademacher word straddles two chunks.  All blocks
+    in order, as one-based (streams x (n + 1)) blocks of at most rows
+    streams: X_j in column j, column 0 a free slot (see the module notes).
+    A draw is pure in (seed, stream, index), so the block size changes no
+    value.  The whole range is checked before the first draw, and each
+    block's stream keys are derived as it is drawn, so memory does not grow
+    with hi - lo.  A block is drawn BLOCK indices at a time, over one
+    (rows x BLOCK) scratch array and one BLOCK of index keys, so it is the
+    only n-long array: 8 (n + 1) bytes a stream.  BLOCK is a multiple of
+    64, so no rademacher word straddles two chunks.  All blocks
     share one buffer, so a block lasts only until the next one is drawn:
     whatever outlives that must be copied.
 
@@ -217,22 +225,28 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int, packed:
             k = _stream_keys(spec, b, min(b + rows, hi))
             yield _sign_words(k, wg, z[:k.size], t[:k.size])
         return
-    z = np.empty((min(rows, hi - lo), n), dtype=np.uint64)
+    z = np.empty((min(rows, hi - lo), n + 1), dtype=np.uint64)
     t = np.empty((z.shape[0], min(n, BLOCK)), dtype=np.uint64)
     jg = _index_keys(t.shape[1])
     for b in range(lo, hi, rows):
         k = _stream_keys(spec, b, min(b + rows, hi))
-        for c in range(0, n, BLOCK):
-            d = min(c + BLOCK, n)
+        for c in range(1, n + 1, BLOCK):
+            d = min(c + BLOCK, n + 1)
             _draw(spec.family, spec.p, k, jg[: d - c], z[:k.size, c:d], t[:k.size, : d - c])
             k += jg[-1]  # the keys of the next chunk, as jg[-1] is then BLOCK gamma
         yield z[:k.size].view(np.float64)
 
 
-def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
-    """X_1..X_n of the stream: the one-stream block of stream_blocks, about
+def sample_path(spec: SourceSpec, n: int) -> np.ndarray:
+    """X_1..X_n of the stream one-based, X_j at index j of n + 1 floats and
+    index 0 a free slot: the one-stream block of stream_blocks, about
     n + 2 BLOCK floats; the generator is then dropped, so the caller owns it."""
     return next(stream_blocks(spec, n, 0, 1, 1))[0]
+
+
+def sample_prefix(spec: SourceSpec, n: int) -> np.ndarray:
+    """X_1..X_n of the stream: the view sample_path(spec, n)[1:]."""
+    return sample_path(spec, n)[1:]
 
 
 def normal_grid(spec: SourceSpec, n: int, r: int) -> np.ndarray:

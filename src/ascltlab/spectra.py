@@ -10,7 +10,12 @@ eigenvalues with the spectrum's summary point, a dict; only the
 symmetric ensemble's point compares the ESD with a limit law (N(0, 1)).
 Both build their equal or opposite eigenvalue pairs from one float: the
 symmetric lambda_k = lambda_{n-k} is written twice, and the reverse
-ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m.
+ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m,
+written into one array.  The periodogram and the reverse spectrum read
+the one-based path in place (transform.path_sums): the path and the rfft
+output, 16n bytes, then the n/2 ordinates in an array of their own, so
+the rfft output can be freed.  The reverse spectrum releases its path
+before the ordinates are built.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -27,8 +32,8 @@ import math
 import numpy as np
 
 from . import ConfigError, empirical
-from .sources import SourceSpec, sample_prefix
-from .transform import partial_sums_fast
+from .sources import SourceSpec, sample_path, sample_prefix
+from .transform import path_sums
 
 SYMMETRIC_CIRCULANT = "SymmetricCirculant"
 REVERSE_CIRCULANT = "ReverseCirculant"
@@ -71,11 +76,14 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
     The at-most-two eigenvalues outside the paired formula (frequency 0,
     and frequency n/2 for even n) are reported in `exceptional` in the
     same sqrt(2/n)-scaled units and excluded from the ESD.  Both are taken
-    before the periodogram, so the peak stays at 24n bytes at every n.
+    before the transform, and the path is released once it is done, so the
+    peak is the path and the rfft output, 16n bytes, next to the n/2 bools
+    of the finite check, at every n.
     """
     if n < 3:
         raise ConfigError("need n >= 3")
-    x = sample_prefix(spec, n)
+    path = sample_path(spec, n)
+    x = path[1:]
     scale = math.sqrt(2.0 / n)
     exceptional = [scale * float(np.sum(x))]
     if n % 2 == 0:  # the sum of x with its 0-based even positions negated
@@ -83,30 +91,40 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
         alt[::2] *= -1.0
         exceptional.append(scale * float(np.sum(alt)))
         del alt
+    s, t = path_sums(n, (n - 1) // 2, path)
+    del path, x
     # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
-    m = periodogram_all(x)
-    m *= 2.0
+    m = _power(s, t)
+    del s, t
     np.sqrt(m, out=m)
     m.sort()
-    vals = np.concatenate([-m[::-1], m])
+    vals = np.empty(2 * m.size)
+    np.negative(m[::-1], out=vals[: m.size])
+    vals[m.size :] = m
     return _spectrum(vals, REVERSE_CIRCULANT, n, scale, exceptional)
 
 
-def periodogram_all(x: np.ndarray) -> np.ndarray:
-    """All periodogram ordinates I_n(2 pi k / n) = (s_k^2 + t_k^2) / 2,
-    k = 1..floor((n-1)/2), squared and added in the memory of s."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    s, t = partial_sums_fast(n, (n - 1) // 2, x)
-    s *= s
+def _power(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """s^2 + t^2 in an array of its own, so that the rfft output under s
+    and t can be freed; t is squared in place."""
+    p = s * s
     t *= t
-    s += t
-    s /= 2.0
-    return s
+    p += t
+    return p
+
+
+def periodogram_all(path: np.ndarray) -> np.ndarray:
+    """All periodogram ordinates I_n(2 pi k / n) = (s_k^2 + t_k^2) / 2,
+    k = 1..floor((n-1)/2), of the one-based path X_1..X_n (n + 1 floats,
+    X_j at path[j], see transform.path_sums)."""
+    n = path.size - 1
+    p = _power(*path_sums(n, (n - 1) // 2, path))
+    p /= 2.0
+    return p
 
 
 def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:
     """Exact KS distance of the periodogram ECDF to Exp(1)."""
     if n < 7:
         raise ConfigError("need n >= 7")
-    return empirical.ks_to(periodogram_all(sample_prefix(spec, n)), empirical.exponential_cdf)
+    return empirical.ks_to(periodogram_all(sample_path(spec, n)), empirical.exponential_cdf)

@@ -8,7 +8,14 @@ length-n real DFT, valid for arbitrary n (the FFT backend falls back to a
 convolution-based kernel for lengths that are not powers of two).  Both
 return a PartialSums named (s, t) pair, checked finite.
 
-S over a batch of inputs (replicas x n) has two kernels: the batched
+The DFT reads its inputs one-based, as sources draws them: X_j at index
+j, index 0 a free slot.  The wrap term of the sums is a write of X_n into
+that slot, not a rotated copy, so a sampled path and every prefix of it
+are transformed in place (path_sums), and S and T are scaled in place as
+views of the DFT output: 8n bytes beyond the path.  A plain input of
+X_1..X_n (partial_sums_fast) is copied once into that layout.
+
+S over a one-based batch (replicas x (n + 1)) has two kernels: the batched
 rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
 a GEMM against the r materialized cosine rows at O(r n) per row.
 use_gemm picks one by comparing r with log2 n; partial_sums_batch stays
@@ -87,24 +94,38 @@ def partial_sums_naive(n: int, r: int, x: np.ndarray) -> PartialSums:
 
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
-    """Trig-weight partial sums via one real DFT: partial_sums_batch of
-    one input."""
+    """Trig-weight partial sums via one real DFT of X_1..X_n, the input x,
+    copied once into the one-based layout of path_sums."""
     require_trig(n, r)
-    return _checked(n, x, lambda x: partial_sums_batch(n, r, x))
+    return _checked(n, x, lambda x: partial_sums_batch(n, r, np.concatenate(([0.0], x))))
+
+
+def path_sums(n: int, r: int, path: np.ndarray) -> PartialSums:
+    """partial_sums_fast of X_1..X_n read in place from a one-based path,
+    X_j at path[j] (path may run past n, as a prefix of a longer path
+    does): X_n is written into path[0], and X_1..X_n are left as they are."""
+    require_trig(n, r)
+    return _checked(n, path[1 : n + 1], lambda _: partial_sums_batch(n, r, path[: n + 1]))
 
 
 def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fast path over one input (n) or a batch of them (replicas x n), the
-    inputs on the last axis -> (s, t) arrays of r sums per input.
+    """Fast path over one one-based input (n + 1) or a block of them
+    (replicas x (n + 1)), X_j at x[..., j] as sources.stream_blocks draws
+    them -> (s, t), r sums per input.
 
     The weight index j runs 1..n while the DFT index runs 0..n-1; the two
-    agree because the j = n term of the trig sums equals the j = 0 term,
-    so each input is rotated by one before the transform; the rotated copy
-    is dropped as soon as the transform returns.
+    agree because the j = n term of the trig sums equals the j = 0 term.
+    So X_n is written into the free slot x[..., 0], and x[..., :n] is the
+    input rotated by one, read in place by the transform.  s and t are
+    scaled in place as views of its output, which lives as long as they do.
     """
-    f = np.fft.rfft(np.roll(np.asarray(x, dtype=float), 1, axis=-1), axis=-1)
+    x[..., 0] = x[..., n]
+    f = np.fft.rfft(x[..., :n], axis=-1)
     scale = math.sqrt(2.0 / n)
-    return scale * f.real[..., 1 : r + 1], -scale * f.imag[..., 1 : r + 1]
+    s, t = f.real[..., 1 : r + 1], f.imag[..., 1 : r + 1]
+    s *= scale
+    t *= -scale
+    return s, t
 
 
 def use_gemm(n: int, r: int) -> bool:
@@ -118,8 +139,9 @@ def use_gemm(n: int, r: int) -> bool:
 
 
 def batch_kernel(n: int, r: int):
-    """A function mapping a (replicas x n) batch to S (replicas x r):
-    r-row GEMM or batched rfft as use_gemm decides."""
+    """A function mapping a one-based (replicas x (n + 1)) block (see
+    partial_sums_batch) to S (replicas x r): r-row GEMM or batched rfft as
+    use_gemm decides."""
     if not use_gemm(n, r):
         return lambda x: partial_sums_batch(n, r, x)[0]
     cols = np.ascontiguousarray(trig_rows(trig_tables(n)[0], np.arange(1, r + 1)).T)
@@ -127,7 +149,7 @@ def batch_kernel(n: int, r: int):
     def kernel(x):
         s = np.empty((len(x), r))
         for lo in range(0, len(x), _GEMM_SLICE):
-            np.matmul(x[lo : lo + _GEMM_SLICE], cols, out=s[lo : lo + _GEMM_SLICE])
+            np.matmul(x[lo : lo + _GEMM_SLICE, 1:], cols, out=s[lo : lo + _GEMM_SLICE])
         return s
 
     return kernel

@@ -269,7 +269,8 @@ def clt_fluctuation_law(n: int, r: int, x: float) -> tuple[float, float, float, 
     from partial_sums_batch, and the distance from x to the nearest atom
     S_k: the exact law of clt_fluctuation's Rademacher W wherever no atom
     lies within rounding of x."""
-    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    signs = np.empty((2**n, n + 1))  # one-based, as partial_sums_batch reads them
+    signs[:, 1:] = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     s = partial_sums_batch(n, r, signs)[0]
     w = np.sum(s <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * normal_cdf(x)
     d = w - np.mean(w)

@@ -873,13 +873,17 @@ def _nan_prefix(spec, n):
     return np.full(n, np.nan)
 
 
+def _nan_path(spec, n):
+    return np.full(n + 1, np.nan)
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv",
     [
-        (experiments, "sample_prefix", _nan_prefix, ["asclt", "--schedule", "256:127"]),
-        (experiments, "sample_prefix", _nan_prefix, ["bivariate", "--schedule", "256:127"]),
+        (experiments, "sample_path", _nan_path, ["asclt", "--schedule", "256:127"]),
+        (experiments, "sample_path", _nan_path, ["bivariate", "--schedule", "256:127"]),
         (spectra, "sample_prefix", _nan_prefix, ["spectrum", "--n", "65"]),
-        (spectra, "sample_prefix", _nan_prefix,
+        (spectra, "sample_path", _nan_path,
          ["spectrum", "--ensemble", "reverse", "--n", "65"]),
         (spectra, "periodogram_all", lambda x: np.full(x.size // 2, np.nan),
          ["periodogram", "--n", "256"]),

@@ -17,7 +17,7 @@ from ascltlab.experiments import (
     clt_fluctuation,
     ldp_rate,
 )
-from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
+from ascltlab.sources import SourceSpec, sample_path, sample_prefix, stream_blocks
 from ascltlab.transform import (
     mean_byte_table,
     mean_from_sign_bytes,
@@ -108,17 +108,35 @@ def test_fixed_path_is_sampled_once(monkeypatch, harness):
 
     lengths = []
 
-    def counting_sample_prefix(spec, n):
+    def counting_sample_path(spec, n):
         lengths.append(n)
-        return sample_prefix(spec, n)
+        return sample_path(spec, n)
 
-    monkeypatch.setattr(experiments, "sample_prefix", counting_sample_prefix)
+    monkeypatch.setattr(experiments, "sample_path", counting_sample_path)
     spec = spec_of("uniform", 9)
     res = harness(spec, Schedule.parse("128:63,512:255,2048:1023"))
     assert lengths == [2048]
     for p in res.points:
         if "prefix_sha256" in p:
             assert p["prefix_sha256"] == hashlib.sha256(sample_prefix(spec, p["n"])).hexdigest()
+
+
+# the benchmark's trig path out to n = 2^20, and one bivariate point there
+_TRIG_PATH = ",".join(f"{4**k}:{4**k // 2 - 1}" for k in range(5, 11))
+
+
+@pytest.mark.parametrize("harness, schedule", [
+    (asclt_trajectory, _TRIG_PATH),
+    (asclt_bivariate, "1048576:524287"),
+], ids=["asclt", "bivariate"])
+def test_one_path_harness_peaks_under_22n_bytes(harness, schedule):
+    # the one-based path and the rfft output are 16n bytes; asclt's sorted
+    # copy of S adds 4n (21.5n measured) and bivariate a few blocks (17.2n);
+    # a copy of the path would add 8n
+    n = 2**20
+    spec = spec_of("rademacher", 1)
+    _, peak = peak_bytes(lambda: harness(spec, Schedule.parse(schedule)))
+    assert peak <= 22 * n, f"{harness.__name__} peaked at {peak / n:.2f}n bytes"
 
 
 def test_trajectory_haar_kind():
@@ -181,12 +199,27 @@ def test_bivariate_blocked_counts_match_one_pass_counts():
     assert res.points[0]["max_grid_deviation"] == float(np.max(np.abs(joint - target)))
 
 
+def test_grid_cells_are_the_searchsorted_counts():
+    # every grid point, its two neighbours, signed zeros and far values,
+    # read strided as S and T are (views of the complex rfft output)
+    gx = experiments._BIVARIATE_GRID
+    v = np.concatenate([gx, np.nextafter(gx, -np.inf), np.nextafter(gx, np.inf),
+                        [-0.0, 0.0, -1e300, 1e300, 5e-324, -5e-324],
+                        np.random.default_rng(4).standard_normal(200) * 2.0])
+    z = np.zeros(2 * v.size)
+    z[::2] = v
+    m = v.size
+    got = experiments._grid_below(z[::2], np.empty(m), np.empty(m, dtype=bool),
+                                  np.empty(m, dtype=np.uint8))
+    assert np.array_equal(got, np.searchsorted(gx, v, side="left"))
+
+
 def test_bivariate_degenerate_origin_deviation(monkeypatch):
     # a zero path puts every (s, t) at the origin: the joint ECDF is 1 on
     # the closed positive quadrant, where Phi(x)Phi(y) is smallest at 0
     import ascltlab.experiments as experiments
 
-    monkeypatch.setattr(experiments, "sample_prefix", lambda spec, n: np.zeros(n))
+    monkeypatch.setattr(experiments, "sample_path", lambda spec, n: np.zeros(n + 1))
     res = asclt_bivariate(spec_of("normal", 7), Schedule.parse("128:63,1024:511"))
     assert [p["max_grid_deviation"] for p in res.points] == [0.75, 0.75]
 
@@ -289,7 +322,7 @@ def test_char_decay_thread_count_invariant():
 def test_replica_map_follows_replica_streams():
     # 1100 replicas at n = 300: 218-row sub-blocks, split between the workers
     spec = spec_of("normal", 8, stream=40)
-    got = _replica_map(lambda x: x[:, -1] + 2.0 * x[:, 0], spec, 300, 1100, threads=4)
+    got = _replica_map(lambda x: x[:, -1] + 2.0 * x[:, 1], spec, 300, 1100, threads=4)
     rows = [sample_prefix(spec.with_stream(40 + i), 300) for i in range(1100)]
     assert np.array_equal(got, np.array([x[-1] + 2.0 * x[0] for x in rows]))
 
@@ -300,21 +333,21 @@ def test_replica_map_follows_replica_streams():
 @pytest.mark.parametrize("n, lo, hi", [(300, 509, 516), (300, 1021, 1035), (4096, 0, 17),
                                        (4096, 100, 613)])
 def test_replica_sampler_matches_sample_rows_and_streams(spec, n, lo, hi):
-    block = next(stream_blocks(spec, n, 0, hi + 3, hi + 3))
+    block = next(stream_blocks(spec, n, 0, hi + 3, hi + 3))[:, 1:]
     for i in range(lo, hi):
         assert np.array_equal(block[i], sample_prefix(spec.with_stream(spec.stream_id + i), n))
     for threads in (1, 2):
         # the identity statistic hands back the sampler's own buffers
-        assert np.array_equal(_replica_map(lambda x: x, spec, n, hi + 3, threads), block)
+        assert np.array_equal(_replica_map(lambda x: x[:, 1:], spec, n, hi + 3, threads), block)
 
 
 @pytest.mark.parametrize("family", ["rademacher", "normal"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_replica_map_keeps_a_stat_that_views_its_block(family, threads):
-    # x[:, 0] views the buffers that the next sub-block overwrites; 600
+    # x[:, 1] views the buffers that the next sub-block overwrites; 600
     # replicas at n = 300 take three 218-row sub-blocks
     spec = spec_of(family, 9, stream=3)
-    got = _replica_map(lambda x: x[:, 0], spec, 300, 600, threads)
+    got = _replica_map(lambda x: x[:, 1], spec, 300, 600, threads)
     assert np.array_equal(got, [sample_prefix(spec.with_stream(3 + i), 300)[0] for i in range(600)])
 
 
@@ -344,7 +377,7 @@ def test_ldp_builds_its_byte_table_only_under_the_cap():
 
 def test_replica_map_rejects_negative_threads():
     with pytest.raises(ValueError):
-        _replica_map(lambda x: x[:, 0], spec_of("normal", 8), 16, 10, threads=-1)
+        _replica_map(lambda x: x[:, 1], spec_of("normal", 8), 16, 10, threads=-1)
 
 
 class _SerialPool:
@@ -375,9 +408,9 @@ def pools(monkeypatch, cpus, n, replicas, threads):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "workers", [])
     spec = spec_of("normal", 8)
-    serial = _replica_map(lambda x: x[:, 0], spec, n, replicas, threads=1)
+    serial = _replica_map(lambda x: x[:, 1], spec, n, replicas, threads=1)
     for t in threads:
-        assert np.array_equal(_replica_map(lambda x: x[:, 0], spec, n, replicas, t), serial)
+        assert np.array_equal(_replica_map(lambda x: x[:, 1], spec, n, replicas, t), serial)
     return _SerialPool.workers
 
 
@@ -413,7 +446,7 @@ def test_replica_map_draws_one_run_of_whole_sub_blocks_per_worker(monkeypatch, t
     monkeypatch.setattr(experiments, "stream_blocks", blocks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spec = spec_of("normal", 8)
-    got = _replica_map(lambda x: x[:, 0], spec, 300, 1100, threads)
+    got = _replica_map(lambda x: x[:, 1], spec, 300, 1100, threads)
     assert sorted(calls) == runs
     assert np.array_equal(got, [sample_prefix(spec.with_stream(i), 300)[0] for i in range(1100)])
 

@@ -123,8 +123,9 @@ def test_stream_blocks_share_one_buffer(family):
 
 
 def stacked(spec, n, lo, hi, rows):
-    """Every block of stream_blocks, copied and stacked in stream order."""
-    return np.vstack([b.copy() for b in stream_blocks(spec, n, lo, hi, rows)])
+    """X_1..X_n of every block of stream_blocks, copied and stacked in
+    stream order."""
+    return np.vstack([b[:, 1:].copy() for b in stream_blocks(spec, n, lo, hi, rows)])
 
 
 @given(
@@ -138,7 +139,7 @@ def test_block_matches_prefix(seed, streams, rows, count):
     # counter-based: the block size changes no draw, and each row is the
     # prefix of its own stream
     spec = make_spec("normal", seed=seed)
-    blocks = [b.copy() for b in stream_blocks(spec, count, 0, streams, rows)]
+    blocks = [b[:, 1:].copy() for b in stream_blocks(spec, count, 0, streams, rows)]
     assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
     block = np.vstack(blocks)
     for i in range(streams):

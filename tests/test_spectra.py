@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from .oracles import (
     periodogram,
     symmetric_circulant_first_row,
 )
+from .test_weights import peak_bytes
 
 
 def test_circulant_scalar_identity():
@@ -213,16 +213,21 @@ def test_reverse_circulant_pairs_match_transform():
 
 @pytest.mark.parametrize("n", [2**20, 2**20 + 1])
 def test_reverse_circulant_memory_bounded(n):
-    # the path, its rotated copy and the rfft output are 24n bytes; the
-    # frequency-n/2 eigenvalue of even n adds at most one copy of the path,
-    # freed before the periodogram (24n plus 3 KiB measured at both sizes)
-    tracemalloc.start()
-    try:
-        reverse_circulant_spectrum(n, SourceSpec(family="normal", master_seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * n + 2**20
+    # the one-based path and the rfft output are 16n bytes, next to the
+    # finite check of S (n/2 bools); the frequency-n/2 eigenvalue of even n
+    # adds one copy of the path, freed before the transform, and the path
+    # is released before the magnitudes and eigenvalues (12n) are built
+    # (16.5n measured at both sizes)
+    _, peak = peak_bytes(lambda: reverse_circulant_spectrum(n, SourceSpec("normal", master_seed=1)))
+    assert peak <= 16 * n + 2**20, f"peaked at {peak / n:.2f}n bytes"
+
+
+def test_periodogram_peaks_under_22n_bytes():
+    # the one-based path, the rfft output and the n/2 ordinates: 20n bytes
+    # measured at n = 2^20, with no copy of the path
+    n, spec = 2**20, SourceSpec("rademacher", master_seed=1)
+    _, peak = peak_bytes(lambda: periodogram_ecdf_distance(n, spec))
+    assert peak <= 22 * n, f"peaked at {peak / n:.2f}n bytes"
 
 
 def test_reverse_circulant_squared_magnitudes_chi2():
@@ -246,7 +251,7 @@ def test_periodogram_consistency_with_transform():
     rng = np.random.default_rng(21)
     x = rng.standard_normal(129)
     ps = partial_sums_fast(129, 64, x)
-    every = periodogram_all(x)
+    every = periodogram_all(np.concatenate(([0.0], x)))
     for k in [1, 17, 64]:
         expect = (ps.s[k - 1] ** 2 + ps.t[k - 1] ** 2) / 2.0
         assert periodogram(x, k) == pytest.approx(expect, rel=1e-9, abs=1e-12)

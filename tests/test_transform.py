@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascltlab import BLOCK
-from ascltlab.sources import SourceSpec, sample_prefix, stream_blocks
+from ascltlab.sources import SourceSpec, sample_path, sample_prefix, stream_blocks
 from ascltlab.transform import (
     batch_kernel,
     mean_byte_table,
@@ -16,9 +16,12 @@ from ascltlab.transform import (
     partial_sums_batch,
     partial_sums_fast,
     partial_sums_naive,
+    path_sums,
     use_gemm,
 )
 from ascltlab.weights import make_trig_pair
+
+from .test_weights import peak_bytes
 
 
 def test_naive_trig_all_ones_vanishes():
@@ -118,12 +121,66 @@ def test_dispatch_and_force():
 def test_batch_matches_single():
     rng = np.random.default_rng(3)
     n, r = 128, 63
-    xs = rng.standard_normal((5, n))
+    xs = rng.standard_normal((5, n + 1))  # one-based: column 0 is the free slot
     bs, bt = partial_sums_batch(n, r, xs)
     for i in range(5):
-        ps = partial_sums_fast(n, r, xs[i])
+        ps = partial_sums_fast(n, r, xs[i, 1:])
         assert np.array_equal(bs[i], ps.s)
         assert np.array_equal(bt[i], ps.t)
+
+
+def rolled_reference(n, r, x):
+    """S and T of X_1..X_n (x, on the last axis) from the DFT of a rotated
+    copy, np.roll(x, 1): the reference of the one-based wrap slot."""
+    f = np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1)
+    scale = math.sqrt(2.0 / n)
+    return scale * f.real[..., 1 : r + 1], -scale * f.imag[..., 1 : r + 1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 64, 127, 1000, 1001])
+def test_wrap_slot_matches_the_rotated_copy_bit_for_bit(n):
+    # one-based inputs, X_j at index j: one path (1-D) and a block of five
+    # (2-D, whose rows the rfft reads strided); the slot starts as nan, so
+    # a transform that read it before writing X_n there would show
+    r = (n - 1) // 2
+    block = np.random.default_rng(n).standard_normal((5, n + 1))
+    block[:, 0] = np.nan
+    x = block[:, 1:].copy()
+    ref_s, ref_t = rolled_reference(n, r, x)
+    s, t = partial_sums_batch(n, r, block)
+    assert np.array_equal(s, ref_s) and np.array_equal(t, ref_t)
+    assert np.array_equal(block[:, 1:], x)
+    for i in range(5):
+        path = np.concatenate(([np.nan], x[i]))
+        ps = path_sums(n, r, path)
+        assert np.array_equal(ps.s, ref_s[i]) and np.array_equal(ps.t, ref_t[i])
+        assert np.array_equal(path[1:], x[i])
+        fast = partial_sums_fast(n, r, x[i])
+        assert np.array_equal(fast.s, ref_s[i]) and np.array_equal(fast.t, ref_t[i])
+
+
+@pytest.mark.parametrize("family", ["rademacher", "normal"])
+def test_every_prefix_of_a_sampled_path_reads_its_own_wrap(family):
+    # asclt reads each prefix of one path in place: every prefix n writes
+    # its own X_n into the shared slot, and no X_j moves
+    spec = SourceSpec(family=family, master_seed=33)
+    path = sample_path(spec, 300)
+    x = sample_prefix(spec, 300).copy()
+    for n in range(3, 301):
+        r = (n - 1) // 2
+        ps = path_sums(n, r, path)
+        ref_s, ref_t = rolled_reference(n, r, x[:n])
+        assert np.array_equal(ps.s, ref_s) and np.array_equal(ps.t, ref_t), n
+    assert np.array_equal(path[1:], x)
+
+
+def test_a_sampled_path_is_transformed_without_a_copy():
+    # beyond the 8 MiB path, only the rfft output (n/2 + 1 complex, 8n
+    # bytes) and the finite check: no copy of the path
+    n = 2**20
+    path = sample_path(SourceSpec(family="normal", master_seed=5), n)
+    _, peak = peak_bytes(lambda: path_sums(n, (n - 1) // 2, path))
+    assert peak <= 8 * n + 2**20, f"path_sums peaked at {peak / n:.2f}n bytes"
 
 
 def test_rfft_gemm_rule_covers_both_harness_shapes():
@@ -148,7 +205,7 @@ def test_batch_kernel_matches_reference(family, n, r):
 def test_mean_partial_sum_matches_reference(n, r):
     x = next(stream_blocks(SourceSpec(family="normal", master_seed=22), n, 0, 16, 16))
     ref_s, _ = partial_sums_batch(n, r, x)
-    got = mean_partial_sum(x, mean_weights(n, r))
+    got = mean_partial_sum(x[:, 1:], mean_weights(n, r))
     assert np.max(np.abs(got - ref_s.mean(axis=1))) <= 1e-12 * math.sqrt(n)
 
 
@@ -160,7 +217,7 @@ def test_byte_table_means_match_the_float_signs(n):
     spec = SourceSpec(family="rademacher", master_seed=2**64 - 9, stream_id=5)
     c = sample_prefix(SourceSpec(family="normal", master_seed=n), n)
     streams = 40 if n < BLOCK else 3
-    x = np.vstack([b.copy() for b in stream_blocks(spec, n, 0, streams, 16)])
+    x = np.vstack([b[:, 1:].copy() for b in stream_blocks(spec, n, 0, streams, 16)])
     table = mean_byte_table(c)
     assert table.shape == (8 * -(-n // 64), 256)
 
