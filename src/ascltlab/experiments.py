@@ -14,7 +14,9 @@ the whole stream range is checked before any draw.  Each harness maps a
 sub-block to the one statistic it reads (the mean of S, S alone, or S
 and T); that small per-replica result is copied, so it may be a view of
 the block.  Per-replica statistics are concatenated in ascending replica
-order, so the output is bit-identical for any thread count.
+order, so the output is bit-identical for any thread count.  Every
+harness checks the values it counts finite once (ascltlab.finite, or
+ks_to at the ends of its sorted copy).
 
 The growth condition r^3 (log n)^2 / n is never enforced: no desk-scale
 (n, r) makes it small, yet the empirical limit laws already hold.  The
@@ -32,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from . import BLOCK, ConfigError, empirical
+from . import BLOCK, ConfigError, empirical, finite
 from .empirical import ks_to, normal_cdf
 from .sources import SourceSpec, require_streams, sample_path, stream_blocks
 from .transform import (
@@ -42,7 +44,6 @@ from .transform import (
     mean_partial_sum,
     mean_weights,
     partial_sums_batch,
-    path_sums,
 )
 from .weights import HAAR, TRIG, haar_rows, require_trig
 
@@ -107,7 +108,7 @@ def _trajectory_sums(spec: SourceSpec, path: np.ndarray, n: int, r: int, kind: s
     """S_{n,1..r} of X_1..X_n of the one-based path; trig via DFT, Haar via
     matvec."""
     if kind == TRIG:
-        return path_sums(n, r, path).s
+        return partial_sums_batch(n, r, path[: n + 1])[0]
     if kind == HAAR:
         # the Haar rows are part of omega too: derive them from a companion
         # stream so it stays fixed for fixed (seed, stream)
@@ -141,11 +142,12 @@ def asclt_trajectory(
 
 
 def _grid_below(v: np.ndarray, buf: np.ndarray, hit: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = the number of grid points below v[i], which for finite v is
+    """out[i] = the number of grid points below v[i], which is
     np.searchsorted(_BIVARIATE_GRID, v, side="left"): one comparison per
-    grid point, of v copied into the contiguous buf, summed in the uint8
-    array out; hit is bool scratch, read as its 0/1 bytes."""
-    np.copyto(buf, v)
+    grid point, of v checked finite and copied into the contiguous buf,
+    summed in the uint8 array out; hit is bool scratch, read as its 0/1
+    bytes."""
+    np.copyto(buf, finite(v, "partial sums"))
     out.fill(0)
     for x in _BIVARIATE_GRID:
         np.greater(buf, x, out=hit)
@@ -168,7 +170,7 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     buf, hit = np.empty(m), np.empty(m, dtype=bool)
     cs, ct = np.empty(m, dtype=np.uint8), np.empty(m, dtype=np.uint8)
     for n, r in schedule.points:
-        s, t = path_sums(n, r, path)
+        s, t = partial_sums_batch(n, r, path[: n + 1])
         counts = np.zeros(g * g, dtype=np.intp)
         for lo in range(0, r, BLOCK):
             k = min(BLOCK, r - lo)
@@ -180,14 +182,6 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
         dev = float(np.max(np.abs(joint - target)))
         points.append({"n": n, "r": r, "max_grid_deviation": dev})
     return ExperimentResult({"grid": [float(v) for v in gx]}, points)
-
-
-def _finite(v: np.ndarray, what: str) -> np.ndarray:
-    """v, once every value is checked finite: a nan compares false with
-    every threshold, so it would count as a replica without a hit."""
-    if not np.all(np.isfinite(v)):
-        raise FloatingPointError(f"non-finite {what}")
-    return v
 
 
 def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int,
@@ -238,7 +232,7 @@ def char_variance_decay(
         def block_stat(x, n=n, r=r):
             ss, tt = partial_sums_batch(n, r, x)
             phi = np.mean(np.exp(1j * (s * ss + t * tt)), axis=1)
-            _finite(phi, "characteristic function values")
+            finite(phi, "characteristic function values")
             return np.abs(phi - target) ** 2
 
         sq = _replica_map(block_stat, spec, n, replicas, threads)
@@ -276,7 +270,7 @@ def clt_fluctuation(
     kernel = batch_kernel(n, r)
 
     def block_stat(xs):
-        ss = _finite(kernel(xs), "partial sums")
+        ss = finite(kernel(xs), "partial sums")
         return np.sum(ss <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * px
 
     w = _replica_map(block_stat, spec, n, replicas, threads)
@@ -313,7 +307,7 @@ def _half_line_rate(
     else:
         means = _replica_map(lambda xs: mean_partial_sum(xs[:, 1:], c), spec, c.size, replicas,
                              threads)
-    hits = int(np.sum(_finite(means, "replica means") >= a))
+    hits = int(np.sum(finite(means, "replica means") >= a))
     # with no observed exceedances, report the 1/replicas bound and flag the
     # rate; + 0.0 writes the rate at p_hat = 1 as 0.0, not -0.0
     p_hat = max(hits, 1) / replicas

@@ -11,8 +11,9 @@ symmetric ensemble's point compares the ESD with a limit law (N(0, 1)).
 Both build their equal or opposite eigenvalue pairs from one float: the
 symmetric lambda_k = lambda_{n-k} is written twice, and the reverse
 ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m,
-written into one array.  The periodogram and the reverse spectrum read
-the one-based path in place (transform.path_sums): the path and the rfft
+written into one array, checked finite at its two ends, where nan and
++-inf sort.  The periodogram and the reverse spectrum read the one-based
+path in place (transform.partial_sums_batch): the path and the rfft
 output, 16n bytes, then the n/2 ordinates in an array of their own, so
 the rfft output can be freed.  The reverse spectrum releases its path
 before the ordinates are built.
@@ -31,9 +32,9 @@ import math
 
 import numpy as np
 
-from . import ConfigError, empirical
+from . import ConfigError, empirical, finite
 from .sources import SourceSpec, sample_path, sample_prefix
-from .transform import path_sums
+from .transform import partial_sums_batch
 
 SYMMETRIC_CIRCULANT = "SymmetricCirculant"
 REVERSE_CIRCULANT = "ReverseCirculant"
@@ -42,9 +43,8 @@ REVERSE_CIRCULANT = "ReverseCirculant"
 def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
               exceptional: list[float]) -> tuple[np.ndarray, dict]:
     """(vals, the summary point) of the sorted eigenvalues vals, checked
-    finite."""
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite eigenvalues")
+    finite at their two ends."""
+    finite(vals[[0, -1]], "eigenvalues")
     return vals, {"ensemble": ensemble, "n": n, "normalization": normalization,
                   "count": int(vals.size), "exceptional": exceptional}
 
@@ -77,8 +77,7 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
     and frequency n/2 for even n) are reported in `exceptional` in the
     same sqrt(2/n)-scaled units and excluded from the ESD.  Both are taken
     before the transform, and the path is released once it is done, so the
-    peak is the path and the rfft output, 16n bytes, next to the n/2 bools
-    of the finite check, at every n.
+    peak is the path and the rfft output, 16n bytes, at every n.
     """
     if n < 3:
         raise ConfigError("need n >= 3")
@@ -91,7 +90,7 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
         alt[::2] *= -1.0
         exceptional.append(scale * float(np.sum(alt)))
         del alt
-    s, t = path_sums(n, (n - 1) // 2, path)
+    s, t = partial_sums_batch(n, (n - 1) // 2, path)
     del path, x
     # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
     m = _power(s, t)
@@ -116,9 +115,9 @@ def _power(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def periodogram_all(path: np.ndarray) -> np.ndarray:
     """All periodogram ordinates I_n(2 pi k / n) = (s_k^2 + t_k^2) / 2,
     k = 1..floor((n-1)/2), of the one-based path X_1..X_n (n + 1 floats,
-    X_j at path[j], see transform.path_sums)."""
+    X_j at path[j], see transform.partial_sums_batch)."""
     n = path.size - 1
-    p = _power(*path_sums(n, (n - 1) // 2, path))
+    p = _power(*partial_sums_batch(n, (n - 1) // 2, path))
     p /= 2.0
     return p
 

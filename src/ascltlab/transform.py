@@ -11,9 +11,10 @@ return a PartialSums named (s, t) pair, checked finite.
 The DFT reads its inputs one-based, as sources draws them: X_j at index
 j, index 0 a free slot.  The wrap term of the sums is a write of X_n into
 that slot, not a rotated copy, so a sampled path and every prefix of it
-are transformed in place (path_sums), and S and T are scaled in place as
-views of the DFT output: 8n bytes beyond the path.  A plain input of
-X_1..X_n (partial_sums_fast) is copied once into that layout.
+are transformed in place (partial_sums_batch), and S and T are scaled in
+place, unchecked, as views of the DFT output: 8n bytes beyond the path.
+A plain input of X_1..X_n (partial_sums_fast) is copied once into that
+layout.
 
 S over a one-based batch (replicas x (n + 1)) has two kernels: the batched
 rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
@@ -34,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import finite
 from .accum import kahan_sum
 from .sources import BYTE_SIGNS
 from .weights import require_trig, trig_rows, trig_tables
@@ -59,16 +61,12 @@ class PartialSums(NamedTuple):
 
 
 def _checked(n: int, x, sums) -> PartialSums:
-    """sums(x) for an input x of length n (else ValueError), each of S and
-    T checked finite (else FloatingPointError)."""
+    """sums(x) for an input x of length n (else ValueError), checked finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected input of length {n}, got {x.shape}")
-    ps = PartialSums(*sums(x))
-    for name, v in zip(ps._fields, ps):
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError(f"{name} has non-finite values")
-    return ps
+    s, t = sums(x)
+    return PartialSums(finite(s, "S"), finite(t, "T"))
 
 
 def partial_sums_naive(n: int, r: int, x: np.ndarray) -> PartialSums:
@@ -95,17 +93,9 @@ def partial_sums_naive(n: int, r: int, x: np.ndarray) -> PartialSums:
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:
     """Trig-weight partial sums via one real DFT of X_1..X_n, the input x,
-    copied once into the one-based layout of path_sums."""
+    copied once into the one-based layout of partial_sums_batch."""
     require_trig(n, r)
     return _checked(n, x, lambda x: partial_sums_batch(n, r, np.concatenate(([0.0], x))))
-
-
-def path_sums(n: int, r: int, path: np.ndarray) -> PartialSums:
-    """partial_sums_fast of X_1..X_n read in place from a one-based path,
-    X_j at path[j] (path may run past n, as a prefix of a longer path
-    does): X_n is written into path[0], and X_1..X_n are left as they are."""
-    require_trig(n, r)
-    return _checked(n, path[1 : n + 1], lambda _: partial_sums_batch(n, r, path[: n + 1]))
 
 
 def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, finite
 from .accum import ozaki_gram
 from .sources import SourceSpec, normal_grid
 
@@ -114,9 +114,9 @@ def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
         raise MemoryError(f"refusing to sample {r} rows of a {n}x{n} Haar matrix")
     q, rr = np.linalg.qr(normal_grid(spec, n, r))
     d = np.diagonal(rr)
-    if not np.all(np.isfinite(q)) or np.any(d == 0.0):
+    if np.any(d == 0.0):
         raise ArithmeticError("degenerate normal draw: QR produced a zero pivot")
-    return (q * np.sign(d)[None, :]).T.copy()
+    return (finite(q, "Haar rows") * np.sign(d)[None, :]).T.copy()
 
 
 # --- trigonometric column sums ---------------------------------------------

@@ -668,10 +668,9 @@ def test_scipy_special_only_through_the_loader_and_no_scipy_stats():
     assert {(stem, n.split(".")[1]) for stem, n in scipy_names} == {("special", "special")}
 
 
-def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
-    # every draw of the package goes through these two functions, so a
-    # count or a timer there sees them all; a call is booked to the
-    # top-level statement that holds it
+def _package_callers(name: str) -> list[str]:
+    """module.statement of every call of name (as a name or an attribute)
+    in the package, booked to the top-level statement that holds it."""
     callers = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -679,9 +678,23 @@ def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
                 f"{path.stem}.{getattr(top, 'name', '<module>')}"
                 for node in ast.walk(top)
                 if isinstance(node, ast.Call)
-                and "_draw" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
             ]
-    assert sorted(callers) == ["sources.normal_grid", "sources.stream_blocks"]
+    return sorted(callers)
+
+
+def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
+    # every draw of the package goes through these two functions, so a
+    # count or a timer there sees them all
+    assert _package_callers("_draw") == ["sources.normal_grid", "sources.stream_blocks"]
+
+
+def test_values_are_checked_finite_only_by_finite():
+    # one spelling of the finite rule, ascltlab.finite, besides ks_to's
+    # check of its sorted ends and the settings parser's check of a float
+    assert _package_callers("isfinite") == [
+        "__init__.finite", "cli.finite_float", "empirical.ks_to", "empirical.ks_to"
+    ]
 
 
 def test_every_public_function_has_a_caller():
@@ -877,6 +890,10 @@ def _nan_path(spec, n):
     return np.full(n + 1, np.nan)
 
 
+def _inf_path(spec, n):
+    return np.full(n + 1, np.inf)
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv",
     [
@@ -887,15 +904,22 @@ def _nan_path(spec, n):
          ["spectrum", "--ensemble", "reverse", "--n", "65"]),
         (spectra, "periodogram_all", lambda x: np.full(x.size // 2, np.nan),
          ["periodogram", "--n", "256"]),
+        (spectra, "sample_path", _nan_path, ["periodogram", "--n", "256"]),
+        (experiments, "sample_path", _inf_path, ["asclt", "--schedule", "256:127"]),
+        (experiments, "sample_path", _inf_path, ["bivariate", "--schedule", "256:127"]),
+        (spectra, "sample_path", _inf_path,
+         ["spectrum", "--ensemble", "reverse", "--n", "65"]),
     ],
     ids=["partial-sums", "bivariate-partial-sums", "eigenvalues", "reverse-eigenvalues",
-         "empirical-sample"],
+         "empirical-sample", "periodogram-path", "partial-sums-inf",
+         "bivariate-partial-sums-inf", "reverse-eigenvalues-inf"],
 )
 def test_non_finite_statistic_is_a_runtime_failure(
     tmp_path, capsys, monkeypatch, module, name, fake, argv
 ):
-    # partial sums, eigenvalues and an empirical sample that are nan must
-    # exit 3 (runtime), not 2 (configuration)
+    # partial sums, eigenvalues and an empirical sample that are nan or inf
+    # must exit 3 (runtime), not 2 (configuration); each is checked only by
+    # the statistic that reads it
     monkeypatch.setattr(module, name, fake)
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", str(out)]) == 3

@@ -16,7 +16,6 @@ from ascltlab.transform import (
     partial_sums_batch,
     partial_sums_fast,
     partial_sums_naive,
-    path_sums,
     use_gemm,
 )
 from ascltlab.weights import make_trig_pair
@@ -152,8 +151,8 @@ def test_wrap_slot_matches_the_rotated_copy_bit_for_bit(n):
     assert np.array_equal(block[:, 1:], x)
     for i in range(5):
         path = np.concatenate(([np.nan], x[i]))
-        ps = path_sums(n, r, path)
-        assert np.array_equal(ps.s, ref_s[i]) and np.array_equal(ps.t, ref_t[i])
+        s, t = partial_sums_batch(n, r, path)
+        assert np.array_equal(s, ref_s[i]) and np.array_equal(t, ref_t[i])
         assert np.array_equal(path[1:], x[i])
         fast = partial_sums_fast(n, r, x[i])
         assert np.array_equal(fast.s, ref_s[i]) and np.array_equal(fast.t, ref_t[i])
@@ -168,19 +167,19 @@ def test_every_prefix_of_a_sampled_path_reads_its_own_wrap(family):
     x = sample_prefix(spec, 300).copy()
     for n in range(3, 301):
         r = (n - 1) // 2
-        ps = path_sums(n, r, path)
+        s, t = partial_sums_batch(n, r, path[: n + 1])
         ref_s, ref_t = rolled_reference(n, r, x[:n])
-        assert np.array_equal(ps.s, ref_s) and np.array_equal(ps.t, ref_t), n
+        assert np.array_equal(s, ref_s) and np.array_equal(t, ref_t), n
     assert np.array_equal(path[1:], x)
 
 
 def test_a_sampled_path_is_transformed_without_a_copy():
     # beyond the 8 MiB path, only the rfft output (n/2 + 1 complex, 8n
-    # bytes) and the finite check: no copy of the path
+    # bytes): no copy of the path, and no check of S and T
     n = 2**20
     path = sample_path(SourceSpec(family="normal", master_seed=5), n)
-    _, peak = peak_bytes(lambda: path_sums(n, (n - 1) // 2, path))
-    assert peak <= 8 * n + 2**20, f"path_sums peaked at {peak / n:.2f}n bytes"
+    _, peak = peak_bytes(lambda: partial_sums_batch(n, (n - 1) // 2, path))
+    assert peak <= 8 * n + 2**16, f"partial_sums_batch peaked at {peak / n:.2f}n bytes"
 
 
 def test_rfft_gemm_rule_covers_both_harness_shapes():
