@@ -1,4 +1,5 @@
-"""Empirical-measure statistics and the Gaussian relative-entropy rate.
+"""Empirical-measure statistics: the exact KS distance to a continuous
+CDF, the normal and exponential CDFs, and the Wilson interval.
 
 The KS distance is evaluated exactly at the staircase corners of the
 ECDF, never on a grid: for a continuous target CDF the sup over all x is
@@ -65,13 +66,6 @@ def _corner_gap(v: np.ndarray, lo: int, m: int, cdf) -> float:
         g -= f
         gap = max(gap, float(np.max(np.abs(g, out=g))))
     return gap
-
-
-def rate_function_gaussian(m: float, sigma2: float) -> float:
-    """KL(N(m, sigma2) || N(0,1)) = (sigma2 - 1 - ln sigma2 + m^2) / 2, m^2 added last."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    return max(0.5 * ((sigma2 - 1.0 - math.log(sigma2)) + m * m), 0.0)
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:

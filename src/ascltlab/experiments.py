@@ -5,10 +5,10 @@ Replica contract: replica i draws X_1..X_n from the stream
 spec.stream_id + i.  Replicas are drawn in sub-blocks of about BLOCK inputs
 (max(1, BLOCK // n) replicas), so that a block stays in cache, and each
 worker draws one run of whole sub-blocks with one sources.stream_blocks
-call.  Rademacher ldp reads its replicas packed, as sign bytes, in
-sub-blocks of max(1, 8 BLOCK // n) replicas (see _half_line_rate); every
-other run reads float inputs, one-based as sources draws them (X_j in
-column j, column 0 the free slot of the DFT's wrap term).  Sub-block
+call.  A run reads float inputs, one-based as sources draws them (X_j in
+column j, column 0 the free slot of the DFT's wrap term), or packed sign
+bytes in sub-blocks of max(1, 8 BLOCK // n) replicas where
+transform.mean_kernel picks them for ldp's rademacher means.  Sub-block
 bounds depend only on n and that choice, never on the thread count, and
 the whole stream range is checked before any draw.  Each harness maps a
 sub-block to the one statistic it reads (the mean of S, S alone, or S
@@ -37,23 +37,10 @@ import numpy as np
 from . import BLOCK, ConfigError, empirical, finite
 from .empirical import ks_to, normal_cdf
 from .sources import SourceSpec, require_streams, sample_path, stream_blocks
-from .transform import (
-    batch_kernel,
-    mean_byte_table,
-    mean_from_sign_bytes,
-    mean_partial_sum,
-    mean_weights,
-    partial_sums_batch,
-)
+from .transform import batch_kernel, mean_kernel, mean_weights, partial_sums_batch
 from .weights import HAAR, TRIG, haar_rows, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
-# Rademacher ldp reads its means through a byte table of 256 B per index
-# while the table fits this cap, else from the float signs.  Measured on a
-# 2-core Xeon VM (r = 32, 2^25 draws a run, table build included): the table
-# path took 0.34 of the float path's time at n = 4096, 0.59 at 16384 and
-# 0.9 at 32768 (an 8 MiB table), but 1.15 at 65536 and 2.3 at 131072.
-_BYTE_TABLE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -294,19 +281,10 @@ def clt_fluctuation(
 def _half_line_rate(
     spec: SourceSpec, c: np.ndarray, r: int, a: float, replicas: int, threads: int
 ) -> dict:
-    """Replicas whose mean of S_{n,1..r} (one product with c) is >= a.
-
-    Rademacher means are read from the sign bytes through the byte table
-    of c while it fits _BYTE_TABLE_BYTES (checked before it is built), and
-    from the float signs otherwise, as every other family's are.
-    """
-    if spec.family == "rademacher" and 256 * 64 * -(-c.size // 64) <= _BYTE_TABLE_BYTES:
-        table = mean_byte_table(c)
-        means = _replica_map(lambda b: mean_from_sign_bytes(b, table), spec, c.size, replicas,
-                             threads, packed=True)
-    else:
-        means = _replica_map(lambda xs: mean_partial_sum(xs[:, 1:], c), spec, c.size, replicas,
-                             threads)
+    """Replicas whose mean of S_{n,1..r} (one product with c, read by
+    transform.mean_kernel) is >= a."""
+    kernel, packed = mean_kernel(spec.family, c)
+    means = _replica_map(kernel, spec, c.size, replicas, threads, packed)
     hits = int(np.sum(finite(means, "replica means") >= a))
     # with no observed exceedances, report the 1/replicas bound and flag the
     # rate; + 0.0 writes the rate at p_hat = 1 as 0.0, not -0.0
@@ -354,7 +332,7 @@ def ldp_rate(
         "n": n,
         "r": r,
         "a": a,
-        "target_rate": empirical.rate_function_gaussian(a, 1.0),
+        "target_rate": a * a / 2.0,
         "rate": main["rate"],
         "p_hat": main["p_hat"],
         "hits": main["hits"],

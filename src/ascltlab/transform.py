@@ -25,7 +25,8 @@ the reference both are tested against.
 The mean of S_{n,1..r} is one product x @ c (mean_partial_sum).  For
 rademacher inputs held as sign bytes, mean_from_sign_bytes reads it
 through a table of c's signed byte sums, one lookup per 8 indices;
-mean_partial_sum on the float signs is its reference.
+mean_partial_sum on the float signs is its reference.  mean_kernel picks
+one of the two for a family and c, as batch_kernel picks S's kernel.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ _GEMM_WEIGHT_BYTES = 4 << 20
 # inputs per GEMM call: larger calls may go multithreaded inside the BLAS,
 # and on the same VM those stalled for milliseconds per call at small n
 _GEMM_SLICE = 16
+# Rademacher means are read through a byte table of 256 B per index while
+# the table fits this cap, else from the float signs.  Measured on a 2-core
+# Xeon VM (r = 32, 2^25 draws a run, table build included): the table path
+# took 0.34 of the float path's time at n = 4096, 0.59 at 16384 and 0.9 at
+# 32768 (an 8 MiB table), but 1.15 at 65536 and 2.3 at 131072.
+_BYTE_TABLE_BYTES = 8 << 20
 
 
 class PartialSums(NamedTuple):
@@ -194,6 +201,20 @@ def mean_from_sign_bytes(b: np.ndarray, table: np.ndarray) -> np.ndarray:
     # index is in range and "clip" only skips the bounds check
     idx = np.arange(0, table.size, 256) + b
     return np.take(table.ravel(), idx, mode="clip").sum(axis=1)
+
+
+def mean_kernel(family: str, c: np.ndarray):
+    """(kernel, packed) for the mean x @ c of S_{n,1..r} per input, given
+    c = mean_weights(n, r): kernel maps a block of inputs to one mean per
+    input.  For rademacher inputs while the byte table of c fits
+    _BYTE_TABLE_BYTES (checked before it is built), it reads packed sign
+    bytes (packed is True, see sources.stream_blocks); otherwise it reads
+    the one-based float block of batch_kernel, column 0 ignored.
+    """
+    if family == "rademacher" and 256 * 64 * -(-c.size // 64) <= _BYTE_TABLE_BYTES:
+        table = mean_byte_table(c)
+        return (lambda b: mean_from_sign_bytes(b, table)), True
+    return (lambda x: mean_partial_sum(x[:, 1:], c)), False
 
 
 def partial_sums(w: tuple[int, int], x: np.ndarray, force: str) -> PartialSums:

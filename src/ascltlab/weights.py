@@ -34,7 +34,8 @@ from .sources import SourceSpec, normal_grid
 TRIG, HAAR = "trig", "haar"
 
 # size guard: r*n entries of the trig U rows that gen-weights writes, of r
-# Haar rows, or n of the trig column sums (two n-long tables and two sums)
+# Haar rows, or n of the trig column sums; check_trig peaks at 124 bytes
+# per n (tracemalloc at n = 2^18 and 2^20), about 992 MiB at this limit
 _MATERIALIZE_LIMIT = 1 << 23
 
 

@@ -689,6 +689,14 @@ def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
     assert _package_callers("_draw") == ["sources.normal_grid", "sources.stream_blocks"]
 
 
+def test_mean_kernels_are_picked_only_by_mean_kernel():
+    # transform.mean_kernel alone decides how ldp reads its means, packed
+    # sign bytes or float inputs, and owns the byte table's cap
+    for name in ("mean_byte_table", "mean_from_sign_bytes", "mean_partial_sum"):
+        assert _package_callers(name) == ["transform.mean_kernel"], name
+    assert "_BYTE_TABLE_BYTES" not in Path(experiments.__file__).read_text(encoding="utf-8")
+
+
 def test_values_are_checked_finite_only_by_finite():
     # one spelling of the finite rule, ascltlab.finite, besides ks_to's
     # check of its sorted ends and the settings parser's check of a float
@@ -746,11 +754,13 @@ def test_every_public_function_has_a_caller():
 def test_replica_streams_past_64_bits_exit_2_before_any_draw(tmp_path, capsys, monkeypatch,
                                                               argv, threads):
     # 2**64 - 10**4 holds ldp's 8192 main streams but not its baseline's,
-    # and the others' last streams; the range is refused before a draw
+    # and the others' last streams; the range is refused before a draw, of
+    # floats or of rademacher ldp's packed sign words
     def draw(*args):
         raise AssertionError("drew before the stream range was checked")
 
     monkeypatch.setattr(sources, "_draw", draw)
+    monkeypatch.setattr(sources, "_sign_words", draw)
     out = tmp_path / "out"
     assert run([*argv, "--stream", str(2**64 - 10**4), "--threads", threads,
                 "--out-dir", str(out)]) == 2

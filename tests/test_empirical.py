@@ -11,7 +11,6 @@ from ascltlab.empirical import (
     exponential_cdf,
     ks_to,
     normal_cdf,
-    rate_function_gaussian,
     wilson_interval,
 )
 from ascltlab.sources import SourceSpec, sample_prefix
@@ -148,43 +147,6 @@ def test_char_modulus_bounded(seed, s, t):
     val = empirical_char(pairs, s, t)
     assert abs(val) <= 1.0 + 1e-12
     assert empirical_char(pairs, 0.0, 0.0) == 1.0
-
-
-def test_rate_gaussian_examples():
-    assert rate_function_gaussian(0.0, 1.0) == 0.0
-    assert rate_function_gaussian(1.0, 1.0) == pytest.approx(0.5)
-    assert rate_function_gaussian(0.5, 1.0) == pytest.approx(0.125)
-
-
-def test_rate_gaussian_keeps_the_digits_of_a_small_mean():
-    # summing sigma2 + m^2 before subtracting 1 gave 0.0 at m = 1e-9 and
-    # 0.04500000000000004 at m = 0.3
-    for m in (1e-9, -1e-5, 0.01, 0.3, 0.5, 1.7):
-        assert rate_function_gaussian(m, 1.0) == 0.5 * m * m
-
-
-def test_rate_gaussian_quadrature_oracle():
-    # KL(N(1,1) || N(0,1)) by direct integration of f ln(f/phi)
-    f = lambda x: math.exp(-((x - 1.0) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
-    # ln(f/phi) expanded analytically so the tails do not underflow
-    log_ratio = lambda x: (x * x - (x - 1.0) ** 2) / 2.0
-    val, _ = integrate.quad(lambda x: f(x) * log_ratio(x), -np.inf, np.inf)
-    assert rate_function_gaussian(1.0, 1.0) == pytest.approx(val, abs=1e-9)
-
-
-def test_rate_gaussian_positive_off_origin():
-    for m in np.linspace(-2, 2, 9):
-        for s2 in [0.25, 0.5, 1.0, 2.0, 4.0]:
-            val = rate_function_gaussian(float(m), s2)
-            if m == 0.0 and s2 == 1.0:
-                assert val == 0.0
-            else:
-                assert val > 0.0
-
-
-def test_rate_gaussian_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        rate_function_gaussian(0.0, 0.0)
 
 
 def test_measure_validation():

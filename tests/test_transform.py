@@ -10,6 +10,7 @@ from ascltlab.transform import (
     batch_kernel,
     mean_byte_table,
     mean_from_sign_bytes,
+    mean_kernel,
     mean_partial_sum,
     mean_weights,
     partial_sums,
@@ -20,6 +21,7 @@ from ascltlab.transform import (
 )
 from ascltlab.weights import make_trig_pair
 
+from .test_sources import FAMILIES
 from .test_weights import peak_bytes
 
 
@@ -228,6 +230,32 @@ def test_byte_table_means_match_the_float_signs(n):
     assert np.max(np.abs(got - mean_partial_sum(x, c))) <= 4 * np.finfo(float).eps * np.sum(np.abs(c))
     # the block size changes no bit
     assert np.array_equal(means(1), got) and np.array_equal(means(7), got)
+
+
+@pytest.mark.parametrize("n, packed", [(32768, True), (32769, False)])
+def test_mean_kernel_packs_rademacher_while_the_byte_table_fits(n, packed):
+    # the table holds 256 B per index of c padded to whole words: exactly
+    # 8 MiB at n = 32768, 8.4 MB at 32769; both kernels read the same signs
+    spec, c = SourceSpec(family="rademacher", master_seed=24), mean_weights(n, 3)
+    kernel, got = mean_kernel("rademacher", c)
+    assert got is packed
+    x = next(stream_blocks(spec, n, 0, 2, 2))[:, 1:].copy()
+    means = kernel(next(stream_blocks(spec, n, 0, 2, 2, packed=packed)))
+    assert np.max(np.abs(means - mean_partial_sum(x, c))) <= 4 * np.finfo(float).eps * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "rademacher"])
+def test_mean_kernel_reads_floats_for_every_other_family(family):
+    assert mean_kernel(family, mean_weights(64, 3))[1] is False
+
+
+def test_float_mean_kernel_ignores_the_free_slot():
+    # column 0 of a one-based block is the DFT's free slot, never an input
+    x = next(stream_blocks(SourceSpec(family="normal", master_seed=25), 64, 0, 5, 5)).copy()
+    x[:, 0] = np.nan
+    c = mean_weights(64, 3)
+    got = mean_kernel("normal", c)[0](x)
+    assert np.all(np.isfinite(got)) and np.array_equal(got, mean_partial_sum(x[:, 1:], c))
 
 
 @pytest.mark.parametrize("n, r", [(4096, 32), (999, 499), (7, 3), (65536, 64)])
