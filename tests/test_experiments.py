@@ -464,11 +464,20 @@ def test_ldp_target_and_band():
     assert 0.08 <= p["rate"] <= 0.19
 
 
-def test_ldp_target_is_a_squared_over_two():
+def _ldp_target(a):
+    return ldp_rate(spec_of("rademacher", 5), 64, 4, a, 1).points[0]["target_rate"]
+
+
+def test_ldp_target_examples():
+    assert _ldp_target(1.0) == pytest.approx(0.5)
+    assert _ldp_target(0.5) == pytest.approx(0.125)
+
+
+def test_ldp_target_keeps_the_digits_of_a_small_mean():
     # the relative entropy of N(a, 1) to N(0, 1) keeps every digit of a
     # small a, which a sum 1 + a^2 taken before subtracting 1 rounds to 0.0
     for a in (1e-9, 1e-5, 0.01, 0.3, 0.5, 1.7):
-        assert ldp_rate(spec_of("rademacher", 5), 64, 4, a, 1).points[0]["target_rate"] == a * a / 2
+        assert _ldp_target(a) == a * a / 2
 
 
 def test_ldp_target_matches_the_quadrature_relative_entropy():
@@ -477,8 +486,7 @@ def test_ldp_target_matches_the_quadrature_relative_entropy():
     # ln(f/phi) expanded analytically so the tails do not underflow
     log_ratio = lambda x: (x * x - (x - 1.0) ** 2) / 2.0
     val, _ = integrate.quad(lambda x: f(x) * log_ratio(x), -np.inf, np.inf)
-    target = ldp_rate(spec_of("rademacher", 5), 64, 4, 1.0, 1).points[0]["target_rate"]
-    assert target == pytest.approx(val, abs=1e-9)
+    assert _ldp_target(1.0) == pytest.approx(val, abs=1e-9)
 
 
 def test_ldp_rademacher_vs_oracle_factor():
