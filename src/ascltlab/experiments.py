@@ -30,7 +30,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -184,14 +183,13 @@ def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int,
         raise ConfigError(f"threads must be >= 0, got {threads}")
     require_streams(spec, n_replicas)
     rows = max(1, (8 * BLOCK if packed else BLOCK) // n)
-    blocks = partial(stream_blocks, packed=True) if packed else stream_blocks
     # one run of whole sub-blocks per worker: threads past the cores only cost memory
     workers = max(1, min(threads, os.cpu_count() or 1))
     step = rows * -(-n_replicas // (rows * workers))
 
     def run(lo: int) -> list:
         hi = min(lo + step, n_replicas)
-        return [np.array(stat(x)) for x in blocks(spec, n, lo, hi, rows)]
+        return [np.array(stat(x)) for x in stream_blocks(spec, n, lo, hi, rows, packed)]
 
     runs = range(0, n_replicas, step)
     if len(runs) == 1:
@@ -253,7 +251,7 @@ def clt_fluctuation(
     if replicas < 100:
         raise ConfigError("need at least 100 replicas")
     require_trig(n, r)
-    px = normal_cdf(x)
+    px = float(normal_cdf(x))
     kernel = batch_kernel(n, r)
 
     def block_stat(xs):

@@ -91,9 +91,9 @@ def trig_u_rows(n: int, r: int):
     return (trig_rows(cos_tab, [k])[0] for k in range(1, r + 1))
 
 
-def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
-    """The first r rows (all n when r is None) of a Haar-distributed
-    orthogonal n x n matrix, as an r x n array.
+def haar_rows(n: int, spec: SourceSpec, r: int) -> np.ndarray:
+    """The first r rows of a Haar-distributed orthogonal n x n matrix, as
+    an r x n array.
 
     Row i is column i of Q in G = QR, where the n x n G holds i.i.d.
     standard normals of the spec's counter-based stream, its first r
@@ -108,7 +108,6 @@ def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
     only in the last ulp.  r*n above _MATERIALIZE_LIMIT is refused before
     anything is allocated.
     """
-    r = n if r is None else r
     if not 1 <= r <= n:
         raise ConfigError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
     if r * n > _MATERIALIZE_LIMIT:
@@ -122,26 +121,23 @@ def haar_rows(n: int, spec: SourceSpec, r: int | None = None) -> np.ndarray:
 
 # --- trigonometric column sums ---------------------------------------------
 
-def trig_column_sums(n: int):
-    """(S_m, T_m) with S_m = sum_{j=1..n} cos(2 pi m j / n), T_m the sine sum.
+def trig_column_sums(cos_tab: np.ndarray, sin_tab: np.ndarray):
+    """(S_m, T_m) with S_m = sum_{j=1..n} cos(2 pi m j / n), T_m the sine
+    sum, from the tables of trig_tables(n).
 
     Exact values are S_m = n for m = 0 mod n and 0 otherwise, T_m = 0;
     the computed arrays carry the actual floating-point residuals.  As j
     runs over 1..n, (m j) mod n hits every multiple of g = gcd(m, n)
     exactly g times, so S_m = g * sum_{i < n/g} cos_tab[g i] and T_m is the
-    same sum over the sine table of trig_tables(n): one pairwise sum per
-    divisor of n.  gcd(m, n) is the largest divisor of n that divides m, so
-    writing the divisors' sums in ascending order leaves each m with its
-    own.  S_0 = n and T_0 = 0 come out exact.  At prime n every m > 0
-    shares the sum of the whole table; where that sum reads exactly 0, so
-    do the residuals built on it, a property of the table rather than a
-    skipped check.  n above _MATERIALIZE_LIMIT is refused before anything
-    is allocated.
+    same sum over the sine table: one pairwise sum per divisor of n.
+    gcd(m, n) is the largest divisor of n that divides m, so writing the
+    divisors' sums in ascending order leaves each m with its own.  S_0 = n
+    and T_0 = 0 come out exact.  At prime n every m > 0 shares the sum of
+    the whole table; where that sum reads exactly 0, so do the residuals
+    built on it, a property of the table rather than a skipped check.
     """
-    if n > _MATERIALIZE_LIMIT:
-        raise MemoryError(f"refusing to sum the {n} trig columns")
+    n = cos_tab.size
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    cos_tab, sin_tab = trig_tables(n)
     s, t = np.empty(n), np.empty(n)
     for d in sorted({*low, *(n // d for d in low)}):
         s[::d] = d * cos_tab[::d].sum()
@@ -181,7 +177,8 @@ def check_trig(n: int, r: int, delta: float) -> dict:
     of the four cos/sin identities over 1 <= k1 <= k2 <= n (k1 + k2 = n
     and 2k = n included), which depends on n alone.
 
-    r and delta are checked before the column sums are computed, once for
+    r and delta are checked, and n above _MATERIALIZE_LIMIT is refused,
+    before the tables are built; the column sums are computed once for
     both scans; E is S minus its exact value and T is its own error.  Every
     Gram entry of the pair is an exact half-sum of two column sums S_m /
     T_m, so the r x r residual scan never reads the rows; it agrees with a
@@ -191,14 +188,19 @@ def check_trig(n: int, r: int, delta: float) -> dict:
     require_trig(n, r)
     if not delta > 0:
         raise ConfigError("delta must be positive")
-    e, t = trig_column_sums(n)
+    if n > _MATERIALIZE_LIMIT:
+        raise MemoryError(f"refusing to sum the {n} trig columns")
+    cos_tab, sin_tab = trig_tables(n)
+    e, t = trig_column_sums(cos_tab, sin_tab)
+    sin_max = float(np.max(np.abs(sin_tab)))
+    del cos_tab, sin_tab  # not held through the pair scans, which set the peak
     e[0] -= n
     cc, ss, cross = _pair_residuals(e, t, r)
     scale = math.sqrt(2.0 / n)
     return {
         # residue 0 is hit at j = n for every k, where |cos| = 1
         "eps_entry_u": scale,
-        "eps_entry_v": scale * float(np.max(np.abs(trig_tables(n)[1]))),
+        "eps_entry_v": scale * sin_max,
         "eps_orth_u": cc / n, "eps_orth_v": ss / n, "eps_cross": cross / n,
         "log_scale": math.log1p(r) ** (1.0 + delta), "n": n, "r": r, "delta": delta,
         "trig_identity_residual": max(_pair_residuals(e, t, n)) / 2.0,

@@ -19,6 +19,9 @@ deviation of the bivariate harness), ``empirical_char`` (the
 characteristic function of the char-decay harness), ``periodogram`` (one
 ordinate by the defining sum, against ``spectra.periodogram_all``) and
 ``chi2_2_cdf`` (the limit law of s^2 + t^2 in the reverse circulant).
+``trig_coefficients`` is S_k and T_k at a few k by one direct sum each,
+O(n) per k: the reference of the DFT path at sizes where the naive
+path's O(rn) work is out of reach.
 ``ks_to`` is the KS distance in one pass over the whole sorted sample,
 the reference the blocked ``empirical.ks_to`` is held to bit for bit.
 
@@ -231,6 +234,23 @@ def periodogram(x: np.ndarray, k: int) -> float:
     c = float(np.cos(ang) @ x)
     s = float(np.sin(ang) @ x)
     return (c * c + s * s) / n
+
+
+def trig_coefficients(x: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
+    """S_k and T_k of X_1..X_n (x) for each k of ks, with no FFT: each one
+    pairwise sum (numpy's sum of a 1-D array) of sqrt(2/n) table[(k j) mod n]
+    x_j, j = 1..n, over exact int64 residues, the cos and sin tables of
+    2 pi i / n scaled once.  O(n) per k."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    ang = 2.0 * np.pi * np.arange(n) / n
+    cos_tab, sin_tab = np.cos(ang) * math.sqrt(2.0 / n), np.sin(ang) * math.sqrt(2.0 / n)
+    j = np.arange(1, n + 1, dtype=np.int64)
+    s, t = np.empty(len(ks)), np.empty(len(ks))
+    for i, k in enumerate(ks):
+        idx = k * j % n
+        s[i], t[i] = (cos_tab[idx] * x).sum(), (sin_tab[idx] * x).sum()
+    return s, t
 
 
 def chi2_2_cdf(x):

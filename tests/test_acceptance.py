@@ -217,7 +217,7 @@ def test_criterion_10_circulant_spectra():
 def test_criterion_11_haar_weights():
     t0 = time.perf_counter()
     n = 1024
-    u = haar_rows(n, spec_of("normal", 2, stream=1 << 32))
+    u = haar_rows(n, spec_of("normal", 2, stream=1 << 32), n)
     orth = float(np.max(np.abs(u @ u.T - np.eye(n))))
     x = sample_prefix(spec_of("rademacher", 2), n)
     ks = ks_to(u @ x, normal_cdf)

@@ -698,11 +698,9 @@ def test_mean_kernels_are_picked_only_by_mean_kernel():
 
 
 def test_values_are_checked_finite_only_by_finite():
-    # one spelling of the finite rule, ascltlab.finite, besides ks_to's
-    # check of its sorted ends and the settings parser's check of a float
-    assert _package_callers("isfinite") == [
-        "__init__.finite", "cli.finite_float", "empirical.ks_to", "empirical.ks_to"
-    ]
+    # one spelling of the finite rule, ascltlab.finite, besides the
+    # settings parser's check of a float
+    assert _package_callers("isfinite") == ["__init__.finite", "cli.finite_float"]
 
 
 def test_every_public_function_has_a_caller():

@@ -78,13 +78,28 @@ def _tied_at_block_edges(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@pytest.mark.parametrize("cdf, draw", [(normal_cdf, "standard_normal"),
-                                       (exponential_cdf, "standard_exponential")])
+def _at_the_cdf_ends(v: np.ndarray, ends: tuple[float, float]) -> np.ndarray:
+    """v sorted, its lowest and highest BLOCK + 2 values set to the two
+    ends, across the first and the last block edge, shuffled."""
+    v = np.sort(v)
+    v[: BLOCK + 2], v[-BLOCK - 2 :] = ends
+    np.random.default_rng(v.size).shuffle(v)
+    return v
+
+
+@pytest.mark.parametrize("cdf, draw, ends", [
+    pytest.param(normal_cdf, "standard_normal", (-40.0, 40.0), id="normal_cdf-standard_normal"),
+    pytest.param(exponential_cdf, "standard_exponential", (0.0, 800.0),
+                 id="exponential_cdf-standard_exponential"),
+])
 @pytest.mark.parametrize("m", [3 * BLOCK + 1, 4 * BLOCK, 3 * BLOCK + 17])
-def test_blocked_ks_matches_the_one_pass_reference(cdf, draw, m):
-    # 3 BLOCK + 1 leaves a last block of one atom
+def test_blocked_ks_matches_the_one_pass_reference(cdf, draw, ends, m):
+    # 3 BLOCK + 1 leaves a last block of one atom.  F is exactly 0.0 and 1.0
+    # at the ends, so i/m - F and F - (i-1)/m each take both signs there
+    assert cdf(np.array(ends)).tolist() == [0.0, 1.0]
     rng = np.random.default_rng(m)
-    for v in (getattr(rng, draw)(m), _tied_at_block_edges(getattr(rng, draw)(m))):
+    for v in (getattr(rng, draw)(m), _tied_at_block_edges(getattr(rng, draw)(m)),
+              _at_the_cdf_ends(getattr(rng, draw)(m), ends)):
         assert ks_to(v, cdf) == oracles.ks_to(v, cdf)
     # midpoint quantiles: every atom is within rounding of the max gap 1/(2m)
     mid = ndtri((np.arange(1, m + 1) - 0.5) / m)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascltlab import BLOCK
 from ascltlab.sources import SourceSpec, sample_path, sample_prefix, stream_blocks
+from ascltlab.spectra import periodogram_all
 from ascltlab.transform import (
     batch_kernel,
     mean_byte_table,
@@ -21,6 +22,7 @@ from ascltlab.transform import (
 )
 from ascltlab.weights import make_trig_pair
 
+from . import oracles
 from .test_sources import FAMILIES
 from .test_weights import peak_bytes
 
@@ -182,6 +184,32 @@ def test_a_sampled_path_is_transformed_without_a_copy():
     path = sample_path(SourceSpec(family="normal", master_seed=5), n)
     _, peak = peak_bytes(lambda: partial_sums_batch(n, (n - 1) // 2, path))
     assert peak <= 8 * n + 2**16, f"partial_sums_batch peaked at {peak / n:.2f}n bytes"
+
+
+@pytest.mark.parametrize("n", [2**20, 262145, 2**20 + 1])
+def test_full_size_dft_matches_direct_sums(n):
+    # the sizes of the one-path ops, where pocketfft takes three code paths:
+    # a power of two, 5 * 13 * 37 * 109, and 17 * 61681 with a large prime
+    # factor.  The direct sum's error is at most about
+    # log2(n) eps sqrt(2/n) |x|_1; an FFT's is log2(n) eta |F x|_2 in norm,
+    # eta about 7 eps (Higham, Accuracy and Stability, 2nd ed., Thm 24.2),
+    # so per scaled coefficient 7 log2(n) eps sqrt(2) |x|_2.  Their sum is
+    # about 1e-10 at 2^20; the deviations measured are below 3e-15
+    r = (n - 1) // 2
+    path = sample_path(SourceSpec(family="normal", master_seed=19), n)
+    x = path[1:].copy()
+    ks = np.unique(np.r_[1, 2, r - 1, r, np.random.default_rng(n).integers(3, r - 1, 12)])
+    s_ref, t_ref = oracles.trig_coefficients(x, ks)
+    eps, log2n = np.finfo(float).eps, math.log2(n)
+    tol = log2n * eps * math.sqrt(2.0) * (np.sum(np.abs(x)) / math.sqrt(n)
+                                          + 7 * math.sqrt(np.sum(x * x)))
+    s, t = partial_sums_batch(n, r, path)
+    assert np.max(np.abs(s[ks - 1] - s_ref)) <= tol
+    assert np.max(np.abs(t[ks - 1] - t_ref)) <= tol
+    # I_k = (S_k^2 + T_k^2) / 2, off by (|S_k| + |T_k|) tol + tol^2 and its rounding
+    p_ref = (s_ref**2 + t_ref**2) / 2.0
+    p_tol = (np.abs(s_ref) + np.abs(t_ref)) * tol + tol**2 + 4 * eps * p_ref
+    assert np.all(np.abs(periodogram_all(path)[ks - 1] - p_ref) <= p_tol)
 
 
 def test_rfft_gemm_rule_covers_both_harness_shapes():

@@ -132,7 +132,7 @@ def test_trig_column_sums_match_fsum():
     # worst error measured over n = 3..300, 1024 and 4095..4097 was
     # n 2^-52.9; 4095..4097 are left out for time
     for n in sorted(set(range(3, 201)) | {256, 257, 300, 1024}):
-        s, t = trig_column_sums(n)
+        s, t = trig_column_sums(*trig_tables(n))
         s_ref, t_ref = trig_column_sums_fsum(n)
         assert s[0] == n and t[0] == 0.0, n
         assert np.max(np.abs(s - s_ref)) <= n * 2.0**-50, n
@@ -150,7 +150,7 @@ def test_trig_identity_scan_bit_identical_to_loop():
     # 4097 = 17 * 241 and 8193 = 3 * 2731: sizes past 4096 with few divisors;
     # the residual depends on n alone, whatever r the point is checked at
     for n in _BIT_IDENTITY_NS + [4097, 8193]:
-        s, t = trig_column_sums(n)
+        s, t = trig_column_sums(*trig_tables(n))
         worst = trig_identity_worst_loop(n, s, t)
         for r in (1, (n - 1) // 2):
             assert check_trig(n, r, 1.0)["trig_identity_residual"] == worst, (n, r)
@@ -160,7 +160,7 @@ def test_trig_identity_scan_bit_identical_to_loop():
 def test_condition_scan_bit_identical_to_loop(n):
     # the computed S_0 - n and T_0 are exactly 0, so the diagonal of V V^T
     # is (E_0 - S_2k) / n = -S_2k / n and that of U V^T (T_2k + T_0) / n = T_2k / n
-    s, t = trig_column_sums(n)
+    s, t = trig_column_sums(*trig_tables(n))
     for r in (1, 2, (n - 1) // 2):
         rep = check_trig(n, r, 1.0)
         got = (rep["eps_orth_u"], rep["eps_orth_v"], rep["eps_cross"])
@@ -185,18 +185,16 @@ def test_trig_checks_memory_bounded():
 
 
 def test_trig_sums_refused_above_the_size_limit_before_allocating():
-    # every trig check refuses n above _MATERIALIZE_LIMIT before the tables
+    # the trig check refuses n above _MATERIALIZE_LIMIT before the tables
     # and sums are allocated
-    n = weights._MATERIALIZE_LIMIT + 1
-    for check in (trig_column_sums, lambda n: check_trig(n, 1, 1.0)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(MemoryError, match="refusing"):
-                check(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="refusing"):
+            check_trig(weights._MATERIALIZE_LIMIT + 1, 1, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n, r", [(4096, 2047), (4097, 2048), (1000, 499), (7, 3), (65536, 64)])
@@ -224,7 +222,7 @@ def test_trig_materialize_memory_bounded():
 def test_haar_n1_support():
     seen = set()
     for seed in range(40):
-        val = float(haar_rows(1, normal_spec(seed))[0, 0])
+        val = float(haar_rows(1, normal_spec(seed), 1)[0, 0])
         assert val == pytest.approx(1.0, abs=1e-12) or val == pytest.approx(-1.0, abs=1e-12)
         seen.add(round(val))
     assert seen == {-1, 1}
@@ -232,7 +230,7 @@ def test_haar_n1_support():
 
 def test_haar_orthonormality():
     for n in [2, 16, 64]:
-        u = haar_rows(n, normal_spec(5))
+        u = haar_rows(n, normal_spec(5), n)
         gram = u @ u.T
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
 
@@ -251,7 +249,7 @@ def test_haar_max_entry_law():
     bound = 2.0 * math.sqrt(math.log(n) / n)
     hits = 0
     for seed in range(200):
-        if np.max(np.abs(haar_rows(n, normal_spec(seed)))) <= bound:
+        if np.max(np.abs(haar_rows(n, normal_spec(seed), n))) <= bound:
             hits += 1
     assert hits >= 170
 
@@ -260,7 +258,7 @@ def test_haar_first_entry_moments():
     # first-row first-entry is uniform-on-sphere marginal: mean 0, var 1/16
     n, reps = 16, 10**4
     vals = np.array(
-        [float(haar_rows(n, normal_spec(seed))[0, 0]) for seed in range(reps)]
+        [float(haar_rows(n, normal_spec(seed), n)[0, 0]) for seed in range(reps)]
     )
     mean_se = 1.0 / math.sqrt(n * reps)
     assert abs(np.mean(vals)) < 5.0 * mean_se
@@ -273,11 +271,11 @@ def test_haar_first_entry_moments():
 def test_haar_thin_rows_match_the_full_matrix(n, r):
     # the thin QR of the first r normal columns against the full n x n QR:
     # equal up to the last ulp at r < n, bit for bit at r = n
-    full = haar_rows(n, normal_spec(n + r))
+    full = haar_rows(n, normal_spec(n + r), n)
     thin = haar_rows(n, normal_spec(n + r), r)
     assert thin.shape == (r, n)
     assert np.max(np.abs(thin - full[:r])) <= (0.0 if r == n else 1e-14)
 
 
 def test_haar_deterministic_in_seed():
-    assert np.array_equal(haar_rows(8, normal_spec(3)), haar_rows(8, normal_spec(3)))
+    assert np.array_equal(haar_rows(8, normal_spec(3), 8), haar_rows(8, normal_spec(3), 8))
