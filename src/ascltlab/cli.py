@@ -1,9 +1,10 @@
 """Command-line front end: config parsing, experiment dispatch, and
 persistence of JSON + CSV artifacts.
 
-Every subcommand is one entry of _COMMANDS: a runner that returns an
-ExperimentResult (and, when the CSV rows are not its points, the CSV
-rows), the RunConfig fields it reads, and its summary line per point.
+Every subcommand is one entry of _COMMANDS: a runner, the RunConfig
+fields it reads, and its summary line per point.  run() builds the run's
+SourceSpec once and calls runner(cfg, spec), which returns the
+ExperimentResult and the CSV table, or None where the rows are its points.
 A subcommand takes the settings of _IDENTITY, which every run reads and
 records, and its own fields, and no others: they are its flags, its
 config keys and, where the field has no default, its required settings.
@@ -292,37 +293,32 @@ def _points_table(points: list[dict]):
                     for p in points)
 
 
-def _harness(call):
-    """Runner for call(cfg, spec), a harness of the experiments module."""
-    return lambda cfg: (call(cfg, cfg.source_spec()), None)
-
-
-def _check_weights(cfg: RunConfig):
+def _check_weights(cfg: RunConfig, spec: SourceSpec):
     if cfg.kind == TRIG:
         point = check_trig(cfg.n, cfg.r, cfg.delta)
     else:
-        point = check_haar(cfg.n, cfg.r, cfg.source_spec(), cfg.delta)
+        point = check_haar(cfg.n, cfg.r, spec, cfg.delta)
     return experiments.ExperimentResult({"kind": cfg.kind, "delta": cfg.delta}, [point]), None
 
 
-def _periodogram(cfg: RunConfig):
-    dist = spectra.periodogram_ecdf_distance(cfg.n, cfg.source_spec())
+def _periodogram(cfg: RunConfig, spec: SourceSpec):
+    dist = spectra.periodogram_ecdf_distance(cfg.n, spec)
     return experiments.ExperimentResult({}, [{"n": cfg.n, "ks_to_exponential": dist}]), None
 
 
-def _spectrum(cfg: RunConfig):
+def _spectrum(cfg: RunConfig, spec: SourceSpec):
     spectrum = {"symmetric": spectra.symmetric_circulant_spectrum,
                 "reverse": spectra.reverse_circulant_spectrum}[cfg.ensemble]
-    e, point = spectrum(cfg.n, cfg.source_spec())
+    e, point = spectrum(cfg.n, spec)
     result = experiments.ExperimentResult({"ensemble": cfg.ensemble}, [point])
     return result, (["index", "eigenvalue"], _indexed_lines(e))
 
 
-def _gen_weights(cfg: RunConfig):
+def _gen_weights(cfg: RunConfig, spec: SourceSpec):
     if cfg.kind == TRIG:
         u = trig_u_rows(cfg.n, cfg.r)
     else:
-        u = haar_rows(cfg.n, cfg.source_spec(), cfg.r)
+        u = haar_rows(cfg.n, spec, cfg.r)
     # U streams to the writer one row at a time
     table = (["k"] + [f"u{j}" for j in range(cfg.n)], _row_lines(u))
     point = {"n": cfg.n, "r": cfg.r, "kind": cfg.kind}
@@ -350,41 +346,41 @@ def _spectrum_line(cfg: RunConfig, p: dict) -> str:
 # the settings every subcommand reads: the run's identity, and where it writes
 _IDENTITY = ("family", "p", "seed", "stream", "out_dir")
 
-# subcommand -> (runner, the other RunConfig fields it reads, summary); runner(cfg)
-# returns (ExperimentResult, CSV (header, text blocks), or None for the points),
-# and summary(cfg, point) one stdout line per point
+# subcommand -> (runner, the other RunConfig fields it reads, summary);
+# runner(cfg, spec) returns (ExperimentResult, CSV (header, text blocks), or
+# None for the points), and summary(cfg, point) one stdout line per point
 _COMMANDS = {
     "check-weights": (_check_weights, ("kind", "n", "r", "delta"), _check_weights_line),
     "asclt": (
-        _harness(lambda cfg, spec: experiments.asclt_trajectory(
-            spec, experiments.Schedule.parse(cfg.schedule), cfg.kind)),
+        lambda cfg, spec: (experiments.asclt_trajectory(
+            spec, experiments.Schedule.parse(cfg.schedule), cfg.kind), None),
         ("kind", "schedule"),
         _line("asclt n=%d r=%d ks=%.6g", "n", "r", "ks_to_normal"),
     ),
     "bivariate": (
-        _harness(lambda cfg, spec: experiments.asclt_bivariate(
-            spec, experiments.Schedule.parse(cfg.schedule))),
+        lambda cfg, spec: (experiments.asclt_bivariate(
+            spec, experiments.Schedule.parse(cfg.schedule)), None),
         ("schedule",),
         _line("bivariate n=%d r=%d max_dev=%.6g", "n", "r", "max_grid_deviation"),
     ),
     "char-decay": (
-        _harness(lambda cfg, spec: experiments.char_variance_decay(
+        lambda cfg, spec: (experiments.char_variance_decay(
             spec, experiments.Schedule.parse(cfg.schedule), cfg.s, cfg.t, cfg.replicas,
-            cfg.threads)),
+            cfg.threads), None),
         ("schedule", "s", "t", "replicas", "threads"),
         _line("char-decay n=%d r=%d estimate=%.6g ratio_r=%.4g",
               "n", "r", "estimate", "ratio_to_inverse_r"),
     ),
     "clt-fluct": (
-        _harness(lambda cfg, spec: experiments.clt_fluctuation(
-            spec, cfg.n, cfg.r, cfg.x, cfg.replicas, cfg.threads)),
+        lambda cfg, spec: (experiments.clt_fluctuation(
+            spec, cfg.n, cfg.r, cfg.x, cfg.replicas, cfg.threads), None),
         ("n", "r", "x", "replicas", "threads"),
         _line("clt-fluct n=%d r=%d x=%g mean=%.6g variance=%.6g ks_std=%.6g",
               "n", "r", "x", "w_mean", "w_variance", "ks_standardized_to_normal"),
     ),
     "ldp": (
-        _harness(lambda cfg, spec: experiments.ldp_rate(
-            spec, cfg.n, cfg.r, cfg.a, cfg.replicas, cfg.threads)),
+        lambda cfg, spec: (experiments.ldp_rate(
+            spec, cfg.n, cfg.r, cfg.a, cfg.replicas, cfg.threads), None),
         ("n", "r", "a", "replicas", "threads"),
         _line("ldp n=%d r=%d a=%g rate=%.6g oracle=%.6g target_rate=%.6g",
               "n", "r", "a", "rate", "oracle_rate", "target_rate"),
@@ -410,8 +406,9 @@ def run(argv) -> int:
     try:
         cfg = _resolve_config(args)
         runner, _, summary = _COMMANDS[cfg.experiment]
+        spec = cfg.source_spec()
         t0 = time.perf_counter()
-        result, table = runner(cfg)
+        result, table = runner(cfg, spec)
         wall_clock_s = time.perf_counter() - t0
         lines = [summary(cfg, point) for point in result.points]
     except ConfigError as exc:

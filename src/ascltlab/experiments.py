@@ -37,7 +37,7 @@ from . import BLOCK, ConfigError, empirical, finite
 from .empirical import ks_to, normal_cdf
 from .sources import SourceSpec, require_streams, sample_path, stream_blocks
 from .transform import batch_kernel, mean_kernel, mean_weights, partial_sums_batch
-from .weights import HAAR, TRIG, haar_rows, require_trig
+from .weights import HAAR, TRIG, haar_rows, require_haar, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
 
@@ -60,9 +60,13 @@ class Schedule:
             raise ConfigError("schedule must be strictly increasing in n")
         object.__setattr__(self, "points", pts)
 
-    def require_trig(self) -> None:
+    def require(self, kind: str) -> None:
+        """Check every point against the weights of kind, before any draw."""
+        require = {TRIG: require_trig, HAAR: require_haar}.get(kind)
+        if require is None:
+            raise ConfigError(f"unsupported weight kind {kind!r}")
         for n, r in self.points:
-            require_trig(n, r)
+            require(n, r)
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":
@@ -92,14 +96,12 @@ class ExperimentResult:
 
 def _trajectory_sums(spec: SourceSpec, path: np.ndarray, n: int, r: int, kind: str) -> np.ndarray:
     """S_{n,1..r} of X_1..X_n of the one-based path; trig via DFT, Haar via
-    matvec."""
+    matvec (asclt_trajectory has refused any other kind)."""
     if kind == TRIG:
         return partial_sums_batch(n, r, path[: n + 1])[0]
-    if kind == HAAR:
-        # the Haar rows are part of omega too: derive them from a companion
-        # stream so it stays fixed for fixed (seed, stream)
-        return haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r) @ path[1 : n + 1]
-    raise ConfigError(f"unsupported weight kind {kind!r}")
+    # the Haar rows are part of omega too: derive them from a companion
+    # stream so it stays fixed for fixed (seed, stream)
+    return haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r) @ path[1 : n + 1]
 
 
 def asclt_trajectory(
@@ -112,9 +114,9 @@ def asclt_trajectory(
     construction.  By prefix stability, the X_1..X_n of a point are also
     exactly what sample_prefix(spec, n) returns.  The path is hashed once:
     each point feeds the new stretch of its prefix to one running sha256.
+    Every point is checked, Haar past the size limit refused, before any draw.
     """
-    if kind == TRIG:
-        schedule.require_trig()
+    schedule.require(kind)
     path = sample_path(spec, schedule.points[-1][0])
     points = []
     h, done = hashlib.sha256(), 0
@@ -143,7 +145,7 @@ def _grid_below(v: np.ndarray, buf: np.ndarray, hit: np.ndarray, out: np.ndarray
 
 def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     """Max deviation of the joint ECDF from Phi(x)Phi(y) on the fixed grid."""
-    schedule.require_trig()
+    schedule.require(TRIG)
     path = sample_path(spec, schedule.points[-1][0])
     points = []
     gx = _BIVARIATE_GRID
@@ -210,7 +212,7 @@ def char_variance_decay(
     """Monte Carlo estimate of E|Phi_n(s,t,.) - e^{-(s^2+t^2)/2}|^2 per point."""
     if replicas < 100:
         raise ConfigError("need at least 100 replicas")
-    schedule.require_trig()
+    schedule.require(TRIG)
     target = math.exp(-(s * s + t * t) / 2.0)
     points = []
     for n, r in schedule.points:

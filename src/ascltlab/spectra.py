@@ -36,10 +36,6 @@ from . import ConfigError, empirical, finite
 from .sources import SourceSpec, sample_path, sample_prefix
 from .transform import partial_sums_batch
 
-SYMMETRIC_CIRCULANT = "SymmetricCirculant"
-REVERSE_CIRCULANT = "ReverseCirculant"
-
-
 def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
               exceptional: list[float]) -> tuple[np.ndarray, dict]:
     """(vals, the summary point) of the sorted eigenvalues vals, checked
@@ -64,7 +60,7 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
     h = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")[: n // 2 + 1]
     vals = np.concatenate([h, h[1 : (n + 1) // 2]])
     vals.sort()
-    vals, point = _spectrum(vals, SYMMETRIC_CIRCULANT, n, 1.0 / math.sqrt(n), [])
+    vals, point = _spectrum(vals, "SymmetricCirculant", n, 1.0 / math.sqrt(n), [])
     point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
     return vals, point
 
@@ -86,10 +82,7 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
     scale = math.sqrt(2.0 / n)
     exceptional = [scale * float(np.sum(x))]
     if n % 2 == 0:  # the sum of x with its 0-based even positions negated
-        alt = x.copy()
-        alt[::2] *= -1.0
-        exceptional.append(scale * float(np.sum(alt)))
-        del alt
+        exceptional.append(scale * float(np.sum(x[1::2]) - np.sum(x[::2])))
     s, t = partial_sums_batch(n, (n - 1) // 2, path)
     del path, x
     # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
@@ -100,7 +93,7 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
     vals = np.empty(2 * m.size)
     np.negative(m[::-1], out=vals[: m.size])
     vals[m.size :] = m
-    return _spectrum(vals, REVERSE_CIRCULANT, n, scale, exceptional)
+    return _spectrum(vals, "ReverseCirculant", n, scale, exceptional)
 
 
 def _power(s: np.ndarray, t: np.ndarray) -> np.ndarray:

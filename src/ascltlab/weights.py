@@ -91,6 +91,14 @@ def trig_u_rows(n: int, r: int):
     return (trig_rows(cos_tab, [k])[0] for k in range(1, r + 1))
 
 
+def require_haar(n: int, r: int) -> None:
+    """Reject (n, r) outside 1 <= r <= n, and refuse r*n above _MATERIALIZE_LIMIT."""
+    if not 1 <= r <= n:
+        raise ConfigError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
+    if r * n > _MATERIALIZE_LIMIT:
+        raise MemoryError(f"refusing to sample {r} rows of a {n}x{n} Haar matrix")
+
+
 def haar_rows(n: int, spec: SourceSpec, r: int) -> np.ndarray:
     """The first r rows of a Haar-distributed orthogonal n x n matrix, as
     an r x n array.
@@ -106,12 +114,9 @@ def haar_rows(n: int, spec: SourceSpec, r: int) -> np.ndarray:
     the classical compact groups", Notices AMS 54, 2007).  At r = n this is
     the full matrix bit for bit; at r < n the rows differ from its first r
     only in the last ulp.  r*n above _MATERIALIZE_LIMIT is refused before
-    anything is allocated.
+    anything is allocated (require_haar).
     """
-    if not 1 <= r <= n:
-        raise ConfigError(f"haar weights need 1 <= r <= n, got n={n} r={r}")
-    if r * n > _MATERIALIZE_LIMIT:
-        raise MemoryError(f"refusing to sample {r} rows of a {n}x{n} Haar matrix")
+    require_haar(n, r)
     q, rr = np.linalg.qr(normal_grid(spec, n, r))
     d = np.diagonal(rr)
     if np.any(d == 0.0):

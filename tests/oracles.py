@@ -36,7 +36,11 @@ the mean weights, where ``ldp_rate`` draws the mean from its exact law.
 ``rademacher_mean_tail`` is the exact law of its Rademacher hits at small
 n, by enumerating all 2^n sign vectors, with atoms at the threshold
 counted on both sides; ``clt_fluctuation_law`` gives the
-exact moments of ``clt_fluctuation``'s W the same way.
+exact moments of ``clt_fluctuation``'s W the same way, and
+``clt_count_law`` the law of its count #{S_k <= x}, with atoms at x
+counted on both sides.
+``symmetric_eigenvalues`` is h_k of the symmetric circulant by one direct
+cosine sum each, the reference of its inverse real DFT at full size.
 """
 
 import math
@@ -296,6 +300,39 @@ def clt_fluctuation_law(n: int, r: int, x: float) -> tuple[float, float, float, 
     d = w - np.mean(w)
     return (float(np.mean(w)), float(np.mean(d**2)), float(np.mean(d**4)),
             float(np.min(np.abs(s - x))))
+
+
+def clt_count_law(n: int, r: int, x: float, tie: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """The laws of #{k <= r : S_k < x - tie} and of #{k <= r : S_k <= x + tie}
+    (arrays of P(count = c), c = 0..r) over all 2^n equally likely sign
+    vectors, S from partial_sums_batch, 2^15 vectors at a time.  The count
+    clt_fluctuation reads lies between the two for every sign vector,
+    whichever way a summation order rounds an atom at x."""
+    lo, hi = np.zeros(r + 1), np.zeros(r + 1)
+    chunk = 1 << 15
+    for start in range(0, 2**n, chunk):
+        idx = np.arange(start, min(start + chunk, 2**n))
+        signs = np.empty((idx.size, n + 1))  # one-based, as partial_sums_batch reads them
+        signs[:, 1:] = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+        s = partial_sums_batch(n, r, signs)[0]
+        lo += np.bincount(np.sum(s < x - tie, axis=1), minlength=r + 1)
+        hi += np.bincount(np.sum(s <= x + tie, axis=1), minlength=r + 1)
+    return lo / 2**n, hi / 2**n
+
+
+def symmetric_eigenvalues(x: np.ndarray, n: int, ks) -> np.ndarray:
+    """h_k = (x_0 + 2 sum_{1 <= j < n/2} x_j cos(2 pi j k / n) [+ (-1)^k
+    x_{n/2} at even n]) / sqrt(n) of the free entries x_0..x_{n//2}, for
+    each k of ks: one pairwise sum each over exact int64 residues j k mod n,
+    with no FFT.  O(n) per k."""
+    x = np.asarray(x, dtype=float)
+    cos_tab = np.cos(2.0 * np.pi * np.arange(n) / n)
+    j = np.arange(1, (n + 1) // 2, dtype=np.int64)
+    h = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        tail = (-1.0) ** k * x[n // 2] if n % 2 == 0 else 0.0
+        h[i] = (x[0] + 2.0 * (cos_tab[k * j % n] * x[j]).sum() + tail) / math.sqrt(n)
+    return h
 
 
 def ks_to(samples, cdf) -> float:

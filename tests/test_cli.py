@@ -612,6 +612,22 @@ def test_trig_check_above_the_size_limit_fails_before_allocating(tmp_path, capsy
     assert not os.listdir(tmp_path)
 
 
+def test_haar_asclt_above_the_size_limit_fails_before_sampling(tmp_path, capsys):
+    # the 8388609 x 1 Haar rows exceed the 2^23 limit by one entry; every
+    # point is checked before the 64 MiB path is sampled
+    argv = ["asclt", "--weights", "haar", "--schedule", "16:4,8388609:1"]
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "refusing" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+    assert peak < 1 << 20, f"asclt peaked at {peak / 2**20:.2f} MiB"
+
+
 def _no_draw(*args, **kwargs):
     raise AssertionError("the Haar rows were drawn")
 

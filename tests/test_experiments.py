@@ -28,6 +28,7 @@ from ascltlab.transform import (
 from ascltlab.weights import check_trig, make_trig_pair
 
 from .oracles import (
+    clt_count_law,
     clt_fluctuation_law,
     empirical_char,
     joint_cdf,
@@ -290,6 +291,35 @@ def test_clt_fluctuation_rademacher_matches_the_exact_law(r, x):
     # the variance of the unbiased sample variance, from the exact moments
     var_se = math.sqrt((mu4 - var**2 * (replicas - 3) / (replicas - 1)) / replicas)
     assert abs(p["w_variance"] - var) <= 4.0 * var_se
+
+
+def test_clt_fluctuation_counts_follow_the_exact_law(monkeypatch):
+    # at n = 20 the 2^20 sign vectors are equally likely, so the law of the
+    # count C = #{k <= 4 : S_k <= 0} is known by enumeration.  Exact zeros
+    # S_k = 0 occur, so C lies between the counts with the atoms at 0 left
+    # out and taken in, C_lo <= C <= C_hi, and P(C_hi <= c) <= P(C <= c) <=
+    # P(C_lo <= c).  Each sample CDF cell lies within 4 binomial SE of that
+    # range.  The counts are recovered from the standardized W that
+    # clt_fluctuation passes to ks_to, W = C / sqrt(r) - sqrt(r) Phi(x)
+    n, r, x, replicas = 20, 4, 0.0, 20_000
+    lo, hi = clt_count_law(n, r, x)
+    cdf_lo, cdf_hi = np.cumsum(hi)[:-1], np.cumsum(lo)[:-1]
+    se = np.sqrt(np.maximum(cdf_lo * (1 - cdf_lo), cdf_hi * (1 - cdf_hi)) / replicas)
+    captured = []
+
+    def capture(v, cdf):
+        captured.append(np.array(v))
+        return ks_to(v, cdf)
+
+    monkeypatch.setattr(experiments, "ks_to", capture)
+    for seed in (11, 12):
+        p = clt_fluctuation(spec_of("rademacher", seed), n, r, x, replicas).points[0]
+        w = captured.pop() * math.sqrt(p["w_variance"]) + p["w_mean"]
+        c = math.sqrt(r) * w + r * normal_cdf(x)
+        counts = np.rint(c)
+        assert np.max(np.abs(c - counts)) <= 1e-9
+        cdf = np.cumsum(np.bincount(counts.astype(int), minlength=r + 1))[:-1] / replicas
+        assert np.all(cdf >= cdf_lo - 4 * se) and np.all(cdf <= cdf_hi + 4 * se), (seed, cdf)
 
 
 def test_clt_fluctuation_far_tail():

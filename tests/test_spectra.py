@@ -18,6 +18,7 @@ from ascltlab.spectra import (
 )
 from ascltlab.transform import partial_sums_fast
 
+from . import oracles
 from .oracles import (
     char_poly_roots,
     chi2_2_cdf,
@@ -212,6 +213,67 @@ def test_reverse_circulant_pairs_match_transform():
     assert np.max(np.abs(np.sort(e[e >= 0]) - np.sort(mags))) < 1e-9
 
 
+def _nearest(sorted_vals: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The element of sorted_vals nearest to each value of v."""
+    i = np.clip(np.searchsorted(sorted_vals, v), 1, sorted_vals.size - 1)
+    lo, hi = sorted_vals[i - 1], sorted_vals[i]
+    return np.where(v - lo <= hi - v, lo, hi)
+
+
+def _sample_ks(n: int, top: int, ends) -> np.ndarray:
+    """About 16 frequencies: the given ends and 12 drawn from 3..top - 2."""
+    return np.unique(np.r_[ends, np.random.default_rng(n).integers(3, top - 1, 12)])
+
+
+@pytest.mark.parametrize("n", [4097, 262145, 2**20])
+def test_full_size_reverse_spectrum_matches_direct_sums(n):
+    # S_k and T_k by one direct sum each (oracles.trig_coefficients) are
+    # within tol of the rfft's, tol as derived in test_transform.py's
+    # test_full_size_dft_matches_direct_sums: log2(n) eps sqrt(2) (|x|_1 /
+    # sqrt(n) + 7 |x|_2).  A magnitude sqrt(S_k^2 + T_k^2) is then off by at
+    # most sqrt(2) tol, plus the rounding of the squares, sum and root
+    spec = SourceSpec(family="normal", master_seed=23)
+    e, point = reverse_circulant_spectrum(n, spec)
+    x = sample_prefix(spec, n)
+    r = (n - 1) // 2
+    ks = _sample_ks(n, r, [1, 2, r - 1, r])
+    s_ref, t_ref = oracles.trig_coefficients(x, ks)
+    eps, log2n = np.finfo(float).eps, math.log2(n)
+    l1 = np.sum(np.abs(x))
+    tol = log2n * eps * math.sqrt(2.0) * (l1 / math.sqrt(n) + 7 * math.sqrt(np.sum(x * x)))
+    m_ref = np.sqrt(s_ref**2 + t_ref**2)
+    m = e[e.size // 2 :]
+    assert np.all(np.abs(_nearest(m, m_ref) - m_ref) <= math.sqrt(2.0) * tol + 4 * eps * m_ref)
+    # frequencies 0 and n/2: sqrt(2/n) times the sum and the alternating sum,
+    # each a pairwise sum off by at most log2(n) eps |x|_1
+    scale = math.sqrt(2.0 / n)
+    exact = [math.fsum(x)] + ([math.fsum(np.r_[x[1::2], -x[::2]])] if n % 2 == 0 else [])
+    assert len(point["exceptional"]) == len(exact)
+    for got, ref in zip(point["exceptional"], exact):
+        assert abs(got - scale * ref) <= scale * ((log2n + 2) * eps * l1 + eps * abs(ref))
+
+
+@pytest.mark.parametrize("n", [4097, 262145])
+def test_full_size_symmetric_spectrum_matches_direct_sums(n):
+    # h_k by one direct cosine sum each (oracles.symmetric_eigenvalues) is
+    # off by at most log2(n) eps (|x_0| + 2 sum_j |x_j|) / sqrt(n).  The
+    # orthonormal irfft is unitary on the Hermitian extension of the free
+    # entries, of norm sqrt(x_0^2 + 2 sum_j x_j^2) at odd n, so its error
+    # is at most 7 log2(n) eps times that norm (Higham, Accuracy and
+    # Stability, 2nd ed., Thm 24.2).  Each h_k lies within the sum of the
+    # two bounds of its nearest sorted eigenvalue
+    spec = SourceSpec(family="normal", master_seed=29)
+    e, _ = symmetric_circulant_spectrum(n, spec)
+    x = sample_prefix(spec, n // 2 + 1)
+    ks = _sample_ks(n, n // 2, [0, 1, 2, n // 2 - 1, n // 2])
+    h_ref = oracles.symmetric_eigenvalues(x, n, ks)
+    w = np.full(x.size, 2.0)
+    w[0] = 1.0
+    eps, log2n = np.finfo(float).eps, math.log2(n)
+    tol = log2n * eps * (np.sum(w * np.abs(x)) / math.sqrt(n) + 7 * math.sqrt(np.sum(w * x * x)))
+    assert np.all(np.abs(_nearest(e, h_ref) - h_ref) <= tol)
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_reverse_circulant_refuses_an_overflowing_eigenvalue(monkeypatch, n):
     # draws of +-1e200 keep both exceptional eigenvalues finite, but the
@@ -226,8 +288,8 @@ def test_reverse_circulant_refuses_an_overflowing_eigenvalue(monkeypatch, n):
 @pytest.mark.parametrize("n", [2**20, 2**20 + 1])
 def test_reverse_circulant_memory_bounded(n):
     # the one-based path and the rfft output are 16n bytes; the
-    # frequency-n/2 eigenvalue of even n adds one copy of the path, freed
-    # before the transform, and the path is released before the magnitudes
+    # frequency-n/2 eigenvalue of even n is read from the path in place,
+    # and the path is released before the magnitudes
     # and eigenvalues (12n) are built.  Nothing of the transform's size is
     # checked finite, only the two ends of the sorted eigenvalues
     _, peak = peak_bytes(lambda: reverse_circulant_spectrum(n, SourceSpec("normal", master_seed=1)))
