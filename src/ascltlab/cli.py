@@ -2,25 +2,28 @@
 persistence of JSON + CSV artifacts.
 
 Every subcommand is one entry of _COMMANDS: a runner, the RunConfig
-fields it reads, and its summary line per point.  run() builds the run's
-SourceSpec once and calls runner(cfg, spec), which returns the
-ExperimentResult and the CSV table, or None where the rows are its points.
+fields it reads, and its summary line per point.  _resolve_config builds
+the run's SourceSpec once, and run() calls runner(cfg, spec), which
+returns the ExperimentResult and the CSV table, or None where the rows
+are its points.
 A subcommand takes the settings of _IDENTITY, which every run reads and
 records, and its own fields, and no others: they are its flags, its
 config keys and, where the field has no default, its required settings.
 run() times the runner, writes the artifacts and prints the summary
 lines in the same way for all of them.  The JSON document is laid out
-here alone: the run's identity (experiment, seed, stream, family, p)
-comes from RunConfig, the rest from the result.  The float cells of a
-CSV are formatted a slice of 4096 at a time by one compiled call, as repr
-would, and an indexed slice's lines by one % format: no Python runs per
-cell except where repr writes an exponent or a non-finite value.
+here alone: the experiment from RunConfig, the run's identity (family,
+master_seed, stream_id, p) from its SourceSpec, the rest from the
+result.  The float cells of a CSV are formatted a slice of 4096 at a
+time by one compiled call, as repr would, and an indexed slice's lines
+by one % format: no Python runs per cell except where repr writes an
+exponent or a non-finite value.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
 (--weights) and out_dir (--out-dir); explicit flags always win over
-file values.  A schedule is given only as --schedule, a comma list of
-n:r pairs.  Only the subcommands that read threads consult ASCLT_THREADS.
+file values, and no environment variable is read.  A schedule is given
+only as --schedule, a comma list of n:r pairs.  threads sets only how
+many workers the replica subcommands use: no result depends on it.
 Artifacts are named {experiment}-{seed}-{timestamp}.{json,csv}; the
 timestamp lives in its own JSON field so that two runs with identical
 config and seed produce byte-identical JSON once that field is excluded.
@@ -83,12 +86,7 @@ class RunConfig:
     replicas: int = 500
     ensemble: str = field(default="symmetric", metadata={"choices": ("symmetric", "reverse")})
     out_dir: str = "."
-    threads: int = 0
-
-    def source_spec(self) -> SourceSpec:
-        return SourceSpec(
-            family=self.family, master_seed=self.seed, stream_id=self.stream, p=self.p
-        )
+    threads: int = field(default=0, metadata={"help": "0 or 1: serial; no result depends on it"})
 
 
 def finite_float(text: str) -> float:
@@ -187,32 +185,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The settings of args' subcommand: its flags over its config file,
-    threads from ASCLT_THREADS when it reads threads and neither sets
-    them; the identity checked and every setting without a default set."""
+def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, SourceSpec]:
+    """The settings of args' subcommand, its flags over its config file,
+    and the run's SourceSpec: the identity checked first, then every
+    setting without a default set and threads >= 0."""
     settings = _COMMANDS[args.experiment][1]
     keys = _IDENTITY + settings
     given = load_config(args.config, keys) if args.config is not None else {}
     given.update((key, v) for key in keys if (v := getattr(args, key)) is not None)
     cfg = RunConfig(experiment=args.experiment, **given)
-    if "threads" in settings and "threads" not in given:
-        env = os.environ.get("ASCLT_THREADS")
-        if env is not None:
-            try:
-                cfg.threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"ASCLT_THREADS is not an integer: {env!r}") from exc
-    cfg.source_spec()
+    spec = SourceSpec(family=cfg.family, master_seed=cfg.seed, stream_id=cfg.stream, p=cfg.p)
     missing = [key for key in settings if getattr(cfg, key) is None]
     if missing:
         raise ConfigError(f"{cfg.experiment} requires {' and '.join(missing)}")
     if cfg.threads < 0:
         raise ConfigError(
-            f"threads (--threads, config key or ASCLT_THREADS) must be >= 0"
+            f"threads (--threads or config key) must be >= 0"
             f" (0 or 1 runs serially), got {cfg.threads}"
         )
-    return cfg
+    return cfg, spec
 
 
 def _write_csv(path: str, header, blocks) -> None:
@@ -261,16 +252,14 @@ def _row_lines(rows):
         yield "\n"
 
 
-def _write_artifacts(
-    cfg: RunConfig, result: experiments.ExperimentResult, wall_clock_s: float, table
-) -> tuple[str, str]:
+def _write_artifacts(cfg: RunConfig, spec: SourceSpec, result: experiments.ExperimentResult,
+                     wall_clock_s: float, table) -> tuple[str, str]:
     """Write {experiment}-{seed}-{timestamp}.json and .csv, return paths;
-    the JSON is the run's identity from cfg, then the result."""
+    the JSON is the experiment, the run's identity from spec, then the result."""
     global _RUN_COUNTER
     _RUN_COUNTER += 1
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f"-{os.getpid()}-{_RUN_COUNTER}"
-    doc = {"schema_version": 1, "experiment": cfg.experiment, "master_seed": cfg.seed,
-           "stream_id": cfg.stream, "family": cfg.family, "p": cfg.p, **vars(result)}
+    doc = {"schema_version": 1, "experiment": cfg.experiment, **vars(spec), **vars(result)}
     # everything volatile across reruns lives under this one key, so that
     # identical (config, seed) runs are byte-identical once it is dropped
     doc["timestamp"] = {"stamp": stamp, "wall_clock_s": wall_clock_s, "threads": cfg.threads}
@@ -404,9 +393,8 @@ def run(argv) -> int:
         # exactly the contract; normalize any other code to 2
         return 2 if exc.code else 0
     try:
-        cfg = _resolve_config(args)
+        cfg, spec = _resolve_config(args)
         runner, _, summary = _COMMANDS[cfg.experiment]
-        spec = cfg.source_spec()
         t0 = time.perf_counter()
         result, table = runner(cfg, spec)
         wall_clock_s = time.perf_counter() - t0
@@ -419,7 +407,7 @@ def run(argv) -> int:
         return 3
     try:
         json_path, csv_path = _write_artifacts(
-            cfg, result, wall_clock_s, table or _points_table(result.points)
+            cfg, spec, result, wall_clock_s, table or _points_table(result.points)
         )
     except (OSError, ValueError) as exc:
         # ValueError: a non-finite result, which JSON cannot hold

@@ -38,7 +38,9 @@ n, by enumerating all 2^n sign vectors, with atoms at the threshold
 counted on both sides; ``clt_fluctuation_law`` gives the
 exact moments of ``clt_fluctuation``'s W the same way, and
 ``clt_count_law`` the law of its count #{S_k <= x}, with atoms at x
-counted on both sides.
+counted on both sides.  ``rademacher_ks_values`` is the KS statistic of
+``asclt`` and of ``periodogram`` at one small n for each of the 2^n sign
+vectors, the exact laws their Rademacher runs are held to.
 ``symmetric_eigenvalues`` is h_k of the symmetric circulant by one direct
 cosine sum each, the reference of its inverse real DFT at full size.
 """
@@ -48,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ascltlab.empirical import normal_cdf
+from ascltlab.empirical import exponential_cdf, normal_cdf
 from ascltlab.experiments import _half_line_rate
 from ascltlab.sources import SourceSpec
 from ascltlab.transform import mean_weights, partial_sums_batch
@@ -318,6 +320,22 @@ def clt_count_law(n: int, r: int, x: float, tie: float = 1e-9) -> tuple[np.ndarr
         lo += np.bincount(np.sum(s < x - tie, axis=1), minlength=r + 1)
         hi += np.bincount(np.sum(s <= x + tie, axis=1), minlength=r + 1)
     return lo / 2**n, hi / 2**n
+
+
+def rademacher_ks_values(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(asclt's KS to Phi at the schedule point n:r, periodogram's KS to
+    Exp(1) at n) for each of the 2^n equally likely sign vectors, one
+    value per vector: the 2^n vectors as one one-based block through
+    partial_sums_batch, the ordinates as periodogram_all forms them (s s +
+    t t, then / 2), and ks_to (below) per row."""
+    signs = np.empty((2**n, n + 1))  # one-based, as partial_sums_batch reads them
+    signs[:, 1:] = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    s, t = partial_sums_batch(n, (n - 1) // 2, signs)
+    power = s * s
+    power += t * t
+    power /= 2.0
+    return (np.array([ks_to(row[:r], normal_cdf) for row in s]),
+            np.array([ks_to(row, exponential_cdf) for row in power]))
 
 
 def symmetric_eigenvalues(x: np.ndarray, n: int, ks) -> np.ndarray:

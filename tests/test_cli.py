@@ -294,11 +294,10 @@ def _only_artifact(out_dir) -> tuple[dict, dict]:
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("name", _SETTING_NAMES)
-def test_every_setting_is_a_flag_and_a_config_key(tmp_path, monkeypatch, source, name):
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path, source, name):
     # each subcommand that reads the setting takes it both ways, and the
     # artifact shows it: threads only under timestamp, out_dir in where
     # the files go
-    monkeypatch.delenv("ASCLT_THREADS", raising=False)
     readers = [c for c, keys in _READS.items() if name in _IDENTITY + keys]
     assert readers
     for subcommand in readers:
@@ -384,14 +383,13 @@ def test_reproducible_json_across_thread_counts(tmp_path):
 
 
 def test_env_thread_count_and_flag_override(tmp_path, monkeypatch):
+    # the thread count comes from the flag alone: ASCLT_THREADS is not read
     monkeypatch.setenv("ASCLT_THREADS", "3")
     argv = ["clt-fluct", "--family", "normal", "--n", "64", "--r", "4", "--replicas", "100"]
-    run(argv + ["--out-dir", str(tmp_path / "e")])
-    je, _ = read_artifacts(tmp_path / "e")
-    assert load_json(tmp_path / "e", je[0])["timestamp"]["threads"] == 3
-    run(argv + ["--threads", "2", "--out-dir", str(tmp_path / "f")])
-    jf, _ = read_artifacts(tmp_path / "f")
-    assert load_json(tmp_path / "f", jf[0])["timestamp"]["threads"] == 2
+    assert run(argv + ["--out-dir", str(tmp_path / "e")]) == 0
+    assert _only_artifact(tmp_path / "e")[1]["threads"] == 0
+    assert run(argv + ["--threads", "2", "--out-dir", str(tmp_path / "f")]) == 0
+    assert _only_artifact(tmp_path / "f")[1]["threads"] == 2
 
 
 def test_json_floats_round_trip(tmp_path):
@@ -406,17 +404,15 @@ def test_json_floats_round_trip(tmp_path):
     assert doc["points"][0]["ks_to_normal"] == res.points[0]["ks_to_normal"]
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "env"])
-def test_negative_thread_count_exits_2(tmp_path, monkeypatch, capsys, source):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_thread_count_exits_2(tmp_path, capsys, source):
     argv = ["ldp", "--n", "64", "--r", "4", "--replicas", "100", "--out-dir", str(tmp_path)]
     if source == "flag":
         argv += ["--threads", "-1"]
-    elif source == "config":
+    else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads = -1\n")
         argv += ["--config", str(cfg)]
-    else:
-        monkeypatch.setenv("ASCLT_THREADS", "-1")
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "must be >= 0" in err and "-1" in err
@@ -464,19 +460,27 @@ def test_artifact_records_p(tmp_path):
         assert doc["p"] == float(p)
 
 
-@pytest.mark.parametrize("subcommand", [c for c, keys in _READS.items() if "threads" not in keys])
+@pytest.mark.parametrize("subcommand", list(_READS))
 def test_subcommands_without_threads_ignore_the_environment(tmp_path, monkeypatch, subcommand):
-    monkeypatch.setenv("ASCLT_THREADS", "-1")
-    assert run([subcommand, *_flags(_SMALL[subcommand]), "--out-dir", str(tmp_path)]) == 0
-    _, stamp = _only_artifact(tmp_path)
-    assert stamp["threads"] == 0
+    # run without --threads, no subcommand reads ASCLT_THREADS: the exit
+    # code, the artifact and its recorded threads are those of a run
+    # without the variable
+    def outcome(out):
+        code = run([subcommand, *_flags(_SMALL[subcommand]), "--out-dir", str(out)])
+        doc, stamp = _only_artifact(out)
+        return code, doc, stamp["threads"]
+
+    monkeypatch.delenv("ASCLT_THREADS", raising=False)
+    want = outcome(tmp_path / "none")
+    for value in ("-1", "x", "3"):
+        monkeypatch.setenv("ASCLT_THREADS", value)
+        assert outcome(tmp_path / value) == want, value
 
 
 def test_benchmark_ops_parse(monkeypatch):
     # every command-line op of the benchmark, full and small, resolves to a
     # run's settings; bench/workloads.py is read and nothing is written there
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.delenv("ASCLT_THREADS", raising=False)
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
@@ -486,7 +490,7 @@ def test_benchmark_ops_parse(monkeypatch):
              for tiny in (False, True)]
     assert len(argvs) == 28
     for argv in argvs:
-        cfg = _resolve_config(_build_parser().parse_args(argv))
+        cfg, spec = _resolve_config(_build_parser().parse_args(argv))
         assert (cfg.experiment, cfg.seed, cfg.out_dir) == (argv[0], 1, "x")
 
 

@@ -19,6 +19,7 @@ from ascltlab.experiments import (
     ldp_rate,
 )
 from ascltlab.sources import SourceSpec, sample_path, sample_prefix, stream_blocks
+from ascltlab.spectra import periodogram_ecdf_distance
 from ascltlab.transform import (
     mean_byte_table,
     mean_from_sign_bytes,
@@ -33,6 +34,7 @@ from .oracles import (
     empirical_char,
     joint_cdf,
     ldp_normal_baseline,
+    rademacher_ks_values,
     rademacher_mean_tail,
 )
 from .test_sources import all_family_specs
@@ -320,6 +322,32 @@ def test_clt_fluctuation_counts_follow_the_exact_law(monkeypatch):
         assert np.max(np.abs(c - counts)) <= 1e-9
         cdf = np.cumsum(np.bincount(counts.astype(int), minlength=r + 1))[:-1] / replicas
         assert np.all(cdf >= cdf_lo - 4 * se) and np.all(cdf <= cdf_hi + 4 * se), (seed, cdf)
+
+
+def test_asclt_and_periodogram_ks_follow_the_exact_law():
+    # at n = 12 the 2^12 sign vectors are equally likely, so the KS of
+    # asclt at 12:5 and of periodogram at 12 take finitely many values,
+    # each with a known mass.  Values within 1e-12 of one another are one
+    # atom (rounding splits some), in the law and in the runs alike: each
+    # run's value lies on an atom, and at each atom a the sample CDF P(K <=
+    # a) lies within 4 binomial SE of the exact one
+    n, r, seeds, tie = 12, 5, 4000, 1e-12
+    schedule = Schedule.parse(f"{n}:{r}")
+    runs = {
+        "asclt": lambda spec: asclt_trajectory(spec, schedule).points[0]["ks_to_normal"],
+        "periodogram": lambda spec: periodogram_ecdf_distance(n, spec),
+    }
+    for (name, ks), law in zip(runs.items(), rademacher_ks_values(n, r)):
+        law = np.sort(law)
+        atoms = law[np.r_[True, np.diff(law) > tie]]
+        exact = np.searchsorted(law, atoms + tie, side="right") / law.size
+        se = np.sqrt(exact * (1 - exact) / seeds)
+        sample = np.sort([ks(spec_of("rademacher", seed)) for seed in range(seeds)])
+        near = np.clip(np.searchsorted(atoms, sample), 1, atoms.size - 1)
+        gap = np.minimum(np.abs(sample - atoms[near - 1]), np.abs(sample - atoms[near]))
+        assert np.max(gap) <= tie, name
+        cdf = np.searchsorted(sample, atoms + tie, side="right") / seeds
+        assert np.all(np.abs(cdf - exact) <= 4 * se), (name, (cdf - exact) / se)
 
 
 def test_clt_fluctuation_far_tail():

@@ -42,7 +42,6 @@ def canonical(doc: dict) -> str:
 def run_battery(out_dir) -> subprocess.CompletedProcess:
     """Run the quick battery into out_dir; its stdout and stderr are text."""
     env = dict(os.environ)
-    env.pop("ASCLT_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), str(out_dir), "--quick"],
