@@ -1,11 +1,12 @@
-"""Compensated and error-free reference kernels.
+"""Compensated and error-free reference kernels, cache-blocked.
 
 Condition residuals near zero are the test signal in this project, so the
 reference summation paths must not be swamped by naive accumulation error.
 
-- ``kahan_sum``: a sum of vectors with Kahan compensation along the
-  terms, vectorized over the elements; the naive trig partial sums feed
-  it one column of the pair at a time.
+- ``kahan_sum``: a sum of arrays of one shape with Kahan compensation
+  along the terms, vectorized over the elements and run in place on four
+  preallocated buffers; the naive trig partial sums feed it one (r, 2)
+  column of (cos, sin) pair entries at a time, a view of their block.
 - ``ozaki_gram``: a @ a.T by Ozaki-scheme splitting (Ozaki, Ogita, Oishi
   & Rump, Numer. Algorithms 59, 2012). Each row is cut into slices so
   narrow that every slice-by-slice BLAS product is exact in float64; the
@@ -13,26 +14,30 @@ reference summation paths must not be swamped by naive accumulation error.
   the accuracy of twice-working-precision summation (Ogita, Rump & Oishi,
   "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
   Because the products are exact, the result does not depend on the BLAS
-  summation order or thread count.
+  summation order or thread count. The TwoSum runs a row block of about
+  256 KiB at a time, so besides the slices only the sum, its compensation
+  and one product buffer are r x r.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import BLOCK
 
-def kahan_sum(terms, size: int) -> np.ndarray:
-    """Compensated elementwise sum of the vectors of length size that
-    terms yields, each read before the next is drawn: O(1) numpy
+
+def kahan_sum(terms, shape) -> np.ndarray:
+    """Compensated elementwise sum of the arrays of the given shape that
+    terms yields, each read before the next is drawn: four in-place numpy
     operations per term, vectorized over the elements.  With the terms
     u[:, j] * x[j] this is u @ x, accumulated column by column."""
-    acc = np.zeros(size)
-    c = np.zeros(size)
+    acc, c, y, t = (np.zeros(shape) for _ in range(4))
     for p in terms:
-        y = p - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
+        np.subtract(p, c, out=y)
+        np.add(acc, y, out=t)
+        np.subtract(t, acc, out=c)
+        c -= y
+        acc, t = t, acc
     return acc
 
 
@@ -47,11 +52,16 @@ def _split_rows(a: np.ndarray, beta: int) -> list[np.ndarray]:
     slices = []
     rest = a
     while rest.any():
-        _, e = np.frexp(np.max(np.abs(rest), axis=1))
+        # max |rest| per row, with no temporary of rest's size
+        _, e = np.frexp(np.maximum(rest.max(axis=1), -rest.min(axis=1)))
         shift = np.ldexp(1.0, e + beta)[:, None]
-        head = (rest + shift) - shift
+        head = rest + shift
+        head -= shift
         slices.append(head)
-        rest = rest - head
+        if rest is a:
+            rest = a - head
+        else:
+            rest -= head
     return slices
 
 
@@ -64,7 +74,9 @@ def ozaki_gram(a: np.ndarray) -> np.ndarray:
     product of the two row units, so each BLAS product is exact whatever
     its summation order. That holds unless a product of slice entries
     underflows, which needs entries far below 2^-400. Each product of two
-    different slices is computed once and also added transposed.
+    different slices is computed once, into one reused buffer, and also
+    added transposed, its row blocks copied contiguous first. Every entry
+    sees the same products in the same order whatever the block size.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -75,19 +87,35 @@ def ozaki_gram(a: np.ndarray) -> np.ndarray:
         raise FloatingPointError(f"entries must be finite with magnitude below 2**{1023 - beta}")
     sa = _split_rows(a, beta)
 
-    acc = np.zeros((a.shape[0], a.shape[0]))
-    comp, spare, t, x = (np.zeros_like(acc) for _ in range(4))
+    r = a.shape[0]
+    acc, comp, p = np.zeros((r, r)), np.zeros((r, r)), np.empty((r, r))
+    # rows per TwoSum block: BLOCK / 2 values, 256 KiB
+    rows = max(1, min(r, BLOCK // (2 * max(r, 1))))
+    spare, t, x, pt = (np.empty((rows, r)) for _ in range(4))
     for i, ai in enumerate(sa):
         for j in range(i, len(sa)):
-            p = ai @ sa[j].T
-            for q in (p, p.T) if j > i else (p,):
-                # TwoSum: spare = fl(acc + q), x = its exact rounding error
-                np.add(acc, q, out=spare)
-                np.subtract(spare, acc, out=t)
-                np.subtract(spare, t, out=x)
-                np.subtract(acc, x, out=x)
-                np.subtract(q, t, out=t)
-                x += t
-                comp += x
-                acc, spare = spare, acc
-    return acc + comp
+            np.matmul(ai, sa[j].T, out=p)
+            for transposed in (False, True) if j > i else (False,):
+                for lo in range(0, r, rows):
+                    blk, m = slice(lo, lo + rows), min(rows, r - lo)
+                    if transposed:
+                        q = pt[:m]
+                        np.copyto(q, p[:, blk].T)
+                    else:
+                        q = p[blk]
+                    _two_sum(acc[blk], comp[blk], q, spare[:m], t[:m], x[:m])
+    acc += comp
+    return acc
+
+
+def _two_sum(acc, comp, q, spare, t, x) -> None:
+    """acc += q rounded, its exact rounding error added to comp (TwoSum),
+    with spare, t and x scratch of q's shape."""
+    np.add(acc, q, out=spare)
+    np.subtract(spare, acc, out=t)
+    np.subtract(spare, t, out=x)
+    np.subtract(acc, x, out=x)
+    np.subtract(q, t, out=t)
+    x += t
+    comp += x
+    acc[...] = spare

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import finite
+from . import BLOCK, finite
 from .accum import kahan_sum
 from .sources import BYTE_SIGNS
 from .weights import require_trig, trig_rows, trig_tables
@@ -78,24 +78,35 @@ def _checked(n: int, x, sums) -> PartialSums:
 
 def partial_sums_naive(n: int, r: int, x: np.ndarray) -> PartialSums:
     """Reference path: compensated accumulation of each row, O(r n) time
-    and O(r) memory, one column j of the pair at a time.  Its 2r entries
-    are looked up by their exact residues (k j) mod n in the scaled trig
-    tables, bit for bit the entries of trig_rows."""
+    and O(BLOCK + r) memory beyond the n-long trig tables, one column j of
+    the pair at a time.  Its 2r entries are looked up by their exact
+    residues (k j) mod n in the scaled trig tables, bit for bit the entries
+    of trig_rows, b = BLOCK / 2r columns per lookup into one (b, r, 2)
+    buffer of (cos, sin) pairs; each (r, 2) column of it is one term."""
     require_trig(n, r)
-    tables = np.stack(trig_tables(n)) * math.sqrt(2.0 / n)
+    # (cos, sin) pairs side by side, so each lookup reads one 16-byte pair
+    tables = np.stack(trig_tables(n), axis=1) * math.sqrt(2.0 / n)
     ks = np.arange(1, r + 1, dtype=np.int64)
+    b = min(n, max(1, BLOCK // (2 * r)))
 
     def terms(x):
-        # column j times x_j; from column to column the residues advance by k
-        idx, col = np.zeros(r, dtype=np.int64), np.empty((2, r))
-        for xj in x:
-            idx += ks
-            idx %= n
-            np.take(tables, idx, axis=1, out=col, mode="clip")
-            col *= xj
-            yield col.ravel()
+        # residues of columns lo+1..lo+b in the rows of res; from block to
+        # block they advance by (b k) mod n, reduced by one unsigned min,
+        # since a difference below 0 wraps to a huge uint64
+        res = np.arange(1, b + 1, dtype=np.int64)[:, None] * ks % n
+        step, low = b * ks % n, np.empty_like(res)
+        cols = np.empty((b, r, 2))
+        for lo in range(0, n, b):
+            if n - lo < b:
+                res, low, cols = res[: n - lo], low[: n - lo], np.empty((n - lo, r, 2))
+            np.take(tables, res, axis=0, out=cols, mode="clip")
+            cols *= x[lo : lo + b, None, None]
+            yield from cols
+            res += step
+            np.subtract(res, n, out=low)
+            np.minimum(res.view(np.uint64), low.view(np.uint64), out=res.view(np.uint64))
 
-    return _checked(n, x, lambda x: kahan_sum(terms(x), 2 * r).reshape(2, r))
+    return _checked(n, x, lambda x: kahan_sum(terms(x), (r, 2)).T.copy())
 
 
 def partial_sums_fast(n: int, r: int, x: np.ndarray) -> PartialSums:

@@ -12,6 +12,10 @@ trig row, column-sum, identity-scan and condition-scan oracles are
 one-shot formulas or loops over k1, so that the
 table-lookup, blocked and O(n) versions can be held to them bit for
 bit. The Gram oracle is exact rational arithmetic.
+``ozaki_gram_unblocked`` and ``partial_sums_naive_per_column`` are the two
+compensated reference kernels as they were before they ran in blocks:
+whole-matrix TwoSums for the Gram, one column and one int64 % per residue
+for the naive sums. The blocked kernels are held to them bit for bit.
 
 Four statistics are written out directly, one value at a time, to check
 the vectorized versions inside the pipeline: ``joint_cdf`` (the grid
@@ -54,6 +58,7 @@ from ascltlab.empirical import exponential_cdf, normal_cdf
 from ascltlab.experiments import _half_line_rate
 from ascltlab.sources import SourceSpec
 from ascltlab.transform import mean_weights, partial_sums_batch
+from ascltlab.weights import trig_tables
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 50, tol: float = 1e-13) -> np.ndarray:
@@ -204,6 +209,58 @@ def exact_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(
         [[float(sum((x * y for x, y in zip(ra, rb)), Fraction(0))) for rb in fb] for ra in fa]
     ).reshape(len(fa), len(fb))
+
+
+def ozaki_gram_unblocked(a: np.ndarray) -> np.ndarray:
+    """accum.ozaki_gram as it was before its TwoSum ran in row blocks: the
+    same slices and the same products in the same order, each summed by a
+    TwoSum over five whole r x r scratch matrices, the transposed products
+    read strided.  The blocked kernel is held to it bit for bit."""
+    a = np.asarray(a, dtype=float)
+    beta = (54 + (a.shape[1] - 1).bit_length()) // 2
+    slices, rest = [], a
+    while rest.any():
+        _, e = np.frexp(np.max(np.abs(rest), axis=1))
+        shift = np.ldexp(1.0, e + beta)[:, None]
+        head = (rest + shift) - shift
+        slices.append(head)
+        rest = rest - head
+    acc = np.zeros((a.shape[0], a.shape[0]))
+    comp, spare, t, x = (np.zeros_like(acc) for _ in range(4))
+    for i, ai in enumerate(slices):
+        for j in range(i, len(slices)):
+            p = ai @ slices[j].T
+            for q in (p, p.T) if j > i else (p,):
+                np.add(acc, q, out=spare)
+                np.subtract(spare, acc, out=t)
+                np.subtract(spare, t, out=x)
+                np.subtract(acc, x, out=x)
+                np.subtract(q, t, out=t)
+                x += t
+                comp += x
+                acc, spare = spare, acc
+    return acc + comp
+
+
+def partial_sums_naive_per_column(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, T) of transform.partial_sums_naive as it was before it ran in
+    column blocks: one column of the pair at a time, its residues advanced
+    by k and reduced by an int64 %, then a Kahan step that allocates its
+    temporaries.  The blocked path is held to it bit for bit."""
+    tables = np.stack(trig_tables(n)) * math.sqrt(2.0 / n)
+    ks = np.arange(1, r + 1, dtype=np.int64)
+    idx, col = np.zeros(r, dtype=np.int64), np.empty((2, r))
+    acc, c = np.zeros(2 * r), np.zeros(2 * r)
+    for xj in np.asarray(x, dtype=float):
+        idx += ks
+        idx %= n
+        np.take(tables, idx, axis=1, out=col, mode="clip")
+        col *= xj
+        y = col.ravel() - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
+    return acc[:r], acc[r:]
 
 
 def joint_cdf(pairs: np.ndarray, x: float, y: float) -> float:

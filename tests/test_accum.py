@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from ascltlab.accum import kahan_sum, ozaki_gram
+from ascltlab import accum
+from ascltlab.accum import _split_rows, kahan_sum, ozaki_gram
 
-from .oracles import exact_gram
+from .oracles import exact_gram, ozaki_gram_unblocked
+from .test_weights import peak_bytes
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -80,6 +82,40 @@ def test_rejects_bad_input():
             ozaki_gram(a)
 
 
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 11])
+def test_row_blocks_match_the_unblocked_gram(monkeypatch, count):
+    # four rows per TwoSum block: one row, a block less one, one block, one
+    # more row and two blocks and three rows, rows scaled by 2^+-150 and zero
+    monkeypatch.setattr(accum, "BLOCK", 2 * count * 4)
+    rng = np.random.default_rng(count)
+    for cols in (1, 6, 40):
+        a = scaled_rows(rng, count, cols)
+        a[::3] = 0.0
+        assert np.array_equal(ozaki_gram(a), ozaki_gram_unblocked(a))
+
+
+@pytest.mark.parametrize("count", [1, 181, 182, 512, 513])
+def test_blocked_gram_is_the_unblocked_one_bit_for_bit(count):
+    # at the real BLOCK: one block, 181 rows in one full block, 180 + 2,
+    # eight blocks of 64 and 63-row blocks with a tail of 9
+    rng = np.random.default_rng(count)
+    a = scaled_rows(rng, count, 64)
+    a[1::7] = 0.0
+    assert np.array_equal(ozaki_gram(a), ozaki_gram_unblocked(a))
+    b = rng.standard_normal((count, count)) / np.sqrt(count)
+    assert np.array_equal(ozaki_gram(b), ozaki_gram_unblocked(b))
+
+
+def test_gram_peaks_at_its_slices_and_three_matrices():
+    # beyond the S slices of a, the sum, its compensation and one product
+    # buffer are r x r; the TwoSum scratch is four blocks of BLOCK / 2 values
+    r = 512
+    a = np.random.default_rng(3).standard_normal((r, r)) / np.sqrt(r)
+    slices = len(_split_rows(a, (54 + (r - 1).bit_length()) // 2))
+    _, peak = peak_bytes(lambda: ozaki_gram(a))
+    assert peak <= (slices + 3) * 8 * r * r + 2**21, f"{peak / (8 * r * r):.2f} r x r matrices"
+
+
 _THREAD_SCRIPT = """
 import hashlib, numpy as np
 from ascltlab.accum import ozaki_gram
@@ -113,3 +149,11 @@ def test_kahan_sum_unit_row_projection():
     # the compensation keeps the ten terms that plain summation drops
     terms = [np.array([1.0])] + [np.array([2.0**-53])] * 10
     assert sum(terms)[0] == 1.0 and kahan_sum(terms, 1)[0] == 1.0 + 10 * 2.0**-53
+
+
+def test_kahan_sum_takes_a_shape_and_reads_views():
+    # strided (2, 3) views of one buffer, summed without copies, each view
+    # read before the next is drawn
+    buf = np.arange(24.0).reshape(2, 4, 3)
+    got = kahan_sum(buf.transpose(1, 0, 2), (2, 3))
+    assert np.array_equal(got, buf.sum(axis=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascltlab import BLOCK
+from ascltlab import BLOCK, transform
 from ascltlab.sources import SourceSpec, sample_path, sample_prefix, stream_blocks
 from ascltlab.spectra import periodogram_all
 from ascltlab.transform import (
@@ -52,6 +52,36 @@ def test_fast_all_ones_vanishes():
     ps = partial_sums_fast(64, 31, np.ones(64))
     assert np.max(np.abs(ps.s)) < 1e-12
     assert np.max(np.abs(ps.t)) < 1e-12
+
+
+def _inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    return {"rademacher": np.sign(x), "normal": x, "normal * 1e200": x * 1e200}
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    # b = BLOCK / 2r columns a block: n at most b (one block), blocks of
+    # 16 with a tail of 1 and without, blocks of 65 with a tail of 25, and
+    # r = (n - 1) // 2 at odd and even n
+    [(7, 3), (100, 1), (4097, 2048), (4096, 2047), (1000, 499), (1000, 17)],
+)
+def test_naive_blocks_match_the_per_column_sums(n, r):
+    for name, x in _inputs(n, n + r).items():
+        got = partial_sums_naive(n, r, x)
+        s, t = oracles.partial_sums_naive_per_column(n, r, x)
+        assert np.array_equal(got.s, s) and np.array_equal(got.t, t), name
+
+
+@pytest.mark.parametrize("n, r, b", [(101, 50, 3), (101, 1, 4), (64, 31, 1), (97, 5, 96)])
+def test_naive_small_blocks_match_the_per_column_sums(monkeypatch, n, r, b):
+    # blocks of b columns: residues advanced across many block boundaries
+    monkeypatch.setattr(transform, "BLOCK", 2 * r * b)
+    for name, x in _inputs(n, n * b).items():
+        got = partial_sums_naive(n, r, x)
+        s, t = oracles.partial_sums_naive_per_column(n, r, x)
+        assert np.array_equal(got.s, s) and np.array_equal(got.t, t), name
 
 
 def test_fast_vs_naive_200_random_instances():

@@ -19,6 +19,7 @@ from ascltlab.weights import (
 )
 
 from .oracles import (
+    ozaki_gram_unblocked,
     trig_column_sums_fsum,
     trig_conditions_loop,
     trig_identity_worst_loop,
@@ -239,6 +240,22 @@ def test_haar_conditions_report():
     rep = check_haar(32, 32, normal_spec(1), delta=1.0)
     assert rep["eps_orth_u"] <= 1e-10
     assert rep["eps_cross"] is None
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (5, 2), (40, 40), (300, 200)])
+def test_haar_orthogonality_residual_is_max_abs_of_gram_minus_identity(n, r):
+    u = haar_rows(n, normal_spec(n), r)
+    want = float(np.max(np.abs(ozaki_gram_unblocked(u) - np.eye(r))))
+    got = check_haar(n, r, normal_spec(n), delta=1.0)["eps_orth_u"]
+    assert got == want and math.copysign(1.0, got) == 1.0
+
+
+def test_haar_check_peaks_under_nine_times_the_rows():
+    # the rows, their four Gram slices and three r x r matrices: no identity
+    # matrix and no |G - I| temporary
+    r = 512
+    _, peak = peak_bytes(lambda: check_haar(r, r, normal_spec(2), delta=1.0))
+    assert peak <= 9 * 8 * r * r, f"peaked at {peak / (8 * r * r):.2f} times the rows"
 
 
 def test_haar_max_entry_law():
