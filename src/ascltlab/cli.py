@@ -13,10 +13,13 @@ run() times the runner, writes the artifacts and prints the summary
 lines in the same way for all of them.  The JSON document is laid out
 here alone: the experiment from RunConfig, the run's identity (family,
 master_seed, stream_id, p) from its SourceSpec, the rest from the
-result.  The float cells of a CSV are formatted a slice of 4096 at a
-time by one compiled call, as repr would, and an indexed slice's lines
-by one % format: no Python runs per cell except where repr writes an
-exponent or a non-finite value.
+result.  A CSV is written as bytes.  Its float cells are formatted a
+slice at a time by one compiled call (orjson), as repr would.  An
+indexed CSV (index, value) is cut into slices of 1000 lines that start at
+multiples of 1000, and each slice is one bytes % format: an index is the
+slice's prefix lo // 1000 and its last three digits from a table.  No
+Python runs per cell or per line except where repr writes an exponent or
+a non-finite value.
 
 Config files are plain key=value lines with # comments.  Their keys are
 the RunConfig fields, which mirror the long CLI flags except kind
@@ -55,8 +58,11 @@ from .sources import FAMILIES, SourceSpec
 from .weights import HAAR, TRIG, check_haar, check_trig, haar_rows, trig_u_rows
 
 _RUN_COUNTER = 0
-# float cells per slice: each slice is formatted by one orjson call
+# float cells per slice of a weight row: each slice is formatted by one orjson call
 _BLOCK_CELLS = 1 << 12
+# lines per slice of an indexed CSV: 1000, so that an index is its slice's
+# prefix and three digits
+_LINES = 1000
 
 
 @dataclass
@@ -207,49 +213,64 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, SourceSpec]:
 
 
 def _write_csv(path: str, header, blocks) -> None:
-    """The header line, then the text blocks as they are read."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    """The header line, then the byte blocks as they are read."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
 
 
-def _float_text(a: np.ndarray) -> str:
+def _float_text(a: np.ndarray) -> bytes:
     """The comma-joined str (the shortest round-trip repr) of each value of
-    the nonempty contiguous 1-D float64 array a: orjson's shortest digits
-    (Ryu) in one compiled call.  Only where repr writes nan, inf or an
-    exponent, at |v| >= 1e16 and at 0 < |v| < 1e-4 (no double below 1e-4
-    prints as 0.0001), are the cells split out and those patched with
-    repr's."""
-    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
+    the nonempty contiguous 1-D float64 array a, as bytes: orjson's
+    shortest digits (Ryu) in one compiled call.  Only where repr writes
+    nan, inf or an exponent, at |v| >= 1e16 and at 0 < |v| < 1e-4 (no
+    double below 1e-4 prints as 0.0001), are the cells split out and those
+    patched with repr's."""
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     mag = np.abs(a)
     idx = np.flatnonzero(~((mag < 1e16) & ((mag >= 1e-4) | (mag == 0.0))))
     if idx.size:
-        cells = text.split(",")
+        cells = text.split(b",")
         for i, v in zip(idx.tolist(), a[idx].tolist()):
-            cells[i] = repr(v)
-        text = ",".join(cells)
+            cells[i] = repr(v).encode()
+        text = b",".join(cells)
     return text
 
 
+@functools.cache
+def _index_endings() -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The last three digits of an index as bytes: plain in the first
+    slice, zero-padded after a prefix.  Built on first use, so that a
+    process that writes no indexed CSV holds no table."""
+    return (tuple(b"%d" % i for i in range(_LINES)),
+            tuple(b"%03d" % i for i in range(_LINES)))
+
+
 def _indexed_lines(e: np.ndarray):
-    """The CSV lines "i,e[i]" of the 1-D float array e, a slice at a time:
-    one % format per slice puts the indices in front of its cells."""
-    step = _BLOCK_CELLS
-    for lo in range(0, e.size, step):
-        hi = min(lo + step, e.size)
-        text = _float_text(e[lo:hi])
-        yield ("%d," + text.replace(",", "\n%d,") + "\n") % tuple(range(lo, hi))
+    """The CSV lines "i,e[i]" of the 1-D float array e, as bytes, in slices
+    of _LINES lines that start at multiples of _LINES.  One % format per
+    slice puts the indices in front of its cells: an index is the slice's
+    prefix lo // _LINES (none for the first slice) and its last three
+    digits, taken from a table.  No cell holds a %: orjson and repr write
+    only digits, signs, ".", "e", "nan" and "inf"."""
+    plain, padded = _index_endings()
+    for lo in range(0, e.size, _LINES):
+        hi = min(lo + _LINES, e.size)
+        prefix = b"%d" % (lo // _LINES) if lo else b""
+        line = b"\n" + prefix + b"%s,"
+        text = prefix + b"%s," + _float_text(e[lo:hi]).replace(b",", line) + b"\n"
+        yield text % (padded if lo else plain)[: hi - lo]
 
 
 def _row_lines(rows):
-    """The CSV line "k,row" of each 1-D float array row, k = 1, 2, ...; a
-    row is formatted a slice at a time."""
+    """The CSV line "k,row" of each 1-D float array row, k = 1, 2, ..., as
+    bytes; a row is formatted a slice at a time."""
     step = _BLOCK_CELLS
     for k, row in enumerate(rows, start=1):
-        yield str(k)
+        yield b"%d" % k
         for lo in range(0, row.size, step):
-            yield "," + _float_text(row[lo:lo + step])
-        yield "\n"
+            yield b"," + _float_text(row[lo:lo + step])
+        yield b"\n"
 
 
 def _write_artifacts(cfg: RunConfig, spec: SourceSpec, result: experiments.ExperimentResult,
@@ -276,9 +297,10 @@ def _write_artifacts(cfg: RunConfig, spec: SourceSpec, result: experiments.Exper
 
 
 def _points_table(points: list[dict]):
-    """CSV header and one line per point: str of each value, None as ""."""
+    """CSV header and one line per point, as bytes: str of each value,
+    None as ""."""
     header = list(points[0])
-    return header, (",".join("" if p[c] is None else str(p[c]) for c in header) + "\n"
+    return header, ((",".join("" if p[c] is None else str(p[c]) for c in header) + "\n").encode()
                     for p in points)
 
 

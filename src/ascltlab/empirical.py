@@ -4,7 +4,9 @@ CDF, the normal and exponential CDFs, and the Wilson interval.
 The KS distance is evaluated exactly at the atoms of the ECDF, never on
 a grid: for a continuous target CDF the sup over all x is the larger of
 D+, the ECDF's greatest excess over F just after an atom, and D-, F's
-greatest excess over the ECDF just before one.
+greatest excess over the ECDF just before one.  F is evaluated in full
+only on the spans of 64 atoms that can hold the maximum, found from
+bounds taken at the first atom of each span (ks_sorted).
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _Z95 = 1.959963984540054  # Phi^{-1}(0.975)
+# atoms per span of ks_sorted, a divisor of BLOCK, and the slack of its bounds
+SPAN = 64
+TAU = 2.0**-40
 
 
 def normal_cdf(x):
@@ -37,18 +42,77 @@ def ks_to(samples, cdf) -> float:
     """Exact sup-distance between the ECDF of a sample and a continuous CDF.
 
     The sample is a nonempty 1-D array of finite values (else ValueError,
-    or FloatingPointError for a non-finite value), in any order.  Its one
-    sorted copy v gives D = max(D+, D-), D+ = max_i (i/m - F(v_i)) and
-    D- = max_i (F(v_i) - (i-1)/m) (N. Smirnov, 1939), BLOCK atoms at a
-    time with a running max: beyond the copy, a few blocks of scratch.
+    or FloatingPointError for a non-finite value), in any order: its one
+    sorted copy, checked finite at its two ends, goes to ks_sorted.
     """
     v = np.sort(np.asarray(samples, dtype=float))
     if v.ndim != 1 or v.size < 1:
         raise ValueError("need a nonempty 1-D sample")
     # nan sorts last and -inf first, so the ends hold any non-finite value
     finite(v[[0, -1]], "sample values")
+    return ks_sorted(v, cdf)
+
+
+def ks_sorted(v: np.ndarray, cdf) -> float:
+    """ks_to of the nonempty sorted 1-D float sample v, finite at its ends.
+
+    D = max(D+, D-), D+ = max_i (i/m - F(v_i)) and D- = max_i (F(v_i) -
+    (i-1)/m) (N. Smirnov, 1939).  F is first evaluated at the first atom
+    i0 of each span of SPAN atoms and at the last atom.  Inside a span
+    v_i0 <= v_i <= v_j, where j is the next span's first atom (for the
+    last span, the last atom), so no gap of the span exceeds its bound
+
+        B = max(fl(i1/m) - F(v_i0), F(v_j) - fl((i0-1)/m)) + TAU,
+
+    i1 the span's last atom, and E, the largest gap at an atom F was first
+    evaluated at, is at most D.  Only the spans with B >= E - TAU, the span
+    that holds E among them, are evaluated, whole, by _corner_gap, and D
+    is the largest of those evaluations alone: one pass over all atoms
+    gives it bit for bit.
+
+    TAU = 2^-40 covers what the bound leaves out, each part under 2^-50,
+    as F lies in [0, 1]: F's own non-monotonicity (erfc and expm1 are good
+    to a few ulps); a bit difference between F on the gathered atoms and
+    on the whole span (none for an elementwise ufunc, an ulp or two if a
+    SIMD path differed); the rounding of B, E and E - TAU (2^-54 each).
+    Their sum is under 2^-48, a 256th of TAU, and a span is evaluated in
+    vain only when it comes within 2 TAU of E, far below the ECDF's steps
+    of 1/m.  F is evaluated on the span starts BLOCK // 16 at a time, then
+    on the spans kept BLOCK atoms at a time.  Beyond v the scratch is
+    under a block and one bound per span (m/8 bytes).
+    """
     m = v.size
-    return max(_corner_gap(v[lo:lo + BLOCK], lo, m, cdf) for lo in range(0, m, BLOCK))
+    bounds = np.empty(-(-m // SPAN))
+    best = -math.inf
+    step = SPAN * BLOCK // 16  # atoms per pass: BLOCK // 16 spans
+    for lo in range(0, m, step):
+        b, e = _span_bounds(v, lo, min(lo + step, m), cdf)
+        bounds[lo // SPAN : lo // SPAN + b.size] = b
+        best = max(best, e)
+    # the runs of consecutive spans that can hold the maximum
+    keep = np.zeros(bounds.size + 2, dtype=bool)
+    np.greater_equal(bounds, best - TAU, out=keep[1:-1])
+    edges = np.flatnonzero(keep[1:] != keep[:-1]).tolist()
+    gap = -math.inf
+    for first, stop in zip(edges[0::2], edges[1::2]):
+        end = min(stop * SPAN, m)
+        for lo in range(first * SPAN, end, BLOCK):
+            gap = max(gap, _corner_gap(v[lo:min(lo + BLOCK, end)], lo, m, cdf))
+    return gap
+
+
+def _span_bounds(v: np.ndarray, lo: int, hi: int, cdf) -> tuple[np.ndarray, float]:
+    """(B of each span, E) of the spans of atoms i = lo + 1..hi of the
+    sorted sample v; lo is a multiple of SPAN, and so is hi unless it is
+    v.size."""
+    m = v.size
+    at = np.arange(lo, hi + SPAN, SPAN)  # i - 1 of each span's first atom,
+    at[-1] = min(hi, m - 1)  # then of the next span's, or of the last atom
+    f = cdf(v[at])
+    below, above = at / m, (at + 1) / m  # fl((i-1)/m) and fl(i/m)
+    bound = np.maximum(np.minimum(at[:-1] + SPAN, m) / m - f[:-1], f[1:] - below[:-1])
+    bound += TAU
+    return bound, max(float(np.max(above - f)), float(np.max(f - below)))
 
 
 def _corner_gap(v: np.ndarray, lo: int, m: int, cdf) -> float:

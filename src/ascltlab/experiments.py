@@ -121,8 +121,8 @@ def asclt_trajectory(
     points = []
     h, done = hashlib.sha256(), 0
     for n, r in schedule.points:
-        s = _trajectory_sums(spec, path, n, r, kind)
-        ks = ks_to(s, normal_cdf)
+        # no name holds S, a view of the whole rfft output, past its KS
+        ks = ks_to(_trajectory_sums(spec, path, n, r, kind), normal_cdf)
         h.update(path[done + 1 : n + 1])
         done = n
         points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": h.copy().hexdigest()})

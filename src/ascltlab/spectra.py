@@ -7,7 +7,8 @@ spectrum is one real DFT of its draws: an inverse real DFT of the
 symmetric circulant's free entries, the forward one behind the
 periodogram for the reverse circulant.  Each returns its sorted real
 eigenvalues with the spectrum's summary point, a dict; only the
-symmetric ensemble's point compares the ESD with a limit law (N(0, 1)).
+symmetric ensemble's point compares the ESD with a limit law (N(0, 1)),
+by empirical.ks_sorted on its sorted eigenvalues, with no copy.
 Both build their equal or opposite eigenvalue pairs from one float: the
 symmetric lambda_k = lambda_{n-k} is written twice, and the reverse
 ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m,
@@ -61,7 +62,7 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
     vals = np.concatenate([h, h[1 : (n + 1) // 2]])
     vals.sort()
     vals, point = _spectrum(vals, "SymmetricCirculant", n, 1.0 / math.sqrt(n), [])
-    point["ks_to_limit"] = empirical.ks_to(vals, empirical.normal_cdf)
+    point["ks_to_limit"] = empirical.ks_sorted(vals, empirical.normal_cdf)
     return vals, point
 
 

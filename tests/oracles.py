@@ -9,7 +9,8 @@ and the mirrored first row of the symmetric circulant
 (``symmetric_circulant_first_row``) are the references the symmetric
 spectrum's one inverse real DFT of its free entries is held to. The
 trig row, column-sum, identity-scan and condition-scan oracles are
-one-shot formulas or loops over k1, so that the
+one-shot formulas or loops over k1 (the identity scan a block of k1 at
+a time, with the same elementwise operations), so that the
 table-lookup, blocked and O(n) versions can be held to them bit for
 bit. The Gram oracle is exact rational arithmetic.
 ``ozaki_gram_unblocked`` and ``partial_sums_naive_per_column`` are the two
@@ -168,19 +169,26 @@ def trig_column_sums_fsum(n: int):
 
 
 def trig_identity_worst_loop(n: int, s: np.ndarray, t: np.ndarray) -> float:
-    """Worst identity residual over 1 <= k1 <= k2 <= n, one k1 at a time."""
+    """Worst identity residual over 1 <= k1 <= k2 <= n, a block of k1 at a
+    time: the elementwise operations of one k1 at a time, on the block's
+    rows and every k2 from its first k1 on, with each k2 < k1 read as k1
+    (a pair already in the row).  The sums at s = (k1 + k2) mod n are read
+    at k1 + k2 - n of two periods, where a negative index counts from the
+    end."""
     e = s.copy()
     e[0] -= n
+    e2, t2 = np.tile(e, 2), np.tile(t, 2)
     worst = 0.0
-    k = np.arange(1, n + 1, dtype=np.int64)
-    for k1 in range(1, n + 1):
-        k2 = k[k1 - 1 :]  # k2 >= k1
-        d = (k2 - k1) % n
-        sm = (k1 + k2) % n
-        cc = np.abs(e[d] + e[sm]) / 2.0  # cos*cos, all cases folded
-        ss = np.abs(e[d] - e[sm]) / 2.0  # sin*sin
-        cs = np.abs(t[sm] + t[d]) / 2.0  # cos(k1 j) * sin(k2 j), k1 <= k2
-        sc = np.abs(t[sm] - t[d]) / 2.0  # sin(k1 j) * cos(k2 j), k1 <= k2
+    step = max(1, 2**14 // n)
+    for lo in range(1, n + 1, step):
+        k1 = np.arange(lo, min(lo + step, n + 1), dtype=np.int64)[:, None]
+        k2 = np.maximum(np.arange(lo, n + 1, dtype=np.int64), k1)
+        d, sm = k2 - k1, k1 + k2 - n
+        ed, es, td, ts = e[d], e2[sm], t[d], t2[sm]
+        cc = np.abs(ed + es) / 2.0  # cos*cos, all cases folded
+        ss = np.abs(ed - es) / 2.0  # sin*sin
+        cs = np.abs(ts + td) / 2.0  # cos(k1 j) * sin(k2 j), k1 <= k2
+        sc = np.abs(ts - td) / 2.0  # sin(k1 j) * cos(k2 j), k1 <= k2
         worst = max(worst, float(cc.max()), float(ss.max()), float(cs.max()), float(sc.max()))
     return worst
 

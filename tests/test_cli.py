@@ -1026,6 +1026,18 @@ def _across_a_slice_edge(cells) -> np.ndarray:
     return e
 
 
+def _across_index_edges(cells) -> np.ndarray:
+    """Clean cells past index 100,000, with cells on both sides of the
+    first slice edges of the indexed lines (1000 and 2000) and of the
+    edges where an index gains a digit (9,999/10,000 and 99,999/100,000)."""
+    k = len(cells)
+    e = np.random.default_rng(k).uniform(-3.0, 3.0, 100_000 + 2 * k + 1)
+    e[np.abs(e) < 1e-4] = 0.5
+    for edge in (cli._LINES, 2 * cli._LINES, 10_000, 100_000):
+        e[edge - k : edge + k] = cells + cells[::-1]
+    return e
+
+
 def _mirrored(m) -> np.ndarray:
     """The reverse circulant form -m[::-1] then m of the magnitudes m."""
     m = np.sort(np.array(m, dtype=float))
@@ -1072,10 +1084,16 @@ def test_spectrum_csv_matches_the_per_row_writer(tmp_path, ensemble, n):
         [-3.0, -2.0, -1.0, 1.0, 2.0, 4.0],
         [-1.0, 0.5, 1.0, 2.0],
         [-2.0, -1.0, 1.0],
-        # longer than a slice: clean slices, and repr's cells at a slice edge
+        # longer than a slice: clean slices, and repr's cells at the edge of
+        # two 4096-cell row slices (mid-slice for the 1000-line slices)
         _across_a_slice_edge(_FALLBACK),
         _across_a_slice_edge([-0.0]),
         _across_a_slice_edge([]),
+        # repr's cells across the 1000-line slice edges and the index digit
+        # edges; sizes around them
+        _across_index_edges(_FALLBACK),
+        _across_index_edges([-0.0]),
+        *(np.linspace(-1.0, 1.0, size) for size in (999, 1000, 1001, 2000, 10_000, 10_001)),
     ],
 )
 def test_hand_built_spectra_match_the_per_row_writer(tmp_path, values):
@@ -1105,7 +1123,7 @@ def test_float_text_is_the_reprs():
     edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
              9999999999999998.0, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
     for values in [positional.view(np.float64), random[np.isfinite(random)], np.array(edges)]:
-        assert cli._float_text(values) == ",".join(map(repr, values.tolist()))
+        assert cli._float_text(values) == ",".join(map(repr, values.tolist())).encode()
 
 
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)

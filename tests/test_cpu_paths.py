@@ -6,7 +6,8 @@ the machine: NPY_DISABLE_CPU_FEATURES (numpy's AVX2 and baseline paths
 on an AVX-512 machine) and OPENBLAS_CORETYPE (OpenBLAS's Haswell
 kernels).  One child per setting runs the same small ops through
 cli.run, one per subcommand and each family where the family is read,
-and reports the sha256 of each op's JSON (without timestamp) and CSV.
+and two whose KS spans many atoms, and reports the sha256 of each op's
+JSON (without timestamp) and CSV.
 An op whose bytes differ from the default child's must be one of
 BACKEND_BOUND, which says why its bytes follow the backend.
 """
@@ -45,6 +46,10 @@ OPS = {
     "gen-weights trig": ["gen-weights", "--n", "16", "--r", "7"],
     "check-weights haar": ["check-weights", "--weights", "haar", "--n", "128", "--r", "128"],
     "gen-weights haar": ["gen-weights", "--weights", "haar", "--n", "16", "--r", "8"],
+    # KS over 512 spans of 64 atoms, most of them skipped: on every path F
+    # must give a span's first atom the same bits alone and in its span
+    "asclt normal 512 spans": ["asclt", "--family", "normal", "--schedule", "65536:32767"],
+    "periodogram rademacher 512 spans": ["periodogram", "--n", "65536"],
 }
 
 _HAAR = "the Haar rows come from LAPACK's QR, whose bits follow the BLAS kernels"

@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from ascltlab import BLOCK
 from ascltlab.empirical import (
+    SPAN,
     exponential_cdf,
     ks_to,
     normal_cdf,
@@ -69,22 +70,36 @@ def test_ks_shuffle_invariant(seed):
     assert ks_to(shuffled, normal_cdf) == base
 
 
-def _tied_at_block_edges(v: np.ndarray) -> np.ndarray:
-    """v sorted, with four equal values across each block edge, shuffled."""
+def _tied_at_span_edges(v: np.ndarray) -> np.ndarray:
+    """v sorted, with four equal values across each span edge (and so each
+    block edge), shuffled."""
     v = np.sort(v)
-    for edge in range(BLOCK, v.size, BLOCK):
+    for edge in range(SPAN, v.size, SPAN):
         v[edge - 2 : edge + 2] = v[edge - 2]
     np.random.default_rng(v.size).shuffle(v)
     return v
 
 
 def _at_the_cdf_ends(v: np.ndarray, ends: tuple[float, float]) -> np.ndarray:
-    """v sorted, its lowest and highest BLOCK + 2 values set to the two
-    ends, across the first and the last block edge, shuffled."""
+    """v sorted, its lowest and highest k values set to the two ends, k =
+    BLOCK + 2 (across the first and the last block edge) or a third of v,
+    shuffled."""
     v = np.sort(v)
-    v[: BLOCK + 2], v[-BLOCK - 2 :] = ends
+    k = min(BLOCK + 2, v.size // 3)
+    v[:k], v[v.size - k :] = ends
     np.random.default_rng(v.size).shuffle(v)
     return v
+
+
+def _signed_zeros(v: np.ndarray) -> np.ndarray:
+    """v with its middle third replaced by alternating 0.0 and -0.0."""
+    v = v.copy()
+    third = v[v.size // 3 : 2 * v.size // 3]
+    third[0::2], third[1::2] = 0.0, -0.0
+    return v
+
+
+_KS_SIZES = [1, 63, 64, 65, 3 * BLOCK + 1, 4 * BLOCK, 3 * BLOCK + 17, 524_287]
 
 
 @pytest.mark.parametrize("cdf, draw, ends", [
@@ -92,18 +107,42 @@ def _at_the_cdf_ends(v: np.ndarray, ends: tuple[float, float]) -> np.ndarray:
     pytest.param(exponential_cdf, "standard_exponential", (0.0, 800.0),
                  id="exponential_cdf-standard_exponential"),
 ])
-@pytest.mark.parametrize("m", [3 * BLOCK + 1, 4 * BLOCK, 3 * BLOCK + 17])
+@pytest.mark.parametrize("m", _KS_SIZES)
 def test_blocked_ks_matches_the_one_pass_reference(cdf, draw, ends, m):
-    # 3 BLOCK + 1 leaves a last block of one atom.  F is exactly 0.0 and 1.0
-    # at the ends, so i/m - F and F - (i-1)/m each take both signs there
+    # 3 BLOCK + 1 leaves a last block of one atom, 65 a last span of one.
+    # F is exactly 0.0 and 1.0 at the ends, so i/m - F and F - (i-1)/m each
+    # take both signs there
     assert cdf(np.array(ends)).tolist() == [0.0, 1.0]
     rng = np.random.default_rng(m)
-    for v in (getattr(rng, draw)(m), _tied_at_block_edges(getattr(rng, draw)(m)),
-              _at_the_cdf_ends(getattr(rng, draw)(m), ends)):
+    for v in (getattr(rng, draw)(m), _tied_at_span_edges(getattr(rng, draw)(m)),
+              _at_the_cdf_ends(getattr(rng, draw)(m), ends),
+              _signed_zeros(getattr(rng, draw)(m))):
         assert ks_to(v, cdf) == oracles.ks_to(v, cdf)
-    # midpoint quantiles: every atom is within rounding of the max gap 1/(2m)
+    # midpoint quantiles: every atom is within rounding of the max gap
+    # 1/(2m), so every span is evaluated
     mid = ndtri((np.arange(1, m + 1) - 0.5) / m)
     assert ks_to(mid, normal_cdf) == oracles.ks_to(mid, normal_cdf)
+
+
+def _counted(cdf, sizes: list):
+    """cdf, appending the size of each argument to sizes."""
+    def wrapped(v):
+        sizes.append(np.size(v))
+        return cdf(v)
+    return wrapped
+
+
+def test_ks_evaluates_the_cdf_on_few_atoms():
+    x = np.random.default_rng(6).standard_normal(524_287)
+    sizes: list[int] = []
+    assert ks_to(x, _counted(normal_cdf, sizes)) == oracles.ks_to(x, normal_cdf)
+    assert sum(sizes) <= 0.1 * x.size, f"F was evaluated at {sum(sizes)} atoms of {x.size}"
+    # where every span can hold the maximum, every atom is evaluated once,
+    # and the first of each span once more
+    sizes.clear()
+    mid = ndtri((np.arange(1, x.size + 1) - 0.5) / x.size)
+    ks_to(mid, _counted(normal_cdf, sizes))
+    assert x.size + x.size // SPAN < sum(sizes) < x.size + x.size // SPAN + 8
 
 
 def test_ks_memory_is_the_sorted_copy_and_a_few_blocks():

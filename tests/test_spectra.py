@@ -148,8 +148,10 @@ def test_symmetric_eigenvalue_pairing_vs_transform():
 
 def test_symmetric_esd_limit():
     spec = SourceSpec(family="rademacher", master_seed=3)
-    e, _ = symmetric_circulant_spectrum(4097, spec)
+    e, point = symmetric_circulant_spectrum(4097, spec)
     assert ks_to(e, normal_cdf) <= 0.03
+    # the point takes its KS from the sorted eigenvalues, with no copy
+    assert point["ks_to_limit"] == ks_to(e, normal_cdf)
 
 
 def test_esd_insensitive_to_centering():
