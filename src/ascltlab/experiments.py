@@ -129,16 +129,15 @@ def asclt_trajectory(
     return ExperimentResult({"kind": kind}, points)
 
 
-def _grid_below(v: np.ndarray, buf: np.ndarray, hit: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = the number of grid points below v[i], which is
-    np.searchsorted(_BIVARIATE_GRID, v, side="left"): one comparison per
-    grid point, of v checked finite and copied into the contiguous buf,
-    summed in the uint8 array out; hit is bool scratch, read as its 0/1
-    bytes."""
-    np.copyto(buf, finite(v, "partial sums"))
-    out.fill(0)
+def _grid_below(v: np.ndarray) -> np.ndarray:
+    """The number of grid points below each v[i], which is
+    np.searchsorted(_BIVARIATE_GRID, v, side="left"), as uint8: one
+    comparison per grid point, of v checked finite and copied contiguous,
+    summed as the 0/1 bytes of its bool result."""
+    v = np.ascontiguousarray(finite(v, "partial sums"))
+    out, hit = np.zeros(v.size, dtype=np.uint8), np.empty(v.size, dtype=bool)
     for x in _BIVARIATE_GRID:
-        np.greater(buf, x, out=hit)
+        np.greater(v, x, out=hit)
         out += hit.view(np.uint8)
     return out
 
@@ -154,17 +153,13 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     # time, the last row and column beyond the grid; s <= gx[i] iff its
     # cell is at most i.  A cell index g i + j stays below g^2 = 100, a byte
     g = gx.size + 1
-    m = min(BLOCK, max(r for _, r in schedule.points))
-    buf, hit = np.empty(m), np.empty(m, dtype=bool)
-    cs, ct = np.empty(m, dtype=np.uint8), np.empty(m, dtype=np.uint8)
     for n, r in schedule.points:
         s, t = partial_sums_batch(n, r, path[: n + 1])
         counts = np.zeros(g * g, dtype=np.intp)
         for lo in range(0, r, BLOCK):
-            k = min(BLOCK, r - lo)
-            cells = _grid_below(s[lo : lo + k], buf[:k], hit[:k], cs[:k])
+            cells = _grid_below(s[lo : lo + BLOCK])
             cells *= g
-            cells += _grid_below(t[lo : lo + k], buf[:k], hit[:k], ct[:k])
+            cells += _grid_below(t[lo : lo + BLOCK])
             counts += np.bincount(cells, minlength=g * g)
         joint = counts.reshape(g, g).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
         dev = float(np.max(np.abs(joint - target)))

@@ -19,8 +19,8 @@ splitmix64 finalizer.  Every family but rademacher reads the hash as one
 uniform.  A rademacher stream reads one hash per 64 indices: index j takes
 bit (j - 1) % 64 of word (j - 1) // 64, the hash of the key of the word's
 first index, -1 where the bit is clear and +1 where it is set.
-stream_blocks hands out those words either as float signs or, packed, as
-their bytes, which ldp reduces through a byte table.
+stream_blocks hashes a block's words once and hands them out packed, as
+their bytes (ldp reduces them through a byte table), or as float signs.
 """
 
 from __future__ import annotations
@@ -135,25 +135,9 @@ def _sign_words(keys: np.ndarray, wg: np.ndarray, t: np.ndarray, z: np.ndarray) 
     return _mix64(np.add(keys[:, None], wg, out=t), z).view(np.uint8)
 
 
-def _signs(keys: np.ndarray, jg: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rademacher signs for _draw: column i reads bit i % 64 of the hash of
-    keys + jg[64 (i // 64)], the key of its word's first index.  The words
-    go in t and their bytes through BYTE_SIGNS into z's memory, 8 signs
-    per byte.
-    """
-    w = -(-jg.size // 64)
-    b = _sign_words(keys, jg[::64], t[:, :w], z[:, :w])
-    q, s = divmod(jg.size, 8)
-    out = z.view(np.float64)
-    np.take(BYTE_SIGNS, b[:, :q], axis=0, out=out[:, : 8 * q].reshape(len(out), q, 8), mode="clip")
-    if s:
-        out[:, 8 * q :] = BYTE_SIGNS[b[:, q], :s]
-    return out
-
-
 def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
     """Standardized draws from uniforms, for every family but rademacher
-    (see _signs), written over u."""
+    (see stream_blocks), written over u."""
     if family == "uniform":
         # uniform on [-sqrt(3), sqrt(3)]: mean 0, variance 1
         u *= 2.0
@@ -179,14 +163,11 @@ def _transform(family: str, p: float | None, u: np.ndarray) -> np.ndarray:
 
 def _draw(family: str, p: float | None, keys: np.ndarray, jg: np.ndarray, z: np.ndarray,
           t: np.ndarray) -> np.ndarray:
-    """Draws of the family at the keys keys[i] + jg[c], jg holding j * gamma
-    for the indices j = 1..jg.size.  For rademacher, keys[i] must be a
-    multiple of 64 indices into its stream, a word edge (see _signs).  z
-    receives the draws and t is scratch, both uint64 of shape
-    (keys.size, jg.size); the result is a float64 view of z.
+    """Draws of the family, any but rademacher, at the keys keys[i] + jg[c],
+    jg holding j * gamma for the indices j = 1..jg.size.  z receives the
+    draws and t is scratch, both uint64 of shape (keys.size, jg.size); the
+    result is a float64 view of z.
     """
-    if family == "rademacher":
-        return _signs(keys, jg, z, t)
     np.add(keys[:, None], jg, out=z)
     return _transform(family, p, _unit(_mix64(z, t), t))
 
@@ -198,49 +179,61 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int, packed:
     A draw is pure in (seed, stream, index), so the block size changes no
     value.  The whole range is checked before the first draw, and each
     block's stream keys are derived as it is drawn, so memory does not grow
-    with hi - lo.  A block is drawn BLOCK indices at a time, over one
-    (rows x BLOCK) scratch array and one BLOCK of index keys, so it is the
-    only n-long array: 8 (n + 1) bytes a stream.  BLOCK is a multiple of
-    64, so no rademacher word straddles two chunks.  All blocks
-    share one buffer, so a block lasts only until the next one is drawn:
-    whatever outlives that must be copied.
+    with hi - lo.  All blocks share one buffer, so a block lasts only until
+    the next one is drawn: whatever outlives that must be copied.
 
-    packed (rademacher only) yields the sign words themselves, the same
-    words the float signs are read from: a (streams x 8 ceil(n / 64)) uint8
-    block, byte k of a stream holding X_{8k+1}..X_{8k+8} from bit 0 up (bits
-    past n are drawn too), word w keyed at its first index, (64 w + 1) gamma.
-    The words of a stream are hashed in one piece, so a packed block of rows
-    streams costs rows n / 4 bytes with its scratch.  Callers size it at
-    max(1, 8 BLOCK // n) streams: their n / 8 bytes each, read as floats,
-    fill as much memory as a float block of max(1, BLOCK // n) streams.
+    A rademacher block hashes its sign words once, in one piece: a (streams
+    x 8 ceil(n / 64)) uint8 array, byte k of a stream holding
+    X_{8k+1}..X_{8k+8} from bit 0 up (bits past n are drawn too), word w
+    keyed at its first index, (64 w + 1) gamma.  packed (rademacher only)
+    yields them, rows n / 4 bytes with their scratch; callers size it at
+    max(1, 8 BLOCK // n) streams, the memory of a float block of
+    max(1, BLOCK // n).  Otherwise they go through BYTE_SIGNS into the
+    float block, BLOCK signs a take (which copies its bytes to intp: BLOCK
+    bytes).  The other families are drawn BLOCK indices at a time, over a
+    (rows x BLOCK) scratch array and a BLOCK of index keys.  Either way the
+    float block is the only n-long array: 8 (n + 1) bytes a stream.
     """
     require_streams(spec, hi)
-    if packed:
-        if spec.family != "rademacher":
-            raise ValueError(f"packed blocks hold rademacher signs, not {spec.family!r}")
+    rademacher = spec.family == "rademacher"
+    if packed and not rademacher:
+        raise ValueError(f"packed blocks hold rademacher signs, not {spec.family!r}")
+    m = min(rows, hi - lo)
+    if not packed:  # before the word keys, so an n too big fails here
+        z = np.empty((m, n + 1), dtype=np.uint64)
+        x = z.view(np.float64)
+    if rademacher:
         wg = _index_keys(n, 64)
-        z = np.empty((min(rows, hi - lo), wg.size), dtype=np.uint64)
-        t = np.empty_like(z)
-        for b in range(lo, hi, rows):
-            k = _stream_keys(spec, b, min(b + rows, hi))
-            yield _sign_words(k, wg, z[:k.size], t[:k.size])
-        return
-    z = np.empty((min(rows, hi - lo), n + 1), dtype=np.uint64)
-    t = np.empty((z.shape[0], min(n, BLOCK)), dtype=np.uint64)
-    jg = _index_keys(t.shape[1])
+        w, t = np.empty((2, m, wg.size), dtype=np.uint64)
+        q, s = divmod(n, 8)
+    else:
+        t = np.empty((m, min(n, BLOCK)), dtype=np.uint64)
+        jg = _index_keys(t.shape[1])
     for b in range(lo, hi, rows):
         k = _stream_keys(spec, b, min(b + rows, hi))
-        for c in range(1, n + 1, BLOCK):
-            d = min(c + BLOCK, n + 1)
-            _draw(spec.family, spec.p, k, jg[: d - c], z[:k.size, c:d], t[:k.size, : d - c])
-            k += jg[-1]  # the keys of the next chunk, as jg[-1] is then BLOCK gamma
-        yield z[:k.size].view(np.float64)
+        if rademacher:
+            words = _sign_words(k, wg, w[:k.size], t[:k.size])
+            if packed:
+                yield words
+                continue
+            for a in range(0, q, BLOCK // 8):
+                e = min(a + BLOCK // 8, q)
+                out = x[:k.size, 8 * a + 1 : 8 * e + 1].reshape(k.size, e - a, 8)
+                np.take(BYTE_SIGNS, words[:, a:e], axis=0, out=out, mode="clip")
+            if s:
+                x[:k.size, 8 * q + 1 :] = BYTE_SIGNS[words[:, q], :s]
+        else:
+            for c in range(1, n + 1, BLOCK):
+                d = min(c + BLOCK, n + 1)
+                _draw(spec.family, spec.p, k, jg[: d - c], z[:k.size, c:d], t[:k.size, : d - c])
+                k += jg[-1]  # the keys of the next chunk, as jg[-1] is then BLOCK gamma
+        yield x[:k.size]
 
 
 def sample_path(spec: SourceSpec, n: int) -> np.ndarray:
     """X_1..X_n of the stream one-based, X_j at index j of n + 1 floats and
-    index 0 a free slot: the one-stream block of stream_blocks, about
-    n + 2 BLOCK floats; the generator is then dropped, so the caller owns it."""
+    index 0 a free slot: the one-stream block of stream_blocks (see there
+    for its scratch); the generator is then dropped, so the caller owns it."""
     return next(stream_blocks(spec, n, 0, 1, 1))[0]
 
 

@@ -14,10 +14,11 @@ symmetric lambda_k = lambda_{n-k} is written twice, and the reverse
 ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m,
 written into one array, checked finite at its two ends, where nan and
 +-inf sort.  The periodogram and the reverse spectrum read the one-based
-path in place (transform.partial_sums_batch): the path and the rfft
-output, 16n bytes, then the n/2 ordinates in an array of their own, so
-the rfft output can be freed.  The reverse spectrum releases its path
-before the ordinates are built.
+path in place (transform.partial_sums_batch) and release it once it is
+transformed; the n/2 ordinates are then built in an array of their own,
+so the rfft output can be freed.  The path and the rfft output, 16n
+bytes, are each one's peak.  The periodogram sorts its ordinates in
+place for empirical.ks_sorted, with no copy.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -111,13 +112,20 @@ def periodogram_all(path: np.ndarray) -> np.ndarray:
     k = 1..floor((n-1)/2), of the one-based path X_1..X_n (n + 1 floats,
     X_j at path[j], see transform.partial_sums_batch)."""
     n = path.size - 1
-    p = _power(*partial_sums_batch(n, (n - 1) // 2, path))
+    s, t = partial_sums_batch(n, (n - 1) // 2, path)
+    del path  # a path no caller holds is freed before the ordinates are built
+    p = _power(s, t)
     p /= 2.0
     return p
 
 
 def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:
-    """Exact KS distance of the periodogram ECDF to Exp(1)."""
+    """Exact KS distance of the periodogram ECDF to Exp(1), of the
+    ordinates sorted in place."""
     if n < 7:
         raise ConfigError("need n >= 7")
-    return empirical.ks_to(periodogram_all(sample_path(spec, n)), empirical.exponential_cdf)
+    p = periodogram_all(sample_path(spec, n))
+    p.sort()
+    # nan sorts last and -inf first, so the ends hold any non-finite value
+    finite(p[[0, -1]], "sample values")
+    return empirical.ks_sorted(p, empirical.exponential_cdf)

@@ -707,6 +707,8 @@ def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
     # every draw of the package goes through these two functions, so a
     # count or a timer there sees them all
     assert _package_callers("_draw") == ["sources.normal_grid", "sources.stream_blocks"]
+    # and every rademacher word is hashed once, by stream_blocks alone
+    assert _package_callers("_sign_words") == ["sources.stream_blocks"]
 
 
 def test_mean_kernels_are_picked_only_by_mean_kernel():
@@ -955,16 +957,14 @@ def test_non_finite_statistic_is_a_runtime_failure(
     assert not out.exists()
 
 
-_real_draw = sources._draw
-
-
-def _nan_draw(*args, **kwargs):
-    # the replica sampler's own draws, then overwritten with nan: the fake
-    # takes whatever arguments the real core takes, and calls the core
-    # captured before the patch (the patched global would call itself)
-    x = _real_draw(*args, **kwargs)
-    x[...] = np.nan
-    return x
+def _nan_blocks(*args, **kwargs):
+    # the replica sampler's own blocks, their floats then overwritten with
+    # nan (packed sign bytes pass as drawn): the fake takes whatever
+    # arguments the real sampler takes
+    for x in sources.stream_blocks(*args, **kwargs):
+        if x.dtype == np.float64:
+            x[...] = np.nan
+        yield x
 
 
 # the statistic each replica harness checks finite, as its error names it
@@ -987,7 +987,7 @@ _REPLICA_STATS = {
 def test_non_finite_replica_statistic_is_a_runtime_failure(tmp_path, capsys, monkeypatch, argv):
     # a nan replica mean or partial sum compares false with a or x; it must
     # not count as a replica without a hit
-    monkeypatch.setattr(sources, "_draw", _nan_draw)
+    monkeypatch.setattr(experiments, "stream_blocks", _nan_blocks)
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", str(out)]) == 3
     assert f"runtime failure: non-finite {_REPLICA_STATS[argv[0]]}" in capsys.readouterr().err

@@ -129,18 +129,19 @@ def test_fixed_path_is_sampled_once(monkeypatch, harness):
 _TRIG_PATH = ",".join(f"{4**k}:{4**k // 2 - 1}" for k in range(5, 11))
 
 
-@pytest.mark.parametrize("harness, schedule", [
-    (asclt_trajectory, _TRIG_PATH),
-    (asclt_bivariate, "1048576:524287"),
+@pytest.mark.parametrize("harness, schedule, bound", [
+    (asclt_trajectory, _TRIG_PATH, 22),
+    (asclt_bivariate, "1048576:524287", 17),
 ], ids=["asclt", "bivariate"])
-def test_one_path_harness_peaks_under_22n_bytes(harness, schedule):
+def test_one_path_harness_peaks_under_22n_bytes(harness, schedule, bound):
     # the one-based path and the rfft output are 16n bytes; asclt's sorted
-    # copy of S adds 4n (21.5n measured) and bivariate a few blocks (17.2n);
-    # a copy of the path would add 8n
+    # copy of S adds 4n (20.4n measured) and bivariate the scratch of one
+    # block per axis (16.7n; 17.2n with scratch held from before the
+    # transform); a copy of the path would add 8n
     n = 2**20
     spec = spec_of("rademacher", 1)
     _, peak = peak_bytes(lambda: harness(spec, Schedule.parse(schedule)))
-    assert peak <= 22 * n, f"{harness.__name__} peaked at {peak / n:.2f}n bytes"
+    assert peak <= bound * n, f"{harness.__name__} peaked at {peak / n:.2f}n bytes"
 
 
 def test_trajectory_haar_kind():
@@ -212,9 +213,7 @@ def test_grid_cells_are_the_searchsorted_counts():
                         np.random.default_rng(4).standard_normal(200) * 2.0])
     z = np.zeros(2 * v.size)
     z[::2] = v
-    m = v.size
-    got = experiments._grid_below(z[::2], np.empty(m), np.empty(m, dtype=bool),
-                                  np.empty(m, dtype=np.uint8))
+    got = experiments._grid_below(z[::2])
     assert np.array_equal(got, np.searchsorted(gx, v, side="left"))
 
 

@@ -85,17 +85,22 @@ def test_prefix_stability(family, seed, n1, n2):
 def test_prefix_in_blocks_matches_one_block_draw(family, n):
     # sample_prefix draws BLOCK indices at a time, advancing the stream key
     # from chunk to chunk; one _draw over all n index keys at once is the
-    # same stream
+    # same stream.  A rademacher stream hashes its words in one piece, so
+    # it is held to the scalar reference instead
     spec = make_spec(family, seed=2**63 + 5, stream=7)
-    z = np.empty((1, n), dtype=np.uint64)
-    whole = _draw(family, spec.p, _stream_keys(spec, 0, 1), _index_keys(n), z, np.empty_like(z))
-    assert np.array_equal(sample_prefix(spec, n), whole[0])
+    if family == "rademacher":
+        whole = _rademacher_reference(spec.master_seed, spec.stream_id, n)
+    else:
+        z = np.empty((1, n), dtype=np.uint64)
+        whole = _draw(family, spec.p, _stream_keys(spec, 0, 1), _index_keys(n), z,
+                      np.empty_like(z))[0]
+    assert np.array_equal(sample_prefix(spec, n), whole)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_prefix_memory_is_its_result_and_two_blocks(family):
-    # the 8 MiB result plus a block of scratch and one of index keys;
-    # drawing all of it at once took 24 MiB
+    # the 8 MiB result plus a block of scratch and one of index keys, or a
+    # rademacher stream's word rows; drawing all of it at once took 24 MiB
     x, peak = peak_bytes(lambda: sample_prefix(make_spec(family, seed=3), 2**20))
     assert x.size == 2**20
     assert peak <= 10 * 2**20, f"sample_prefix peaked at {peak / 2**20:.1f} MiB"
@@ -104,14 +109,19 @@ def test_prefix_memory_is_its_result_and_two_blocks(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_one_stream_blocks_hold_one_block_and_its_scratch(family):
     # three blocks of one stream at n = 2**20 share one 8 MiB buffer, next
-    # to one BLOCK of scratch and one of index keys; drawing whole rows
-    # took 24 MiB
+    # to one BLOCK of scratch and one of index keys (drawing whole rows
+    # took 24 MiB); a rademacher block holds no BLOCK scratch, only its
+    # word rows (the words, their scratch and keys: 3n/8 bytes) and a
+    # take's BLOCK bytes of indices
+    n = 2**20
+
     def consume():
-        for _ in stream_blocks(make_spec(family, seed=6), 2**20, 0, 3, 1):
+        for _ in stream_blocks(make_spec(family, seed=6), n, 0, 3, 1):
             pass
 
     _, peak = peak_bytes(consume)
-    assert peak <= 10 * 2**20, f"stream_blocks peaked at {peak / 2**20:.1f} MiB"
+    bound = 8 * (n + 1) + n // 2 if family == "rademacher" else 10 * 2**20
+    assert peak <= bound, f"stream_blocks peaked at {peak / n:.3f}n bytes"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -184,7 +194,7 @@ def test_sample_rows_rejects_stream_overflow():
 
 def test_stream_blocks_memory_does_not_grow_with_the_stream_range():
     # a million streams at n = 16 in blocks of 4096: the stream keys are
-    # derived one block at a time, next to the two 512 KiB draw buffers
+    # derived one block at a time, next to the 557 KiB block and its words
     def consume():
         for _ in stream_blocks(make_spec("rademacher", seed=5), 16, 0, 10**6, 4096):
             pass
