@@ -11,9 +11,11 @@ chosen mutants there once unmutated (they must pass), then applies one
 mutant at a time and runs only its tests (pytest -x -q).  A mutant whose
 tests fail is killed; one whose tests pass survived, and the script then
 exits 1 (2 if the unmutated tests fail).  With names, only those mutants
-run.  The tier-1 suite checks only that every snippet occurs exactly once
-in its module, so a refactor that moves mutated code must update its
-entry here.
+run.  A mutant marked equivalent, with the reason no test can tell it
+from the code, is reported and not run, and never counts as a survivor.
+The tier-1 suite checks only that every snippet occurs exactly once in
+its module, and that every equivalent mutant gives its reason, so a
+refactor that moves mutated code must update its entry here.
 """
 
 import os
@@ -34,9 +36,13 @@ class Mutant(NamedTuple):
     snippet: str  # occurs exactly once in the module
     replacement: str
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    equivalent: str = ""  # why no test can kill it; such a mutant is not run
 
 
 _SOURCES = "tests/test_sources.py::"
+_EMPIRICAL = "tests/test_empirical.py::"
+_EXPERIMENTS = "tests/test_experiments.py::"
+_TRANSFORM = "tests/test_transform.py::"
 MUTANTS = (
     Mutant("byte-signs-bit-order", "sources.py", 'bitorder="little"', 'bitorder="big"',
            (_SOURCES + "test_byte_sign_table_maps_every_byte_bit_by_bit",
@@ -51,19 +57,55 @@ MUTANTS = (
            (_SOURCES + "test_prefix_in_blocks_matches_one_block_draw",)),
     Mutant("chunk-key-advance", "sources.py", "k += jg[-1]", "k += jg[0]",
            (_SOURCES + "test_prefix_in_blocks_matches_one_block_draw",)),
+    Mutant("stream-key-offset", "sources.py", "np.arange(lo, hi, dtype=np.uint64)",
+           "np.arange(lo + 1, hi + 1, dtype=np.uint64)",
+           (_SOURCES + "test_sample_rows_match_scalar_reference",)),
+    Mutant("finite-last-slice", "__init__.py", "range(0, len(v), step)",
+           "range(0, len(v) - step, step)",
+           ("tests/test_finite.py::test_finite_refuses_a_non_finite_value_at_any_slot",)),
+    Mutant("wrap-slot", "transform.py", "x[..., 0] = x[..., n]", "x[..., 0] = x[..., n - 1]",
+           (_TRANSFORM + "test_wrap_slot_matches_the_rotated_copy_bit_for_bit",)),
+    Mutant("mean-weights-unrotated", "transform.py", "np.roll(d, -1) *", "d *",
+           (_TRANSFORM + "test_mean_partial_sum_matches_reference",)),
+    Mutant("mean-kernel-cap", "transform.py", "<= _BYTE_TABLE_BYTES", "< _BYTE_TABLE_BYTES",
+           (_TRANSFORM + "test_mean_kernel_packs_rademacher_while_the_byte_table_fits",)),
+    Mutant("column-sums-divisor-order", "weights.py", "for d in sorted({*low, *(n // d for d in low)}):",
+           "for d in sorted({*low, *(n // d for d in low)}, reverse=True):",
+           ("tests/test_weights.py::test_trig_column_sums_match_fsum",)),
+    Mutant("ozaki-beta-8", "accum.py", "_split_rows(a, beta)", "_split_rows(a, beta - 8)",
+           ("tests/test_accum.py::test_random_matches_exact",
+            "tests/test_accum.py::test_cancellation_that_plain_blas_loses")),
     Mutant("grid-below-ties", "experiments.py", "np.greater(v, x, out=hit)",
            "np.greater_equal(v, x, out=hit)",
-           ("tests/test_experiments.py::test_grid_cells_are_the_searchsorted_counts",)),
-    Mutant("periodogram-unsorted", "spectra.py", "    p.sort()\n", "",
-           ("tests/test_golden.py::test_single_path_ops_at_full_size_keep_their_bytes[periodogram]",)),
-    Mutant("periodogram-holds-path", "spectra.py", "    del path  # a path", "    # a path",
-           ("tests/test_spectra.py::test_periodogram_peaks_at_its_path_and_rfft_output",)),
-    Mutant("corner-gap-lower-step", "empirical.py", "np.max(f - g[:-1])", "np.max(f - g[1:])",
-           ("tests/test_empirical.py::test_blocked_ks_matches_the_one_pass_reference",)),
+           (_EXPERIMENTS + "test_grid_cells_are_the_searchsorted_counts",)),
+    Mutant("bivariate-s-on-both-axes", "experiments.py",
+           "cells += _grid_below(t[lo : lo + BLOCK])", "cells += _grid_below(s[lo : lo + BLOCK])",
+           (_EXPERIMENTS + "test_bivariate_deviation_follows_the_exact_law",)),
+    Mutant("char-decay-phase-reads-t", "experiments.py", "s * ss + t * tt", "s * tt + t * tt",
+           (_EXPERIMENTS + "test_char_decay_rademacher_matches_the_exact_law",)),
+    Mutant("zero-rate-signed", "experiments.py", "/ r + 0.0,", "/ r,",
+           ("tests/test_cli.py::test_a_zero_rate_is_written_without_a_sign",)),
     # two runs of replicas need two cores: on one, the runs are one and it survives
     Mutant("replica-part-order", "experiments.py", "for part in parts for",
            "for part in parts[::-1] for",
-           ("tests/test_experiments.py::test_replica_map_follows_replica_streams",)),
+           (_EXPERIMENTS + "test_replica_map_follows_replica_streams",)),
+    Mutant("periodogram-holds-path", "spectra.py", "    del path  # a path", "    # a path",
+           ("tests/test_spectra.py::test_periodogram_peaks_at_its_path_and_rfft_output",)),
+    Mutant("reverse-unchecked", "spectra.py", '    finite(m[-1:], "eigenvalues")\n', "",
+           ("tests/test_spectra.py::test_reverse_circulant_refuses_an_overflowing_eigenvalue",)),
+    Mutant("ks-unsorted", "empirical.py", "    v.sort()\n", "",
+           (_EMPIRICAL + "test_blocked_ks_matches_the_one_pass_reference",
+            "tests/test_golden.py::test_single_path_ops_at_full_size_keep_their_bytes[periodogram]")),
+    Mutant("ks-top-unchecked", "empirical.py", "finite(v[[0, -1]]", "finite(v[[0]]",
+           (_EMPIRICAL + "test_measure_validation",)),
+    Mutant("corner-gap-lower-step", "empirical.py", "np.max(f - g[:-1])", "np.max(f - g[1:])",
+           (_EMPIRICAL + "test_blocked_ks_matches_the_one_pass_reference",)),
+    Mutant("ks-tau-zero", "empirical.py", "TAU = 2.0**-40", "TAU = 0.0",
+           (_EMPIRICAL + "test_ks_slack_covers_a_dip_of_the_cdf_inside_its_envelope",)),
+    Mutant("ks-keep-strict", "empirical.py", "np.greater_equal(bounds, best - TAU",
+           "np.greater(bounds, best - TAU", (),
+           equivalent="the span that holds E has B >= E > E - TAU, and a span whose B is "
+           "exactly E - TAU holds no gap above E, within the 2^-48 envelope TAU covers"),
 )
 
 
@@ -88,11 +130,16 @@ def main() -> int:
             shutil.copytree(ROOT / part, tmp / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        if not _pytest(tmp, sorted({t for m in chosen for t in m.tests})):
+        tests = sorted({t for m in chosen for t in m.tests})  # none if all are equivalent
+        if tests and not _pytest(tmp, tests):
             print("the named tests fail unmutated", file=sys.stderr)
             return 2
-        survivors = []
+        survivors, equivalent = [], 0
         for m in chosen:
+            if m.equivalent:
+                print(f"{'equiv':8}  {'':7}  {m.name}: {m.equivalent}")
+                equivalent += 1
+                continue
             path = tmp / "src" / "ascltlab" / m.module
             original = path.read_text(encoding="utf-8")
             assert original.count(m.snippet) == 1, m.name
@@ -104,7 +151,8 @@ def main() -> int:
                   f"{m.name}")
             if not killed:
                 survivors.append(m.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    print(f"{len(chosen) - equivalent - len(survivors)} of {len(chosen) - equivalent} mutants "
+          f"killed, {equivalent} equivalent")
     return 1 if survivors else 0
 
 

@@ -6,7 +6,9 @@ a grid: for a continuous target CDF the sup over all x is the larger of
 D+, the ECDF's greatest excess over F just after an atom, and D-, F's
 greatest excess over the ECDF just before one.  F is evaluated in full
 only on the spans of 64 atoms that can hold the maximum, found from
-bounds taken at the first atom of each span (ks_sorted).
+bounds taken at the first atom of each span (ks_in_place).  The KS owns
+its sample's checks and its sort: a caller that owns its array hands it
+over unsorted, and gets it back sorted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _Z95 = 1.959963984540054  # Phi^{-1}(0.975)
-# atoms per span of ks_sorted, a divisor of BLOCK, and the slack of its bounds
+# atoms per span of ks_in_place, a divisor of BLOCK, and the slack of its bounds
 SPAN = 64
 TAU = 2.0**-40
 
@@ -39,22 +41,17 @@ def exponential_cdf(x):
 
 
 def ks_to(samples, cdf) -> float:
-    """Exact sup-distance between the ECDF of a sample and a continuous CDF.
-
-    The sample is a nonempty 1-D array of finite values (else ValueError,
-    or FloatingPointError for a non-finite value), in any order: its one
-    sorted copy, checked finite at its two ends, goes to ks_sorted.
-    """
-    v = np.sort(np.asarray(samples, dtype=float))
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("need a nonempty 1-D sample")
-    # nan sorts last and -inf first, so the ends hold any non-finite value
-    finite(v[[0, -1]], "sample values")
-    return ks_sorted(v, cdf)
+    """Exact sup-distance between the ECDF of a sample and a continuous CDF:
+    ks_in_place of one float copy of the sample, which is left as it is."""
+    return ks_in_place(np.array(samples, dtype=float), cdf)
 
 
-def ks_sorted(v: np.ndarray, cdf) -> float:
-    """ks_to of the nonempty sorted 1-D float sample v, finite at its ends.
+def ks_in_place(v: np.ndarray, cdf) -> float:
+    """ks_to of the float array v, which it sorts in place.
+
+    v is a nonempty 1-D sample of finite values (else ValueError, or
+    FloatingPointError for a non-finite value), in any order; once sorted,
+    its two ends are checked, as nan sorts last and -inf first.
 
     D = max(D+, D-), D+ = max_i (i/m - F(v_i)) and D- = max_i (F(v_i) -
     (i-1)/m) (N. Smirnov, 1939).  F is first evaluated at the first atom
@@ -81,6 +78,10 @@ def ks_sorted(v: np.ndarray, cdf) -> float:
     on the spans kept BLOCK atoms at a time.  Beyond v the scratch is
     under a block and one bound per span (m/8 bytes).
     """
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("need a nonempty 1-D sample")
+    v.sort()
+    finite(v[[0, -1]], "sample values")
     m = v.size
     bounds = np.empty(-(-m // SPAN))
     best = -math.inf

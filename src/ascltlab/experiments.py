@@ -16,7 +16,7 @@ and T); that small per-replica result is copied, so it may be a view of
 the block.  Per-replica statistics are concatenated in ascending replica
 order, so the output is bit-identical for any thread count.  Every
 harness checks the values it counts finite once (ascltlab.finite, or
-ks_to at the ends of its sorted copy).
+the KS at the ends of the sample it sorts).
 
 The growth condition r^3 (log n)^2 / n is never enforced: no desk-scale
 (n, r) makes it small, yet the empirical limit laws already hold.  The
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import BLOCK, ConfigError, empirical, finite
-from .empirical import ks_to, normal_cdf
+from .empirical import ks_in_place, ks_to, normal_cdf
 from .sources import SourceSpec, require_streams, sample_path, stream_blocks
 from .transform import batch_kernel, mean_kernel, mean_weights, partial_sums_batch
 from .weights import HAAR, TRIG, haar_rows, require_haar, require_trig
@@ -259,7 +259,7 @@ def clt_fluctuation(
     mean = float(np.mean(w))
     var = float(np.var(w, ddof=1))
     sd = math.sqrt(var) if var > 0 else 1.0
-    ks = ks_to((w - mean) / sd, normal_cdf)
+    ks = ks_in_place((w - mean) / sd, normal_cdf)
     point = {
         "n": n,
         "r": r,

@@ -8,17 +8,17 @@ symmetric circulant's free entries, the forward one behind the
 periodogram for the reverse circulant.  Each returns its sorted real
 eigenvalues with the spectrum's summary point, a dict; only the
 symmetric ensemble's point compares the ESD with a limit law (N(0, 1)),
-by empirical.ks_sorted on its sorted eigenvalues, with no copy.
-Both build their equal or opposite eigenvalue pairs from one float: the
-symmetric lambda_k = lambda_{n-k} is written twice, and the reverse
-ensemble's pairs are the +- periodogram magnitudes m: -m[::-1] then m,
-written into one array, checked finite at its two ends, where nan and
-+-inf sort.  The periodogram and the reverse spectrum read the one-based
-path in place (transform.partial_sums_batch) and release it once it is
-transformed; the n/2 ordinates are then built in an array of their own,
-so the rfft output can be freed.  The path and the rfft output, 16n
-bytes, are each one's peak.  The periodogram sorts its ordinates in
-place for empirical.ks_sorted, with no copy.
+by empirical.ks_in_place on its eigenvalues, which it sorts and checks
+with no copy.  Both build their equal or opposite eigenvalue pairs from
+one float: the symmetric lambda_k = lambda_{n-k} is written twice, and
+the reverse ensemble's pairs are the +- periodogram magnitudes m:
+-m[::-1] then m, for the sorted m, checked finite at its top end, where
+nan and +inf sort (m >= 0).  The periodogram and the reverse spectrum
+read the one-based path in place (transform.partial_sums_batch) and
+release it once it is transformed; the n/2 ordinates are then built in
+an array of their own, so the rfft output can be freed.  The path and
+the rfft output, 16n bytes, are each one's peak.  The periodogram hands
+its ordinates to empirical.ks_in_place, which sorts them with no copy.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -39,12 +39,10 @@ from .sources import SourceSpec, sample_path, sample_prefix
 from .transform import partial_sums_batch
 
 def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
-              exceptional: list[float]) -> tuple[np.ndarray, dict]:
-    """(vals, the summary point) of the sorted eigenvalues vals, checked
-    finite at their two ends."""
-    finite(vals[[0, -1]], "eigenvalues")
-    return vals, {"ensemble": ensemble, "n": n, "normalization": normalization,
-                  "count": int(vals.size), "exceptional": exceptional}
+              exceptional: list[float]) -> dict:
+    """The summary point of the eigenvalues vals."""
+    return {"ensemble": ensemble, "n": n, "normalization": normalization,
+            "count": int(vals.size), "exceptional": exceptional}
 
 
 def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, dict]:
@@ -61,9 +59,8 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
         raise ConfigError("need n >= 3")
     h = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")[: n // 2 + 1]
     vals = np.concatenate([h, h[1 : (n + 1) // 2]])
-    vals.sort()
-    vals, point = _spectrum(vals, "SymmetricCirculant", n, 1.0 / math.sqrt(n), [])
-    point["ks_to_limit"] = empirical.ks_sorted(vals, empirical.normal_cdf)
+    point = _spectrum(vals, "SymmetricCirculant", n, 1.0 / math.sqrt(n), [])
+    point["ks_to_limit"] = empirical.ks_in_place(vals, empirical.normal_cdf)  # sorts vals
     return vals, point
 
 
@@ -92,10 +89,11 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
     del s, t
     np.sqrt(m, out=m)
     m.sort()
+    finite(m[-1:], "eigenvalues")
     vals = np.empty(2 * m.size)
     np.negative(m[::-1], out=vals[: m.size])
     vals[m.size :] = m
-    return _spectrum(vals, "ReverseCirculant", n, scale, exceptional)
+    return vals, _spectrum(vals, "ReverseCirculant", n, scale, exceptional)
 
 
 def _power(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -120,12 +118,7 @@ def periodogram_all(path: np.ndarray) -> np.ndarray:
 
 
 def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:
-    """Exact KS distance of the periodogram ECDF to Exp(1), of the
-    ordinates sorted in place."""
+    """Exact KS distance of the periodogram ECDF to Exp(1)."""
     if n < 7:
         raise ConfigError("need n >= 7")
-    p = periodogram_all(sample_path(spec, n))
-    p.sort()
-    # nan sorts last and -inf first, so the ends hold any non-finite value
-    finite(p[[0, -1]], "sample values")
-    return empirical.ks_sorted(p, empirical.exponential_cdf)
+    return empirical.ks_in_place(periodogram_all(sample_path(spec, n)), empirical.exponential_cdf)

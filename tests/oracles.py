@@ -45,7 +45,11 @@ exact moments of ``clt_fluctuation``'s W the same way, and
 ``clt_count_law`` the law of its count #{S_k <= x}, with atoms at x
 counted on both sides.  ``rademacher_ks_values`` is the KS statistic of
 ``asclt`` and of ``periodogram`` at one small n for each of the 2^n sign
-vectors, the exact laws their Rademacher runs are held to.
+vectors, the exact laws their Rademacher runs are held to;
+``rademacher_grid_deviations`` is ``bivariate``'s statistic and
+``char_decay_law`` the mean and sd of ``char-decay``'s per replica, the
+same way.  ``symmetric_rayleigh_cdf`` is the limit law of the reverse
+circulant's ESD.
 ``symmetric_eigenvalues`` is h_k of the symmetric circulant by one direct
 cosine sum each, the reference of its inverse real DFT at full size.
 """
@@ -56,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from ascltlab.empirical import exponential_cdf, normal_cdf
-from ascltlab.experiments import _half_line_rate
+from ascltlab.experiments import _BIVARIATE_GRID, _half_line_rate
 from ascltlab.sources import SourceSpec
 from ascltlab.transform import mean_weights, partial_sums_batch
 from ascltlab.weights import trig_tables
@@ -360,9 +364,7 @@ def clt_fluctuation_law(n: int, r: int, x: float) -> tuple[float, float, float, 
     from partial_sums_batch, and the distance from x to the nearest atom
     S_k: the exact law of clt_fluctuation's Rademacher W wherever no atom
     lies within rounding of x."""
-    signs = np.empty((2**n, n + 1))  # one-based, as partial_sums_batch reads them
-    signs[:, 1:] = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
-    s = partial_sums_batch(n, r, signs)[0]
+    s = partial_sums_batch(n, r, _sign_vectors(n))[0]
     w = np.sum(s <= x, axis=1) / math.sqrt(r) - math.sqrt(r) * normal_cdf(x)
     d = w - np.mean(w)
     return (float(np.mean(w)), float(np.mean(d**2)), float(np.mean(d**4)),
@@ -393,14 +395,51 @@ def rademacher_ks_values(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     value per vector: the 2^n vectors as one one-based block through
     partial_sums_batch, the ordinates as periodogram_all forms them (s s +
     t t, then / 2), and ks_to (below) per row."""
-    signs = np.empty((2**n, n + 1))  # one-based, as partial_sums_batch reads them
-    signs[:, 1:] = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
-    s, t = partial_sums_batch(n, (n - 1) // 2, signs)
+    s, t = partial_sums_batch(n, (n - 1) // 2, _sign_vectors(n))
     power = s * s
     power += t * t
     power /= 2.0
     return (np.array([ks_to(row[:r], normal_cdf) for row in s]),
             np.array([ks_to(row, exponential_cdf) for row in power]))
+
+
+def rademacher_grid_deviations(n: int, r: int) -> np.ndarray:
+    """bivariate's max grid deviation at the schedule point n:r for each of
+    the 2^n equally likely sign vectors: the joint ECDF of (S_k, T_k), k <=
+    r, counted at each grid point (x, y) as #{S_k <= x and T_k <= y} / r."""
+    s, t = partial_sums_batch(n, r, _sign_vectors(n))
+    gx = _BIVARIATE_GRID
+    below_s = (s[:, :, None] <= gx).astype(float)
+    below_t = (t[:, :, None] <= gx).astype(float)
+    joint = np.einsum("vki,vkj->vij", below_s, below_t) / r
+    target = np.outer(normal_cdf(gx), normal_cdf(gx))
+    return np.max(np.abs(joint - target), axis=(1, 2))
+
+
+def char_decay_law(n: int, r: int, s: float, t: float) -> tuple[float, float]:
+    """(mean, sd) of |phi_n(s, t) - e^{-(s^2+t^2)/2}|^2 over the 2^n equally
+    likely sign vectors, phi_n the mean of e^{i(s S_k + t T_k)} over k <= r:
+    the exact law of char-decay's Rademacher replicas."""
+    ss, tt = partial_sums_batch(n, r, _sign_vectors(n))
+    phi = np.mean(np.exp(1j * (s * ss + t * tt)), axis=1)
+    sq = np.abs(phi - math.exp(-(s * s + t * t) / 2.0)) ** 2
+    return float(np.mean(sq)), float(np.std(sq))
+
+
+def _sign_vectors(n: int) -> np.ndarray:
+    """All 2^n sign vectors, one per row, one-based as partial_sums_batch
+    reads them (column 0 the free slot)."""
+    signs = np.empty((2**n, n + 1))
+    signs[:, 1:] = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    return signs
+
+
+def symmetric_rayleigh_cdf(x):
+    """1/2 + sign(x) (1 - e^{-x^2/2}) / 2: the limit of the reverse
+    circulant's ESD in its sqrt(2/n) units (A. Bose and J. Mitra, Statist.
+    Probab. Lett. 60, 2002)."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 - np.sign(x) * np.expm1(-x * x / 2.0) / 2.0
 
 
 def symmetric_eigenvalues(x: np.ndarray, n: int, ks) -> np.ndarray:

@@ -124,6 +124,25 @@ def test_blocked_ks_matches_the_one_pass_reference(cdf, draw, ends, m):
     assert ks_to(mid, normal_cdf) == oracles.ks_to(mid, normal_cdf)
 
 
+def test_ks_slack_covers_a_dip_of_the_cdf_inside_its_envelope():
+    # 128 atoms v_k = k - 1, two spans, and a tabulated F: 3/16 on atoms
+    # 1-63, then a dip of 2^-48 at atom 64, the last of span 0, inside the
+    # 2^-48 envelope of F's non-monotonicity that TAU covers.  D is the gap
+    # at atom 64, 5/16 + 2^-48, while span 0's bound without TAU is 5/16
+    # and E, the gap at atom 65, is 5/16 + 2^-49: only the slack keeps span 0
+    m = 128
+    f = np.arange(m) / m
+    f[:63] = 3 / 16
+    f[63] = 3 / 16 - 2.0**-48
+    f[64] = 1 / 128 + 3 / 16 - 2.0**-49
+
+    def cdf(x):
+        return f[np.asarray(x).astype(np.intp)]
+
+    v = np.arange(float(m))
+    assert ks_to(v, cdf) == oracles.ks_to(v, cdf) == float.fromhex("0x1.4000000000040p-2")
+
+
 def _counted(cdf, sizes: list):
     """cdf, appending the size of each argument to sizes."""
     def wrapped(v):

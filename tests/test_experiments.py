@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from ascltlab import experiments
-from ascltlab.empirical import ks_to, normal_cdf
+from ascltlab.empirical import ks_in_place, ks_to, normal_cdf
 from ascltlab.experiments import (
     Schedule,
     _replica_map,
@@ -29,11 +29,13 @@ from ascltlab.transform import (
 from ascltlab.weights import check_trig, make_trig_pair
 
 from .oracles import (
+    char_decay_law,
     clt_count_law,
     clt_fluctuation_law,
     empirical_char,
     joint_cdf,
     ldp_normal_baseline,
+    rademacher_grid_deviations,
     rademacher_ks_values,
     rademacher_mean_tail,
 )
@@ -242,6 +244,21 @@ def test_char_decay_rademacher_bound():
         assert p["estimate"] <= 3.0 / p["r"]
 
 
+def test_char_decay_rademacher_matches_the_exact_law():
+    # at n = 16 the 2^16 sign vectors are equally likely, so the mean and sd
+    # of |phi_n - e^{-(s^2+t^2)/2}|^2 are known exactly; the estimate lies
+    # within 4 SE of that mean.  The Gaussian value (1 - e^{-(s^2+t^2)}) / r
+    # lies 20 SE away, so the band tells Rademacher from normal inputs
+    n, r, s, t, replicas = 16, 7, 1.0, 0.5, 20_000
+    mean, sd = char_decay_law(n, r, s, t)
+    se = sd / math.sqrt(replicas)
+    assert abs((1.0 - math.exp(-(s * s + t * t))) / r - mean) > 20 * se
+    for seed in (11, 12):
+        p = char_variance_decay(spec_of("rademacher", seed), Schedule.parse(f"{n}:{r}"),
+                                s, t, replicas).points[0]
+        assert abs(p["estimate"] - mean) <= 4 * se, (seed, (p["estimate"] - mean) / se)
+
+
 def test_char_decay_zero_frequency_exact():
     res = char_variance_decay(spec_of("normal", 1), Schedule(points=((64, 31),)), 0.0, 0.0, 100)
     assert res.points[0]["estimate"] == 0.0
@@ -301,7 +318,7 @@ def test_clt_fluctuation_counts_follow_the_exact_law(monkeypatch):
     # out and taken in, C_lo <= C <= C_hi, and P(C_hi <= c) <= P(C <= c) <=
     # P(C_lo <= c).  Each sample CDF cell lies within 4 binomial SE of that
     # range.  The counts are recovered from the standardized W that
-    # clt_fluctuation passes to ks_to, W = C / sqrt(r) - sqrt(r) Phi(x)
+    # clt_fluctuation passes to ks_in_place, W = C / sqrt(r) - sqrt(r) Phi(x)
     n, r, x, replicas = 20, 4, 0.0, 20_000
     lo, hi = clt_count_law(n, r, x)
     cdf_lo, cdf_hi = np.cumsum(hi)[:-1], np.cumsum(lo)[:-1]
@@ -310,9 +327,9 @@ def test_clt_fluctuation_counts_follow_the_exact_law(monkeypatch):
 
     def capture(v, cdf):
         captured.append(np.array(v))
-        return ks_to(v, cdf)
+        return ks_in_place(v, cdf)
 
-    monkeypatch.setattr(experiments, "ks_to", capture)
+    monkeypatch.setattr(experiments, "ks_in_place", capture)
     for seed in (11, 12):
         p = clt_fluctuation(spec_of("rademacher", seed), n, r, x, replicas).points[0]
         w = captured.pop() * math.sqrt(p["w_variance"]) + p["w_mean"]
@@ -330,23 +347,39 @@ def test_asclt_and_periodogram_ks_follow_the_exact_law():
     # atom (rounding splits some), in the law and in the runs alike: each
     # run's value lies on an atom, and at each atom a the sample CDF P(K <=
     # a) lies within 4 binomial SE of the exact one
-    n, r, seeds, tie = 12, 5, 4000, 1e-12
+    n, r = 12, 5
     schedule = Schedule.parse(f"{n}:{r}")
     runs = {
         "asclt": lambda spec: asclt_trajectory(spec, schedule).points[0]["ks_to_normal"],
         "periodogram": lambda spec: periodogram_ecdf_distance(n, spec),
     }
     for (name, ks), law in zip(runs.items(), rademacher_ks_values(n, r)):
-        law = np.sort(law)
-        atoms = law[np.r_[True, np.diff(law) > tie]]
-        exact = np.searchsorted(law, atoms + tie, side="right") / law.size
-        se = np.sqrt(exact * (1 - exact) / seeds)
-        sample = np.sort([ks(spec_of("rademacher", seed)) for seed in range(seeds)])
-        near = np.clip(np.searchsorted(atoms, sample), 1, atoms.size - 1)
-        gap = np.minimum(np.abs(sample - atoms[near - 1]), np.abs(sample - atoms[near]))
-        assert np.max(gap) <= tie, name
-        cdf = np.searchsorted(sample, atoms + tie, side="right") / seeds
-        assert np.all(np.abs(cdf - exact) <= 4 * se), (name, (cdf - exact) / se)
+        _assert_follows_the_atoms(name, ks, law)
+
+
+def test_bivariate_deviation_follows_the_exact_law():
+    # as above, for the max grid deviation of bivariate at 12:5 (98 atoms)
+    n, r = 12, 5
+    schedule = Schedule.parse(f"{n}:{r}")
+    _assert_follows_the_atoms(
+        "bivariate", lambda spec: asclt_bivariate(spec, schedule).points[0]["max_grid_deviation"],
+        rademacher_grid_deviations(n, r))
+
+
+def _assert_follows_the_atoms(name, stat, law, seeds=4000, tie=1e-12):
+    """stat of rademacher seeds 0..seeds-1 lies on the atoms of law (values
+    within tie are one atom), with its sample CDF at each atom within 4
+    binomial SE of the exact one."""
+    law = np.sort(law)
+    atoms = law[np.r_[True, np.diff(law) > tie]]
+    exact = np.searchsorted(law, atoms + tie, side="right") / law.size
+    se = np.sqrt(exact * (1 - exact) / seeds)
+    sample = np.sort([stat(spec_of("rademacher", seed)) for seed in range(seeds)])
+    near = np.clip(np.searchsorted(atoms, sample), 1, atoms.size - 1)
+    gap = np.minimum(np.abs(sample - atoms[near - 1]), np.abs(sample - atoms[near]))
+    assert np.max(gap) <= tie, name
+    cdf = np.searchsorted(sample, atoms + tie, side="right") / seeds
+    assert np.all(np.abs(cdf - exact) <= 4 * se), (name, (cdf - exact) / se)
 
 
 def test_clt_fluctuation_far_tail():

@@ -276,6 +276,19 @@ def test_full_size_symmetric_spectrum_matches_direct_sums(n):
     assert np.all(np.abs(_nearest(e, h_ref) - h_ref) <= tol)
 
 
+@pytest.mark.parametrize("family", ["rademacher", "normal"])
+@pytest.mark.parametrize("n", [257, 4096, 4097, 2**20])
+def test_reverse_esd_distance_to_its_limit_is_half_the_periodogram_distance(n, family):
+    # the ECDF of the pairs +-m at x > 0 is 1/2 + G(x)/2, G the ECDF of the
+    # magnitudes m, and m <= x exactly when the ordinate m^2/2 <= x^2/2: so
+    # the KS of the eigenvalues to the symmetric Rayleigh law is half the
+    # periodogram's KS to Exp(1), up to the rounding of m = sqrt(2 I_n)
+    spec = SourceSpec(family, master_seed=17)
+    vals, _ = reverse_circulant_spectrum(n, spec)
+    half = periodogram_ecdf_distance(n, spec) / 2
+    assert abs(ks_to(vals, oracles.symmetric_rayleigh_cdf) - half) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_reverse_circulant_refuses_an_overflowing_eigenvalue(monkeypatch, n):
     # draws of +-1e200 keep both exceptional eigenvalues finite, but the
