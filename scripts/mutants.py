@@ -69,6 +69,13 @@ MUTANTS = (
            (_TRANSFORM + "test_mean_partial_sum_matches_reference",)),
     Mutant("mean-kernel-cap", "transform.py", "<= _BYTE_TABLE_BYTES", "< _BYTE_TABLE_BYTES",
            (_TRANSFORM + "test_mean_kernel_packs_rademacher_while_the_byte_table_fits",)),
+    Mutant("byte-table-shifted", "transform.py", "cw[: c.size] = c", "cw[: c.size - 1] = c[1:]",
+           (_TRANSFORM + "test_byte_table_means_match_the_float_signs",
+            _EXPERIMENTS + "test_ldp_rademacher_hits_match_the_exact_law")),
+    Mutant("log-scale-exponent", "weights.py", "math.log1p(r) ** (1.0 + delta)",
+           "math.log1p(r) ** delta",
+           ("tests/test_cli.py::test_both_check_weights_kinds_share_their_nine_columns",
+            "tests/test_weights.py::test_check_conditions_trig_n8")),
     Mutant("column-sums-divisor-order", "weights.py", "for d in sorted({*low, *(n // d for d in low)}):",
            "for d in sorted({*low, *(n // d for d in low)}, reverse=True):",
            ("tests/test_weights.py::test_trig_column_sums_match_fsum",)),
@@ -83,14 +90,27 @@ MUTANTS = (
            (_EXPERIMENTS + "test_bivariate_deviation_follows_the_exact_law",)),
     Mutant("char-decay-phase-reads-t", "experiments.py", "s * ss + t * tt", "s * tt + t * tt",
            (_EXPERIMENTS + "test_char_decay_rademacher_matches_the_exact_law",)),
-    Mutant("zero-rate-signed", "experiments.py", "/ r + 0.0,", "/ r,",
+    Mutant("zero-rate-signed", "experiments.py", "/ r + 0.0 if", "/ r if",
            ("tests/test_cli.py::test_a_zero_rate_is_written_without_a_sign",)),
+    Mutant("rate-lo-from-p-lo", "experiments.py", '"rate_lo": _rate(p_hi, r)',
+           '"rate_lo": _rate(p_lo, r)',
+           ("tests/test_cli.py::test_a_zero_rate_is_written_without_a_sign",)),
+    Mutant("asclt-holds-path", "experiments.py", "del path  # the last transform is done: the KS",
+           "pass  # the last transform is done: the KS",
+           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[asclt]",)),
+    Mutant("bivariate-holds-path", "experiments.py",
+           "del path  # the last transform is done: the grid",
+           "pass  # the last transform is done: the grid",
+           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate]",)),
     # two runs of replicas need two cores: on one, the runs are one and it survives
     Mutant("replica-part-order", "experiments.py", "for part in parts for",
            "for part in parts[::-1] for",
            (_EXPERIMENTS + "test_replica_map_follows_replica_streams",)),
     Mutant("periodogram-holds-path", "spectra.py", "    del path  # a path", "    # a path",
            ("tests/test_spectra.py::test_periodogram_peaks_at_its_path_and_rfft_output",)),
+    Mutant("irfft-input-late", "spectra.py", "sample_prefix(spec, n // 2 + 1)",
+           "sample_prefix(spec, n // 2 + 2)[1:]",
+           ("tests/test_spectra.py::test_symmetric_spectrum_near_complex_dft",)),
     Mutant("reverse-unchecked", "spectra.py", '    finite(m[-1:], "eigenvalues")\n', "",
            ("tests/test_spectra.py::test_reverse_circulant_refuses_an_overflowing_eigenvalue",)),
     Mutant("ks-unsorted", "empirical.py", "    v.sort()\n", "",

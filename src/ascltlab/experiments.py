@@ -113,19 +113,24 @@ def asclt_trajectory(
     point reads a prefix of it in place, so all points share one omega by
     construction.  By prefix stability, the X_1..X_n of a point are also
     exactly what sample_prefix(spec, n) returns.  The path is hashed once:
-    each point feeds the new stretch of its prefix to one running sha256.
-    Every point is checked, Haar past the size limit refused, before any draw.
+    each point feeds the new stretch of its prefix to one running sha256
+    before its transform, and the path is released once the last point is
+    transformed.  Every point is checked, Haar past the size limit refused,
+    before any draw.
     """
     schedule.require(kind)
     path = sample_path(spec, schedule.points[-1][0])
     points = []
     h, done = hashlib.sha256(), 0
     for n, r in schedule.points:
-        # no name holds S, a view of the whole rfft output, past its KS
-        ks = ks_to(_trajectory_sums(spec, path, n, r, kind), normal_cdf)
-        h.update(path[done + 1 : n + 1])
+        h.update(path[done + 1 : n + 1])  # hexdigest leaves h open to the next stretch
         done = n
-        points.append({"n": n, "r": r, "ks_to_normal": ks, "prefix_sha256": h.copy().hexdigest()})
+        s = _trajectory_sums(spec, path, n, r, kind)
+        if n + 1 == path.size:
+            del path  # the last transform is done: the KS's copy of S takes its place
+        points.append({"n": n, "r": r, "ks_to_normal": ks_to(s, normal_cdf),
+                       "prefix_sha256": h.hexdigest()})
+        del s  # a view of the whole rfft output, not held through the next transform
     return ExperimentResult({"kind": kind}, points)
 
 
@@ -155,6 +160,8 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
     g = gx.size + 1
     for n, r in schedule.points:
         s, t = partial_sums_batch(n, r, path[: n + 1])
+        if n + 1 == path.size:
+            del path  # the last transform is done: the grid scratch is counted without it
         counts = np.zeros(g * g, dtype=np.intp)
         for lo in range(0, r, BLOCK):
             cells = _grid_below(s[lo : lo + BLOCK])
@@ -273,18 +280,22 @@ def clt_fluctuation(
     return ExperimentResult({"x": x}, [point], replicas)
 
 
+def _rate(p: float, r: int) -> float | None:
+    """-log(p) / r, None at p = 0; + 0.0 writes 0.0, not -0.0, at p = 1."""
+    return -math.log(p) / r + 0.0 if p > 0.0 else None
+
+
 def _half_line_rate(
     spec: SourceSpec, c: np.ndarray, r: int, a: float, replicas: int, threads: int
 ) -> dict:
-    """Replicas whose mean of S_{n,1..r} (one product with c, read by
-    transform.mean_kernel) is >= a."""
+    """The rate fields, in CSV column order, of the replicas whose mean of
+    S_{n,1..r} (one product with c, read by transform.mean_kernel) is >= a."""
     kernel, packed = mean_kernel(spec.family, c)
     means = _replica_map(kernel, spec, c.size, replicas, threads, packed)
     hits = int(np.sum(finite(means, "replica means") >= a))
-    # with no observed exceedances, report the 1/replicas bound and flag the
-    # rate; + 0.0 writes the rate at p_hat = 1 as 0.0, not -0.0
+    # with no observed exceedances, report the 1/replicas bound and flag the rate
     p_hat = max(hits, 1) / replicas
-    return {"hits": hits, "p_hat": p_hat, "rate": -math.log(p_hat) / r + 0.0,
+    return {"rate": _rate(p_hat, r), "p_hat": p_hat, "hits": hits,
             "rate_is_lower_bound": hits == 0}
 
 
@@ -323,23 +334,8 @@ def ldp_rate(
     oracle_spec = SourceSpec("normal", spec.master_seed, spec.stream_id + replicas)
     oracle = _half_line_rate(oracle_spec, np.array([1.0 / math.sqrt(r)]), r, a, replicas, threads)
     p_lo, p_hi = empirical.wilson_interval(main["hits"], replicas)
-    point = {
-        "n": n,
-        "r": r,
-        "a": a,
-        "target_rate": a * a / 2.0,
-        "rate": main["rate"],
-        "p_hat": main["p_hat"],
-        "hits": main["hits"],
-        "rate_is_lower_bound": main["rate_is_lower_bound"],
-        "p_hat_lo": p_lo,
-        "p_hat_hi": p_hi,
-        "rate_lo": -math.log(p_hi) / r if p_hi < 1.0 else 0.0,
-        "rate_hi": -math.log(p_lo) / r if p_lo > 0.0 else None,
-        "oracle_rate": oracle["rate"],
-        "oracle_p_hat": oracle["p_hat"],
-        "oracle_hits": oracle["hits"],
-        "oracle_rate_is_lower_bound": oracle["rate_is_lower_bound"],
-        "rate_ratio_to_oracle": main["rate"] / oracle["rate"] if oracle["rate"] else None,
-    }
+    point = {"n": n, "r": r, "a": a, "target_rate": a * a / 2.0, **main, "p_hat_lo": p_lo,
+             "p_hat_hi": p_hi, "rate_lo": _rate(p_hi, r), "rate_hi": _rate(p_lo, r),
+             **{"oracle_" + k: v for k, v in oracle.items()},
+             "rate_ratio_to_oracle": main["rate"] / oracle["rate"] if oracle["rate"] else None}
     return ExperimentResult({"a": a}, [point], replicas)

@@ -192,7 +192,10 @@ def stream_blocks(spec: SourceSpec, n: int, lo: int, hi: int, rows: int, packed:
     float block, BLOCK signs a take (which copies its bytes to intp: BLOCK
     bytes).  The other families are drawn BLOCK indices at a time, over a
     (rows x BLOCK) scratch array and a BLOCK of index keys.  Either way the
-    float block is the only n-long array: 8 (n + 1) bytes a stream.
+    float block is the only n-long array of one stream: 8 (n + 1) bytes.
+    A take into a block of more than one stream writes a strided view (the
+    signs fill columns 1..n of each row), which numpy stages in a temporary
+    of the take's out region and copies back: up to 8 BLOCK bytes more.
     """
     require_streams(spec, hi)
     rademacher = spec.family == "rademacher"

@@ -9,10 +9,11 @@ builds rows one at a time from the n-long tables of trig_tables(n), and
 no pair is stored; Haar weights are a plain r x n array (haar_rows).
 
 check_trig and check_haar each return the whole check-weights point as a
-dict, in its CSV column order.  Condition residuals (max entry,
-row-orthogonality defect, cross defect) are reported raw; whether they
-are "small enough" is a statement across a schedule of n and is left to
-the caller.  Trig pairs are checked through the column sums S_m, T_m (one
+dict, in its CSV column order, through one builder of the nine columns
+they share; trig adds its identity residual.  Condition residuals (max
+entry, row-orthogonality defect, cross defect) are reported raw; whether
+they are "small enough" is a statement across a schedule of n and is
+left to the caller.  Trig pairs are checked through the column sums S_m, T_m (one
 table sum per divisor of n), computed once per point: the residual of
 each of the four trig identities is |E_a +- E_b| / 2 or |T_a +- T_b| / 2
 (E = S minus its exact value), that of a Gram entry the same numerator
@@ -176,6 +177,15 @@ def _pair_residuals(e: np.ndarray, t: np.ndarray, m: int) -> tuple[float, float,
     return float(cc), float(ss), float(cross)
 
 
+def _check_point(n: int, r: int, delta: float, entry_u: float, orth_u: float,
+                 entry_v=None, orth_v=None, cross=None) -> dict:
+    """The nine check-weights columns both kinds share, in CSV order, with
+    log_scale = log(1 + r)^(1 + delta); Haar rows have no V: those are None."""
+    return {"eps_entry_u": entry_u, "eps_entry_v": entry_v, "eps_orth_u": orth_u,
+            "eps_orth_v": orth_v, "eps_cross": cross, "log_scale": math.log1p(r) ** (1.0 + delta),
+            "n": n, "r": r, "delta": delta}
+
+
 def check_trig(n: int, r: int, delta: float) -> dict:
     """The check-weights point of the trig pair of (n, r): raw maxima for
     conditions (max entry / orthogonality / cross), then the worst residual
@@ -202,31 +212,21 @@ def check_trig(n: int, r: int, delta: float) -> dict:
     e[0] -= n
     cc, ss, cross = _pair_residuals(e, t, r)
     scale = math.sqrt(2.0 / n)
-    return {
-        # residue 0 is hit at j = n for every k, where |cos| = 1
-        "eps_entry_u": scale,
-        "eps_entry_v": scale * sin_max,
-        "eps_orth_u": cc / n, "eps_orth_v": ss / n, "eps_cross": cross / n,
-        "log_scale": math.log1p(r) ** (1.0 + delta), "n": n, "r": r, "delta": delta,
-        "trig_identity_residual": max(_pair_residuals(e, t, n)) / 2.0,
-    }
+    # residue 0 is hit at j = n for every k, where |cos| = 1
+    point = _check_point(n, r, delta, scale, cc / n, scale * sin_max, ss / n, cross / n)
+    point["trig_identity_residual"] = max(_pair_residuals(e, t, n)) / 2.0
+    return point
 
 
 def check_haar(n: int, r: int, spec: SourceSpec, delta: float) -> dict:
     """The check-weights point of the first r Haar rows of (n, spec): raw
     maxima for conditions (max entry / orthogonality), through the
     error-free Gram ``ozaki_gram``.  delta is checked before the rows are
-    drawn.  Haar rows have no companion V, so the three V fields are None.
-    At its peak it holds the rows, the Gram's slices of them and three
-    r x r matrices (see ozaki_gram)."""
+    drawn.  At its peak it holds the rows, the Gram's slices of them and
+    three r x r matrices (see ozaki_gram)."""
     if not delta > 0:
         raise ConfigError("delta must be positive")
     u = haar_rows(n, spec, r)
     g = ozaki_gram(u)
     g.ravel()[:: r + 1] -= 1.0  # G - I in place: max |G - I| is max(max, -min)
-    return {
-        "eps_entry_u": float(np.max(np.abs(u))), "eps_entry_v": None,
-        "eps_orth_u": float(max(g.max(), -g.min())), "eps_orth_v": None,
-        "eps_cross": None, "log_scale": math.log1p(r) ** (1.0 + delta), "n": n, "r": r,
-        "delta": delta,
-    }
+    return _check_point(n, r, delta, float(np.max(np.abs(u))), float(max(g.max(), -g.min())))

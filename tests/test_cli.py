@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -122,9 +123,11 @@ def test_a_zero_rate_is_written_without_a_sign(tmp_path, capsys):
     jsons, csvs = read_artifacts(tmp_path)
     text = (tmp_path / jsons[0]).read_text(encoding="utf-8")
     assert '"rate": 0.0,' in text and '"oracle_rate": 0.0,' in text
+    # the one replica hits, so the Wilson upper bound is 1 and rate_lo is 0
+    assert '"rate_lo": 0.0,' in text
     header, row = (tmp_path / csvs[0]).read_text(encoding="utf-8").splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["rate"] == cells["oracle_rate"] == "0.0"
+    assert cells["rate"] == cells["oracle_rate"] == cells["rate_lo"] == "0.0"
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -525,6 +528,24 @@ def test_haar_check_weights_checks_the_first_r_rows(tmp_path, capsys):
         rows = [line.split(",")[1:] for line in fh.read().splitlines()[1:]]
     assert len(rows) == 3
     assert point["eps_entry_u"] == max(abs(float(v)) for row in rows for v in row)
+
+
+def test_both_check_weights_kinds_share_their_nine_columns(tmp_path):
+    # one layout: the nine columns both kinds write, in the CSV header's
+    # order, with one log_scale; trig adds its identity residual after them
+    n, r, delta = 8, 3, 0.5
+    points = {"trig": weights.check_trig(n, r, delta),
+              "haar": weights.check_haar(n, r, SourceSpec("normal", 0), delta)}
+    for kind, point in points.items():
+        argv = ["check-weights", "--weights", kind, "--n", str(n), "--r", str(r),
+                "--delta", str(delta), "--out-dir", str(tmp_path / kind)]
+        assert run(argv) == 0
+        _, csvs = read_artifacts(tmp_path / kind)
+        header = (tmp_path / kind / csvs[0]).read_text(encoding="utf-8").splitlines()[0]
+        assert header.split(",") == list(point)
+        assert point["log_scale"] == math.log1p(r) ** (1.0 + delta)
+    assert list(points["trig"])[:9] == list(points["haar"])
+    assert list(points["trig"])[9:] == ["trig_identity_residual"]
 
 
 # the trig cases are in range for Haar weights, but not for the trig bound
