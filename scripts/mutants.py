@@ -43,6 +43,10 @@ _SOURCES = "tests/test_sources.py::"
 _EMPIRICAL = "tests/test_empirical.py::"
 _EXPERIMENTS = "tests/test_experiments.py::"
 _TRANSFORM = "tests/test_transform.py::"
+_SPECTRA = "tests/test_spectra.py::"
+_CLI = "tests/test_cli.py::"
+_HASH = "_mix64(np.add(keys[:, None], wg, out=t), z)"  # rademacher sign words
+_WORDS = _HASH + ".view(np.uint8)"
 MUTANTS = (
     Mutant("byte-signs-bit-order", "sources.py", 'bitorder="little"', 'bitorder="big"',
            (_SOURCES + "test_byte_sign_table_maps_every_byte_bit_by_bit",
@@ -50,6 +54,29 @@ MUTANTS = (
     Mutant("sign-tail-byte", "sources.py", "BYTE_SIGNS[words[:, q], :s]",
            "BYTE_SIGNS[words[:, q - 1], :s]",
            (_SOURCES + "test_prefix_in_blocks_matches_one_block_draw",)),
+    # the sign words as hashed, with bits forced or paired.  The KS laws and
+    # char-decay's are unchanged under x -> -x, so they cannot tell one fixed
+    # sign per byte; nor, as run, can bivariate's, which does fail bit 0 set
+    Mutant("sign-word-bit-0-set", "sources.py", _WORDS, f"({_HASH} | np.uint64(1)).view(np.uint8)",
+           (_SOURCES + "test_rademacher_pair_frequencies_and_bit_balance",
+            _EXPERIMENTS + "test_ldp_rademacher_hits_match_the_exact_law",
+            _EXPERIMENTS + "test_clt_fluctuation_rademacher_matches_the_exact_law",
+            _EXPERIMENTS + "test_bivariate_deviation_follows_the_exact_law")),
+    Mutant("sign-word-bit-63-set", "sources.py", _WORDS,
+           f"({_HASH} | np.uint64(1 << 63)).view(np.uint8)",
+           (_SOURCES + "test_rademacher_pair_frequencies_and_bit_balance",)),
+    Mutant("sign-one-fixed-per-byte", "sources.py", _WORDS, _WORDS + " & np.uint8(0xEF)",
+           (_SOURCES + "test_rademacher_pair_frequencies_and_bit_balance",
+            _EXPERIMENTS + "test_ldp_rademacher_hits_match_the_exact_law",
+            _EXPERIMENTS + "test_clt_fluctuation_rademacher_matches_the_exact_law")),
+    Mutant("sign-two-fixed-per-byte", "sources.py", _WORDS, _WORDS + " & np.uint8(0xE7)",
+           (_SOURCES + "test_rademacher_pair_frequencies_and_bit_balance",
+            _EXPERIMENTS + "test_asclt_and_periodogram_ks_follow_the_exact_law",
+            _SPECTRA + "test_symmetric_ks_follows_the_exact_law")),
+    Mutant("sign-pairs-equal", "sources.py", _WORDS, f"({_WORDS} & np.uint8(0x55)) * np.uint8(3)",
+           (_SOURCES + "test_rademacher_pair_frequencies_and_bit_balance",
+            _EXPERIMENTS + "test_asclt_and_periodogram_ks_follow_the_exact_law",
+            _SPECTRA + "test_symmetric_ks_follows_the_exact_law")),
     Mutant("sign-take-columns", "sources.py", "x[:k.size, 8 * a + 1 : 8 * e + 1]",
            "x[:k.size, 8 * a : 8 * e]",
            (_SOURCES + "test_sample_rows_match_scalar_reference",)),
@@ -74,7 +101,7 @@ MUTANTS = (
             _EXPERIMENTS + "test_ldp_rademacher_hits_match_the_exact_law")),
     Mutant("log-scale-exponent", "weights.py", "math.log1p(r) ** (1.0 + delta)",
            "math.log1p(r) ** delta",
-           ("tests/test_cli.py::test_both_check_weights_kinds_share_their_nine_columns",
+           (_CLI + "test_both_check_weights_kinds_share_their_nine_columns",
             "tests/test_weights.py::test_check_conditions_trig_n8")),
     Mutant("column-sums-divisor-order", "weights.py", "for d in sorted({*low, *(n // d for d in low)}):",
            "for d in sorted({*low, *(n // d for d in low)}, reverse=True):",
@@ -91,10 +118,10 @@ MUTANTS = (
     Mutant("char-decay-phase-reads-t", "experiments.py", "s * ss + t * tt", "s * tt + t * tt",
            (_EXPERIMENTS + "test_char_decay_rademacher_matches_the_exact_law",)),
     Mutant("zero-rate-signed", "experiments.py", "/ r + 0.0 if", "/ r if",
-           ("tests/test_cli.py::test_a_zero_rate_is_written_without_a_sign",)),
+           (_CLI + "test_a_zero_rate_is_written_without_a_sign",)),
     Mutant("rate-lo-from-p-lo", "experiments.py", '"rate_lo": _rate(p_hi, r)',
            '"rate_lo": _rate(p_lo, r)',
-           ("tests/test_cli.py::test_a_zero_rate_is_written_without_a_sign",)),
+           (_CLI + "test_a_zero_rate_is_written_without_a_sign",)),
     Mutant("asclt-holds-path", "experiments.py", "del path  # the last transform is done: the KS",
            "pass  # the last transform is done: the KS",
            (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[asclt]",)),
@@ -102,17 +129,31 @@ MUTANTS = (
            "del path  # the last transform is done: the grid",
            "pass  # the last transform is done: the grid",
            (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate]",)),
+    Mutant("bivariate-holds-sums", "experiments.py", "del s, t  # views of the whole rfft",
+           "pass  # views of the whole rfft",
+           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate-two-points]",)),
     # two runs of replicas need two cores: on one, the runs are one and it survives
     Mutant("replica-part-order", "experiments.py", "for part in parts for",
            "for part in parts[::-1] for",
            (_EXPERIMENTS + "test_replica_map_follows_replica_streams",)),
     Mutant("periodogram-holds-path", "spectra.py", "    del path  # a path", "    # a path",
-           ("tests/test_spectra.py::test_periodogram_peaks_at_its_path_and_rfft_output",)),
+           (_SPECTRA + "test_periodogram_peaks_at_its_path_and_rfft_output",)),
     Mutant("irfft-input-late", "spectra.py", "sample_prefix(spec, n // 2 + 1)",
            "sample_prefix(spec, n // 2 + 2)[1:]",
-           ("tests/test_spectra.py::test_symmetric_spectrum_near_complex_dft",)),
+           (_SPECTRA + "test_symmetric_spectrum_near_complex_dft",)),
+    Mutant("symmetric-mirror-late", "spectra.py", "= vals[1 : (n + 1) // 2]",
+           "= vals[2 : (n + 1) // 2 + 1]",
+           (_SPECTRA + "test_symmetric_pairs_bit_equal",
+            _SPECTRA + "test_symmetric_ks_follows_the_exact_law")),
+    Mutant("reverse-unreversed", "spectra.py", "np.negative(m[::-1],", "np.negative(m,",
+           (_SPECTRA + "test_reverse_circulant_symmetry_and_exceptional",)),
+    Mutant("artifacts-left-on-failure", "cli.py", "            os.remove(path)", "            pass",
+           (_CLI + "test_a_run_that_fails_while_writing_leaves_no_artifact",)),
+    Mutant("run-handler-narrowed", "cli.py", "    except Exception as exc:",
+           "    except (OSError, ValueError) as exc:",
+           (_CLI + "test_a_run_that_fails_while_writing_leaves_no_artifact[RuntimeError]",)),
     Mutant("reverse-unchecked", "spectra.py", '    finite(m[-1:], "eigenvalues")\n', "",
-           ("tests/test_spectra.py::test_reverse_circulant_refuses_an_overflowing_eigenvalue",)),
+           (_SPECTRA + "test_reverse_circulant_refuses_an_overflowing_eigenvalue",)),
     Mutant("ks-unsorted", "empirical.py", "    v.sort()\n", "",
            (_EMPIRICAL + "test_blocked_ks_matches_the_one_pass_reference",
             "tests/test_golden.py::test_single_path_ops_at_full_size_keep_their_bytes[periodogram]")),

@@ -10,7 +10,8 @@ A subcommand takes the settings of _IDENTITY, which every run reads and
 records, and its own fields, and no others: they are its flags, its
 config keys and, where the field has no default, its required settings.
 run() times the runner, writes the artifacts and prints the summary
-lines in the same way for all of them.  The JSON document is laid out
+lines in the same way for all of them, under one failure handler, and a
+write that fails removes both files.  The JSON document is laid out
 here alone: the experiment from RunConfig, the run's identity (family,
 master_seed, stream_id, p) from its SourceSpec, the rest from the
 result.  A CSV is written as bytes.  Its float cells are formatted a
@@ -288,11 +289,15 @@ def _write_artifacts(cfg: RunConfig, spec: SourceSpec, result: experiments.Exper
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     base = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}-{stamp}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    json_path = base + ".json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    csv_path = base + ".csv"
-    _write_csv(csv_path, *table)
+    json_path, csv_path = base + ".json", base + ".csv"
+    try:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        _write_csv(csv_path, *table)
+    except BaseException:  # a run that fails while writing leaves neither file
+        for path in filter(os.path.exists, (json_path, csv_path)):
+            os.remove(path)
+        raise
     return json_path, csv_path
 
 
@@ -421,18 +426,14 @@ def run(argv) -> int:
         result, table = runner(cfg, spec)
         wall_clock_s = time.perf_counter() - t0
         lines = [summary(cfg, point) for point in result.points]
+        json_path, csv_path = _write_artifacts(
+            cfg, spec, result, wall_clock_s, table or _points_table(result.points)
+        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
-    try:
-        json_path, csv_path = _write_artifacts(
-            cfg, spec, result, wall_clock_s, table or _points_table(result.points)
-        )
-    except (OSError, ValueError) as exc:
-        # ValueError: a non-finite result, which JSON cannot hold
+        # a non-finite result among them, as JSON's ValueError
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
     for line in lines:

@@ -171,6 +171,7 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
         joint = counts.reshape(g, g).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
         dev = float(np.max(np.abs(joint - target)))
         points.append({"n": n, "r": r, "max_grid_deviation": dev})
+        del s, t  # views of the whole rfft output, not held through the next transform
     return ExperimentResult({"grid": [float(v) for v in gx]}, points)
 
 

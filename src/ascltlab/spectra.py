@@ -9,16 +9,17 @@ periodogram for the reverse circulant.  Each returns its sorted real
 eigenvalues with the spectrum's summary point, a dict; only the
 symmetric ensemble's point compares the ESD with a limit law (N(0, 1)),
 by empirical.ks_in_place on its eigenvalues, which it sorts and checks
-with no copy.  Both build their equal or opposite eigenvalue pairs from
-one float: the symmetric lambda_k = lambda_{n-k} is written twice, and
-the reverse ensemble's pairs are the +- periodogram magnitudes m:
--m[::-1] then m, for the sorted m, checked finite at its top end, where
-nan and +inf sort (m >= 0).  The periodogram and the reverse spectrum
-read the one-based path in place (transform.partial_sums_batch) and
-release it once it is transformed; the n/2 ordinates are then built in
-an array of their own, so the rfft output can be freed.  The path and
-the rfft output, 16n bytes, are each one's peak.  The periodogram hands
-its ordinates to empirical.ks_in_place, which sorts them with no copy.
+with no copy.  Each spectrum is built in the array it returns, each
+equal or opposite pair from one float: the symmetric lambda_k is copied
+over the irfft's own lambda_{n-k}, its equal, and the reverse pairs are
+the +- periodogram magnitudes m, built in the top half: -m[::-1] then m,
+for the sorted m, checked finite at its top end, where nan and +inf sort
+(m >= 0).  The periodogram and the reverse spectrum read the one-based
+path in place (transform.partial_sums_batch) and release it once it is
+transformed; the ordinates or the eigenvalues are then built in an array
+of their own, so the rfft output can be freed.  The path and the rfft
+output, 16n bytes, are each one's peak.  The periodogram hands its
+ordinates to empirical.ks_in_place, which sorts them with no copy.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -52,13 +53,13 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
 
     lambda_k = x_0 + 2 sum_{1 <= j < n/2} x_j cos(2 pi j k / n) (+ (-1)^k
     x_{n/2} for even n) is n irfft(x, n)[k], so one inverse real DFT gives
-    h = lambda_0..lambda_{n//2} / sqrt(n).  lambda_{n-k} = lambda_k:
-    h[1:(n+1)//2] is written twice, so every pair is one float.
+    all n of them / sqrt(n); lambda_k is written over its equal lambda_{n-k},
+    k = 1..(n-1)//2, so every pair is one float.
     """
     if n < 3:
         raise ConfigError("need n >= 3")
-    h = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")[: n // 2 + 1]
-    vals = np.concatenate([h, h[1 : (n + 1) // 2]])
+    vals = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")
+    vals[n // 2 + 1 :] = vals[1 : (n + 1) // 2]
     point = _spectrum(vals, "SymmetricCirculant", n, 1.0 / math.sqrt(n), [])
     point["ks_to_limit"] = empirical.ks_in_place(vals, empirical.normal_cdf)  # sorts vals
     return vals, point
@@ -84,25 +85,18 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
         exceptional.append(scale * float(np.sum(x[1::2]) - np.sum(x[::2])))
     s, t = partial_sums_batch(n, (n - 1) // 2, path)
     del path, x
+    vals = np.empty(2 * s.size)
     # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
-    m = _power(s, t)
+    m = vals[s.size :]  # the top half
+    np.multiply(s, s, out=m)
+    t *= t
+    m += t
     del s, t
     np.sqrt(m, out=m)
     m.sort()
     finite(m[-1:], "eigenvalues")
-    vals = np.empty(2 * m.size)
     np.negative(m[::-1], out=vals[: m.size])
-    vals[m.size :] = m
     return vals, _spectrum(vals, "ReverseCirculant", n, scale, exceptional)
-
-
-def _power(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """s^2 + t^2 in an array of its own, so that the rfft output under s
-    and t can be freed; t is squared in place."""
-    p = s * s
-    t *= t
-    p += t
-    return p
 
 
 def periodogram_all(path: np.ndarray) -> np.ndarray:
@@ -112,7 +106,10 @@ def periodogram_all(path: np.ndarray) -> np.ndarray:
     n = path.size - 1
     s, t = partial_sums_batch(n, (n - 1) // 2, path)
     del path  # a path no caller holds is freed before the ordinates are built
-    p = _power(s, t)
+    # an array of its own, so that the rfft output under s and t can be freed
+    p = s * s
+    t *= t
+    p += t
     p /= 2.0
     return p
 

@@ -46,7 +46,9 @@ exact moments of ``clt_fluctuation``'s W the same way, and
 counted on both sides.  ``rademacher_ks_values`` is the KS statistic of
 ``asclt`` and of ``periodogram`` at one small n for each of the 2^n sign
 vectors, the exact laws their Rademacher runs are held to;
-``rademacher_grid_deviations`` is ``bivariate``'s statistic and
+``rademacher_symmetric_spectra`` is the symmetric spectrum's eigenvalues
+and KS for each sign vector of its free entries,
+``rademacher_grid_deviations`` ``bivariate``'s statistic and
 ``char_decay_law`` the mean and sd of ``char-decay``'s per replica, the
 same way.  ``symmetric_rayleigh_cdf`` is the limit law of the reverse
 circulant's ESD.
@@ -401,6 +403,15 @@ def rademacher_ks_values(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     power /= 2.0
     return (np.array([ks_to(row[:r], normal_cdf) for row in s]),
             np.array([ks_to(row, exponential_cdf) for row in power]))
+
+
+def rademacher_symmetric_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, KS to N(0, 1)) of the symmetric circulant at n for each
+    of the 2^(n//2 + 1) equally likely sign vectors of its free entries, one
+    row each: all n eigenvalues / sqrt(n) by one inverse real DFT, as
+    symmetric_circulant_spectrum takes them, and ks_to (below) per row."""
+    vals = np.fft.irfft(_sign_vectors(n // 2 + 1)[:, 1:], n, norm="ortho")
+    return vals, np.array([ks_to(row, normal_cdf) for row in vals])
 
 
 def rademacher_grid_deviations(n: int, r: int) -> np.ndarray:

@@ -933,6 +933,23 @@ def test_numpy_value_error_is_a_runtime_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error", [OSError, RuntimeError])
+def test_a_run_that_fails_while_writing_leaves_no_artifact(tmp_path, capsys, monkeypatch, error):
+    # the JSON is written and the CSV is one block in when the write fails:
+    # any exception exits 3, and neither file is left behind
+    lines = cli._indexed_lines
+
+    def failing_lines(e):
+        blocks = lines(e)
+        yield next(blocks)
+        raise error("disk gone")
+
+    monkeypatch.setattr(cli, "_indexed_lines", failing_lines)
+    assert run(["spectrum", "--n", "4097", "--out-dir", str(tmp_path)]) == 3
+    assert "runtime failure: disk gone" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def _nan_prefix(spec, n):
     return np.full(n, np.nan)
 

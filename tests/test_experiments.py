@@ -134,13 +134,16 @@ _TRIG_PATH = ",".join(f"{4**k}:{4**k // 2 - 1}" for k in range(5, 11))
 @pytest.mark.parametrize("harness, schedule, bound", [
     (asclt_trajectory, _TRIG_PATH, 16.5),
     (asclt_bivariate, "1048576:524287", 16.5),
-], ids=["asclt", "bivariate"])
+    (asclt_bivariate, "262144:131071,1048576:524287", 16.5),
+], ids=["asclt", "bivariate", "bivariate-two-points"])
 def test_one_path_harness_peaks_under_22n_bytes(harness, schedule, bound):
     # the one-based path and the rfft output are 16n bytes, the floor of a
     # transform; the path is freed once the last point is transformed, so
     # asclt's sorted copy of S (4n) and bivariate's scratch of one block per
     # axis come after it (16.1n and 16.0n measured; 20.4n and 16.7n with
-    # the path held); a copy of the path would add 8n
+    # the path held); a copy of the path would add 8n, and a point's S and
+    # T, held through the next transform, that point's rfft output (18.1n
+    # at two points, against 16.1n with them freed)
     n = 2**20
     spec = spec_of("rademacher", 1)
     _, peak = peak_bytes(lambda: harness(spec, Schedule.parse(schedule)))

@@ -29,6 +29,7 @@ from .oracles import (
     periodogram,
     symmetric_circulant_first_row,
 )
+from .test_experiments import _assert_follows_the_atoms
 from .test_weights import peak_bytes
 
 
@@ -152,6 +153,24 @@ def test_symmetric_esd_limit():
     assert ks_to(e, normal_cdf) <= 0.03
     # the point takes its KS from the sorted eigenvalues, with no copy
     assert point["ks_to_limit"] == ks_to(e, normal_cdf)
+
+
+def test_symmetric_ks_follows_the_exact_law():
+    # at n = 25 the 13 free entries take 2^13 equally likely sign vectors,
+    # so ks_to_limit takes finitely many values (385 atoms), each with a
+    # known mass; the law's eigenvalues are each dense matrix's.  The KS is
+    # unchanged under x -> -x, so this law cannot tell one fixed sign per
+    # byte from the stream's own signs; the pair-frequency test and the
+    # bit pins catch that
+    n = 25
+    vals, law = oracles.rademacher_symmetric_spectra(n)
+    free = 1.0 - 2.0 * ((np.arange(vals.shape[0])[:, None] >> np.arange(n // 2 + 1)) & 1)
+    rows = np.concatenate([free, free[:, n // 2 : 0 : -1]], axis=1)
+    dense = rows[:, (np.arange(n) - np.arange(n)[:, None]) % n] / math.sqrt(n)
+    assert np.max(np.abs(np.sort(vals) - np.linalg.eigvalsh(dense))) <= 1e-12
+    assert np.count_nonzero(np.diff(np.sort(law)) > 1e-12) + 1 == 385
+    _assert_follows_the_atoms(
+        "symmetric", lambda spec: symmetric_circulant_spectrum(n, spec)[1]["ks_to_limit"], law)
 
 
 def test_esd_insensitive_to_centering():
