@@ -92,6 +92,21 @@ MUTANTS = (
            ("tests/test_finite.py::test_finite_refuses_a_non_finite_value_at_any_slot",)),
     Mutant("wrap-slot", "transform.py", "x[..., 0] = x[..., n]", "x[..., 0] = x[..., n - 1]",
            (_TRANSFORM + "test_wrap_slot_matches_the_rotated_copy_bit_for_bit",)),
+    # the one path of asclt, bivariate, the periodogram and the reverse
+    # spectrum: held past its last transform, a point's sums held through
+    # the next one, and every stretch read from X_1
+    Mutant("along-path-holds-path", "transform.py", "del path  # the last transform",
+           "pass  # the last transform",
+           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[asclt]",
+            _EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate]",
+            _SPECTRA + "test_periodogram_peaks_at_its_path_and_rfft_output",
+            _SPECTRA + "test_reverse_circulant_memory_bounded")),
+    Mutant("along-path-holds-sums", "transform.py", "del s, t  # a point's sums",
+           "pass  # a point's sums",
+           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate-two-points]",)),
+    Mutant("along-path-stretch-from-start", "transform.py", "        done = n\n", "",
+           (_EXPERIMENTS + "test_fixed_path_is_sampled_once[asclt_trajectory]",
+            _TRANSFORM + "test_along_path_reads_each_stretch_before_its_point")),
     Mutant("mean-weights-unrotated", "transform.py", "np.roll(d, -1) *", "d *",
            (_TRANSFORM + "test_mean_partial_sum_matches_reference",)),
     Mutant("mean-kernel-cap", "transform.py", "<= _BYTE_TABLE_BYTES", "< _BYTE_TABLE_BYTES",
@@ -122,22 +137,12 @@ MUTANTS = (
     Mutant("rate-lo-from-p-lo", "experiments.py", '"rate_lo": _rate(p_hi, r)',
            '"rate_lo": _rate(p_lo, r)',
            (_CLI + "test_a_zero_rate_is_written_without_a_sign",)),
-    Mutant("asclt-holds-path", "experiments.py", "del path  # the last transform is done: the KS",
-           "pass  # the last transform is done: the KS",
-           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[asclt]",)),
-    Mutant("bivariate-holds-path", "experiments.py",
-           "del path  # the last transform is done: the grid",
-           "pass  # the last transform is done: the grid",
-           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate]",)),
-    Mutant("bivariate-holds-sums", "experiments.py", "del s, t  # views of the whole rfft",
-           "pass  # views of the whole rfft",
-           (_EXPERIMENTS + "test_one_path_harness_peaks_under_22n_bytes[bivariate-two-points]",)),
     # two runs of replicas need two cores: on one, the runs are one and it survives
     Mutant("replica-part-order", "experiments.py", "for part in parts for",
            "for part in parts[::-1] for",
            (_EXPERIMENTS + "test_replica_map_follows_replica_streams",)),
-    Mutant("periodogram-holds-path", "spectra.py", "    del path  # a path", "    # a path",
-           (_SPECTRA + "test_periodogram_peaks_at_its_path_and_rfft_output",)),
+    Mutant("symmetric-holds-input", "spectra.py", "    del c  # freed before the KS\n", "",
+           (_SPECTRA + "test_symmetric_circulant_memory_bounded",)),
     Mutant("irfft-input-late", "spectra.py", "sample_prefix(spec, n // 2 + 1)",
            "sample_prefix(spec, n // 2 + 2)[1:]",
            (_SPECTRA + "test_symmetric_spectrum_near_complex_dft",)),

@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, SourceSpec]:
     """The settings of args' subcommand, its flags over its config file,
     and the run's SourceSpec: the identity checked first, then every
-    setting without a default set and threads >= 0."""
+    setting without a default set (experiments._replica_map checks threads)."""
     settings = _COMMANDS[args.experiment][1]
     keys = _IDENTITY + settings
     given = load_config(args.config, keys) if args.config is not None else {}
@@ -205,11 +205,6 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, SourceSpec]:
     missing = [key for key in settings if getattr(cfg, key) is None]
     if missing:
         raise ConfigError(f"{cfg.experiment} requires {' and '.join(missing)}")
-    if cfg.threads < 0:
-        raise ConfigError(
-            f"threads (--threads or config key) must be >= 0"
-            f" (0 or 1 runs serially), got {cfg.threads}"
-        )
     return cfg, spec
 
 

@@ -1,4 +1,5 @@
-"""Experiment harnesses: almost-sure trajectories, characteristic-function
+"""Experiment harnesses: almost-sure trajectories (a statistic per point
+of one path, read by transform.along_path), characteristic-function
 variance decay, CLT fluctuations, and LDP rate estimates.
 
 Replica contract: replica i draws X_1..X_n from the stream
@@ -35,9 +36,9 @@ import numpy as np
 
 from . import BLOCK, ConfigError, empirical, finite
 from .empirical import ks_in_place, ks_to, normal_cdf
-from .sources import SourceSpec, require_streams, sample_path, stream_blocks
-from .transform import batch_kernel, mean_kernel, mean_weights, partial_sums_batch
-from .weights import HAAR, TRIG, haar_rows, require_haar, require_trig
+from .sources import SourceSpec, require_streams, stream_blocks
+from .transform import along_path, batch_kernel, mean_kernel, mean_weights, partial_sums_batch
+from .weights import HAAR, TRIG, require_haar, require_trig
 
 _BIVARIATE_GRID = np.arange(-2.0, 2.0 + 1e-12, 0.5)  # 9 points per axis
 
@@ -94,44 +95,23 @@ class ExperimentResult:
     replicas: int = 1
 
 
-def _trajectory_sums(spec: SourceSpec, path: np.ndarray, n: int, r: int, kind: str) -> np.ndarray:
-    """S_{n,1..r} of X_1..X_n of the one-based path; trig via DFT, Haar via
-    matvec (asclt_trajectory has refused any other kind)."""
-    if kind == TRIG:
-        return partial_sums_batch(n, r, path[: n + 1])[0]
-    # the Haar rows are part of omega too: derive them from a companion
-    # stream so it stays fixed for fixed (seed, stream)
-    return haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r) @ path[1 : n + 1]
-
-
 def asclt_trajectory(
     spec: SourceSpec, schedule: Schedule, kind: str = TRIG
 ) -> ExperimentResult:
-    """KS(mu_n, Phi) along one fixed sample path.
-
-    The path is sampled once, one-based, to the largest n; every schedule
-    point reads a prefix of it in place, so all points share one omega by
-    construction.  By prefix stability, the X_1..X_n of a point are also
-    exactly what sample_prefix(spec, n) returns.  The path is hashed once:
-    each point feeds the new stretch of its prefix to one running sha256
-    before its transform, and the path is released once the last point is
-    transformed.  Every point is checked, Haar past the size limit refused,
-    before any draw.
-    """
+    """KS(mu_n, Phi) along one fixed sample path (transform.along_path),
+    with each prefix's sha256 from one running hash of the path's stretches.
+    Every point is checked, Haar past the size limit refused, before any
+    draw."""
     schedule.require(kind)
-    path = sample_path(spec, schedule.points[-1][0])
-    points = []
-    h, done = hashlib.sha256(), 0
-    for n, r in schedule.points:
-        h.update(path[done + 1 : n + 1])  # hexdigest leaves h open to the next stretch
-        done = n
-        s = _trajectory_sums(spec, path, n, r, kind)
-        if n + 1 == path.size:
-            del path  # the last transform is done: the KS's copy of S takes its place
-        points.append({"n": n, "r": r, "ks_to_normal": ks_to(s, normal_cdf),
-                       "prefix_sha256": h.hexdigest()})
-        del s  # a view of the whole rfft output, not held through the next transform
-    return ExperimentResult({"kind": kind}, points)
+    h = hashlib.sha256()
+
+    def point(n, r, s, t):
+        # hexdigest leaves h open to the next stretch
+        return {"n": n, "r": r, "ks_to_normal": ks_to(s, normal_cdf),
+                "prefix_sha256": h.hexdigest()}
+
+    return ExperimentResult({"kind": kind},
+                            along_path(spec, schedule.points, point, h.update, kind))
 
 
 def _grid_below(v: np.ndarray) -> np.ndarray:
@@ -148,20 +128,17 @@ def _grid_below(v: np.ndarray) -> np.ndarray:
 
 
 def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
-    """Max deviation of the joint ECDF from Phi(x)Phi(y) on the fixed grid."""
+    """Max deviation of the joint ECDF from Phi(x)Phi(y) on the fixed grid,
+    along one fixed sample path (transform.along_path)."""
     schedule.require(TRIG)
-    path = sample_path(spec, schedule.points[-1][0])
-    points = []
     gx = _BIVARIATE_GRID
     target = np.outer(normal_cdf(gx), normal_cdf(gx))
     # joint ECDF on the grid: count (s, t) per grid cell, BLOCK pairs at a
     # time, the last row and column beyond the grid; s <= gx[i] iff its
     # cell is at most i.  A cell index g i + j stays below g^2 = 100, a byte
     g = gx.size + 1
-    for n, r in schedule.points:
-        s, t = partial_sums_batch(n, r, path[: n + 1])
-        if n + 1 == path.size:
-            del path  # the last transform is done: the grid scratch is counted without it
+
+    def point(n, r, s, t):
         counts = np.zeros(g * g, dtype=np.intp)
         for lo in range(0, r, BLOCK):
             cells = _grid_below(s[lo : lo + BLOCK])
@@ -169,10 +146,10 @@ def asclt_bivariate(spec: SourceSpec, schedule: Schedule) -> ExperimentResult:
             cells += _grid_below(t[lo : lo + BLOCK])
             counts += np.bincount(cells, minlength=g * g)
         joint = counts.reshape(g, g).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / r
-        dev = float(np.max(np.abs(joint - target)))
-        points.append({"n": n, "r": r, "max_grid_deviation": dev})
-        del s, t  # views of the whole rfft output, not held through the next transform
-    return ExperimentResult({"grid": [float(v) for v in gx]}, points)
+        return {"n": n, "r": r, "max_grid_deviation": float(np.max(np.abs(joint - target)))}
+
+    return ExperimentResult({"grid": [float(v) for v in gx]},
+                            along_path(spec, schedule.points, point))
 
 
 def _replica_map(stat, spec: SourceSpec, n: int, n_replicas: int, threads: int,

@@ -10,16 +10,11 @@ eigenvalues with the spectrum's summary point, a dict; only the
 symmetric ensemble's point compares the ESD with a limit law (N(0, 1)),
 by empirical.ks_in_place on its eigenvalues, which it sorts and checks
 with no copy.  Each spectrum is built in the array it returns, each
-equal or opposite pair from one float: the symmetric lambda_k is copied
-over the irfft's own lambda_{n-k}, its equal, and the reverse pairs are
-the +- periodogram magnitudes m, built in the top half: -m[::-1] then m,
-for the sorted m, checked finite at its top end, where nan and +inf sort
-(m >= 0).  The periodogram and the reverse spectrum read the one-based
-path in place (transform.partial_sums_batch) and release it once it is
-transformed; the ordinates or the eigenvalues are then built in an array
-of their own, so the rfft output can be freed.  The path and the rfft
-output, 16n bytes, are each one's peak.  The periodogram hands its
-ordinates to empirical.ks_in_place, which sorts them with no copy.
+equal or opposite pair from one float (see each function); the reverse
+magnitudes m >= 0 are checked finite at their sorted top end, where nan
+and +inf sort.  The periodogram and the reverse spectrum take their sums
+from transform.along_path and build the ordinates with periodogram_all,
+which the periodogram's KS (empirical.ks_in_place) sorts with no copy.
 
 Normalization note: the periodogram here uses the 1/n convention,
 I_n(2 pi k / n) = |sum_j e^{-i j 2 pi k / n} x_j|^2 / n, under which
@@ -36,8 +31,8 @@ import math
 import numpy as np
 
 from . import ConfigError, empirical, finite
-from .sources import SourceSpec, sample_path, sample_prefix
-from .transform import partial_sums_batch
+from .sources import SourceSpec, sample_prefix
+from .transform import along_path
 
 def _spectrum(vals: np.ndarray, ensemble: str, n: int, normalization: float,
               exceptional: list[float]) -> dict:
@@ -58,7 +53,10 @@ def symmetric_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, 
     """
     if n < 3:
         raise ConfigError("need n >= 3")
-    vals = np.fft.irfft(sample_prefix(spec, n // 2 + 1), n, norm="ortho")
+    c = np.zeros(n // 2 + 1, dtype=complex)  # irfft reads it with no copy
+    c.real = sample_prefix(spec, n // 2 + 1)
+    vals = np.fft.irfft(c, n, norm="ortho")
+    del c  # freed before the KS
     vals[n // 2 + 1 :] = vals[1 : (n + 1) // 2]
     point = _spectrum(vals, "SymmetricCirculant", n, 1.0 / math.sqrt(n), [])
     point["ks_to_limit"] = empirical.ks_in_place(vals, empirical.normal_cdf)  # sorts vals
@@ -71,43 +69,39 @@ def reverse_circulant_spectrum(n: int, spec: SourceSpec) -> tuple[np.ndarray, di
 
     The at-most-two eigenvalues outside the paired formula (frequency 0,
     and frequency n/2 for even n) are reported in `exceptional` in the
-    same sqrt(2/n)-scaled units and excluded from the ESD.  Both are taken
-    before the transform, and the path is released once it is done, so the
-    peak is the path and the rfft output, 16n bytes, at every n.
+    same sqrt(2/n)-scaled units and excluded from the ESD.  Both are read
+    from the path before its transform (transform.along_path).
     """
     if n < 3:
         raise ConfigError("need n >= 3")
-    path = sample_path(spec, n)
-    x = path[1:]
     scale = math.sqrt(2.0 / n)
-    exceptional = [scale * float(np.sum(x))]
-    if n % 2 == 0:  # the sum of x with its 0-based even positions negated
-        exceptional.append(scale * float(np.sum(x[1::2]) - np.sum(x[::2])))
-    s, t = partial_sums_batch(n, (n - 1) // 2, path)
-    del path, x
-    vals = np.empty(2 * s.size)
-    # 2 I_n is s^2 + t^2 bit for bit (halving and doubling are exact)
-    m = vals[s.size :]  # the top half
-    np.multiply(s, s, out=m)
-    t *= t
-    m += t
-    del s, t
-    np.sqrt(m, out=m)
-    m.sort()
-    finite(m[-1:], "eigenvalues")
-    np.negative(m[::-1], out=vals[: m.size])
+    exceptional = []
+
+    def read(x):
+        exceptional.append(scale * float(np.sum(x)))
+        if n % 2 == 0:  # the sum of x with its 0-based even positions negated
+            exceptional.append(scale * float(np.sum(x[1::2]) - np.sum(x[::2])))
+
+    def eigenvalues(n, r, s, t):
+        vals = np.empty(2 * r)
+        m = periodogram_all(s, t, out=vals[r:])  # the top half
+        m *= 2.0  # s^2 + t^2 bit for bit: halving and doubling are exact
+        np.sqrt(m, out=m)
+        m.sort()
+        finite(m[-1:], "eigenvalues")
+        np.negative(m[::-1], out=vals[:r])
+        return vals
+
+    vals = along_path(spec, [(n, (n - 1) // 2)], eigenvalues, read)[0]
     return vals, _spectrum(vals, "ReverseCirculant", n, scale, exceptional)
 
 
-def periodogram_all(path: np.ndarray) -> np.ndarray:
+def periodogram_all(s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """All periodogram ordinates I_n(2 pi k / n) = (s_k^2 + t_k^2) / 2,
-    k = 1..floor((n-1)/2), of the one-based path X_1..X_n (n + 1 floats,
-    X_j at path[j], see transform.partial_sums_batch)."""
-    n = path.size - 1
-    s, t = partial_sums_batch(n, (n - 1) // 2, path)
-    del path  # a path no caller holds is freed before the ordinates are built
-    # an array of its own, so that the rfft output under s and t can be freed
-    p = s * s
+    k = 1..floor((n-1)/2), of the trig sums s and t of X_1..X_n
+    (transform.along_path), in out (a new array by default), so that the
+    rfft output under s and t can be freed; t is squared in place."""
+    p = np.multiply(s, s, out=out)
     t *= t
     p += t
     p /= 2.0
@@ -118,4 +112,8 @@ def periodogram_ecdf_distance(n: int, spec: SourceSpec) -> float:
     """Exact KS distance of the periodogram ECDF to Exp(1)."""
     if n < 7:
         raise ConfigError("need n >= 7")
-    return empirical.ks_in_place(periodogram_all(sample_path(spec, n)), empirical.exponential_cdf)
+
+    def ks(n, r, s, t):
+        return empirical.ks_in_place(periodogram_all(s, t), empirical.exponential_cdf)
+
+    return along_path(spec, [(n, (n - 1) // 2)], ks)[0]

@@ -14,7 +14,8 @@ that slot, not a rotated copy, so a sampled path and every prefix of it
 are transformed in place (partial_sums_batch), and S and T are scaled in
 place, unchecked, as views of the DFT output: 8n bytes beyond the path.
 A plain input of X_1..X_n (partial_sums_fast) is copied once into that
-layout.
+layout.  along_path owns an op's one sampled path, from its draw to its
+release after the last transform, and each point's sums.
 
 S over a one-based batch (replicas x (n + 1)) has two kernels: the batched
 rfft, which yields all n/2 + 1 coefficients at O(n log n) per row, and
@@ -38,8 +39,8 @@ import numpy as np
 
 from . import BLOCK, finite
 from .accum import kahan_sum
-from .sources import BYTE_SIGNS
-from .weights import require_trig, trig_rows, trig_tables
+from .sources import BYTE_SIGNS, SourceSpec, sample_path
+from .weights import TRIG, haar_rows, require_trig, trig_rows, trig_tables
 
 # A batch takes the GEMM while it multiplies by at most this many trig
 # rows per unit of log2 n, and while those rows fit in _GEMM_WEIGHT_BYTES;
@@ -134,6 +135,35 @@ def partial_sums_batch(n: int, r: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
     s *= scale
     t *= -scale
     return s, t
+
+
+def along_path(spec: SourceSpec, points, stat, read=None, kind: str = TRIG) -> list:
+    """[stat(n, r, s, t) for (n, r) in points, n increasing] along one
+    path of spec, sampled once, one-based, to the largest n.  read, if
+    given, takes each point's new stretch X_{m+1}..X_n before its prefix
+    X_1..X_n (sample_prefix(spec, n)) is transformed in place.  s and t are
+    the trig sums (partial_sums_batch); Haar s is the companion stream's
+    rows times the prefix, and t None.  The path is freed after the last
+    transform, and each point's sums once its stat returns.
+    """
+    path = sample_path(spec, points[-1][0])
+    results, done = [], 0
+    for n, r in points:
+        if read is not None:
+            read(path[done + 1 : n + 1])
+        done = n
+        if kind == TRIG:
+            s, t = partial_sums_batch(n, r, path[: n + 1])
+        else:
+            # the Haar rows are part of omega too: derive them from a
+            # companion stream so it stays fixed for fixed (seed, stream)
+            companion = spec.with_stream(spec.stream_id ^ (1 << 32))
+            s, t = haar_rows(n, companion, r) @ path[1 : n + 1], None
+        if n + 1 == path.size:
+            del path  # the last transform is done
+        results.append(stat(n, r, s, t))
+        del s, t  # a point's sums are not held through the next transform
+    return results
 
 
 def use_gemm(n: int, r: int) -> bool:

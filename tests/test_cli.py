@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ascltlab import cli, experiments, sources, spectra, weights
+from ascltlab import cli, experiments, sources, spectra, transform, weights
 from ascltlab.cli import ConfigError, RunConfig, _build_parser, _resolve_config, load_config, run
 from ascltlab.sources import SourceSpec
 from ascltlab.weights import haar_rows, trig_rows, trig_tables
@@ -732,6 +732,13 @@ def test_draws_are_made_only_in_stream_blocks_and_normal_grid():
     assert _package_callers("_sign_words") == ["sources.stream_blocks"]
 
 
+def test_one_path_ops_get_their_path_only_from_along_path():
+    # transform.along_path alone samples, transforms and frees the path of
+    # every op that reads one (asclt, bivariate, periodogram, the reverse
+    # spectrum), so none of them manages a path's lifetime of its own
+    assert _package_callers("sample_path") == ["sources.sample_prefix", "transform.along_path"]
+
+
 def test_mean_kernels_are_picked_only_by_mean_kernel():
     # transform.mean_kernel alone decides how ldp reads its means, packed
     # sign bytes or float inputs, and owns the byte table's cap
@@ -965,17 +972,17 @@ def _inf_path(spec, n):
 @pytest.mark.parametrize(
     "module, name, fake, argv",
     [
-        (experiments, "sample_path", _nan_path, ["asclt", "--schedule", "256:127"]),
-        (experiments, "sample_path", _nan_path, ["bivariate", "--schedule", "256:127"]),
+        (transform, "sample_path", _nan_path, ["asclt", "--schedule", "256:127"]),
+        (transform, "sample_path", _nan_path, ["bivariate", "--schedule", "256:127"]),
         (spectra, "sample_prefix", _nan_prefix, ["spectrum", "--n", "65"]),
-        (spectra, "sample_path", _nan_path,
+        (transform, "sample_path", _nan_path,
          ["spectrum", "--ensemble", "reverse", "--n", "65"]),
-        (spectra, "periodogram_all", lambda x: np.full(x.size // 2, np.nan),
+        (spectra, "periodogram_all", lambda s, t: np.full(s.size, np.nan),
          ["periodogram", "--n", "256"]),
-        (spectra, "sample_path", _nan_path, ["periodogram", "--n", "256"]),
-        (experiments, "sample_path", _inf_path, ["asclt", "--schedule", "256:127"]),
-        (experiments, "sample_path", _inf_path, ["bivariate", "--schedule", "256:127"]),
-        (spectra, "sample_path", _inf_path,
+        (transform, "sample_path", _nan_path, ["periodogram", "--n", "256"]),
+        (transform, "sample_path", _inf_path, ["asclt", "--schedule", "256:127"]),
+        (transform, "sample_path", _inf_path, ["bivariate", "--schedule", "256:127"]),
+        (transform, "sample_path", _inf_path,
          ["spectrum", "--ensemble", "reverse", "--n", "65"]),
     ],
     ids=["partial-sums", "bivariate-partial-sums", "eigenvalues", "reverse-eigenvalues",

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from ascltlab import experiments
+from ascltlab import experiments, transform
 from ascltlab.empirical import ks_in_place, ks_to, normal_cdf
 from ascltlab.experiments import (
     Schedule,
@@ -19,7 +19,7 @@ from ascltlab.experiments import (
     ldp_rate,
 )
 from ascltlab.sources import SourceSpec, sample_path, sample_prefix, stream_blocks
-from ascltlab.spectra import periodogram_ecdf_distance
+from ascltlab.spectra import periodogram_ecdf_distance, reverse_circulant_spectrum
 from ascltlab.transform import (
     mean_byte_table,
     mean_from_sign_bytes,
@@ -108,21 +108,28 @@ def test_trajectory_prefix_hashes_chain():
     assert len(set(digests)) == 3  # longer prefixes hash differently
 
 
-@pytest.mark.parametrize("harness", [asclt_trajectory, asclt_bivariate])
-def test_fixed_path_is_sampled_once(monkeypatch, harness):
-    import ascltlab.experiments as experiments
+_SCHEDULE = Schedule.parse("128:63,512:255,2048:1023")
 
+
+@pytest.mark.parametrize("op", [
+    lambda spec: asclt_trajectory(spec, _SCHEDULE),
+    lambda spec: asclt_bivariate(spec, _SCHEDULE),
+    lambda spec: periodogram_ecdf_distance(2048, spec),
+    lambda spec: reverse_circulant_spectrum(2048, spec),
+], ids=["asclt_trajectory", "asclt_bivariate", "periodogram_ecdf_distance",
+        "reverse_circulant_spectrum"])
+def test_fixed_path_is_sampled_once(monkeypatch, op):
     lengths = []
 
     def counting_sample_path(spec, n):
         lengths.append(n)
         return sample_path(spec, n)
 
-    monkeypatch.setattr(experiments, "sample_path", counting_sample_path)
+    monkeypatch.setattr(transform, "sample_path", counting_sample_path)
     spec = spec_of("uniform", 9)
-    res = harness(spec, Schedule.parse("128:63,512:255,2048:1023"))
+    res = op(spec)
     assert lengths == [2048]
-    for p in res.points:
+    for p in getattr(res, "points", []):  # the spectra return no points
         if "prefix_sha256" in p:
             assert p["prefix_sha256"] == hashlib.sha256(sample_prefix(spec, p["n"])).hexdigest()
 
@@ -226,9 +233,7 @@ def test_grid_cells_are_the_searchsorted_counts():
 def test_bivariate_degenerate_origin_deviation(monkeypatch):
     # a zero path puts every (s, t) at the origin: the joint ECDF is 1 on
     # the closed positive quadrant, where Phi(x)Phi(y) is smallest at 0
-    import ascltlab.experiments as experiments
-
-    monkeypatch.setattr(experiments, "sample_path", lambda spec, n: np.zeros(n + 1))
+    monkeypatch.setattr(transform, "sample_path", lambda spec, n: np.zeros(n + 1))
     res = asclt_bivariate(spec_of("normal", 7), Schedule.parse("128:63,1024:511"))
     assert [p["max_grid_deviation"] for p in res.points] == [0.75, 0.75]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ascltlab import spectra
+from ascltlab import transform
 from ascltlab.empirical import (
     exponential_cdf,
     ks_to,
@@ -16,7 +16,7 @@ from ascltlab.spectra import (
     reverse_circulant_spectrum,
     symmetric_circulant_spectrum,
 )
-from ascltlab.transform import partial_sums_fast
+from ascltlab.transform import partial_sums_batch, partial_sums_fast
 
 from . import oracles
 from .oracles import (
@@ -189,8 +189,14 @@ def test_esd_insensitive_to_centering():
     assert worst <= 2.0 / n
 
 
+def _ordinates(path):
+    """periodogram_all of the one-based path X_1..X_n (n + 1 floats)."""
+    n = path.size - 1
+    return periodogram_all(*partial_sums_batch(n, (n - 1) // 2, path))
+
+
 def test_reverse_circulant_degenerate_zero_input():
-    mags = periodogram_all(np.zeros(9))
+    mags = _ordinates(np.zeros(9))
     assert np.allclose(mags, 0.0)
 
 
@@ -313,7 +319,7 @@ def test_reverse_circulant_refuses_an_overflowing_eigenvalue(monkeypatch, n):
     # draws of +-1e200 keep both exceptional eigenvalues finite, but the
     # squared magnitudes overflow: only the eigenvalues' own check sees it
     signs = np.random.default_rng(n).choice([-1e200, 1e200], n + 1)
-    monkeypatch.setattr(spectra, "sample_path", lambda spec, n: signs.copy())
+    monkeypatch.setattr(transform, "sample_path", lambda spec, n: signs.copy())
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite eigenvalues"):
             reverse_circulant_spectrum(n, SourceSpec("normal", master_seed=1))
@@ -327,6 +333,16 @@ def test_reverse_circulant_memory_bounded(n):
     # and eigenvalues (12n) are built.  Nothing of the transform's size is
     # checked finite, only the two ends of the sorted eigenvalues
     _, peak = peak_bytes(lambda: reverse_circulant_spectrum(n, SourceSpec("normal", master_seed=1)))
+    assert peak <= 16 * n + 2**18, f"peaked at {peak / n:.2f}n bytes"
+
+
+@pytest.mark.parametrize("n", [2**20, 2**20 + 1])
+def test_symmetric_circulant_memory_bounded(n):
+    # the n//2 + 1 draws go into the real part of a complex input (8n
+    # bytes), which irfft reads without a complex copy of its own and which
+    # is freed before the KS; the input and the eigenvalues are 16n bytes
+    # (20n with the draws copied into complex inside irfft)
+    _, peak = peak_bytes(lambda: symmetric_circulant_spectrum(n, SourceSpec("normal", master_seed=1)))
     assert peak <= 16 * n + 2**18, f"peaked at {peak / n:.2f}n bytes"
 
 
@@ -361,7 +377,7 @@ def test_periodogram_consistency_with_transform():
     rng = np.random.default_rng(21)
     x = rng.standard_normal(129)
     ps = partial_sums_fast(129, 64, x)
-    every = periodogram_all(np.concatenate(([0.0], x)))
+    every = _ordinates(np.concatenate(([0.0], x)))
     for k in [1, 17, 64]:
         expect = (ps.s[k - 1] ** 2 + ps.t[k - 1] ** 2) / 2.0
         assert periodogram(x, k) == pytest.approx(expect, rel=1e-9, abs=1e-12)
@@ -371,7 +387,7 @@ def test_periodogram_consistency_with_transform():
 def test_periodogram_nonnegative_and_range_checked():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(33)
-    assert np.all(periodogram_all(x) >= 0.0)
+    assert np.all(_ordinates(x) >= 0.0)
     with pytest.raises(ValueError):
         periodogram(x, 0)
     with pytest.raises(ValueError):
@@ -385,7 +401,7 @@ def test_periodogram_ecdf_distance_families():
 
 
 def test_periodogram_degenerate_zero_distance_one():
-    assert ks_to(periodogram_all(np.zeros(9)), exponential_cdf) == 1.0
+    assert ks_to(_ordinates(np.zeros(9)), exponential_cdf) == 1.0
 
 
 def test_spectrum_summary_and_csv():

@@ -20,7 +20,7 @@ from ascltlab.transform import (
     partial_sums_naive,
     use_gemm,
 )
-from ascltlab.weights import make_trig_pair
+from ascltlab.weights import haar_rows, make_trig_pair
 
 from . import oracles
 from .test_sources import FAMILIES
@@ -207,6 +207,35 @@ def test_every_prefix_of_a_sampled_path_reads_its_own_wrap(family):
     assert np.array_equal(path[1:], x)
 
 
+@pytest.mark.parametrize("kind, points", [
+    ("trig", [(16, 7), (64, 31), (300, 149)]),
+    ("haar", [(16, 16), (64, 20), (300, 5)]),
+])
+def test_along_path_reads_each_stretch_before_its_point(kind, points):
+    # read takes X_{m+1}..X_n before the point at n is transformed and its
+    # stat called: the stretches, joined, are the prefix to the largest n,
+    # and each point's sums are those of its own prefix
+    spec = SourceSpec(family="normal", master_seed=21)
+    events = []
+
+    def stat(n, r, s, t):
+        events.append(("stat", n))
+        return s.copy(), t if t is None else t.copy()
+
+    got = transform.along_path(spec, points, stat, lambda x: events.append(("read", x.copy())),
+                               kind)
+    assert [e[0] for e in events] == ["read", "stat"] * len(points)
+    assert [e[1] for e in events[1::2]] == [n for n, _ in points]
+    assert np.array_equal(np.concatenate([e[1] for e in events[::2]]), sample_prefix(spec, 300))
+    for (n, r), (s, t) in zip(points, got):
+        if kind == "trig":
+            ref = partial_sums_fast(n, r, sample_prefix(spec, n))
+            assert np.array_equal(s, ref.s) and np.array_equal(t, ref.t)
+        else:
+            rows = haar_rows(n, spec.with_stream(spec.stream_id ^ (1 << 32)), r)
+            assert t is None and np.allclose(s, rows @ sample_prefix(spec, n), rtol=0, atol=1e-13)
+
+
 def test_a_sampled_path_is_transformed_without_a_copy():
     # beyond the 8 MiB path, only the rfft output (n/2 + 1 complex, 8n
     # bytes): no copy of the path, and no check of S and T
@@ -239,7 +268,7 @@ def test_full_size_dft_matches_direct_sums(n):
     # I_k = (S_k^2 + T_k^2) / 2, off by (|S_k| + |T_k|) tol + tol^2 and its rounding
     p_ref = (s_ref**2 + t_ref**2) / 2.0
     p_tol = (np.abs(s_ref) + np.abs(t_ref)) * tol + tol**2 + 4 * eps * p_ref
-    assert np.all(np.abs(periodogram_all(path)[ks - 1] - p_ref) <= p_tol)
+    assert np.all(np.abs(periodogram_all(s, t)[ks - 1] - p_ref) <= p_tol)
 
 
 def test_rfft_gemm_rule_covers_both_harness_shapes():
